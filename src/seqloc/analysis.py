@@ -1,11 +1,12 @@
 """Closed-form error theory for the sequential-pseudorange estimators.
 
 Everything here is evaluated at the *true* parameters: Fisher information
-matrices (G^T W G with the design matrix built from true line-of-sight
-vectors), the CRLB, theoretical bias/variance/RMSE budgets for the three
-optimal estimators, the movement-induced bias of the drift-only baseline,
-the bias caused by a deviated assumed velocity, and numerical checks of
-the covariance ordering between the three estimators.
+matrices (``A^T A = G^T W G`` for the whitened design ``A`` of
+``model.WhitenedSystem`` built from true line-of-sight vectors), the CRLB,
+theoretical bias/variance/RMSE budgets for the three optimal estimators,
+the movement-induced bias of the drift-only baseline, the bias caused by a
+deviated assumed velocity, and numerical checks of the covariance ordering
+between the three estimators.
 """
 
 from __future__ import annotations
@@ -15,17 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .model import (
+# build_design_* are unused here but stay bound in this namespace:
+# perfbench/tracer.py patches them by module path.
+from .model import (  # noqa: F401
     BsConstellation,
     FullParams,
     MeasurementBatch,
+    VARIANTS,
     VelocityPrior,
-    WeightModel,
+    WhitenedSystem,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
 )
-from .solvers import MAX_DESIGN_CONDITION, design_condition
+from .solvers import whitened_svd
 
 ORDERING_EIG_FLOOR = -1e-10  # PD tolerance for covariance-ordering checks
 
@@ -54,31 +58,28 @@ def _budget(bias: np.ndarray, variance: np.ndarray) -> ErrorBudget:
 
 
 def _design_at_truth(batch: MeasurementBatch, bs: BsConstellation,
-                     truth: FullParams, variant: str):
-    if variant == "kvd":
-        return build_design_kvd(batch, bs, truth.kvd_part(), truth.v)
-    if variant == "uvd":
-        return build_design_uvd(batch, bs, truth)
-    if variant == "pvd":
-        return build_design_pvd(batch, bs, truth)
-    raise RankDeficient(f"unknown estimator variant {variant!r}")
+                     truth: FullParams, variant: str,
+                     prior: VelocityPrior | None = None) -> np.ndarray:
+    """Whitened design of ``variant`` at the truth; RankDeficient when it
+    cannot determine the parameters (the solvers' ``whitened_svd`` rule)."""
+    if variant not in VARIANTS:
+        raise RankDeficient(f"unknown estimator variant {variant!r}")
+    if variant == "pvd" and prior is None:
+        raise RankDeficient("prior-velocity FIM needs a velocity prior")
+    known = variant == "kvd"
+    system = WhitenedSystem(batch, bs, v_known=truth.v if known else None,
+                            prior=prior if variant == "pvd" else None)
+    # With a known velocity ``at`` reads only the leading [p, b, d].
+    a, _ = system.at(truth.as_vector())
+    whitened_svd(a)
+    return a
 
 
 def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
         variant: str, prior: VelocityPrior | None = None) -> FimMatrix:
-    """Fisher information G^T W G at the true parameters."""
-    design = _design_at_truth(batch, bs, truth, variant)
-    weights = WeightModel.from_batch(batch)
-    if variant == "pvd":
-        if prior is None:
-            raise RankDeficient("prior-velocity FIM needs a velocity prior")
-        w = weights.w_full(prior)
-    else:
-        w = weights.w_rho
-    if design_condition(design, w) > MAX_DESIGN_CONDITION:
-        raise RankDeficient("design matrix at the truth is rank-deficient")
-    g = design.matrix
-    return FimMatrix(matrix=g.T @ w @ g, variant=variant)
+    """Fisher information A^T A (= G^T W G) at the true parameters."""
+    a = _design_at_truth(batch, bs, truth, variant, prior)
+    return FimMatrix(matrix=a.T @ a, variant=variant)
 
 
 def crlb(f: FimMatrix) -> np.ndarray:
@@ -105,12 +106,9 @@ def _kvd_projector(batch: MeasurementBatch, bs: BsConstellation,
                    truth: FullParams):
     """Position rows of (G^T W G)^-1 G^T W for the true-LOS kvd design,
     plus the full normal-matrix inverse."""
-    f = fim(batch, bs, truth, "kvd")
-    g = _design_at_truth(batch, bs, truth, "kvd").matrix
-    w = WeightModel.from_batch(batch).w_rho
-    inv_f = np.linalg.inv(f.matrix)
-    n = bs.n_dim
-    return (inv_f @ g.T @ w)[:n, :], inv_f
+    a = _design_at_truth(batch, bs, truth, "kvd")
+    inv_f = np.linalg.inv(a.T @ a)
+    return (inv_f @ a.T)[:bs.n_dim, :] / batch.sigma, inv_f
 
 
 def bias_deviated_velocity(batch: MeasurementBatch, bs: BsConstellation,
@@ -122,6 +120,7 @@ def bias_deviated_velocity(batch: MeasurementBatch, bs: BsConstellation,
     and the assumed displaced geometric ranges; the variance is the usual
     noise-only position block.
     """
+    projector, inv_f = _kvd_projector(batch, bs, truth)
     v_assumed = np.asarray(v_assumed, dtype=float)
     q = bs.positions[batch.bs_index]
     true_range = np.linalg.norm(
@@ -129,7 +128,6 @@ def bias_deviated_velocity(batch: MeasurementBatch, bs: BsConstellation,
     assumed_range = np.linalg.norm(
         q - truth.p[None, :] - batch.dt[:, None] * v_assumed[None, :], axis=1)
     r = true_range - assumed_range
-    projector, inv_f = _kvd_projector(batch, bs, truth)
     n = bs.n_dim
     return _budget(projector @ r, inv_f[:n, :n])
 
@@ -163,15 +161,10 @@ def check_crlb_ordering(batch: MeasurementBatch, bs: BsConstellation,
     through their Schur complements, which stays well-conditioned even for
     near-delta or near-flat priors.
     """
-    g_u = _design_at_truth(batch, bs, truth, "uvd").matrix
-    w = WeightModel.from_batch(batch).w_rho
-    if design_condition(g_u, w) > MAX_DESIGN_CONDITION:
-        raise RankDeficient("joint design matrix is rank-deficient")
     n = bs.n_dim
-    g0, g1 = g_u[:, :n + 2], g_u[:, n + 2:]
-    a00 = g0.T @ w @ g0
-    a01 = g0.T @ w @ g1
-    a11 = g1.T @ w @ g1
+    k = n + 2
+    f = fim(batch, bs, truth, "uvd").matrix
+    a00, a01, a11 = f[:k, :k], f[:k, k:], f[k:, k:]
     w_v = prior.weight()
     try:
         inv_a11 = np.linalg.inv(a11)

@@ -139,11 +139,11 @@ def _read_batch_csv(path: Path, epoch: float | None) -> MeasurementBatch:
         raise ConfigError(f"batch CSV must start with '{BATCH_COLUMNS}'")
     rows = []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"malformed batch row: {ln!r}")
-        rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
-                     float(parts[3])))
+        try:
+            idx, t, rho, sigma = ln.split(",")
+            rows.append((int(idx), float(t), float(rho), float(sigma)))
+        except ValueError as exc:
+            raise ConfigError(f"malformed batch row: {ln!r}") from exc
     if not rows:
         raise ConfigError("batch CSV has no measurements")
     t = np.array([r[1] for r in rows])

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .errors import ConfigError, EmptyInput
+from .errors import ConfigError, EmptyInput, SeqlocError
 from .model import BsConstellation
 from .simulate import (
     Circular,
@@ -275,7 +275,8 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig | None = None,
 
     Non-converged or failed trials are excluded from the empirical RMSE
     and reported through the ``non_converged`` column.  Theory columns
-    aggregate the per-trial true-parameter values as root mean squares.
+    aggregate the per-trial true-parameter values as root mean squares,
+    over the converged trials whose theory is defined at the truth.
     """
     if cfg is None:
         cfg = default_scenario(spec.name)
@@ -290,14 +291,18 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig | None = None,
             recs = run_monte_carlo(cfg_pt, espec, threads=threads)
             records[(value, estimator)] = recs
             good = [r for r in recs if r.converged]
+            emp = theo = crl = float("nan")
             if good:
                 emp = empirical_rmse([r.position_error for r in good]).rmse
-                theory = [_record_theory(estimator, r, cfg_pt.bs)
-                          for r in good]
+            theory = []
+            for r in good:
+                try:
+                    theory.append(_record_theory(estimator, r, cfg_pt.bs))
+                except SeqlocError:
+                    pass  # no theory at this truth; its error still counts
+            if theory:
                 theo = float(np.sqrt(np.mean([t[0] ** 2 for t in theory])))
                 crl = float(np.sqrt(np.mean([t[1] ** 2 for t in theory])))
-            else:
-                emp = theo = crl = float("nan")
             rows.append(ResultRow(
                 sweep_value=float(value), estimator=estimator,
                 empirical_rmse=emp, theoretical_rmse=theo, crlb_rmse=crl,

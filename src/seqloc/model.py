@@ -12,8 +12,8 @@ drift ``d`` (meters/second) and velocity ``v``.  A measurement taken
 
 where ``q`` is the transmitting BS position.  This module holds the
 immutable domain types plus the forward model, line-of-sight vectors,
-design (Jacobian) matrices and residual vectors used by the solvers and
-the error analysis.
+design (Jacobian) matrices and residual vectors, and the whitened
+least-squares system that the solvers and the error analysis share.
 
 Three estimator families share this model and are referred to throughout
 the package by short ids:
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DimensionMismatch
+from .errors import DegenerateGeometry, DimensionMismatch, RankDeficient
 
 # UD closer than this to a BS (after velocity displacement) is degenerate.
 DEFAULT_GEOMETRY_EPS = 1e-9
@@ -325,19 +325,34 @@ def los_vector(q, p, v, dt: float, eps: float = DEFAULT_GEOMETRY_EPS) -> np.ndar
     return diff / dist
 
 
+def _los(q, dt, p, v, eps):
+    """Unit LOS vectors and distances from the UD displaced by ``v*dt``
+    toward the BS rows ``q``; one row per measurement."""
+    diff = q - p[None, :] - dt[:, None] * v[None, :]
+    dist = np.linalg.norm(diff, axis=1)
+    if np.any(dist < eps):
+        raise DegenerateGeometry("UD coincides with a BS in this batch")
+    return diff / dist[:, None], dist
+
+
 def _los_rows(batch: MeasurementBatch, bs: BsConstellation, p, v,
               eps: float = DEFAULT_GEOMETRY_EPS):
-    """Vectorized LOS vectors and distances; one row per measurement."""
+    """Validated ``_los`` for one batch and parameter point."""
     q = _bs_rows(batch, bs)
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if p.size != bs.n_dim or v.size != bs.n_dim:
         raise DimensionMismatch("parameter dimension does not match BSs")
-    diff = q - p[None, :] - batch.dt[:, None] * v[None, :]
-    dist = np.linalg.norm(diff, axis=1)
-    if np.any(dist < eps):
-        raise DegenerateGeometry("UD coincides with a BS in this batch")
-    return diff / dist[:, None], dist
+    return _los(q, batch.dt, p, v, eps)
+
+
+def _design_rows(los: np.ndarray, dt: np.ndarray, joint: bool) -> np.ndarray:
+    """Design rows ``[-e, 1, dt]``, extended with ``-e*dt`` when the
+    velocity is estimated (``joint``)."""
+    cols = [-los, np.ones((dt.size, 1)), dt[:, None]]
+    if joint:
+        cols.append(-los * dt[:, None])
+    return np.hstack(cols)
 
 
 def predict_batch(batch: MeasurementBatch, bs: BsConstellation,
@@ -357,9 +372,8 @@ def build_design_kvd(batch: MeasurementBatch, bs: BsConstellation,
                      eps: float = DEFAULT_GEOMETRY_EPS) -> DesignMatrix:
     """Known-velocity design: rows ``[-e, 1, dt]`` linearized at ``at``."""
     los, _ = _los_rows(batch, bs, at.p, v_known, eps)
-    ones = np.ones((batch.m, 1))
-    mat = np.hstack([-los, ones, batch.dt[:, None]])
-    return DesignMatrix(matrix=mat, variant="kvd")
+    return DesignMatrix(matrix=_design_rows(los, batch.dt, joint=False),
+                        variant="kvd")
 
 
 def build_design_uvd(batch: MeasurementBatch, bs: BsConstellation,
@@ -367,9 +381,8 @@ def build_design_uvd(batch: MeasurementBatch, bs: BsConstellation,
                      eps: float = DEFAULT_GEOMETRY_EPS) -> DesignMatrix:
     """Joint-velocity design: rows ``[-e, 1, dt, -e*dt]``."""
     los, _ = _los_rows(batch, bs, at.p, at.v, eps)
-    ones = np.ones((batch.m, 1))
-    mat = np.hstack([-los, ones, batch.dt[:, None], -los * batch.dt[:, None]])
-    return DesignMatrix(matrix=mat, variant="uvd")
+    return DesignMatrix(matrix=_design_rows(los, batch.dt, joint=True),
+                        variant="uvd")
 
 
 def build_design_pvd(batch: MeasurementBatch, bs: BsConstellation,
@@ -381,6 +394,56 @@ def build_design_pvd(batch: MeasurementBatch, bs: BsConstellation,
     n = bs.n_dim
     bottom = np.hstack([np.zeros((n, n + 2)), np.eye(n)])
     return DesignMatrix(matrix=np.vstack([top, bottom]), variant="pvd")
+
+
+class WhitenedSystem:
+    """The weighted least-squares system of all four estimators and their
+    error theory: design rows ``[-e, 1, dt, -e*dt]`` and residuals
+    ``rho - h``, each divided by its ``sigma``.  A known velocity (kvd, d)
+    drops the velocity columns; a prior (pvd) appends the N rows ``[0 | R]``
+    with residual ``R (mean - v)``, ``R`` the upper Cholesky factor of the
+    prior information.  Then ``A^T A = G^T W G`` and ``A^T z = G^T W r``.
+
+    Inputs are validated once, here; ``at`` takes the raw vector
+    ``[p, b, d]`` or ``[p, b, d, v]`` and checks nothing.
+    """
+
+    def __init__(self, batch: MeasurementBatch, bs: BsConstellation,
+                 v_known=None, prior: VelocityPrior | None = None):
+        n = bs.n_dim
+        self.n_params = 2 * n + 2 if v_known is None else n + 2
+        short = self.n_params - batch.m - (0 if prior is None else n)
+        if short > 0:
+            raise RankDeficient(f"need at least {batch.m + short} "
+                                f"measurements, got {batch.m}")
+        self.batch, self.n_dim, self.prior = batch, n, prior
+        self.q = _bs_rows(batch, bs)
+        self.w = 1.0 / batch.sigma
+        if v_known is not None:
+            v_known = np.asarray(v_known, dtype=float)
+            if v_known.shape != (n,):
+                raise DimensionMismatch("velocity dimension does not match BSs")
+            _require_finite(v_known, "velocity")
+        self.v_known = v_known
+        if prior is not None:
+            if prior.n_dim != n:
+                raise DimensionMismatch("prior dimension does not match BSs")
+            self.prior_root = np.linalg.cholesky(prior.weight()).T
+            self.prior_rows = np.hstack([np.zeros((n, n + 2)),
+                                         self.prior_root])
+
+    def at(self, theta: np.ndarray):
+        """Whitened design ``A`` and residual ``z`` at ``theta``."""
+        n, batch = self.n_dim, self.batch
+        joint = self.v_known is None
+        v = theta[n + 2:] if joint else self.v_known
+        los, dist = _los(self.q, batch.dt, theta[:n], v, DEFAULT_GEOMETRY_EPS)
+        a = _design_rows(los, batch.dt, joint) * self.w[:, None]
+        z = (batch.rho - (dist + theta[n] + theta[n + 1] * batch.dt)) * self.w
+        if self.prior is None:
+            return a, z
+        return (np.vstack([a, self.prior_rows]),
+                np.concatenate([z, self.prior_root @ (self.prior.mean - v)]))
 
 
 def residual(batch: MeasurementBatch, bs: BsConstellation, at,

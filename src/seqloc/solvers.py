@@ -1,12 +1,12 @@
 """Iterative weighted-least-squares position solvers.
 
-All four estimators share one Gauss-Newton kernel: linearize the
-pseudorange model at the current estimate, solve the weighted normal
-equations for a step, update, and stop once the step norm drops below the
-convergence threshold.  The step is computed from an orthogonal
-factorization of the square-root-weighted design matrix rather than by
-inverting the normal matrix, which keeps the delta-prior limit of the
-MAP variant well-conditioned.
+All four estimators run one Gauss-Newton loop over the whitened system of
+``model.WhitenedSystem``: known-velocity and drift-only solves drop the
+velocity columns, the MAP solve appends the velocity-prior rows.  Each
+step solves ``A step = z`` through the SVD ``A = U S V^T`` of the whitened
+design rather than by inverting the normal matrix, which keeps the
+delta-prior limit of the MAP variant well-conditioned; the reported
+covariance is ``V S^-2 V^T`` at the final iterate.
 """
 
 from __future__ import annotations
@@ -15,23 +15,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Diverged, RankDeficient
-from .model import (
+from .errors import DimensionMismatch, Diverged, RankDeficient
+# build_design_* and residual are unused here but stay bound in this
+# namespace: perfbench/tracer.py patches them by module path.
+from .model import (  # noqa: F401
     BsConstellation,
     DesignMatrix,
     FullParams,
     KvdParams,
     MeasurementBatch,
     VelocityPrior,
-    WeightModel,
+    WhitenedSystem,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
     residual,
 )
 
-# Condition-number cap on the square-root-weighted design matrix.  Beyond
-# this the float64 solve carries no usable digits, so we refuse.
+# Condition-number cap on the whitened design matrix.  Beyond this the
+# float64 solve carries no usable digits, so we refuse.
 MAX_DESIGN_CONDITION = 1e12
 
 
@@ -55,7 +57,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class EstimateReport:
     """Solver output: final parameters, iteration count, convergence flag,
-    the (G^T W G)^-1 covariance at the solution, and the last step norm."""
+    the covariance ``V S^-2 V^T = (G^T W G)^-1`` from the SVD of the
+    whitened design at the final iterate, and the last step norm."""
 
     params: KvdParams | FullParams
     iterations: int
@@ -64,69 +67,59 @@ class EstimateReport:
     final_step_norm: float
 
 
-def _weight_matrix(weight) -> np.ndarray:
-    if isinstance(weight, WeightModel):
-        return weight.w_rho
-    return np.asarray(weight, dtype=float)
+def _condition(s: np.ndarray) -> float:
+    return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
 
 
-def _sqrt_weight(w: np.ndarray) -> np.ndarray:
-    """Matrix square root B with B^T B = W; diagonal fast path."""
-    w = np.asarray(w, dtype=float)
-    off = w - np.diag(np.diagonal(w))
-    if not off.any():
-        return np.diag(np.sqrt(np.diagonal(w)))
-    return np.linalg.cholesky(w).T
+def whitened_svd(a: np.ndarray):
+    """Thin SVD ``(U, S, V^T)`` of a whitened design matrix.
+
+    Raises RankDeficient when ``a`` cannot determine its parameters: fewer
+    rows than columns, or a condition number beyond MAX_DESIGN_CONDITION.
+    """
+    if a.shape[0] < a.shape[1]:
+        raise RankDeficient(
+            f"{a.shape[0]} rows cannot determine {a.shape[1]} parameters")
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if not _condition(s) <= MAX_DESIGN_CONDITION:
+        raise RankDeficient("whitened design matrix is rank-deficient")
+    return u, s, vt
+
+
+def _least_squares_step(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    u, s, vt = whitened_svd(a)
+    return vt.T @ ((u.T @ z) / s)
+
+
+def _whiten(g, w):
+    """Upper Cholesky factor ``B`` of a dense SPD weight (``B^T B = W``)
+    and the whitened design ``B G``."""
+    root = np.linalg.cholesky(np.asarray(w, dtype=float)).T
+    gm = g.matrix if isinstance(g, DesignMatrix) else np.asarray(g, dtype=float)
+    return root, root @ gm
 
 
 def design_condition(g, w) -> float:
     """Condition number of sqrt(W) G (its square is the normal-matrix
     condition number)."""
-    gm = g.matrix if isinstance(g, DesignMatrix) else np.asarray(g, dtype=float)
-    a = _sqrt_weight(np.asarray(w, dtype=float)) @ gm
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= 0:
-        return np.inf
-    return float(s[0] / s[-1])
+    _, a = _whiten(g, w)
+    return _condition(np.linalg.svd(a, compute_uv=False))
 
 
 def wls_step(g, w, r) -> np.ndarray:
-    """One weighted-least-squares step ``(G^T W G)^-1 G^T W r``.
-
-    Solved through the SVD of ``sqrt(W) G``; raises RankDeficient for
-    under-determined shapes or condition numbers beyond
-    MAX_DESIGN_CONDITION.
-    """
-    gm = g.matrix if isinstance(g, DesignMatrix) else np.asarray(g, dtype=float)
-    wm = _weight_matrix(w)
-    r = np.asarray(r, dtype=float)
-    if gm.shape[0] < gm.shape[1]:
-        raise RankDeficient(
-            f"{gm.shape[0]} rows cannot determine {gm.shape[1]} parameters")
-    root = _sqrt_weight(wm)
-    a = root @ gm
-    b = root @ r
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if not np.all(np.isfinite(s)) or s[-1] <= 0 or s[0] / s[-1] > MAX_DESIGN_CONDITION:
-        raise RankDeficient("weighted design matrix is rank-deficient")
-    return vt.T @ ((u.T @ b) / s)
-
-
-def _default_position(batch: MeasurementBatch, bs: BsConstellation) -> np.ndarray:
-    return bs.positions[np.unique(batch.bs_index)].mean(axis=0)
-
-
-def _default_offset(batch: MeasurementBatch, bs: BsConstellation,
-                    p0: np.ndarray) -> float:
-    ranges = np.linalg.norm(bs.positions[batch.bs_index] - p0[None, :], axis=1)
-    return float(np.mean(batch.rho - ranges))
+    """One weighted-least-squares step ``(G^T W G)^-1 G^T W r`` for a
+    dense weight ``W``, whitened by its Cholesky factor and solved under
+    the solvers' ``whitened_svd`` rank rule."""
+    root, a = _whiten(g, w)
+    return _least_squares_step(a, root @ np.asarray(r, dtype=float))
 
 
 def initial_guess_kvd(batch: MeasurementBatch, bs: BsConstellation) -> KvdParams:
     """Deterministic geometry-aware start: BS centroid, offset from the
     mean range mismatch, zero drift."""
-    p0 = _default_position(batch, bs)
-    return KvdParams(p=p0, b=_default_offset(batch, bs, p0), d=0.0)
+    p0 = bs.positions[np.unique(batch.bs_index)].mean(axis=0)
+    ranges = np.linalg.norm(bs.positions[batch.bs_index] - p0[None, :], axis=1)
+    return KvdParams(p=p0, b=float(np.mean(batch.rho - ranges)), d=0.0)
 
 
 def initial_guess_full(batch: MeasurementBatch, bs: BsConstellation,
@@ -137,21 +130,15 @@ def initial_guess_full(batch: MeasurementBatch, bs: BsConstellation,
     return FullParams(p=guess.p, b=guess.b, d=guess.d, v=v0)
 
 
-def _normal_covariance(gm: np.ndarray, wm: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(gm.T @ wm @ gm)
-
-
-def _gauss_newton(theta0: np.ndarray, evaluate, weight: np.ndarray,
-                  cfg: SolverConfig):
-    """Shared iteration: evaluate() maps a parameter vector to
-    (residual, design-matrix ndarray)."""
-    theta = np.array(theta0, dtype=float)
+def _gauss_newton(system: WhitenedSystem, init: KvdParams | FullParams,
+                  cfg: SolverConfig) -> EstimateReport:
+    """The one Gauss-Newton loop, run on the raw parameter vector."""
+    theta = init.as_vector()
+    if theta.shape != (system.n_params,):
+        raise DimensionMismatch("initial guess does not match the estimator")
     converged = False
-    iterations = 0
-    step_norm = np.inf
     for iterations in range(1, cfg.max_iter + 1):
-        r, gm = evaluate(theta)
-        step = wls_step(gm, weight, r)
+        step = _least_squares_step(*system.at(theta))
         theta = theta + step
         step_norm = float(np.linalg.norm(step))
         if not np.isfinite(step_norm) or step_norm > cfg.divergence_guard:
@@ -159,95 +146,44 @@ def _gauss_newton(theta0: np.ndarray, evaluate, weight: np.ndarray,
         if step_norm < cfg.threshold:
             converged = True
             break
-    _, gm = evaluate(theta)
-    covariance = _normal_covariance(gm, weight)
-    return theta, iterations, converged, step_norm, covariance
+    _, s, vt = whitened_svd(system.at(theta)[0])
+    return EstimateReport(params=type(init).from_vector(theta),
+                          iterations=iterations, converged=converged,
+                          covariance=(vt.T / s**2) @ vt,
+                          final_step_norm=step_norm)
 
 
 def solve_known_velocity(batch: MeasurementBatch, bs: BsConstellation,
                          v_known, init: KvdParams | None = None,
                          cfg: SolverConfig = SolverConfig()) -> EstimateReport:
     """Estimate ``[p, b, d]`` with the UD velocity supplied externally."""
-    n = bs.n_dim
-    if batch.m < n + 2:
-        raise RankDeficient(f"need at least {n + 2} measurements, got {batch.m}")
-    v_known = np.asarray(v_known, dtype=float)
+    system = WhitenedSystem(batch, bs, v_known=v_known)
     if init is None:
         init = initial_guess_kvd(batch, bs)
-
-    w = WeightModel.from_batch(batch).w_rho
-
-    def evaluate(theta):
-        at = KvdParams.from_vector(theta)
-        r = residual(batch, bs, at, v_known=v_known)
-        g = build_design_kvd(batch, bs, at, v_known)
-        return r, g.matrix
-
-    theta, iterations, converged, step_norm, cov = _gauss_newton(
-        init.as_vector(), evaluate, w, cfg)
-    return EstimateReport(params=KvdParams.from_vector(theta),
-                          iterations=iterations, converged=converged,
-                          covariance=cov, final_step_norm=step_norm)
+    return _gauss_newton(system, init, cfg)
 
 
 def solve_joint_velocity(batch: MeasurementBatch, bs: BsConstellation,
                          init: FullParams | None = None,
                          cfg: SolverConfig = SolverConfig()) -> EstimateReport:
     """Jointly estimate ``[p, b, d, v]`` from the pseudoranges alone."""
-    n = bs.n_dim
-    if batch.m < 2 * n + 2:
-        raise RankDeficient(
-            f"need at least {2 * n + 2} measurements, got {batch.m}")
+    system = WhitenedSystem(batch, bs)
     if init is None:
         init = initial_guess_full(batch, bs)
-
-    w = WeightModel.from_batch(batch).w_rho
-
-    def evaluate(theta):
-        at = FullParams.from_vector(theta)
-        r = residual(batch, bs, at)
-        g = build_design_uvd(batch, bs, at)
-        return r, g.matrix
-
-    theta, iterations, converged, step_norm, cov = _gauss_newton(
-        init.as_vector(), evaluate, w, cfg)
-    return EstimateReport(params=FullParams.from_vector(theta),
-                          iterations=iterations, converged=converged,
-                          covariance=cov, final_step_norm=step_norm)
+    return _gauss_newton(system, init, cfg)
 
 
 def solve_prior_velocity(batch: MeasurementBatch, bs: BsConstellation,
                          prior: VelocityPrior,
                          init: FullParams | None = None,
                          cfg: SolverConfig = SolverConfig()) -> EstimateReport:
-    """MAP estimate of ``[p, b, d, v]`` under a Gaussian velocity prior.
-
-    Minimizes the stacked weighted residual ``[rho - h, mean - v]`` with
-    the block-diagonal weight (pseudorange weights over the prior
-    information matrix).
-    """
-    n = bs.n_dim
-    if batch.m + n < 2 * n + 2:
-        raise RankDeficient(
-            f"need at least {n + 2} measurements, got {batch.m}")
-    if prior.n_dim != n:
-        raise RankDeficient("prior dimension does not match the constellation")
+    """MAP estimate of ``[p, b, d, v]`` under a Gaussian velocity prior:
+    the least-squares fit of ``[(rho - h) / sigma, R (mean - v)]`` with
+    ``R^T R`` the prior information matrix."""
+    system = WhitenedSystem(batch, bs, prior=prior)
     if init is None:
         init = initial_guess_full(batch, bs, v0=prior.mean)
-
-    w = WeightModel.from_batch(batch).w_full(prior)
-
-    def evaluate(theta):
-        at = FullParams.from_vector(theta)
-        r = residual(batch, bs, at, prior=prior)
-        g = build_design_pvd(batch, bs, at)
-        return r, g.matrix
-
-    theta, iterations, converged, step_norm, cov = _gauss_newton(
-        init.as_vector(), evaluate, w, cfg)
-    return EstimateReport(params=FullParams.from_vector(theta),
-                          iterations=iterations, converged=converged,
-                          covariance=cov, final_step_norm=step_norm)
+    return _gauss_newton(system, init, cfg)
 
 
 def solve_drift_only(batch: MeasurementBatch, bs: BsConstellation,

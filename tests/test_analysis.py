@@ -10,6 +10,7 @@ import pytest
 
 from seqloc import (
     BsConstellation,
+    DimensionMismatch,
     FullParams,
     RankDeficient,
     VelocityPrior,
@@ -208,6 +209,13 @@ class TestDriftOnlyBias:
         assert budget.rmse == pytest.approx(
             np.sqrt(np.dot(budget.bias, budget.bias)
                     + np.trace(budget.variance)), rel=1e-12)
+
+    def test_bs_index_out_of_range_rejected(self, bs_square, moving_truth):
+        batch = canonical_batch(bs_square, moving_truth)
+        bad = make_batch(np.where(np.arange(batch.m) == 3, 7, batch.bs_index),
+                         batch.t, rho=np.asarray(batch.rho))
+        with pytest.raises(DimensionMismatch):
+            analysis.bias_drift_only(bad, bs_square, moving_truth)
 
     def test_rmse_nondecreasing_with_speed(self, bs_square):
         rmses = []

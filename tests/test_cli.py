@@ -79,6 +79,32 @@ class TestSolve:
         assert code == 1
         assert "error" in err
 
+    def test_non_numeric_field_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("bs_index,t,rho,sigma\n0,0.0,abc,0.1\n")
+        code, _, err = run_cli(capsys, "solve", "--batch", str(path),
+                               "--estimator", "uvd")
+        assert code == 1
+        assert err.startswith("error: malformed batch row")
+
+    def test_bs_index_out_of_range_rejected(self, capsys, tmp_path):
+        batch = self.write_batch(capsys, tmp_path)
+        lines = batch.read_text().splitlines()
+        lines[1] = "9" + lines[1][lines[1].index(","):]
+        batch.write_text("\n".join(lines) + "\n")
+        for estimator in ("kvd", "uvd", "pvd", "d"):
+            code, _, err = run_cli(capsys, "solve", "--batch", str(batch),
+                                   "--estimator", estimator)
+            assert code == 1
+            assert err.startswith("error:") and "out of range" in err
+
+    def test_nan_velocity_rejected(self, capsys, tmp_path):
+        batch = self.write_batch(capsys, tmp_path)
+        code, _, err = run_cli(capsys, "solve", "--batch", str(batch),
+                               "--estimator", "kvd", "--velocity", "nan,0")
+        assert code == 1
+        assert err.startswith("error: velocity must be finite")
+
 
 class TestCrlb:
     def test_prints_budgets(self, capsys):

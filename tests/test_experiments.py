@@ -8,6 +8,8 @@ import pytest
 
 from seqloc import (
     EmptyInput,
+    RankDeficient,
+    analysis,
     default_scenario,
     default_spec,
     empirical_rmse,
@@ -138,6 +140,31 @@ class TestRunExperiment:
                   for (value, est), recs in result.records.items()
                   for rec in recs}
         assert sigmas == {0.01, 0.1}
+
+    def test_theory_failure_drops_only_that_trial(self, monkeypatch):
+        spec, cfg = tiny("noise-sweep-uvd-pvd", trials=20, grid=(0.1,))
+        baseline = run_experiment(spec, cfg)
+        real = analysis.theoretical_rmse
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RankDeficient("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "theoretical_rmse", fails_once)
+        result = run_experiment(spec, cfg)
+        hit, rest = result.rows[0], result.rows[1:]
+        assert hit.estimator == "uvd"
+        assert hit.empirical_rmse == baseline.rows[0].empirical_rmse
+        assert hit.non_converged == baseline.rows[0].non_converged
+        kept = [r for r in result.records[(0.1, "uvd")] if r.converged][1:]
+        expected = math.sqrt(np.mean(
+            [real("uvd", r.batch, cfg.bs, r.truth).rmse ** 2 for r in kept]))
+        assert hit.theoretical_rmse == pytest.approx(expected, rel=1e-12)
+        assert hit.theoretical_rmse != baseline.rows[0].theoretical_rmse
+        assert rest == baseline.rows[1:]
 
     def test_circular_uses_consecutive_fixes(self):
         spec, cfg = tiny("circular", trials=5)

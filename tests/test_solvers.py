@@ -5,13 +5,17 @@ import pytest
 
 from seqloc import (
     BsConstellation,
+    DimensionMismatch,
     Diverged,
     FullParams,
     KvdParams,
     RankDeficient,
     SolverConfig,
     VelocityPrior,
+    WeightModel,
     analysis,
+    build_design_pvd,
+    residual,
     solve_drift_only,
     solve_joint_velocity,
     solve_known_velocity,
@@ -19,7 +23,7 @@ from seqloc import (
     wls_step,
 )
 
-from conftest import DRIFT_MPS, canonical_batch, make_batch
+from conftest import DRIFT_MPS, canonical_batch, make_batch, random_geometry
 
 
 class TestWlsStep:
@@ -121,6 +125,24 @@ class TestPreconditions:
         init = FullParams(p=[5.0, 0.0], b=30.0, d=0.0, v=[0, 0])
         with pytest.raises(RankDeficient):
             solve_joint_velocity(batch, bs, init=init)
+
+    def test_bad_known_velocity_rejected(self, bs_square, moving_truth):
+        batch = canonical_batch(bs_square, moving_truth)
+        for v in ([np.nan, 0.0], [np.inf, 0.0], [1.0, 0.0, 0.0]):
+            with pytest.raises(DimensionMismatch):
+                solve_known_velocity(batch, bs_square, v)
+
+    def test_bs_index_out_of_range_rejected(self, bs_square, moving_truth):
+        batch = canonical_batch(bs_square, moving_truth)
+        bad = make_batch(np.where(np.arange(batch.m) == 2, 7, batch.bs_index),
+                         batch.t, rho=np.asarray(batch.rho))
+        prior = VelocityPrior.isotropic(moving_truth.v, 2.0)
+        for solve in (lambda: solve_known_velocity(bad, bs_square, [0, 0]),
+                      lambda: solve_joint_velocity(bad, bs_square),
+                      lambda: solve_prior_velocity(bad, bs_square, prior),
+                      lambda: solve_drift_only(bad, bs_square)):
+            with pytest.raises(DimensionMismatch):
+                solve()
 
     def test_divergence_guard(self, bs_square, moving_truth):
         batch = canonical_batch(bs_square, moving_truth)
@@ -246,3 +268,33 @@ class TestReports:
         eigs = np.linalg.eigvalsh(0.5 * (report.covariance
                                          + report.covariance.T))
         assert np.all(eigs > 0)
+
+
+class TestCorrelatedPrior:
+    def test_map_stationary_and_covariance_match_dense_weights(self):
+        # A non-diagonal prior covariance exercises the Cholesky whitening
+        # of the prior rows; the dense W_full of WeightModel is the
+        # reference for the MAP gradient and the covariance.
+        rng = np.random.default_rng(43)
+        for _ in range(25):
+            bs, truth = random_geometry(rng, min_range=3.0)
+            clean = canonical_batch(bs, truth)
+            noisy = make_batch(clean.bs_index, clean.t, t_l=clean.t_l,
+                               rho=np.asarray(clean.rho)
+                               + 0.1 * rng.standard_normal(clean.m))
+            root = rng.normal(size=(2, 2))
+            cov = root @ root.T + 0.25 * np.eye(2)
+            prior = VelocityPrior(truth.v + rng.normal(size=2), cov)
+            report = solve_prior_velocity(noisy, bs, prior,
+                                          cfg=SolverConfig(threshold=1e-8))
+            assert report.converged
+
+            g = build_design_pvd(noisy, bs, report.params).matrix
+            w = WeightModel.from_batch(noisy).w_full(prior)
+            r = residual(noisy, bs, report.params, prior=prior)
+            normal = g.T @ w @ g
+            grad = g.T @ w @ r
+            assert np.linalg.norm(np.linalg.solve(normal, grad)) < 1e-8
+            expected = np.linalg.inv(normal)
+            assert (np.linalg.norm(report.covariance - expected)
+                    < 1e-10 * np.linalg.norm(expected))
