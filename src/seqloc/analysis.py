@@ -25,11 +25,12 @@ from .model import (  # noqa: F401
     VARIANTS,
     VelocityPrior,
     WhitenedSystem,
+    _row_norms,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
 )
-from .solvers import whitened_svd
+from .solvers import design_failures, well_conditioned
 
 ORDERING_EIG_FLOOR = -1e-10  # PD tolerance for covariance-ordering checks
 
@@ -52,34 +53,77 @@ class ErrorBudget:
     rmse: float
 
 
-def _budget(bias: np.ndarray, variance: np.ndarray) -> ErrorBudget:
-    rmse = float(np.sqrt(np.dot(bias, bias) + np.trace(variance)))
-    return ErrorBudget(bias=bias, variance=variance, rmse=rmse)
+@dataclass(frozen=True)
+class BudgetStack:
+    """Error budgets of a stack of T windows: bias (T, N), variance
+    (T, N, N) and rmse (T,), and per window None or the SeqlocError that
+    leaves its theory undefined (its entries are then NaN)."""
+
+    bias: np.ndarray
+    variance: np.ndarray
+    rmse: np.ndarray
+    failures: list
+
+    def one(self) -> ErrorBudget:
+        """The budget of a stack of one window; raises its failure."""
+        if self.failures[0] is not None:
+            raise self.failures[0]
+        return ErrorBudget(bias=self.bias[0], variance=self.variance[0],
+                           rmse=float(self.rmse[0]))
 
 
-def _design_at_truth(batch: MeasurementBatch, bs: BsConstellation,
-                     truth: FullParams, variant: str,
-                     prior: VelocityPrior | None = None) -> np.ndarray:
-    """Whitened design of ``variant`` at the truth; RankDeficient when it
-    cannot determine the parameters (the solvers' ``whitened_svd`` rule)."""
+def _budgets(bias: np.ndarray, variance: np.ndarray,
+             failures: list) -> BudgetStack:
+    """Budgets with rmse^2 = ||bias||^2 + trace(variance) per window."""
+    sq_bias = (bias[:, None, :] @ bias[:, :, None])[:, 0, 0]
+    rmse = np.sqrt(sq_bias + np.trace(variance, axis1=-2, axis2=-1))
+    return BudgetStack(bias=bias, variance=variance, rmse=rmse,
+                       failures=failures)
+
+
+def _designs_at_truth(batches, bs: BsConstellation, truths, variant: str,
+                      priors=None):
+    """Whitened designs of ``variant`` at the truths of T windows, and per
+    window None or the error that leaves its design unable to determine
+    the parameters (the solvers' rank rule)."""
     if variant not in VARIANTS:
         raise RankDeficient(f"unknown estimator variant {variant!r}")
-    if variant == "pvd" and prior is None:
+    if variant == "pvd" and priors is None:
         raise RankDeficient("prior-velocity FIM needs a velocity prior")
-    known = variant == "kvd"
-    system = WhitenedSystem(batch, bs, v_known=truth.v if known else None,
-                            prior=prior if variant == "pvd" else None)
+    theta = np.stack([truth.as_vector() for truth in truths])
+    n = bs.n_dim
+    system = WhitenedSystem.of(
+        batches, bs, v_known=theta[:, n + 2:] if variant == "kvd" else None,
+        priors=priors if variant == "pvd" else None)
     # With a known velocity ``at`` reads only the leading [p, b, d].
-    a, _ = system.at(truth.as_vector())
-    whitened_svd(a)
-    return a
+    a, _, degenerate = system.at(theta)
+    failures = [None] * len(a)
+    design_failures(failures, np.arange(len(a)), degenerate,
+                    well_conditioned(np.linalg.svd(a, compute_uv=False)))
+    return a, failures
+
+
+def _inverse_fims(a: np.ndarray, failures: list) -> np.ndarray:
+    """``(A^T A)^-1`` of each window whose design is usable, NaN for the
+    others."""
+    ok = np.flatnonzero([f is None for f in failures])
+    if ok.size == len(a):
+        return np.linalg.inv(a.mT @ a)
+    inv = np.full((len(a),) + a.shape[-1:] * 2, np.nan)
+    if ok.size:
+        usable = a[ok]
+        inv[ok] = np.linalg.inv(usable.mT @ usable)
+    return inv
 
 
 def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
         variant: str, prior: VelocityPrior | None = None) -> FimMatrix:
     """Fisher information A^T A (= G^T W G) at the true parameters."""
-    a = _design_at_truth(batch, bs, truth, variant, prior)
-    return FimMatrix(matrix=a.T @ a, variant=variant)
+    a, failures = _designs_at_truth([batch], bs, [truth], variant,
+                                    None if prior is None else [prior])
+    if failures[0] is not None:
+        raise failures[0]
+    return FimMatrix(matrix=a[0].T @ a[0], variant=variant)
 
 
 def crlb(f: FimMatrix) -> np.ndarray:
@@ -91,24 +135,58 @@ def crlb(f: FimMatrix) -> np.ndarray:
     return np.diagonal(np.linalg.inv(f.matrix)).copy()
 
 
+def theoretical_rmse_stack(variant: str, batches, bs: BsConstellation,
+                           truths, priors=None) -> BudgetStack:
+    """``theoretical_rmse`` of T windows at once (one prior per window for
+    ``pvd``)."""
+    a, failures = _designs_at_truth(batches, bs, truths, variant, priors)
+    n = bs.n_dim
+    variance = _inverse_fims(a, failures)[:, :n, :n]
+    return _budgets(np.zeros((len(a), n)), variance, failures)
+
+
 def theoretical_rmse(variant: str, batch: MeasurementBatch,
                      bs: BsConstellation, truth: FullParams,
                      prior: VelocityPrior | None = None) -> ErrorBudget:
     """Zero-bias budget of an optimal estimator: the position block of the
     inverse Fisher information."""
-    f = fim(batch, bs, truth, variant, prior=prior)
-    n = bs.n_dim
-    variance = np.linalg.inv(f.matrix)[:n, :n]
-    return _budget(np.zeros(n), variance)
+    return theoretical_rmse_stack(variant, [batch], bs, [truth],
+                                  None if prior is None else [prior]).one()
+
+
+def _kvd_projectors(batches, bs: BsConstellation, truths):
+    """Position rows of (G^T W G)^-1 G^T W for the true-LOS kvd designs of
+    T windows (T, N, M), the full normal-matrix inverses and the
+    per-window failures."""
+    a, failures = _designs_at_truth(batches, bs, truths, "kvd")
+    inv_f = _inverse_fims(a, failures)
+    sigma = np.stack([batch.sigma for batch in batches])
+    return (inv_f @ a.mT)[:, :bs.n_dim, :] / sigma[:, None, :], inv_f, failures
 
 
 def _kvd_projector(batch: MeasurementBatch, bs: BsConstellation,
                    truth: FullParams):
-    """Position rows of (G^T W G)^-1 G^T W for the true-LOS kvd design,
-    plus the full normal-matrix inverse."""
-    a = _design_at_truth(batch, bs, truth, "kvd")
-    inv_f = np.linalg.inv(a.T @ a)
-    return (inv_f @ a.T)[:bs.n_dim, :] / batch.sigma, inv_f
+    """``_kvd_projectors`` of one window; raises its failure."""
+    projector, inv_f, failures = _kvd_projectors([batch], bs, [truth])
+    if failures[0] is not None:
+        raise failures[0]
+    return projector[0], inv_f[0]
+
+
+def bias_deviated_velocity_stack(batches, bs: BsConstellation, truths,
+                                 v_assumed) -> BudgetStack:
+    """``bias_deviated_velocity`` of T windows at once, ``v_assumed``
+    (T, N)."""
+    projector, inv_f, failures = _kvd_projectors(batches, bs, truths)
+    v_assumed = np.asarray(v_assumed, dtype=float)
+    q = bs.positions[np.stack([batch.bs_index for batch in batches])]
+    dt = np.stack([batch.dt for batch in batches])[..., None]
+    p = np.stack([truth.p for truth in truths])[:, None, :]
+    v = np.stack([truth.v for truth in truths])[:, None, :]
+    r = _row_norms(q - p - dt * v) - _row_norms(q - p - dt * v_assumed[:, None])
+    n = bs.n_dim
+    return _budgets((projector @ r[..., None])[..., 0], inv_f[:, :n, :n],
+                    failures)
 
 
 def bias_deviated_velocity(batch: MeasurementBatch, bs: BsConstellation,
@@ -120,16 +198,8 @@ def bias_deviated_velocity(batch: MeasurementBatch, bs: BsConstellation,
     and the assumed displaced geometric ranges; the variance is the usual
     noise-only position block.
     """
-    projector, inv_f = _kvd_projector(batch, bs, truth)
-    v_assumed = np.asarray(v_assumed, dtype=float)
-    q = bs.positions[batch.bs_index]
-    true_range = np.linalg.norm(
-        q - truth.p[None, :] - batch.dt[:, None] * truth.v[None, :], axis=1)
-    assumed_range = np.linalg.norm(
-        q - truth.p[None, :] - batch.dt[:, None] * v_assumed[None, :], axis=1)
-    r = true_range - assumed_range
-    n = bs.n_dim
-    return _budget(projector @ r, inv_f[:n, :n])
+    return bias_deviated_velocity_stack([batch], bs, [truth],
+                                        [v_assumed]).one()
 
 
 def bias_drift_only(batch: MeasurementBatch, bs: BsConstellation,

@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo trials per sweep point")
     p_exp.add_argument("--svg", action="store_true",
                        help="also write an SVG chart")
-    p_exp.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the trials")
     return parser
 
 
@@ -233,7 +231,7 @@ def _cmd_crlb(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg, spec = _scenario(args, experiment=args.name, trials=args.trials)
-    result = run_experiment(spec, cfg, threads=args.threads)
+    result = run_experiment(spec, cfg)
     files = write_experiment(result, args.out, svg=args.svg)
     for row in result.rows:
         print(f"{row.estimator} @ {row.sweep_value:g}: "

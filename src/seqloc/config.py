@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import numpy as np
+
 from .errors import ConfigError
 from .experiments import DEFAULT_SEED, default_scenario, default_spec
 from .model import BsConstellation
@@ -49,6 +51,8 @@ _TOP_KEYS = {"bs", "trajectory", "clock", "schedule", "noise", "seed",
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} section must be an object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -67,36 +71,69 @@ def load_config(path) -> dict:
     return raw
 
 
+_REQUIRED = object()
+
+
+def _value(section: dict, key: str, where: str, convert, default):
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} needs {key!r}")
+        return default
+    try:
+        return convert(section[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} {key!r} is not numeric: "
+                          f"{section[key]!r}") from exc
+
+
+def _number(section: dict, key: str, where: str, default=_REQUIRED,
+            kind=float):
+    """``section[key]`` as a ``kind`` number; ConfigError when it is
+    missing without a default, or not a number."""
+    return _value(section, key, where, kind, default)
+
+
+def _vector(section: dict, key: str, where: str) -> np.ndarray:
+    """Required ``section[key]`` as an array of floats."""
+    return _value(section, key, where,
+                  lambda v: np.asarray(v, dtype=float), _REQUIRED)
+
+
 def _trajectory_from(section: dict):
+    where = "trajectory"
+    if not isinstance(section, dict):
+        raise ConfigError("trajectory section must be an object")
     kind = section.get("kind")
     if kind == "stationary":
-        _check_keys(section, {"kind", "position"}, "trajectory")
-        return Stationary(p0=section["position"])
+        _check_keys(section, {"kind", "position"}, where)
+        return Stationary(p0=_vector(section, "position", where))
     if kind == "constant-velocity":
-        _check_keys(section, {"kind", "position", "velocity", "t_ref"},
-                    "trajectory")
-        return ConstantVelocity(p0=section["position"],
-                                v=section["velocity"],
-                                t_ref=float(section.get("t_ref", 0.0)))
+        _check_keys(section, {"kind", "position", "velocity", "t_ref"}, where)
+        return ConstantVelocity(p0=_vector(section, "position", where),
+                                v=_vector(section, "velocity", where),
+                                t_ref=_number(section, "t_ref", where, 0.0))
     if kind == "circular":
         _check_keys(section, {"kind", "center", "radius", "angular_rate",
-                              "speed", "phase"}, "trajectory")
+                              "speed", "phase"}, where)
         if ("angular_rate" in section) == ("speed" in section):
             raise ConfigError(
                 "circular trajectory needs exactly one of angular_rate/speed")
-        radius = float(section["radius"])
-        rate = (float(section["angular_rate"]) if "angular_rate" in section
-                else float(section["speed"]) / radius)
-        return Circular(center=section["center"], radius=radius,
-                        angular_rate=rate,
-                        phase=float(section.get("phase", 0.0)))
+        center = _vector(section, "center", where)
+        radius = _number(section, "radius", where)
+        if not radius > 0:
+            raise ConfigError("circular trajectory radius must be positive")
+        rate = (_number(section, "angular_rate", where)
+                if "angular_rate" in section
+                else _number(section, "speed", where) / radius)
+        return Circular(center=center, radius=radius, angular_rate=rate,
+                        phase=_number(section, "phase", where, 0.0))
     if kind == "random-placement":
         _check_keys(section, {"kind", "center", "half_side", "speed",
-                              "t_ref"}, "trajectory")
-        return RandomPlacement(center=section["center"],
-                               half_side=float(section["half_side"]),
-                               speed=float(section["speed"]),
-                               t_ref=float(section.get("t_ref", 0.0)))
+                              "t_ref"}, where)
+        return RandomPlacement(center=_vector(section, "center", where),
+                               half_side=_number(section, "half_side", where),
+                               speed=_number(section, "speed", where),
+                               t_ref=_number(section, "t_ref", where, 0.0))
     raise ConfigError(f"unknown trajectory kind {kind!r}")
 
 
@@ -106,13 +143,14 @@ def _clock_from(section: dict) -> ClockModel:
     if ("drift_ppm" in section) and ("drift_mps" in section):
         raise ConfigError("give drift as ppm or m/s, not both")
     if "drift_ppm" in section:
-        drift = float(section["drift_ppm"]) * 1e-6 * SPEED_OF_LIGHT_M_S
+        drift = _number(section, "drift_ppm", "clock") * 1e-6 \
+            * SPEED_OF_LIGHT_M_S
     elif "drift_mps" in section:
-        drift = float(section["drift_mps"])
+        drift = _number(section, "drift_mps", "clock")
     else:
         raise ConfigError("clock section needs drift_ppm or drift_mps")
-    return ClockModel(b0=float(section.get("offset_m", 0.0)), d=drift,
-                      t_ref=float(section.get("t_ref", 0.0)))
+    return ClockModel(b0=_number(section, "offset_m", "clock", 0.0), d=drift,
+                      t_ref=_number(section, "t_ref", "clock", 0.0))
 
 
 def scenario_from_config(raw: dict, experiment: str | None = None,
@@ -141,7 +179,8 @@ def scenario_from_config(raw: dict, experiment: str | None = None,
 
     if "bs" in raw:
         _check_keys(raw["bs"], {"positions"}, "bs")
-        cfg = replace(cfg, bs=BsConstellation(raw["bs"]["positions"]))
+        cfg = replace(cfg, bs=BsConstellation(
+            _vector(raw["bs"], "positions", "bs")))
     if "trajectory" in raw:
         cfg = replace(cfg, trajectory=_trajectory_from(raw["trajectory"]))
     if "clock" in raw:
@@ -154,24 +193,27 @@ def scenario_from_config(raw: dict, experiment: str | None = None,
         cfg = replace(
             cfg,
             schedule=TdmaSchedule(
-                bs_order=tuple(sched.get("bs_order", base.bs_order)),
-                slot_interval=float(sched.get("slot_interval",
-                                              base.slot_interval)),
-                start_time=float(sched.get("start_time", base.start_time))),
-            m_per_fix=int(sched.get("m_per_fix", cfg.m_per_fix)),
-            epoch_slot_offset=int(sched.get("epoch_slot_offset",
-                                            cfg.epoch_slot_offset)))
+                bs_order=_value(sched, "bs_order", "schedule",
+                                lambda v: tuple(int(i) for i in v),
+                                base.bs_order),
+                slot_interval=_number(sched, "slot_interval", "schedule",
+                                      base.slot_interval),
+                start_time=_number(sched, "start_time", "schedule",
+                                   base.start_time)),
+            m_per_fix=_number(sched, "m_per_fix", "schedule", cfg.m_per_fix,
+                              int),
+            epoch_slot_offset=_number(sched, "epoch_slot_offset", "schedule",
+                                      cfg.epoch_slot_offset, int))
     if "noise" in raw:
         _check_keys(raw["noise"], {"sigma"}, "noise")
-        cfg = replace(cfg, sigma=raw["noise"]["sigma"])
-    if "seed" in raw:
-        cfg = replace(cfg, seed=int(raw["seed"]))
-    if "trials" in raw:
-        cfg = replace(cfg, n_trials=int(raw["trials"]))
+        cfg = replace(cfg, sigma=raw["noise"].get("sigma", cfg.sigma))
+    cfg = replace(cfg, seed=_number(raw, "seed", "config", cfg.seed, int),
+                  n_trials=_number(raw, "trials", "config", cfg.n_trials,
+                                   int))
     if "duration_s" in exp_section:
         window = cfg.m_per_fix * cfg.schedule.slot_interval
         cfg = replace(cfg, n_trials=int(round(
-            float(exp_section["duration_s"]) / window)))
+            _number(exp_section, "duration_s", "experiment") / window)))
 
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
@@ -182,10 +224,13 @@ def scenario_from_config(raw: dict, experiment: str | None = None,
     if name is not None:
         overrides = {}
         if "grid" in exp_section:
-            overrides["grid"] = tuple(exp_section["grid"])
+            overrides["grid"] = _value(exp_section, "grid", "experiment",
+                                       lambda v: tuple(float(g) for g in v),
+                                       _REQUIRED)
         if "estimators" in exp_section:
             overrides["estimators"] = tuple(exp_section["estimators"])
         if "prior_std" in exp_section:
-            overrides["prior_std"] = float(exp_section["prior_std"])
+            overrides["prior_std"] = _number(exp_section, "prior_std",
+                                             "experiment")
         spec = default_spec(name, **overrides)
     return cfg, spec

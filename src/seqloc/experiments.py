@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .errors import ConfigError, EmptyInput, SeqlocError
+from .errors import ConfigError, EmptyInput
 from .model import BsConstellation
 from .simulate import (
     Circular,
@@ -35,7 +35,6 @@ from .simulate import (
     RandomPlacement,
     ScenarioConfig,
     TdmaSchedule,
-    TrialRecord,
     run_monte_carlo,
     with_seed,
     with_sigma,
@@ -250,27 +249,32 @@ def _estimator_spec(name: str, estimator: str, value: float,
     return EstimatorSpec(kind=estimator)
 
 
-def _record_theory(kind: str, rec: TrialRecord, bs: BsConstellation):
-    """(theoretical RMSE, CRLB RMSE) for one trial, both at the truth."""
-    if kind == "d":
-        budget = analysis.bias_drift_only(rec.batch, bs, rec.truth)
-        return budget.rmse, float(np.sqrt(np.trace(budget.variance)))
-    if kind == "kvd":
-        deviated = rec.v_assumed is not None and not np.array_equal(
-            rec.v_assumed, np.asarray(rec.truth.v))
-        if deviated:
-            budget = analysis.bias_deviated_velocity(rec.batch, bs, rec.truth,
-                                                     rec.v_assumed)
-            return budget.rmse, float(np.sqrt(np.trace(budget.variance)))
-        budget = analysis.theoretical_rmse("kvd", rec.batch, bs, rec.truth)
-        return budget.rmse, budget.rmse
-    budget = analysis.theoretical_rmse(kind, rec.batch, bs, rec.truth,
-                                       prior=rec.prior)
-    return budget.rmse, budget.rmse
+def _cell_theory(kind: str, recs: list, bs: BsConstellation):
+    """(theoretical RMSE, CRLB RMSE) of each trial in ``recs`` whose theory
+    is defined at its truth, evaluated for the whole cell at once."""
+    if not recs:
+        return []
+    batches = [r.batch for r in recs]
+    truths = [r.truth for r in recs]
+    if kind in ("kvd", "d"):
+        # Movement bias of the drift-only baseline, deviation bias of kvd
+        # (zero when the assumed velocity is the true one).
+        v = ([r.v_assumed for r in recs] if kind == "kvd"
+             else np.zeros((len(recs), bs.n_dim)))
+        budgets = analysis.bias_deviated_velocity_stack(batches, bs, truths, v)
+        crlb = np.sqrt(np.trace(budgets.variance, axis1=-2, axis2=-1))
+    else:
+        budgets = analysis.theoretical_rmse_stack(
+            kind, batches, bs, truths,
+            priors=[r.prior for r in recs] if kind == "pvd" else None)
+        crlb = budgets.rmse
+    return [(theo, bound) for theo, bound, failure
+            in zip(budgets.rmse.tolist(), crlb.tolist(), budgets.failures)
+            if failure is None]
 
 
-def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig | None = None,
-                   threads: int = 1) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec,
+                   cfg: ScenarioConfig | None = None) -> ExperimentResult:
     """Execute the sweep and aggregate per (sweep value, estimator).
 
     Non-converged or failed trials are excluded from the empirical RMSE
@@ -288,18 +292,13 @@ def run_experiment(spec: ExperimentSpec, cfg: ScenarioConfig | None = None,
         for estimator in spec.estimators:
             espec = _estimator_spec(spec.name, estimator, value,
                                     spec.prior_std)
-            recs = run_monte_carlo(cfg_pt, espec, threads=threads)
+            recs = run_monte_carlo(cfg_pt, espec)
             records[(value, estimator)] = recs
             good = [r for r in recs if r.converged]
             emp = theo = crl = float("nan")
             if good:
                 emp = empirical_rmse([r.position_error for r in good]).rmse
-            theory = []
-            for r in good:
-                try:
-                    theory.append(_record_theory(estimator, r, cfg_pt.bs))
-                except SeqlocError:
-                    pass  # no theory at this truth; its error still counts
+            theory = _cell_theory(estimator, good, cfg_pt.bs)
             if theory:
                 theo = float(np.sqrt(np.mean([t[0] ** 2 for t in theory])))
                 crl = float(np.sqrt(np.mean([t[1] ** 2 for t in theory])))

@@ -44,9 +44,30 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Mark an array this module just created read-only, in place."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionMismatch(f"{what} must be finite")
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis: ``np.linalg.norm(x, axis=-1)``
+    with the same floating-point operations, without its Python overhead."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built from fields the
+    caller made and checked itself (read-only arrays, Python scalars),
+    without running its validation again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -91,10 +112,10 @@ class MeasurementBatch:
     dt: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        idx = np.atleast_1d(np.array(self.bs_index, dtype=int))
-        t = np.atleast_1d(np.array(self.t, dtype=float))
-        rho = np.atleast_1d(np.array(self.rho, dtype=float))
-        sigma = np.atleast_1d(np.array(self.sigma, dtype=float))
+        idx = np.array(self.bs_index, dtype=int, ndmin=1)
+        t = np.array(self.t, dtype=float, ndmin=1)
+        rho = np.array(self.rho, dtype=float, ndmin=1)
+        sigma = np.array(self.sigma, dtype=float, ndmin=1)
         if not (idx.shape == t.shape == rho.shape == sigma.shape):
             raise DimensionMismatch("batch arrays must share one length")
         if idx.size < 1:
@@ -103,14 +124,14 @@ class MeasurementBatch:
             _require_finite(arr, what)
         if not np.isfinite(self.t_l):
             raise DimensionMismatch("localization epoch must be finite")
-        if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
+        if (sigma <= 0).any() or not np.isfinite(sigma).all():
             raise DimensionMismatch("sigma must be strictly positive")
-        object.__setattr__(self, "bs_index", _frozen_array(idx, dtype=int))
-        object.__setattr__(self, "t", _frozen_array(t))
-        object.__setattr__(self, "rho", _frozen_array(rho))
-        object.__setattr__(self, "sigma", _frozen_array(sigma))
+        object.__setattr__(self, "bs_index", _freeze(idx))
+        object.__setattr__(self, "t", _freeze(t))
+        object.__setattr__(self, "rho", _freeze(rho))
+        object.__setattr__(self, "sigma", _freeze(sigma))
         object.__setattr__(self, "t_l", float(self.t_l))
-        object.__setattr__(self, "dt", _frozen_array(t - self.t_l))
+        object.__setattr__(self, "dt", _freeze(t - self.t_l))
 
     @property
     def m(self) -> int:
@@ -126,11 +147,11 @@ class KvdParams:
     d: float
 
     def __post_init__(self):
-        p = np.atleast_1d(np.array(self.p, dtype=float))
+        p = np.array(self.p, dtype=float, ndmin=1)
         _require_finite(p, "position")
         if not (np.isfinite(self.b) and np.isfinite(self.d)):
             raise DimensionMismatch("clock terms must be finite")
-        object.__setattr__(self, "p", _frozen_array(p))
+        object.__setattr__(self, "p", _freeze(p))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "d", float(self.d))
 
@@ -157,16 +178,16 @@ class FullParams:
     v: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_1d(np.array(self.p, dtype=float))
-        v = np.atleast_1d(np.array(self.v, dtype=float))
+        p = np.array(self.p, dtype=float, ndmin=1)
+        v = np.array(self.v, dtype=float, ndmin=1)
         if p.shape != v.shape:
             raise DimensionMismatch("position and velocity dimensions differ")
         _require_finite(p, "position")
         _require_finite(v, "velocity")
         if not (np.isfinite(self.b) and np.isfinite(self.d)):
             raise DimensionMismatch("clock terms must be finite")
-        object.__setattr__(self, "p", _frozen_array(p))
-        object.__setattr__(self, "v", _frozen_array(v))
+        object.__setattr__(self, "p", _freeze(p))
+        object.__setattr__(self, "v", _freeze(v))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "d", float(self.d))
 
@@ -325,14 +346,20 @@ def los_vector(q, p, v, dt: float, eps: float = DEFAULT_GEOMETRY_EPS) -> np.ndar
     return diff / dist
 
 
-def _los(q, dt, p, v, eps):
-    """Unit LOS vectors and distances from the UD displaced by ``v*dt``
-    toward the BS rows ``q``; one row per measurement."""
-    diff = q - p[None, :] - dt[:, None] * v[None, :]
-    dist = np.linalg.norm(diff, axis=1)
-    if np.any(dist < eps):
-        raise DegenerateGeometry("UD coincides with a BS in this batch")
-    return diff / dist[:, None], dist
+def _los(q, p, shift, eps):
+    """Unit LOS vectors and distances from the UD, displaced by ``shift``
+    (``v*dt`` per row), toward the BS rows ``q``, one row per measurement,
+    over any leading trial axes; plus the per-window mask of UDs within
+    ``eps`` of a BS, or None when there is none.  The rows of a masked
+    window are finite but meaningless."""
+    diff = q - p[..., None, :] - shift
+    dist = _row_norms(diff)
+    near = dist < eps
+    degenerate = None
+    if near.any():
+        degenerate = near.any(axis=-1)
+        dist = np.where(near, 1.0, dist)
+    return diff / dist[..., None], dist, degenerate
 
 
 def _los_rows(batch: MeasurementBatch, bs: BsConstellation, p, v,
@@ -343,7 +370,10 @@ def _los_rows(batch: MeasurementBatch, bs: BsConstellation, p, v,
     v = np.asarray(v, dtype=float)
     if p.size != bs.n_dim or v.size != bs.n_dim:
         raise DimensionMismatch("parameter dimension does not match BSs")
-    return _los(q, batch.dt, p, v, eps)
+    los, dist, degenerate = _los(q, p, batch.dt[:, None] * v[None, :], eps)
+    if degenerate is not None:
+        raise DegenerateGeometry("UD coincides with a BS in this batch")
+    return los, dist
 
 
 def _design_rows(los: np.ndarray, dt: np.ndarray, joint: bool) -> np.ndarray:
@@ -396,54 +426,113 @@ def build_design_pvd(batch: MeasurementBatch, bs: BsConstellation,
     return DesignMatrix(matrix=np.vstack([top, bottom]), variant="pvd")
 
 
+def _stack(arrays) -> np.ndarray:
+    """``np.stack(arrays)``, cheaply for a single array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 class WhitenedSystem:
     """The weighted least-squares system of all four estimators and their
-    error theory: design rows ``[-e, 1, dt, -e*dt]`` and residuals
-    ``rho - h``, each divided by its ``sigma``.  A known velocity (kvd, d)
-    drops the velocity columns; a prior (pvd) appends the N rows ``[0 | R]``
-    with residual ``R (mean - v)``, ``R`` the upper Cholesky factor of the
-    prior information.  Then ``A^T A = G^T W G`` and ``A^T z = G^T W r``.
+    error theory, for a stack of T windows of M measurements each: design
+    rows ``[-e, 1, dt, -e*dt]`` and residuals ``rho - h``, each divided by
+    its ``sigma``.  A known velocity (kvd, d) drops the velocity columns; a
+    prior (pvd) appends the N rows ``[0 | R]`` with residual
+    ``R (mean - v)``, ``R`` the upper Cholesky factor of the prior
+    information.  Then ``A^T A = G^T W G`` and ``A^T z = G^T W r`` per
+    window.
 
-    Inputs are validated once, here; ``at`` takes the raw vector
-    ``[p, b, d]`` or ``[p, b, d, v]`` and checks nothing.
+    Every array has a leading trial axis: ``bs_index``, ``dt``, ``rho`` and
+    ``sigma`` are (T, M), ``v_known`` and ``prior_mean`` (T, N),
+    ``prior_root`` (T, N, N).  The constructor checks what the windows
+    cannot be solved without (measurement count, BS indices, velocity
+    shape); ``of`` builds the stack from validated batches and priors.
     """
 
-    def __init__(self, batch: MeasurementBatch, bs: BsConstellation,
-                 v_known=None, prior: VelocityPrior | None = None):
+    def __init__(self, bs: BsConstellation, bs_index, dt, rho, sigma,
+                 v_known=None, prior_root=None, prior_mean=None):
         n = bs.n_dim
+        count, m = bs_index.shape
         self.n_params = 2 * n + 2 if v_known is None else n + 2
-        short = self.n_params - batch.m - (0 if prior is None else n)
+        short = self.n_params - m - (0 if prior_root is None else n)
         if short > 0:
-            raise RankDeficient(f"need at least {batch.m + short} "
-                                f"measurements, got {batch.m}")
-        self.batch, self.n_dim, self.prior = batch, n, prior
-        self.q = _bs_rows(batch, bs)
-        self.w = 1.0 / batch.sigma
+            raise RankDeficient(f"need at least {m + short} "
+                                f"measurements, got {m}")
+        if bs_index.min() < 0 or bs_index.max() >= bs.n_bs:
+            raise DimensionMismatch("batch references a BS index out of range")
         if v_known is not None:
-            v_known = np.asarray(v_known, dtype=float)
-            if v_known.shape != (n,):
+            if v_known.shape != (count, n):
                 raise DimensionMismatch("velocity dimension does not match BSs")
             _require_finite(v_known, "velocity")
+        if prior_root is not None and prior_root.shape != (count, n, n):
+            raise DimensionMismatch("prior dimension does not match BSs")
+        self.n_dim = n
+        self.q = bs.positions[bs_index]
+        self.dt, self.rho, self.w = dt, rho, 1.0 / sigma
         self.v_known = v_known
-        if prior is not None:
-            if prior.n_dim != n:
-                raise DimensionMismatch("prior dimension does not match BSs")
-            self.prior_root = np.linalg.cholesky(prior.weight()).T
-            self.prior_rows = np.hstack([np.zeros((n, n + 2)),
-                                         self.prior_root])
+        self.prior_root, self.prior_mean = prior_root, prior_mean
+        # What every iterate shares: the whitened [1, dt] columns, the
+        # prior rows and, with a known velocity, the displacements v*dt.
+        rows = m + (0 if prior_root is None else n)
+        self.template = np.zeros((count, rows, self.n_params))
+        self.template[:, :m, n] = self.w
+        self.template[:, :m, n + 1] = dt * self.w
+        if prior_root is not None:
+            self.template[:, m:, n + 2:] = prior_root
+        self.shift = (None if v_known is None
+                      else dt[..., None] * v_known[:, None, :])
 
-    def at(self, theta: np.ndarray):
-        """Whitened design ``A`` and residual ``z`` at ``theta``."""
-        n, batch = self.n_dim, self.batch
-        joint = self.v_known is None
-        v = theta[n + 2:] if joint else self.v_known
-        los, dist = _los(self.q, batch.dt, theta[:n], v, DEFAULT_GEOMETRY_EPS)
-        a = _design_rows(los, batch.dt, joint) * self.w[:, None]
-        z = (batch.rho - (dist + theta[n] + theta[n + 1] * batch.dt)) * self.w
-        if self.prior is None:
-            return a, z
-        return (np.vstack([a, self.prior_rows]),
-                np.concatenate([z, self.prior_root @ (self.prior.mean - v)]))
+    @classmethod
+    def of(cls, batches, bs: BsConstellation, v_known=None, priors=None):
+        """The stack of ``batches`` (one length M), with known velocities
+        (T, N) or one VelocityPrior per window, or neither."""
+        if v_known is not None:
+            v_known = np.asarray(v_known, dtype=float)
+        root = mean = None
+        if priors is not None:
+            if any(prior.n_dim != bs.n_dim for prior in priors):
+                raise DimensionMismatch("prior dimension does not match BSs")
+            weight = np.linalg.inv(_stack([pr.covariance for pr in priors]))
+            root = np.linalg.cholesky(weight).mT
+            mean = _stack([prior.mean for prior in priors])
+        return cls(bs, _stack([b.bs_index for b in batches]),
+                   _stack([b.dt for b in batches]),
+                   _stack([b.rho for b in batches]),
+                   _stack([b.sigma for b in batches]), v_known, root, mean)
+
+    def at(self, theta: np.ndarray, live=None):
+        """Whitened designs ``A`` (L, rows, P), residuals ``z`` (L, rows)
+        and the degenerate-geometry mask (L,) or None (see ``_los``) at
+        the parameter vectors ``theta`` (L, P) of the trials ``live``
+        (every trial when None).  ``theta`` is the raw ``[p, b, d]`` or
+        ``[p, b, d, v]``; a known velocity reads only its leading
+        ``[p, b, d]``."""
+        q, dt, rho, w = self.q, self.dt, self.rho, self.w
+        a, shift = self.template, self.shift
+        root, mean = self.prior_root, self.prior_mean
+        if live is None:
+            a = a.copy()
+        else:
+            q, dt, rho, w, a = q[live], dt[live], rho[live], w[live], a[live]
+            if shift is not None:
+                shift = shift[live]
+            if root is not None:
+                root, mean = root[live], mean[live]
+        n, m = self.n_dim, dt.shape[-1]
+        v = theta[:, n + 2:]
+        if shift is None:
+            shift = dt[..., None] * v[:, None, :]
+        los, dist, degenerate = _los(q, theta[:, :n], shift,
+                                     DEFAULT_GEOMETRY_EPS)
+        neg_los = -los
+        w_col = w[..., None]
+        np.multiply(neg_los, w_col, out=a[:, :m, :n])
+        if self.v_known is None:
+            np.multiply(neg_los * dt[..., None], w_col, out=a[:, :m, n + 2:])
+        z = (rho - (dist + theta[:, n, None] + theta[:, n + 1, None] * dt)) * w
+        if root is None:
+            return a, z, degenerate
+        prior_z = (root @ (mean - v)[..., None])[..., 0]
+        return a, np.concatenate([z, prior_z], axis=1), degenerate
 
 
 def residual(batch: MeasurementBatch, bs: BsConstellation, at,

@@ -3,17 +3,21 @@ sequential pseudorange batches and the Monte Carlo driver.
 
 Reproducibility contract: trial ``k`` of a scenario draws everything from
 ``numpy.random.default_rng([seed, k])`` (PCG64 seeded through
-SeedSequence), so results are independent of execution order and thread
-count.  Within a trial the draw order is fixed: trajectory placement
-draws first (when the trajectory is a random sampler), then one standard
-normal per measurement.
+SeedSequence), so its inputs do not depend on which other trials run with
+it.  Within a trial the draw order is fixed: trajectory placement draws
+first (when the trajectory is a random sampler), then the true velocity
+(for a prior centred on the nominal one), then one standard normal per
+measurement.  The Monte Carlo driver makes these draws trial by trial and
+does everything after them on the stack of all trials at once, with the
+same floating-point operations per trial as the single-window path, so a
+trial's outputs are bit-identical to solving it alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,17 +25,26 @@ from .errors import ConfigError, SeqlocError
 from .model import (
     BsConstellation,
     FullParams,
+    KvdParams,
     MeasurementBatch,
     VelocityPrior,
+    WhitenedSystem,
     _frozen_array,
+    _require_finite,
+    _row_norms,
+    _trusted,
 )
-from .solvers import (
+# The solve_* names are unused here but stay bound in this namespace:
+# perfbench/tracer.py patches them by module path.
+from .solvers import (  # noqa: F401
     EstimateReport,
     SolverConfig,
+    initial_vectors,
     solve_drift_only,
     solve_joint_velocity,
     solve_known_velocity,
     solve_prior_velocity,
+    solve_stack,
 )
 
 RNG_ALGORITHM = "numpy-pcg64/seedsequence([seed, trial])"
@@ -203,7 +216,13 @@ class ScenarioConfig:
             raise ConfigError("n_trials must be at least 1")
         if not 0 <= self.epoch_slot_offset < self.m_per_fix:
             raise ConfigError("epoch_slot_offset must index into the window")
-        sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
+        try:
+            sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sigma must be a number or a list of "
+                              f"numbers, got {self.sigma!r}") from exc
+        if sigma.ndim != 1:
+            raise ConfigError("sigma must be scalar or one value per BS")
         if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
             raise ConfigError("sigma must be strictly positive")
         if sigma.size not in (1, self.bs.n_bs):
@@ -229,6 +248,53 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial)])
 
 
+def _positions(trajectories, times: np.ndarray) -> np.ndarray:
+    """UD positions (T, M, N): trial ``k``'s trajectory at its window times
+    ``times[k]``, through the same arithmetic as its ``state_at``."""
+    if all(type(traj) is ConstantVelocity for traj in trajectories):
+        p0 = np.stack([traj.p0 for traj in trajectories])[:, None, :]
+        v = np.stack([traj.v for traj in trajectories])[:, None, :]
+        t_ref = np.array([traj.t_ref for traj in trajectories], dtype=float)
+        return p0 + v * (times - t_ref[:, None])[..., None]
+    return np.array([traj.state_at(t)[0]
+                     for traj, row in zip(trajectories, times)
+                     for t in row]).reshape(times.shape + (-1,))
+
+
+class _Windows(NamedTuple):
+    """T synthesized windows as stacked arrays: ``bs_index``, ``t``,
+    ``rho``, ``sigma`` and ``dt`` (T, M), epochs ``t_l`` (T,)."""
+
+    bs_index: np.ndarray
+    t: np.ndarray
+    rho: np.ndarray
+    sigma: np.ndarray
+    t_l: np.ndarray
+    dt: np.ndarray
+
+
+def _synthesize(cfg: ScenarioConfig, fix_index: np.ndarray, trajectories,
+                noise: np.ndarray | None) -> _Windows:
+    """Windows of fixes ``fix_index`` (T,) along ``trajectories`` (one
+    realized trajectory per window), with the standard-normal draws
+    ``noise`` (T, M) scaled by each measurement's sigma (noiseless when
+    None)."""
+    m = cfg.m_per_fix
+    first_slot = (fix_index * m)[:, None]
+    times = cfg.schedule.slot_times(first_slot, m)
+    bs_idx = cfg.schedule.slot_bs(first_slot, m)
+    sigma = cfg.sigma_for(bs_idx)
+    positions = _positions(trajectories, times)
+    ranges = _row_norms(cfg.bs.positions[bs_idx] - positions)
+    offsets = cfg.clock.b0 + cfg.clock.d * (times - cfg.clock.t_ref)
+    rho = ranges + offsets
+    if noise is not None:
+        rho = rho + noise * sigma
+    t_l = times[:, cfg.epoch_slot_offset]
+    return _Windows(bs_index=bs_idx, t=times, rho=rho, sigma=sigma, t_l=t_l,
+                    dt=times - t_l[:, None])
+
+
 def synthesize_batch(cfg: ScenarioConfig, fix_index: int,
                      rng: np.random.Generator | None = None,
                      trajectory=None,
@@ -243,25 +309,16 @@ def synthesize_batch(cfg: ScenarioConfig, fix_index: int,
     traj = cfg.trajectory if trajectory is None else trajectory
     if not hasattr(traj, "state_at"):
         raise ConfigError("trajectory sampler must be realized first")
-    m = cfg.m_per_fix
-    first_slot = fix_index * m
-    times = cfg.schedule.slot_times(first_slot, m)
-    bs_idx = cfg.schedule.slot_bs(first_slot, m)
-    sigma = cfg.sigma_for(bs_idx)
-
-    positions = np.stack([traj.state_at(t)[0] for t in times])
-    ranges = np.linalg.norm(cfg.bs.positions[bs_idx] - positions, axis=1)
-    offsets = cfg.clock.b0 + cfg.clock.d * (times - cfg.clock.t_ref)
-    rho = ranges + offsets
+    noise = None
     if not noiseless:
         if rng is None:
             raise ConfigError("noisy synthesis needs a random stream")
-        rho = rho + rng.standard_normal(m) * sigma
-
-    t_l = float(times[cfg.epoch_slot_offset])
-    batch = MeasurementBatch(bs_index=bs_idx, t=times, rho=rho,
-                             sigma=sigma, t_l=t_l)
-    return batch, truth_state(traj, cfg.clock, t_l)
+        noise = rng.standard_normal(cfg.m_per_fix)[None]
+    win = _synthesize(cfg, np.array([fix_index]), [traj], noise)
+    batch = MeasurementBatch(bs_index=win.bs_index[0], t=win.t[0],
+                             rho=win.rho[0], sigma=win.sigma[0],
+                             t_l=float(win.t_l[0]))
+    return batch, truth_state(traj, cfg.clock, batch.t_l)
 
 
 @dataclass(frozen=True)
@@ -294,18 +351,17 @@ class EstimatorSpec:
             raise ConfigError("prior_centering must be 'truth' or 'nominal'")
 
 
-def assumed_velocity(truth: FullParams, deviation: float) -> np.ndarray:
-    """True velocity offset by ``deviation`` m/s along the true heading
-    (x-axis when the UD is stationary)."""
+def assumed_velocities(v: np.ndarray, deviation: float) -> np.ndarray:
+    """True velocities ``v`` (T, N) offset by ``deviation`` m/s along their
+    own headings (the x-axis for a stationary UD)."""
     if deviation == 0.0:
-        return np.array(truth.v)
-    speed = float(np.linalg.norm(truth.v))
-    if speed > 0:
-        direction = truth.v / speed
-    else:
-        direction = np.zeros(truth.n_dim)
-        direction[0] = 1.0
-    return truth.v + deviation * direction
+        return np.array(v)
+    speed = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    moving = speed > 0
+    direction = np.zeros_like(v)
+    direction[:, 0] = 1.0
+    direction[moving] = v[moving] / speed[moving, None]
+    return v + deviation * direction
 
 
 @dataclass(frozen=True)
@@ -332,77 +388,126 @@ class TrialRecord:
         return np.asarray(self.report.params.p) - np.asarray(self.truth.p)
 
 
-def _run_trial(cfg: ScenarioConfig, spec: EstimatorSpec, trial: int,
-               solver_cfg: SolverConfig) -> TrialRecord:
-    rng = trial_rng(cfg.seed, trial)
-    sampler = not hasattr(cfg.trajectory, "state_at")
-    traj = cfg.trajectory.realize(rng)
-    # Fixed trajectories advance through the TDMA schedule; per-trial
-    # samplers restart the window at fix 0.
-    fix_index = 0 if sampler else trial
-
-    prior = None
-    if spec.kind == "pvd" and spec.prior_centering == "nominal":
-        # The realized velocity becomes the prior mean; the actual truth
-        # is then drawn from that prior (one normal vector, before the
-        # measurement noise draws).
-        if not isinstance(traj, ConstantVelocity):
-            raise ConfigError(
-                "nominal prior centering needs a constant-velocity "
-                "trajectory or sampler")
-        nominal_v = np.array(traj.v)
-        true_v = nominal_v + spec.prior_std * rng.standard_normal(cfg.bs.n_dim)
-        traj = ConstantVelocity(p0=traj.p0, v=true_v, t_ref=traj.t_ref)
-        prior = VelocityPrior.isotropic(nominal_v, spec.prior_std)
-
-    batch, truth = synthesize_batch(cfg, fix_index, rng, trajectory=traj)
-
-    v_assumed = None
-    try:
-        if spec.kind == "kvd":
-            v_assumed = assumed_velocity(truth, spec.speed_deviation)
-            report = solve_known_velocity(batch, cfg.bs, v_assumed,
-                                          cfg=solver_cfg)
-        elif spec.kind == "d":
-            report = solve_drift_only(batch, cfg.bs, cfg=solver_cfg)
-        elif spec.kind == "uvd":
-            report = solve_joint_velocity(batch, cfg.bs, cfg=solver_cfg)
-        else:
-            if prior is None:
-                prior = VelocityPrior.isotropic(truth.v, spec.prior_std)
-            report = solve_prior_velocity(batch, cfg.bs, prior,
-                                          cfg=solver_cfg)
-        return TrialRecord(trial=trial, batch=batch, truth=truth,
-                           report=report, error=None,
-                           v_assumed=v_assumed, prior=prior)
-    except SeqlocError as exc:
-        return TrialRecord(trial=trial, batch=batch, truth=truth,
-                           report=None, error=type(exc).__name__,
-                           v_assumed=v_assumed, prior=prior)
-
-
 def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
                     solver_cfg: SolverConfig = SolverConfig(),
-                    n_trials: int | None = None,
-                    threads: int = 1) -> list[TrialRecord]:
-    """Independent trials of one estimator over one scenario.
+                    n_trials: int | None = None) -> list[TrialRecord]:
+    """Independent trials of one estimator over one scenario, in trial
+    order.
 
-    Solver failures are captured per trial, never raised.  Records come
-    back in trial order whatever the thread count.
+    Each trial makes its draws from its own stream; then all trials are
+    synthesized, solved (``solvers.solve_stack``) and recorded as one
+    stack.  A trial the single-window solve would reject is recorded with
+    that exception's name in ``error`` and no report; it never aborts the
+    others.
     """
     n = cfg.n_trials if n_trials is None else int(n_trials)
     if n < 1:
         raise ConfigError("need at least one trial")
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
+    n_dim, m = cfg.bs.n_dim, cfg.m_per_fix
+    nominal = spec.kind == "pvd" and spec.prior_centering == "nominal"
+    trajectories, nominal_v = [], []
+    noise = np.empty((n, m))
+    for k in range(n):
+        rng = trial_rng(cfg.seed, k)
+        traj = cfg.trajectory.realize(rng)
+        if nominal:
+            # The realized velocity becomes the prior mean; the actual
+            # truth is then drawn from that prior (one normal vector,
+            # before the measurement noise draws).
+            if not isinstance(traj, ConstantVelocity):
+                raise ConfigError(
+                    "nominal prior centering needs a constant-velocity "
+                    "trajectory or sampler")
+            nominal_v.append(traj.v)
+            true_v = traj.v + spec.prior_std * rng.standard_normal(n_dim)
+            traj = ConstantVelocity(p0=traj.p0, v=true_v, t_ref=traj.t_ref)
+        trajectories.append(traj)
+        noise[k] = rng.standard_normal(m)
 
-    def one(trial: int) -> TrialRecord:
-        return _run_trial(cfg, spec, trial, solver_cfg)
+    # Fixed trajectories advance through the TDMA schedule; per-trial
+    # samplers restart the window at fix 0.
+    sampler = not hasattr(cfg.trajectory, "state_at")
+    win = _synthesize(cfg, np.zeros(n, dtype=int) if sampler else np.arange(n),
+                      trajectories, noise)
+    t_l = win.t_l.tolist()
+    states = [traj.state_at(t) for traj, t in zip(trajectories, t_l)]
+    truth_p = np.array([p for p, _ in states])
+    truth_v = np.array([v for _, v in states])
+    truth_b = cfg.clock.b0 + cfg.clock.d * (win.t_l - cfg.clock.t_ref)
+    for arr, what in ((win.t, "times"), (win.rho, "pseudoranges"),
+                      (truth_p, "position"), (truth_v, "velocity"),
+                      (truth_b, "clock offset")):
+        _require_finite(arr, what)
 
-    if threads == 1:
-        return [one(k) for k in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(n)))
+    v_known = root = mean = covariance = None
+    if spec.kind == "kvd":
+        v_known = assumed_velocities(truth_v, spec.speed_deviation)
+    elif spec.kind == "d":
+        v_known = np.zeros((n, n_dim))
+    elif spec.kind == "pvd":
+        mean = np.array(nominal_v) if nominal else truth_v
+        covariance = _frozen_array(
+            spec.prior_std * spec.prior_std * np.eye(n_dim))
+        root = np.broadcast_to(
+            np.linalg.cholesky(np.linalg.inv(covariance)).T, (n, n_dim, n_dim))
+    try:
+        system = WhitenedSystem(cfg.bs, win.bs_index, win.dt, win.rho,
+                                win.sigma, v_known, root, mean)
+    except SeqlocError as exc:  # no window of this length can be solved
+        sol, failures = None, [exc] * n
+    else:
+        theta = initial_vectors(cfg.bs, win.bs_index, win.rho)
+        if v_known is None:
+            v0 = np.zeros((n, n_dim)) if mean is None else mean
+            theta = np.concatenate([theta, v0], axis=1)
+        sol = solve_stack(system, theta, solver_cfg)
+        failures = sol.failures
+    return _records(cfg, spec, win, truth_p, truth_v, truth_b, sol, failures,
+                    v_known, mean, covariance)
+
+
+def _records(cfg, spec, win, truth_p, truth_v, truth_b, sol, failures,
+             v_known, mean, covariance) -> list[TrialRecord]:
+    """One TrialRecord per trial over read-only rows of the stacked arrays,
+    which were validated as stacks."""
+    arrays = [win.bs_index, win.t, win.rho, win.sigma, win.dt, truth_p,
+              truth_v]
+    arrays += [a for a in (v_known, mean) if a is not None]
+    if sol is not None:
+        arrays += [sol.theta, sol.covariance]
+    for arr in arrays:
+        arr.setflags(write=False)
+    n = cfg.bs.n_dim
+    d = float(cfg.clock.d)
+    t_l, b = win.t_l.tolist(), truth_b.tolist()
+    records = []
+    for k, failure in enumerate(failures):
+        report = None
+        if failure is None:
+            theta = sol.theta[k]
+            if spec.kind in ("kvd", "d"):
+                params = _trusted(KvdParams, p=theta[:n], b=float(theta[n]),
+                                  d=float(theta[n + 1]))
+            else:
+                params = _trusted(FullParams, p=theta[:n], b=float(theta[n]),
+                                  d=float(theta[n + 1]), v=theta[n + 2:])
+            report = EstimateReport(
+                params=params, iterations=int(sol.iterations[k]),
+                converged=bool(sol.converged[k]),
+                covariance=sol.covariance[k],
+                final_step_norm=float(sol.step_norm[k]))
+        batch = _trusted(MeasurementBatch, bs_index=win.bs_index[k],
+                         t=win.t[k], rho=win.rho[k], sigma=win.sigma[k],
+                         t_l=t_l[k], dt=win.dt[k])
+        truth = _trusted(FullParams, p=truth_p[k], b=b[k], d=d, v=truth_v[k])
+        prior = (None if mean is None else
+                 _trusted(VelocityPrior, mean=mean[k], covariance=covariance))
+        records.append(TrialRecord(
+            trial=k, batch=batch, truth=truth, report=report,
+            error=None if failure is None else type(failure).__name__,
+            v_assumed=v_known[k] if spec.kind == "kvd" else None,
+            prior=prior))
+    return records
 
 
 def with_speed(cfg: ScenarioConfig, speed: float) -> ScenarioConfig:

@@ -130,16 +130,15 @@ class TestExperiment:
         assert (tmp_path / "velocity-deviation.csv").exists()
         assert "wrote" in out
 
-    def test_byte_identical_across_threads(self, capsys, tmp_path):
-        for sub, threads in (("a", "1"), ("b", "6")):
+    def test_byte_identical_across_runs(self, capsys, tmp_path):
+        for sub in ("a", "b", "c"):
             code, _, _ = run_cli(capsys, "experiment", "stationary-noise",
                                  "--trials", "30", "--seed", "5",
-                                 "--out", str(tmp_path / sub),
-                                 "--threads", threads)
+                                 "--out", str(tmp_path / sub))
             assert code == 0
-        a = (tmp_path / "a" / "stationary-noise.csv").read_bytes()
-        b = (tmp_path / "b" / "stationary-noise.csv").read_bytes()
-        assert a == b
+        a, b, c = ((tmp_path / sub / "stationary-noise.csv").read_bytes()
+                   for sub in ("a", "b", "c"))
+        assert a == b == c
 
     def test_svg_flag(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "experiment", "speed-sweep",
@@ -209,6 +208,45 @@ class TestConfigHandling:
                                "--out", str(tmp_path / "res"))
         assert code == 1
         assert "circular" in err
+
+    def test_non_numeric_sigma_rejected(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"noise": {"sigma": "x"}}))
+        code, _, err = run_cli(capsys, "crlb", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "sigma" in err
+
+    @pytest.mark.parametrize("section, missing", [
+        ({"kind": "stationary"}, "position"),
+        ({"kind": "constant-velocity", "velocity": [1, 0]}, "position"),
+        ({"kind": "constant-velocity", "position": [15, 15]}, "velocity"),
+        ({"kind": "circular", "radius": 30, "angular_rate": 0.3}, "center"),
+        ({"kind": "circular", "center": [50, 50], "angular_rate": 0.3},
+         "radius"),
+        ({"kind": "circular", "center": [50, 50], "speed": 10}, "radius"),
+        ({"kind": "random-placement", "half_side": 5, "speed": 5},
+         "center"),
+        ({"kind": "random-placement", "center": [15, 15], "speed": 5},
+         "half_side"),
+        ({"kind": "random-placement", "center": [15, 15], "half_side": 5},
+         "speed"),
+    ])
+    def test_missing_trajectory_key_named(self, capsys, tmp_path, section,
+                                          missing):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trajectory": section}))
+        code, _, err = run_cli(capsys, "crlb", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and repr(missing) in err
+
+    def test_non_numeric_trajectory_value_rejected(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trajectory": {
+            "kind": "circular", "center": [50, 50], "radius": "x",
+            "angular_rate": 0.3}}))
+        code, _, err = run_cli(capsys, "crlb", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "radius" in err
 
     def test_drift_conversion_from_ppm(self, capsys, tmp_path):
         from seqloc.config import load_config, scenario_from_config

@@ -12,10 +12,16 @@ from seqloc import (
     FullParams,
     RandomPlacement,
     ScenarioConfig,
+    SeqlocError,
+    SolverConfig,
     Stationary,
     TdmaSchedule,
     predict_pseudorange,
     run_monte_carlo,
+    solve_drift_only,
+    solve_joint_velocity,
+    solve_known_velocity,
+    solve_prior_velocity,
     synthesize_batch,
     trial_rng,
     truth_state,
@@ -167,14 +173,14 @@ class TestMonteCarlo:
             assert np.array_equal(np.asarray(ra.batch.rho),
                                   np.asarray(rb.batch.rho))
 
-    def test_thread_count_invariant(self, scenario):
-        serial = run_monte_carlo(scenario, EstimatorSpec(kind="uvd"),
-                                 n_trials=40, threads=1)
-        threaded = run_monte_carlo(scenario, EstimatorSpec(kind="uvd"),
-                                   n_trials=40, threads=4)
-        for ra, rb in zip(serial, threaded):
+    def test_three_runs_bit_identical(self, scenario):
+        runs = [run_monte_carlo(scenario, EstimatorSpec(kind="uvd"),
+                                n_trials=40) for _ in range(3)]
+        for ra, rb, rc in zip(*runs):
             assert np.array_equal(ra.report.params.as_vector(),
                                   rb.report.params.as_vector())
+            assert np.array_equal(ra.report.params.as_vector(),
+                                  rc.report.params.as_vector())
 
     def test_near_zero_noise_recovers_truth(self, scenario):
         from dataclasses import replace
@@ -233,3 +239,54 @@ class TestMonteCarlo:
                                   n_trials=2)
         for rec in records:
             assert np.array_equal(rec.prior.mean, np.asarray(rec.truth.v))
+
+
+def _solve_alone(rec, bs, kind, solver_cfg):
+    """The single-window solve of one Monte Carlo record's own batch."""
+    if kind == "kvd":
+        return solve_known_velocity(rec.batch, bs, rec.v_assumed,
+                                    cfg=solver_cfg)
+    if kind == "d":
+        return solve_drift_only(rec.batch, bs, cfg=solver_cfg)
+    if kind == "uvd":
+        return solve_joint_velocity(rec.batch, bs, cfg=solver_cfg)
+    return solve_prior_velocity(rec.batch, bs, rec.prior, cfg=solver_cfg)
+
+
+# Every first step is about 1500 m (the clock drift is 1499 m/s), spread
+# over a few metres; a guard inside that spread diverges about half the
+# trials, and three iterations leave some of the rest at the cap.
+MIXED = SolverConfig(max_iter=3, divergence_guard=1499.4)
+
+
+class TestMixedOutcomeCell:
+    @pytest.mark.parametrize("spec", [
+        EstimatorSpec(kind="kvd", speed_deviation=1.0),
+        EstimatorSpec(kind="d"),
+        EstimatorSpec(kind="uvd"),
+        EstimatorSpec(kind="pvd", prior_centering="nominal"),
+    ], ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("solver_cfg", [
+        MIXED, SolverConfig(divergence_guard=1499.4), SolverConfig(max_iter=2),
+    ], ids=("mixed", "guard", "cap"))
+    def test_records_match_single_window_solves(self, scenario, spec,
+                                                solver_cfg):
+        records = run_monte_carlo(scenario, spec, solver_cfg, n_trials=60)
+        outcomes = set()
+        for rec in records:
+            try:
+                alone = _solve_alone(rec, scenario.bs, spec.kind, solver_cfg)
+            except SeqlocError as exc:
+                assert rec.error == type(exc).__name__
+                assert rec.report is None
+                outcomes.add(rec.error)
+                continue
+            assert rec.error is None
+            np.testing.assert_allclose(rec.report.params.as_vector(),
+                                       alone.params.as_vector(),
+                                       rtol=0, atol=1e-9)
+            assert rec.report.iterations == alone.iterations
+            assert rec.report.converged == alone.converged
+            outcomes.add("converged" if alone.converged else "max_iter")
+        if solver_cfg is MIXED:
+            assert outcomes == {"converged", "Diverged", "max_iter"}

@@ -298,3 +298,36 @@ class TestCorrelatedPrior:
             expected = np.linalg.inv(normal)
             assert (np.linalg.norm(report.covariance - expected)
                     < 1e-10 * np.linalg.norm(expected))
+
+
+class TestSolveStack:
+    def test_failures_stay_in_their_window(self, bs_square, moving_truth):
+        from seqloc.errors import DegenerateGeometry
+        from seqloc.model import WhitenedSystem
+        from seqloc.solvers import initial_guess_kvd, solve_stack
+
+        good = canonical_batch(bs_square, moving_truth)
+        # equal dt collapses the offset and drift columns
+        flat = make_batch(np.arange(8) % 4, np.full(8, 0.03), t_l=0.03,
+                          rho=np.full(8, 20.0))
+        batches = (good, flat, good)
+        v = [moving_truth.v] * 3
+        system = WhitenedSystem.of(batches, bs_square, v_known=v)
+        inits = [initial_guess_kvd(b, bs_square) for b in batches]
+        # the third window starts on BS 0, where its first row has dt = 0
+        inits[2] = KvdParams(p=bs_square.positions[0], b=30.0, d=0.0)
+        sol = solve_stack(system, np.stack([i.as_vector() for i in inits]))
+        assert sol.failures[0] is None
+        assert isinstance(sol.failures[1], RankDeficient)
+        assert isinstance(sol.failures[2], DegenerateGeometry)
+        for batch, init, failure in zip(batches[1:], inits[1:],
+                                        sol.failures[1:]):
+            with pytest.raises(type(failure)):
+                solve_known_velocity(batch, bs_square, moving_truth.v,
+                                     init=init)
+        alone = solve_known_velocity(good, bs_square, moving_truth.v)
+        assert np.array_equal(sol.theta[0], alone.params.as_vector())
+        assert sol.iterations[0] == alone.iterations
+        assert sol.converged[0] == alone.converged
+        assert sol.step_norm[0] == alone.final_step_norm
+        assert np.array_equal(sol.covariance[0], alone.covariance)
