@@ -12,6 +12,7 @@ between the three estimators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,30 +155,52 @@ def theoretical_rmse(variant: str, batch: MeasurementBatch,
                                   None if prior is None else [prior]).one()
 
 
-def _kvd_projectors(batches, bs: BsConstellation, truths):
+class KvdProjectors(NamedTuple):
     """Position rows of (G^T W G)^-1 G^T W for the true-LOS kvd designs of
-    T windows (T, N, M), the full normal-matrix inverses and the
+    T windows (T, N, M), the full normal-matrix inverses (T, P, P) and the
     per-window failures."""
+
+    projector: np.ndarray
+    inverse: np.ndarray
+    failures: list
+
+    def take(self, rows) -> "KvdProjectors":
+        """The projectors of the windows ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=int)
+        return KvdProjectors(self.projector[rows], self.inverse[rows],
+                             [self.failures[k] for k in rows.tolist()])
+
+
+def kvd_projectors(batches, bs: BsConstellation, truths) -> KvdProjectors:
+    """The kvd projectors of T windows at their truths.  They depend on the
+    true velocity, not on an assumed one, so every known-velocity budget
+    of the same windows (kvd at any deviation, drift-only) shares them."""
     a, failures = _designs_at_truth(batches, bs, truths, "kvd")
     inv_f = _inverse_fims(a, failures)
     sigma = np.stack([batch.sigma for batch in batches])
-    return (inv_f @ a.mT)[:, :bs.n_dim, :] / sigma[:, None, :], inv_f, failures
+    return KvdProjectors((inv_f @ a.mT)[:, :bs.n_dim, :] / sigma[:, None, :],
+                         inv_f, failures)
 
 
 def _kvd_projector(batch: MeasurementBatch, bs: BsConstellation,
                    truth: FullParams):
-    """``_kvd_projectors`` of one window; raises its failure."""
-    projector, inv_f, failures = _kvd_projectors([batch], bs, [truth])
+    """``kvd_projectors`` of one window; raises its failure."""
+    projector, inv_f, failures = kvd_projectors([batch], bs, [truth])
     if failures[0] is not None:
         raise failures[0]
     return projector[0], inv_f[0]
 
 
 def bias_deviated_velocity_stack(batches, bs: BsConstellation, truths,
-                                 v_assumed) -> BudgetStack:
+                                 v_assumed,
+                                 projectors: KvdProjectors | None = None
+                                 ) -> BudgetStack:
     """``bias_deviated_velocity`` of T windows at once, ``v_assumed``
-    (T, N)."""
-    projector, inv_f, failures = _kvd_projectors(batches, bs, truths)
+    (T, N).  ``projectors`` are the windows' ``kvd_projectors`` when they
+    are already at hand."""
+    if projectors is None:
+        projectors = kvd_projectors(batches, bs, truths)
+    projector, inv_f, failures = projectors
     v_assumed = np.asarray(v_assumed, dtype=float)
     q = bs.positions[np.stack([batch.bs_index for batch in batches])]
     dt = np.stack([batch.dt for batch in batches])[..., None]

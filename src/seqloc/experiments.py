@@ -35,11 +35,15 @@ from .simulate import (
     RandomPlacement,
     ScenarioConfig,
     TdmaSchedule,
-    run_monte_carlo,
+    draw_trials,
+    solve_trials,
     with_seed,
     with_sigma,
     with_speed,
 )
+# Unused here but stays bound in this namespace: perfbench/tracer.py
+# patches run_monte_carlo by module path.
+from .simulate import run_monte_carlo  # noqa: F401
 from .svgplot import line_chart
 
 EXPERIMENT_NAMES = (
@@ -249,9 +253,12 @@ def _estimator_spec(name: str, estimator: str, value: float,
     return EstimatorSpec(kind=estimator)
 
 
-def _cell_theory(kind: str, recs: list, bs: BsConstellation):
+def _cell_theory(kind: str, recs: list, bs: BsConstellation,
+                 projectors: analysis.KvdProjectors | None):
     """(theoretical RMSE, CRLB RMSE) of each trial in ``recs`` whose theory
-    is defined at its truth, evaluated for the whole cell at once."""
+    is defined at its truth, evaluated for the whole cell at once.  kvd
+    and d cells take their rows of ``projectors``, the kvd projectors of
+    every trial of the draw."""
     if not recs:
         return []
     batches = [r.batch for r in recs]
@@ -261,7 +268,9 @@ def _cell_theory(kind: str, recs: list, bs: BsConstellation):
         # (zero when the assumed velocity is the true one).
         v = ([r.v_assumed for r in recs] if kind == "kvd"
              else np.zeros((len(recs), bs.n_dim)))
-        budgets = analysis.bias_deviated_velocity_stack(batches, bs, truths, v)
+        budgets = analysis.bias_deviated_velocity_stack(
+            batches, bs, truths, v,
+            projectors.take([r.trial for r in recs]))
         crlb = np.sqrt(np.trace(budgets.variance, axis1=-2, axis2=-1))
     else:
         budgets = analysis.theoretical_rmse_stack(
@@ -277,10 +286,13 @@ def run_experiment(spec: ExperimentSpec,
                    cfg: ScenarioConfig | None = None) -> ExperimentResult:
     """Execute the sweep and aggregate per (sweep value, estimator).
 
-    Non-converged or failed trials are excluded from the empirical RMSE
-    and reported through the ``non_converged`` column.  Theory columns
-    aggregate the per-trial true-parameter values as root mean squares,
-    over the converged trials whose theory is defined at the truth.
+    The estimator cells of one sweep value share one ``draw_trials``
+    (a nominal-prior pvd cell draws its own), and its kvd and d cells
+    share the kvd projectors of that draw.  Non-converged or failed
+    trials are excluded from the empirical RMSE and reported through the
+    ``non_converged`` column.  Theory columns aggregate the per-trial
+    true-parameter values as root mean squares, over the converged trials
+    whose theory is defined at the truth.
     """
     if cfg is None:
         cfg = default_scenario(spec.name)
@@ -289,16 +301,25 @@ def run_experiment(spec: ExperimentSpec,
     for k, value in enumerate(spec.grid):
         cfg_pt = with_seed(_scenario_for_point(spec.name, cfg, value),
                            point_seed(cfg.seed, k))
+        draws = {}  # nominal prior std (None for the plain draw) -> draws
+        projectors = None
         for estimator in spec.estimators:
             espec = _estimator_spec(spec.name, estimator, value,
                                     spec.prior_std)
-            recs = run_monte_carlo(cfg_pt, espec)
+            key = espec.nominal_prior_std
+            if key not in draws:
+                draws[key] = draw_trials(cfg_pt, nominal_std=key)
+            recs = solve_trials(espec, draws[key])
             records[(value, estimator)] = recs
             good = [r for r in recs if r.converged]
             emp = theo = crl = float("nan")
             if good:
                 emp = empirical_rmse([r.position_error for r in good]).rmse
-            theory = _cell_theory(estimator, good, cfg_pt.bs)
+            if estimator in ("kvd", "d") and good and projectors is None:
+                # Both use the true-velocity design of the plain draw.
+                projectors = analysis.kvd_projectors(
+                    draws[key].batches, cfg_pt.bs, draws[key].truths)
+            theory = _cell_theory(estimator, good, cfg_pt.bs, projectors)
             if theory:
                 theo = float(np.sqrt(np.mean([t[0] ** 2 for t in theory])))
                 crl = float(np.sqrt(np.mean([t[1] ** 2 for t in theory])))

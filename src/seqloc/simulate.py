@@ -7,11 +7,17 @@ SeedSequence), so its inputs do not depend on which other trials run with
 it.  Within a trial the draw order is fixed: trajectory placement draws
 first (when the trajectory is a random sampler), then the true velocity
 (for a prior centred on the nominal one), then one standard normal per
-measurement.  The Monte Carlo driver makes these draws trial by trial and
-does everything after them on the stack of all trials at once, with the
-same floating-point operations per trial as the single-window path, so a
-trial's outputs are bit-identical to solving it alone.
-"""
+measurement.
+
+The Monte Carlo driver runs in two steps.  ``draw_trials`` makes these
+draws trial by trial, then synthesizes and validates all windows as one
+stack; ``solve_trials`` solves and records that stack for one estimator,
+with the same floating-point operations per trial as the single-window
+path, so a trial's outputs are bit-identical to solving it alone.  The
+draws depend on the estimator only through a nominal-centred prior, so
+the experiment harness draws once per sweep value and lets every other
+estimator cell share that draw; a nominal-prior ``pvd`` cell draws its
+own."""
 
 from __future__ import annotations
 
@@ -350,6 +356,16 @@ class EstimatorSpec:
         if self.prior_centering not in ("truth", "nominal"):
             raise ConfigError("prior_centering must be 'truth' or 'nominal'")
 
+    @property
+    def nominal_prior_std(self) -> float | None:
+        """The prior width this estimator's trial draws depend on: set only
+        for ``pvd`` centred on the nominal velocity, whose truth is drawn
+        from the prior; None for every estimator that shares the plain
+        draws."""
+        if self.kind == "pvd" and self.prior_centering == "nominal":
+            return self.prior_std
+        return None
+
 
 def assumed_velocities(v: np.ndarray, deviation: float) -> np.ndarray:
     """True velocities ``v`` (T, N) offset by ``deviation`` m/s along their
@@ -388,29 +404,44 @@ class TrialRecord:
         return np.asarray(self.report.params.p) - np.asarray(self.truth.p)
 
 
-def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
-                    solver_cfg: SolverConfig = SolverConfig(),
-                    n_trials: int | None = None) -> list[TrialRecord]:
-    """Independent trials of one estimator over one scenario, in trial
-    order.
+class TrialDraws(NamedTuple):
+    """The trials of one scenario after their random draws: the stacked
+    windows, the true velocities at their epochs (T, N), one read-only
+    MeasurementBatch and one FullParams truth per trial, and for a draw
+    made for a nominal-prior pvd its prior width and the nominal
+    velocities (the prior means).  Every array is validated and
+    read-only, so any number of estimator cells can share one draw."""
 
-    Each trial makes its draws from its own stream; then all trials are
-    synthesized, solved (``solvers.solve_stack``) and recorded as one
-    stack.  A trial the single-window solve would reject is recorded with
-    that exception's name in ``error`` and no report; it never aborts the
-    others.
+    scenario: ScenarioConfig
+    win: _Windows
+    truth_v: np.ndarray
+    batches: list
+    truths: list
+    nominal_std: float | None
+    nominal_v: np.ndarray | None
+
+
+def draw_trials(cfg: ScenarioConfig, n_trials: int | None = None,
+                nominal_std: float | None = None) -> TrialDraws:
+    """Draw, synthesize and validate ``n_trials`` (default
+    ``cfg.n_trials``) trials of ``cfg``.
+
+    Each trial makes its draws from its own stream, in the order of the
+    module contract; then all trials are synthesized as one stack.  With
+    ``nominal_std`` (see ``EstimatorSpec.nominal_prior_std``) each trial's
+    true velocity is drawn from a prior of that width around its nominal
+    one, which costs one more normal vector per trial.
     """
     n = cfg.n_trials if n_trials is None else int(n_trials)
     if n < 1:
         raise ConfigError("need at least one trial")
     n_dim, m = cfg.bs.n_dim, cfg.m_per_fix
-    nominal = spec.kind == "pvd" and spec.prior_centering == "nominal"
     trajectories, nominal_v = [], []
     noise = np.empty((n, m))
     for k in range(n):
         rng = trial_rng(cfg.seed, k)
         traj = cfg.trajectory.realize(rng)
-        if nominal:
+        if nominal_std is not None:
             # The realized velocity becomes the prior mean; the actual
             # truth is then drawn from that prior (one normal vector,
             # before the measurement noise draws).
@@ -419,7 +450,7 @@ def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
                     "nominal prior centering needs a constant-velocity "
                     "trajectory or sampler")
             nominal_v.append(traj.v)
-            true_v = traj.v + spec.prior_std * rng.standard_normal(n_dim)
+            true_v = traj.v + nominal_std * rng.standard_normal(n_dim)
             traj = ConstantVelocity(p0=traj.p0, v=true_v, t_ref=traj.t_ref)
         trajectories.append(traj)
         noise[k] = rng.standard_normal(m)
@@ -438,50 +469,85 @@ def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
                       (truth_p, "position"), (truth_v, "velocity"),
                       (truth_b, "clock offset")):
         _require_finite(arr, what)
+    nominal = None if nominal_std is None else np.array(nominal_v)
+    for arr in (*win, truth_p, truth_v, nominal):
+        if arr is not None:
+            arr.setflags(write=False)
+    d = float(cfg.clock.d)
+    b = truth_b.tolist()
+    # Rows of arrays validated as stacks; no per-trial re-validation.
+    batches = [_trusted(MeasurementBatch, bs_index=win.bs_index[k],
+                        t=win.t[k], rho=win.rho[k], sigma=win.sigma[k],
+                        t_l=t_l[k], dt=win.dt[k]) for k in range(n)]
+    truths = [_trusted(FullParams, p=truth_p[k], b=b[k], d=d, v=truth_v[k])
+              for k in range(n)]
+    return TrialDraws(cfg, win, truth_v, batches, truths, nominal_std,
+                      nominal)
 
+
+def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
+                 solver_cfg: SolverConfig = SolverConfig()
+                 ) -> list[TrialRecord]:
+    """Solve every trial of ``draws`` with the estimator ``spec`` as one
+    stack (``solvers.solve_stack``) and record them in trial order.
+
+    ``draws`` must come from ``draw_trials`` with ``spec``'s
+    ``nominal_prior_std``.  A trial the single-window solve would reject
+    is recorded with that exception's name in ``error`` and no report; it
+    never aborts the others.
+    """
+    if draws.nominal_std != spec.nominal_prior_std:
+        raise ConfigError("trials were drawn for a different velocity prior")
+    bs, win = draws.scenario.bs, draws.win
+    n, n_dim = len(draws.batches), bs.n_dim
     v_known = root = mean = covariance = None
     if spec.kind == "kvd":
-        v_known = assumed_velocities(truth_v, spec.speed_deviation)
+        v_known = assumed_velocities(draws.truth_v, spec.speed_deviation)
     elif spec.kind == "d":
         v_known = np.zeros((n, n_dim))
     elif spec.kind == "pvd":
-        mean = np.array(nominal_v) if nominal else truth_v
+        mean = draws.truth_v if draws.nominal_v is None else draws.nominal_v
         covariance = _frozen_array(
             spec.prior_std * spec.prior_std * np.eye(n_dim))
         root = np.broadcast_to(
             np.linalg.cholesky(np.linalg.inv(covariance)).T, (n, n_dim, n_dim))
     try:
-        system = WhitenedSystem(cfg.bs, win.bs_index, win.dt, win.rho,
-                                win.sigma, v_known, root, mean)
+        system = WhitenedSystem(bs, win.bs_index, win.dt, win.rho, win.sigma,
+                                v_known, root, mean)
     except SeqlocError as exc:  # no window of this length can be solved
         sol, failures = None, [exc] * n
     else:
-        theta = initial_vectors(cfg.bs, win.bs_index, win.rho)
+        theta = initial_vectors(bs, win.bs_index, win.rho)
         if v_known is None:
             v0 = np.zeros((n, n_dim)) if mean is None else mean
             theta = np.concatenate([theta, v0], axis=1)
         sol = solve_stack(system, theta, solver_cfg)
         failures = sol.failures
-    return _records(cfg, spec, win, truth_p, truth_v, truth_b, sol, failures,
-                    v_known, mean, covariance)
+    return _records(spec, draws, sol, failures, v_known, mean, covariance)
 
 
-def _records(cfg, spec, win, truth_p, truth_v, truth_b, sol, failures,
-             v_known, mean, covariance) -> list[TrialRecord]:
+def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
+                    solver_cfg: SolverConfig = SolverConfig(),
+                    n_trials: int | None = None) -> list[TrialRecord]:
+    """Independent trials of one estimator over one scenario, in trial
+    order: ``draw_trials`` then ``solve_trials``."""
+    return solve_trials(
+        spec, draw_trials(cfg, n_trials, spec.nominal_prior_std), solver_cfg)
+
+
+def _records(spec, draws, sol, failures, v_known, mean,
+             covariance) -> list[TrialRecord]:
     """One TrialRecord per trial over read-only rows of the stacked arrays,
     which were validated as stacks."""
-    arrays = [win.bs_index, win.t, win.rho, win.sigma, win.dt, truth_p,
-              truth_v]
-    arrays += [a for a in (v_known, mean) if a is not None]
+    arrays = [a for a in (v_known, mean) if a is not None]
     if sol is not None:
         arrays += [sol.theta, sol.covariance]
     for arr in arrays:
         arr.setflags(write=False)
-    n = cfg.bs.n_dim
-    d = float(cfg.clock.d)
-    t_l, b = win.t_l.tolist(), truth_b.tolist()
+    n = draws.scenario.bs.n_dim
     records = []
-    for k, failure in enumerate(failures):
+    for k, (batch, truth, failure) in enumerate(
+            zip(draws.batches, draws.truths, failures)):
         report = None
         if failure is None:
             theta = sol.theta[k]
@@ -496,10 +562,6 @@ def _records(cfg, spec, win, truth_p, truth_v, truth_b, sol, failures,
                 converged=bool(sol.converged[k]),
                 covariance=sol.covariance[k],
                 final_step_norm=float(sol.step_norm[k]))
-        batch = _trusted(MeasurementBatch, bs_index=win.bs_index[k],
-                         t=win.t[k], rho=win.rho[k], sigma=win.sigma[k],
-                         t_l=t_l[k], dt=win.dt[k])
-        truth = _trusted(FullParams, p=truth_p[k], b=b[k], d=d, v=truth_v[k])
         prior = (None if mean is None else
                  _trusted(VelocityPrior, mean=mean[k], covariance=covariance))
         records.append(TrialRecord(

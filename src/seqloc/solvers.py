@@ -147,11 +147,19 @@ def wls_step(g, w, r) -> np.ndarray:
     return vt.T @ ((u.T @ (root @ np.asarray(r, dtype=float))) / s)
 
 
+# Pseudoranges so large that their mean range mismatch, the initial clock
+# offset, overflows float64.
+_OVERFLOWED_START = "pseudoranges too large: the initial clock offset overflows"
+
+
+@np.errstate(over="ignore")
 def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
                     rho: np.ndarray) -> np.ndarray:
     """Deterministic geometry-aware starts ``[p, b, d]`` (T, N+2) for the
     windows ``bs_index``/``rho`` (T, M): the centroid of the BSs each
-    window hears, the offset from the mean range mismatch, zero drift."""
+    window hears, the offset from the mean range mismatch, zero drift.
+    The offset of a window whose pseudoranges overflow that mean is
+    infinite."""
     if (bs_index == bs_index[0]).all():
         p0 = bs.positions[np.unique(bs_index[0])].mean(axis=0)[None]
         p0 = p0.repeat(len(bs_index), axis=0)
@@ -167,8 +175,10 @@ def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
 def initial_guess_kvd(batch: MeasurementBatch, bs: BsConstellation) -> KvdParams:
     """Deterministic geometry-aware start: BS centroid, offset from the
     mean range mismatch, zero drift."""
-    return KvdParams.from_vector(
-        initial_vectors(bs, batch.bs_index[None], batch.rho[None])[0])
+    start = initial_vectors(bs, batch.bs_index[None], batch.rho[None])[0]
+    if not np.isfinite(start[bs.n_dim]):
+        raise DimensionMismatch(_OVERFLOWED_START)
+    return KvdParams.from_vector(start)
 
 
 def initial_guess_full(batch: MeasurementBatch, bs: BsConstellation,
@@ -201,6 +211,7 @@ def _all_usable(s: np.ndarray, degenerate) -> bool:
             and np.maximum.reduce(s[:, 0] / last) <= MAX_DESIGN_CONDITION)
 
 
+@np.errstate(over="ignore")
 def solve_stack(system: WhitenedSystem, theta: np.ndarray,
                 cfg: SolverConfig = SolverConfig()) -> StackSolution:
     """The one Gauss-Newton loop, run on a stack of windows from the
@@ -208,10 +219,12 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
 
     A window leaves the loop when its step norm drops below the threshold
     (converged), at the iteration cap (not converged), or when it fails:
-    a UD on a BS (DegenerateGeometry), a design beyond the condition cap
-    (RankDeficient) or a step beyond the divergence guard (Diverged).
-    Failures are recorded per window, never raised.  While every window is
-    still iterating the arrays are used whole, without indexing.
+    a start that is not finite (DimensionMismatch: ``initial_vectors``
+    overflowed on its pseudoranges), a UD on a BS (DegenerateGeometry), a
+    design beyond the condition cap (RankDeficient) or a step beyond the
+    divergence guard (Diverged, also when it overflows to inf).  Failures
+    are recorded per window, never raised.  While every window is still
+    iterating the arrays are used whole, without indexing.
     """
     count = len(theta)
     theta = np.array(theta, dtype=float)
@@ -222,7 +235,14 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     # A non-finite step norm diverges whatever the guard.
     guard = min(cfg.divergence_guard, sys.float_info.max)
     live, th, norm = np.arange(count), theta, None
+    if not np.isfinite(theta).all():
+        finite = np.isfinite(theta).all(axis=1)
+        for k in np.flatnonzero(~finite).tolist():
+            failures[k] = DimensionMismatch(_OVERFLOWED_START)
+        live, th = live[finite], theta[finite]
     for iteration in range(1, cfg.max_iter + 1):
+        if not live.size:
+            break
         whole = live.size == count
         a, z, degenerate = system.at(th, None if whole else live)
         u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -251,8 +271,6 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
                 else:
                     failures[k] = Diverged(f"step norm {x:.3e} exceeded guard")
             live, th, norm = live[stay], th[stay], norm[stay]
-            if not live.size:
-                break
     else:
         iterations[live], step_norm[live] = cfg.max_iter, norm
 

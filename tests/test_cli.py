@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config validation, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -104,6 +105,31 @@ class TestSolve:
                                "--estimator", "kvd", "--velocity", "nan,0")
         assert code == 1
         assert err.startswith("error: velocity must be finite")
+
+    @pytest.mark.parametrize("estimator", ["kvd", "uvd", "pvd", "d"])
+    @pytest.mark.parametrize("rows, rho, message", [
+        # every range near the float64 limit: their mean overflows
+        (slice(1, None), "1.7e308",
+         "error: pseudoranges too large: the initial clock offset overflows"),
+        # one huge range among small ones: the first step overflows
+        (slice(3, 4), "1e300", "error: step norm inf exceeded guard"),
+    ], ids=("all-near-limit", "one-huge"))
+    def test_huge_pseudoranges_rejected_without_warnings(
+            self, capsys, tmp_path, estimator, rows, rho, message):
+        batch = self.write_batch(capsys, tmp_path)
+        lines = batch.read_text().splitlines()
+        for i in range(len(lines))[rows]:
+            fields = lines[i].split(",")
+            fields[2] = rho
+            lines[i] = ",".join(fields)
+        batch.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "solve", "--batch", str(batch),
+                                   "--estimator", estimator)
+        assert code == 1
+        assert err == message + "\n"
+        assert [str(w.message) for w in caught] == []
 
 
 class TestCrlb:

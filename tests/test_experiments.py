@@ -21,6 +21,7 @@ from seqloc import (
     EstimatorSpec,
     ExperimentSpec,
 )
+from seqloc import experiments, simulate
 from seqloc.experiments import point_seed
 from seqloc.simulate import with_seed
 
@@ -174,6 +175,104 @@ class TestRunExperiment:
         recs = result.records[(10.0, "kvd")]
         epochs = [rec.batch.t_l for rec in recs]
         assert epochs == pytest.approx([0.01, 0.09, 0.17, 0.25, 0.33])
+
+
+def _per_cell_theory(kind, good, bs):
+    """(theoretical, CRLB) RMSE of one cell through the per-cell theory
+    calls: a ``bias_deviated_velocity_stack`` of its own for kvd and d,
+    ``theoretical_rmse_stack`` for uvd and pvd."""
+    if not good:
+        return math.nan, math.nan
+    batches = [r.batch for r in good]
+    truths = [r.truth for r in good]
+    if kind in ("kvd", "d"):
+        v = ([r.v_assumed for r in good] if kind == "kvd"
+             else np.zeros((len(good), bs.n_dim)))
+        budgets = analysis.bias_deviated_velocity_stack(batches, bs, truths, v)
+        crlb = np.sqrt(np.trace(budgets.variance, axis1=-2, axis2=-1))
+    else:
+        budgets = analysis.theoretical_rmse_stack(
+            kind, batches, bs, truths,
+            priors=[r.prior for r in good] if kind == "pvd" else None)
+        crlb = budgets.rmse
+    kept = [(t, c) for t, c, f in zip(budgets.rmse.tolist(), crlb.tolist(),
+                                      budgets.failures) if f is None]
+    if not kept:
+        return math.nan, math.nan
+    return (float(np.sqrt(np.mean([t ** 2 for t, _ in kept]))),
+            float(np.sqrt(np.mean([c ** 2 for _, c in kept]))))
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestSharedDraws:
+    """Every cell of run_experiment, which shares one draw and one set of
+    kvd projectors per sweep value, against a standalone run_monte_carlo
+    of the same cell and its own per-cell theory."""
+
+    @pytest.mark.parametrize("name, grid", [
+        ("speed-sweep", (1.0, 10.0)),
+        ("velocity-deviation", (0.0, 2.0)),
+        ("speed-compare", (0.1, 5.0)),   # nominal pvd draws its own
+        ("circular", (10.0,)),           # truth-centred pvd shares
+    ])
+    @pytest.mark.parametrize("mixed", [False, True],
+                             ids=("default", "mixed"))
+    def test_cells_match_standalone_monte_carlo(self, monkeypatch, name,
+                                                grid, mixed):
+        if mixed:
+            # Diverged trials between converged ones, so theory rows must
+            # be selected by trial, not by position.  First steps are
+            # about 1500 m on the 30 m square and 1500-1540 m on the
+            # circular study's 100 m square; these guards split them.
+            # Three iterations also cap some trials on the square; every
+            # circular trial needs four.
+            circular = name == "circular"
+            solver_cfg = simulate.SolverConfig(
+                max_iter=4 if circular else 3,
+                divergence_guard=1520.0 if circular else 1499.4)
+            real = simulate.solve_stack
+            monkeypatch.setattr(simulate, "solve_stack",
+                                lambda system, theta, cfg: real(
+                                    system, theta, solver_cfg))
+        spec, cfg = tiny(name, trials=30, grid=grid)
+        result = run_experiment(spec, cfg)
+        rows = iter(result.rows)
+        outcomes = set()
+        for k, value in enumerate(spec.grid):
+            cfg_pt = with_seed(
+                experiments._scenario_for_point(name, cfg, value),
+                point_seed(cfg.seed, k))
+            for estimator in spec.estimators:
+                espec = experiments._estimator_spec(name, estimator, value,
+                                                    spec.prior_std)
+                alone = run_monte_carlo(cfg_pt, espec)
+                shared = result.records[(value, estimator)]
+                assert len(shared) == len(alone) == cfg.n_trials
+                for a, b in zip(shared, alone):
+                    assert a.error == b.error
+                    assert a.converged == b.converged
+                    assert np.array_equal(a.batch.rho, b.batch.rho)
+                    assert np.array_equal(a.truth.as_vector(),
+                                          b.truth.as_vector())
+                    if b.report is None:
+                        assert a.report is None
+                        outcomes.add(b.error)
+                        continue
+                    assert np.array_equal(a.report.params.as_vector(),
+                                          b.report.params.as_vector())
+                    assert a.report.iterations == b.report.iterations
+                    outcomes.add(b.converged)
+                row = next(rows)
+                assert (row.sweep_value, row.estimator) == (value, estimator)
+                good = [r for r in alone if r.converged]
+                theo, crl = _per_cell_theory(estimator, good, cfg_pt.bs)
+                assert _same_float(row.theoretical_rmse, theo)
+                assert _same_float(row.crlb_rmse, crl)
+        if mixed:
+            assert outcomes >= {True, "Diverged"}
 
 
 class TestWriteExperiment:

@@ -1,5 +1,7 @@
 """Scenario synthesis and the Monte Carlo driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,25 @@ class TestMonteCarlo:
         records = run_monte_carlo(cfg, EstimatorSpec(kind="kvd"))
         assert all(rec.report is None for rec in records)
         assert all(rec.error == "RankDeficient" for rec in records)
+
+    @pytest.mark.parametrize("kind", ["kvd", "uvd", "pvd", "d"])
+    def test_overflowing_start_recorded_without_warnings(self, scenario,
+                                                         kind):
+        # Pseudoranges near the float64 limit overflow the initial clock
+        # offset: every trial fails as its single-window solve does.
+        from dataclasses import replace
+
+        huge = replace(scenario, clock=ClockModel(b0=1.7e308, d=DRIFT_MPS))
+        spec = EstimatorSpec(kind=kind, prior_centering="nominal")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = run_monte_carlo(huge, spec, n_trials=4)
+            for rec in records:
+                with pytest.raises(SeqlocError) as alone:
+                    _solve_alone(rec, huge.bs, kind, SolverConfig())
+                assert rec.error == alone.type.__name__ == "DimensionMismatch"
+                assert rec.report is None
+        assert [str(w.message) for w in caught] == []
 
     def test_kvd_speed_deviation_feeds_assumed_velocity(self, fixed_scenario):
         records = run_monte_carlo(fixed_scenario,
