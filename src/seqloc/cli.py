@@ -130,7 +130,7 @@ def _batch_csv_lines(batch: MeasurementBatch):
 def _read_batch_csv(path: Path, epoch: float | None) -> MeasurementBatch:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read batch {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != BATCH_COLUMNS:
@@ -144,9 +144,13 @@ def _read_batch_csv(path: Path, epoch: float | None) -> MeasurementBatch:
             raise ConfigError(f"malformed batch row: {ln!r}") from exc
     if not rows:
         raise ConfigError("batch CSV has no measurements")
+    try:
+        bs_index = np.array([r[0] for r in rows], dtype=int)
+    except OverflowError as exc:
+        raise ConfigError("batch references a BS index out of range") from exc
     t = np.array([r[1] for r in rows])
     return MeasurementBatch(
-        bs_index=np.array([r[0] for r in rows], dtype=int),
+        bs_index=bs_index,
         t=t,
         rho=np.array([r[2] for r in rows]),
         sigma=np.array([r[3] for r in rows]),
@@ -244,9 +248,13 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+# Built once per process: building it costs about ten times as much as a
+# parse, and parse_args keeps no state between calls.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
         "solve": _cmd_solve,

@@ -55,6 +55,18 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise DimensionMismatch(f"{what} must be finite")
 
 
+def _require_sigma(sigma: np.ndarray, error=DimensionMismatch) -> None:
+    """Raise ``error`` unless every noise level in ``sigma`` is positive
+    with a finite, non-zero reciprocal (the whitening weight) and square
+    (the variance): about 1.5e-162 to 1.3e154 m."""
+    with np.errstate(over="ignore", divide="ignore"):
+        inv, var = 1.0 / sigma, sigma * sigma
+    if not ((sigma > 0) & (inv > 0) & (inv < np.inf)
+            & (var > 0) & (var < np.inf)).all():
+        raise error("sigma must be strictly positive, with a finite "
+                    "non-zero square and reciprocal")
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis: ``np.linalg.norm(x, axis=-1)``
     with the same floating-point operations, without its Python overhead."""
@@ -124,14 +136,16 @@ class MeasurementBatch:
             _require_finite(arr, what)
         if not np.isfinite(self.t_l):
             raise DimensionMismatch("localization epoch must be finite")
-        if (sigma <= 0).any() or not np.isfinite(sigma).all():
-            raise DimensionMismatch("sigma must be strictly positive")
+        _require_sigma(sigma)
         object.__setattr__(self, "bs_index", _freeze(idx))
         object.__setattr__(self, "t", _freeze(t))
         object.__setattr__(self, "rho", _freeze(rho))
         object.__setattr__(self, "sigma", _freeze(sigma))
+        with np.errstate(over="ignore"):
+            dt = t - float(self.t_l)
+        _require_finite(dt, "times from the epoch")
         object.__setattr__(self, "t_l", float(self.t_l))
-        object.__setattr__(self, "dt", _freeze(t - self.t_l))
+        object.__setattr__(self, "dt", _freeze(dt))
 
     @property
     def m(self) -> int:
@@ -222,8 +236,9 @@ class VelocityPrior:
             raise DimensionMismatch("prior covariance shape must match mean")
         _require_finite(mean, "prior mean")
         _require_finite(cov, "prior covariance")
-        scale = np.linalg.norm(cov)
-        if np.linalg.norm(cov - cov.T) > 1e-12 * max(scale, 1.0):
+        # Largest magnitudes, not Frobenius norms: squares overflow first.
+        scale = np.abs(cov).max()
+        if np.abs(cov - cov.T).max() > 1e-12 * max(scale, 1.0):
             raise DimensionMismatch("prior covariance must be symmetric")
         if np.min(np.linalg.eigvalsh(cov)) <= 0:
             raise DimensionMismatch("prior covariance must be positive-definite")
@@ -240,8 +255,14 @@ class VelocityPrior:
 
     @classmethod
     def isotropic(cls, mean, std: float) -> "VelocityPrior":
+        """Prior of per-axis standard deviation ``std`` around ``mean``;
+        its variance and information must be finite and non-zero."""
+        var = float(std) * float(std)
+        if not (std > 0 and 0 < var < np.inf and 0 < 1 / var < np.inf):
+            raise DimensionMismatch("prior_std must be positive, with a "
+                                    "finite non-zero variance and inverse")
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        return cls(mean=mean, covariance=std * std * np.eye(mean.size))
+        return cls(mean=mean, covariance=var * np.eye(mean.size))
 
 
 @dataclass(frozen=True)
@@ -354,9 +375,9 @@ def _los(q, p, shift, eps):
     window are finite but meaningless."""
     diff = q - p[..., None, :] - shift
     dist = _row_norms(diff)
-    near = dist < eps
     degenerate = None
-    if near.any():
+    if np.minimum.reduce(dist, axis=None) < eps:
+        near = dist < eps
         degenerate = near.any(axis=-1)
         dist = np.where(near, 1.0, dist)
     return diff / dist[..., None], dist, degenerate
@@ -468,6 +489,8 @@ class WhitenedSystem:
         self.n_dim = n
         self.q = bs.positions[bs_index]
         self.dt, self.rho, self.w = dt, rho, 1.0 / sigma
+        # Per-row factors of the design, (T, M, 1): (-e) * w == e * (-w).
+        self.dt_col, self.neg_w = dt[..., None], -self.w[..., None]
         self.v_known = v_known
         self.prior_root, self.prior_mean = prior_root, prior_mean
         # What every iterate shares: the whitened [1, dt] columns, the
@@ -475,11 +498,18 @@ class WhitenedSystem:
         rows = m + (0 if prior_root is None else n)
         self.template = np.zeros((count, rows, self.n_params))
         self.template[:, :m, n] = self.w
-        self.template[:, :m, n + 1] = dt * self.w
+        # A displacement that overflows fails its window in the solver.
+        with np.errstate(over="ignore"):
+            self.template[:, :m, n + 1] = dt * self.w
+            self.shift = (None if v_known is None
+                          else self.dt_col * v_known[:, None, :])
         if prior_root is not None:
             self.template[:, m:, n + 2:] = prior_root
-        self.shift = (None if v_known is None
-                      else dt[..., None] * v_known[:, None, :])
+        # LAPACK may never return from the SVD of a design holding inf.
+        if not np.isfinite(self.template).all():
+            raise DimensionMismatch("the whitened design overflows: times "
+                                    "too far from the epoch, or too tight "
+                                    "a prior")
 
     @classmethod
     def of(cls, batches, bs: BsConstellation, v_known=None, priors=None):
@@ -507,12 +537,14 @@ class WhitenedSystem:
         ``[p, b, d, v]``; a known velocity reads only its leading
         ``[p, b, d]``."""
         q, dt, rho, w = self.q, self.dt, self.rho, self.w
+        dt_col, neg_w = self.dt_col, self.neg_w
         a, shift = self.template, self.shift
         root, mean = self.prior_root, self.prior_mean
         if live is None:
             a = a.copy()
         else:
             q, dt, rho, w, a = q[live], dt[live], rho[live], w[live], a[live]
+            dt_col, neg_w = dt_col[live], neg_w[live]
             if shift is not None:
                 shift = shift[live]
             if root is not None:
@@ -520,14 +552,12 @@ class WhitenedSystem:
         n, m = self.n_dim, dt.shape[-1]
         v = theta[:, n + 2:]
         if shift is None:
-            shift = dt[..., None] * v[:, None, :]
+            shift = dt_col * v[:, None, :]
         los, dist, degenerate = _los(q, theta[:, :n], shift,
                                      DEFAULT_GEOMETRY_EPS)
-        neg_los = -los
-        w_col = w[..., None]
-        np.multiply(neg_los, w_col, out=a[:, :m, :n])
+        np.multiply(los, neg_w, out=a[:, :m, :n])
         if self.v_known is None:
-            np.multiply(neg_los * dt[..., None], w_col, out=a[:, :m, n + 2:])
+            np.multiply(los * dt_col, neg_w, out=a[:, :m, n + 2:])
         z = (rho - (dist + theta[:, n, None] + theta[:, n + 1, None] * dt)) * w
         if root is None:
             return a, z, degenerate

@@ -31,12 +31,13 @@ from .errors import ConfigError, SeqlocError
 from .model import (
     BsConstellation,
     FullParams,
-    KvdParams,
     MeasurementBatch,
     VelocityPrior,
     WhitenedSystem,
+    _freeze,
     _frozen_array,
     _require_finite,
+    _require_sigma,
     _row_norms,
     _trusted,
 )
@@ -51,6 +52,7 @@ from .solvers import (  # noqa: F401
     solve_known_velocity,
     solve_prior_velocity,
     solve_stack,
+    window_report,
 )
 
 RNG_ALGORITHM = "numpy-pcg64/seedsequence([seed, trial])"
@@ -117,6 +119,18 @@ class Circular:
         v = self.radius * self.angular_rate * np.array(
             [-math.sin(ang), math.cos(ang)])
         return p, v
+
+    def positions(self, times) -> list:
+        """Positions ``[x, y]`` at the float ``times``: ``state_at``'s
+        arithmetic in scalar ``math``, without its arrays."""
+        cx, cy = self.center.tolist()
+        rate, phase, radius = self.angular_rate, self.phase, self.radius
+        out = []
+        for t in times:
+            ang = rate * t + phase
+            out.append([cx + radius * math.cos(ang),
+                        cy + radius * math.sin(ang)])
+        return out
 
     def realize(self, rng) -> "Circular":
         return self
@@ -229,8 +243,7 @@ class ScenarioConfig:
                               f"numbers, got {self.sigma!r}") from exc
         if sigma.ndim != 1:
             raise ConfigError("sigma must be scalar or one value per BS")
-        if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
-            raise ConfigError("sigma must be strictly positive")
+        _require_sigma(sigma, ConfigError)
         if sigma.size not in (1, self.bs.n_bs):
             raise ConfigError("sigma must be scalar or one value per BS")
         if sorted(self.schedule.bs_order) != list(range(self.bs.n_bs)):
@@ -262,6 +275,9 @@ def _positions(trajectories, times: np.ndarray) -> np.ndarray:
         v = np.stack([traj.v for traj in trajectories])[:, None, :]
         t_ref = np.array([traj.t_ref for traj in trajectories], dtype=float)
         return p0 + v * (times - t_ref[:, None])[..., None]
+    if all(type(traj) is Circular for traj in trajectories):
+        return np.array([traj.positions(row) for traj, row
+                         in zip(trajectories, times.tolist())])
     return np.array([traj.state_at(t)[0]
                      for traj, row in zip(trajectories, times)
                      for t in row]).reshape(times.shape + (-1,))
@@ -321,10 +337,15 @@ def synthesize_batch(cfg: ScenarioConfig, fix_index: int,
             raise ConfigError("noisy synthesis needs a random stream")
         noise = rng.standard_normal(cfg.m_per_fix)[None]
     win = _synthesize(cfg, np.array([fix_index]), [traj], noise)
-    batch = MeasurementBatch(bs_index=win.bs_index[0], t=win.t[0],
-                             rho=win.rho[0], sigma=win.sigma[0],
-                             t_l=float(win.t_l[0]))
-    return batch, truth_state(traj, cfg.clock, batch.t_l)
+    # Validated as arrays, as in draw_trials; sigma came from the scenario.
+    _require_finite(win.t, "times")
+    _require_finite(win.rho, "pseudoranges")
+    t_l = float(win.t_l[0])
+    batch = _trusted(MeasurementBatch, bs_index=_freeze(win.bs_index[0]),
+                     t=_freeze(win.t[0]), rho=_freeze(win.rho[0]),
+                     sigma=_freeze(win.sigma[0]), t_l=t_l,
+                     dt=_freeze(win.dt[0]))
+    return batch, truth_state(traj, cfg.clock, t_l)
 
 
 @dataclass(frozen=True)
@@ -517,11 +538,11 @@ def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
     except SeqlocError as exc:  # no window of this length can be solved
         sol, failures = None, [exc] * n
     else:
-        theta = initial_vectors(bs, win.bs_index, win.rho)
+        v0 = None
         if v_known is None:
             v0 = np.zeros((n, n_dim)) if mean is None else mean
-            theta = np.concatenate([theta, v0], axis=1)
-        sol = solve_stack(system, theta, solver_cfg)
+        sol = solve_stack(system, initial_vectors(bs, win.bs_index, win.rho,
+                                                  v0), solver_cfg)
         failures = sol.failures
     return _records(spec, draws, sol, failures, v_known, mean, covariance)
 
@@ -539,29 +560,14 @@ def _records(spec, draws, sol, failures, v_known, mean,
              covariance) -> list[TrialRecord]:
     """One TrialRecord per trial over read-only rows of the stacked arrays,
     which were validated as stacks."""
-    arrays = [a for a in (v_known, mean) if a is not None]
-    if sol is not None:
-        arrays += [sol.theta, sol.covariance]
-    for arr in arrays:
-        arr.setflags(write=False)
+    for arr in (v_known, mean):
+        if arr is not None:
+            arr.setflags(write=False)
     n = draws.scenario.bs.n_dim
     records = []
     for k, (batch, truth, failure) in enumerate(
             zip(draws.batches, draws.truths, failures)):
-        report = None
-        if failure is None:
-            theta = sol.theta[k]
-            if spec.kind in ("kvd", "d"):
-                params = _trusted(KvdParams, p=theta[:n], b=float(theta[n]),
-                                  d=float(theta[n + 1]))
-            else:
-                params = _trusted(FullParams, p=theta[:n], b=float(theta[n]),
-                                  d=float(theta[n + 1]), v=theta[n + 2:])
-            report = EstimateReport(
-                params=params, iterations=int(sol.iterations[k]),
-                converged=bool(sol.converged[k]),
-                covariance=sol.covariance[k],
-                final_step_norm=float(sol.step_norm[k]))
+        report = None if failure is not None else window_report(sol, k, n)
         prior = (None if mean is None else
                  _trusted(VelocityPrior, mean=mean[k], covariance=covariance))
         records.append(TrialRecord(

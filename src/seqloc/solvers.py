@@ -34,7 +34,10 @@ from .model import (  # noqa: F401
     MeasurementBatch,
     VelocityPrior,
     WhitenedSystem,
+    _freeze,
+    _require_finite,
     _row_norms,
+    _trusted,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
@@ -112,11 +115,14 @@ def whitened_svd(a: np.ndarray):
     """Thin SVD ``(U, S, V^T)`` of one whitened design matrix.
 
     Raises RankDeficient when ``a`` cannot determine its parameters: fewer
-    rows than columns, or a condition number beyond MAX_DESIGN_CONDITION.
+    rows than columns, or a condition number beyond MAX_DESIGN_CONDITION;
+    DimensionMismatch when it is not finite (LAPACK may never return from
+    the SVD of a matrix holding inf).
     """
     if a.shape[0] < a.shape[1]:
         raise RankDeficient(
             f"{a.shape[0]} rows cannot determine {a.shape[1]} parameters")
+    _require_finite(a, "whitened design matrix")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if not well_conditioned(s):
         raise RankDeficient("whitened design matrix is rank-deficient")
@@ -150,31 +156,48 @@ def wls_step(g, w, r) -> np.ndarray:
 # Pseudoranges so large that their mean range mismatch, the initial clock
 # offset, overflows float64.
 _OVERFLOWED_START = "pseudoranges too large: the initial clock offset overflows"
+# A UD position or displacement so large that its distances to the BSs
+# overflow: the LOS rows of its design turn NaN.
+_OVERFLOWED_DESIGN = "measurements too large: the whitened design overflows"
+
+
+def _centroid(positions: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Mean of the BS ``positions`` that the window ``row`` hears, each
+    once, in index order: ``positions[np.unique(row)].mean(axis=0)`` with
+    the same floating-point operations."""
+    heard = np.bincount(row, minlength=len(positions)) > 0
+    return np.add.reduce(positions[heard], axis=0) / np.count_nonzero(heard)
 
 
 @np.errstate(over="ignore")
 def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
-                    rho: np.ndarray) -> np.ndarray:
+                    rho: np.ndarray, v0: np.ndarray | None = None
+                    ) -> np.ndarray:
     """Deterministic geometry-aware starts ``[p, b, d]`` (T, N+2) for the
-    windows ``bs_index``/``rho`` (T, M): the centroid of the BSs each
-    window hears, the offset from the mean range mismatch, zero drift.
-    The offset of a window whose pseudoranges overflow that mean is
-    infinite."""
+    windows ``bs_index``/``rho`` (T, M), whose BS indices are in range:
+    the centroid of the BSs each window hears, the offset from the mean
+    range mismatch, zero drift; extended with the velocities ``v0``
+    (T, N) to ``[p, b, d, v]`` when given.  The offset of a window whose
+    pseudoranges overflow that mean is infinite."""
     if (bs_index == bs_index[0]).all():
-        p0 = bs.positions[np.unique(bs_index[0])].mean(axis=0)[None]
+        p0 = _centroid(bs.positions, bs_index[0])[None]
         p0 = p0.repeat(len(bs_index), axis=0)
     else:
-        p0 = np.array([bs.positions[np.unique(row)].mean(axis=0)
-                       for row in bs_index])
+        p0 = np.array([_centroid(bs.positions, row) for row in bs_index])
     ranges = _row_norms(bs.positions[bs_index] - p0[:, None, :])
     # np.mean over the last axis, without its Python overhead
     b = np.add.reduce(rho - ranges, axis=-1) / rho.shape[-1]
-    return np.concatenate([p0, b[:, None], np.zeros((len(b), 1))], axis=1)
+    cols = [p0, b[:, None], np.zeros((len(b), 1))]
+    if v0 is not None:
+        cols.append(v0)
+    return np.concatenate(cols, axis=1)
 
 
 def initial_guess_kvd(batch: MeasurementBatch, bs: BsConstellation) -> KvdParams:
     """Deterministic geometry-aware start: BS centroid, offset from the
     mean range mismatch, zero drift."""
+    if batch.bs_index.min() < 0 or batch.bs_index.max() >= bs.n_bs:
+        raise DimensionMismatch("batch references a BS index out of range")
     start = initial_vectors(bs, batch.bs_index[None], batch.rho[None])[0]
     if not np.isfinite(start[bs.n_dim]):
         raise DimensionMismatch(_OVERFLOWED_START)
@@ -193,7 +216,8 @@ class StackSolution(NamedTuple):
     """Gauss-Newton outcome of a stack of T windows: final parameter
     vectors (T, P), iteration counts, convergence flags, last step norms,
     covariances ``V S^-2 V^T`` (T, P, P), and per window None or the
-    SeqlocError that ended it (its other entries are then meaningless)."""
+    SeqlocError that ended it (its other entries are then meaningless).
+    ``theta`` and ``covariance`` are read-only."""
 
     theta: np.ndarray
     iterations: np.ndarray
@@ -203,15 +227,17 @@ class StackSolution(NamedTuple):
     failures: list
 
 
-def _all_usable(s: np.ndarray, degenerate) -> bool:
-    """Whether every window of a stack has a usable design: no UD on a BS
-    and every condition number within MAX_DESIGN_CONDITION."""
-    last = s[:, -1]
-    return (degenerate is None and np.minimum.reduce(last) > 0
-            and np.maximum.reduce(s[:, 0] / last) <= MAX_DESIGN_CONDITION)
+def _finite_designs(failures: list, trials, a: np.ndarray) -> np.ndarray:
+    """Mask of the windows ``trials`` whose whitened designs ``a`` are
+    finite; each other one fails with DimensionMismatch.  LAPACK rejects a
+    NaN design, so one overflowed window would fail the stacked SVD."""
+    finite = np.isfinite(a).all(axis=(1, 2))
+    for k in np.asarray(trials)[~finite].tolist():
+        failures[k] = DimensionMismatch(_OVERFLOWED_DESIGN)
+    return finite
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def solve_stack(system: WhitenedSystem, theta: np.ndarray,
                 cfg: SolverConfig = SolverConfig()) -> StackSolution:
     """The one Gauss-Newton loop, run on a stack of windows from the
@@ -220,11 +246,12 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     A window leaves the loop when its step norm drops below the threshold
     (converged), at the iteration cap (not converged), or when it fails:
     a start that is not finite (DimensionMismatch: ``initial_vectors``
-    overflowed on its pseudoranges), a UD on a BS (DegenerateGeometry), a
-    design beyond the condition cap (RankDeficient) or a step beyond the
-    divergence guard (Diverged, also when it overflows to inf).  Failures
-    are recorded per window, never raised.  While every window is still
-    iterating the arrays are used whole, without indexing.
+    overflowed on its pseudoranges, or a design that overflowed), a UD on
+    a BS (DegenerateGeometry), a design beyond the condition cap
+    (RankDeficient) or a step beyond the divergence guard (Diverged, also
+    when it overflows to inf or NaN).  Failures are recorded per window,
+    never raised.  While every window is still iterating the arrays are
+    used whole, without indexing.
     """
     count = len(theta)
     theta = np.array(theta, dtype=float)
@@ -245,8 +272,21 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
             break
         whole = live.size == count
         a, z, degenerate = system.at(th, None if whole else live)
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        if not _all_usable(s, degenerate):
+        try:
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+        except np.linalg.LinAlgError:
+            keep = _finite_designs(failures, live, a)
+            live, th, a, z = live[keep], th[keep], a[keep], z[keep]
+            if degenerate is not None:
+                degenerate = degenerate[keep]
+            if not live.size:
+                break
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+        # Every design usable: no UD on a BS, conditions within the cap.
+        last = s[:, -1]
+        if not (degenerate is None and np.minimum.reduce(last) > 0
+                and np.maximum.reduce(s[:, 0] / last)
+                <= MAX_DESIGN_CONDITION):
             usable = design_failures(failures, live, degenerate,
                                      well_conditioned(s))
             live, th, z = live[usable], th[usable], z[usable]
@@ -274,43 +314,80 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     else:
         iterations[live], step_norm[live] = cfg.max_iter, norm
 
-    whole = not any(failures)
-    final = None if whole else np.flatnonzero([f is None for f in failures])
+    final = (None if not any(failures)
+             else np.flatnonzero([f is None for f in failures]))
+    theta.setflags(write=False)
+    covariance = _final_covariance(system, theta, final, failures)
+    return StackSolution(theta, iterations, converged, step_norm,
+                         _freeze(covariance), failures)
+
+
+def _final_covariance(system: WhitenedSystem, theta: np.ndarray, final,
+                      failures: list) -> np.ndarray:
+    """Covariances ``V S^-2 V^T`` (T, P, P) at the final iterates ``theta``
+    of the windows ``final`` (every window when None), NaN elsewhere.  A
+    window whose design is unusable at its final iterate fails here."""
     if final is not None and not final.size:
-        return StackSolution(theta, iterations, converged, step_norm,
-                             np.full(theta.shape + theta.shape[1:], np.nan),
-                             failures)
-    a, _, degenerate = system.at(theta if whole else theta[final], final)
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    if not _all_usable(s, degenerate):
-        final = np.arange(count) if whole else final
+        return np.full(theta.shape + theta.shape[1:], np.nan)
+    a, _, degenerate = system.at(theta if final is None else theta[final],
+                                 final)
+    try:
+        _, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError:
+        final = np.arange(len(theta)) if final is None else final
+        keep = _finite_designs(failures, final, a)
+        return _final_covariance(system, theta, final[keep], failures)
+    last = s[:, -1]
+    if not (degenerate is None and np.minimum.reduce(last) > 0
+            and np.maximum.reduce(s[:, 0] / last) <= MAX_DESIGN_CONDITION):
+        final = np.arange(len(theta)) if final is None else final
         usable = design_failures(failures, final, degenerate,
                                  well_conditioned(s))
-        final, s, vt, whole = final[usable], s[usable], vt[usable], False
+        final, s, vt = final[usable], s[usable], vt[usable]
     covariance = (vt.mT / (s**2)[..., None, :]) @ vt
-    if not whole:
-        stacked = np.full(theta.shape + theta.shape[1:], np.nan)
-        stacked[final] = covariance
-        covariance = stacked
-    return StackSolution(theta, iterations, converged, step_norm, covariance,
-                         failures)
+    if final is None:
+        return covariance
+    stacked = np.full(theta.shape + theta.shape[1:], np.nan)
+    stacked[final] = covariance
+    return stacked
 
 
-def _solve(system: WhitenedSystem, init: KvdParams | FullParams,
-           cfg: SolverConfig) -> EstimateReport:
-    """One window through ``solve_stack`` as a stack of one; its failure
-    is raised."""
-    theta = init.as_vector()
-    if theta.shape != (system.n_params,):
-        raise DimensionMismatch("initial guess does not match the estimator")
-    sol = solve_stack(system, theta[None], cfg)
+def window_report(sol: StackSolution, k: int, n_dim: int) -> EstimateReport:
+    """The report of window ``k`` of a solved stack, which did not fail,
+    over read-only rows of its arrays.  The stack's iterates are finite
+    (a non-finite step fails its window), so the params are not validated
+    again."""
+    theta = sol.theta[k]
+    b, d = float(theta[n_dim]), float(theta[n_dim + 1])
+    if theta.size == n_dim + 2:
+        params = _trusted(KvdParams, p=theta[:n_dim], b=b, d=d)
+    else:
+        params = _trusted(FullParams, p=theta[:n_dim], b=b, d=d,
+                          v=theta[n_dim + 2:])
+    return EstimateReport(params=params, iterations=int(sol.iterations[k]),
+                          converged=bool(sol.converged[k]),
+                          covariance=sol.covariance[k],
+                          final_step_norm=float(sol.step_norm[k]))
+
+
+def _solve(system: WhitenedSystem, batch: MeasurementBatch,
+           bs: BsConstellation, init: KvdParams | FullParams | None,
+           cfg: SolverConfig, v0: np.ndarray | None = None) -> EstimateReport:
+    """One window through ``solve_stack`` as a stack of one, from ``init``
+    or else from ``initial_vectors`` (with the velocity ``v0`` when the
+    velocity is estimated); its failure is raised."""
+    if init is None:
+        theta = initial_vectors(bs, batch.bs_index[None], batch.rho[None],
+                                None if v0 is None else v0[None])
+    else:
+        theta = init.as_vector()[None]
+        if theta.shape[1:] != (system.n_params,):
+            raise DimensionMismatch(
+                "initial guess does not match the estimator")
+    sol = solve_stack(system, theta, cfg)
     if sol.failures[0] is not None:
         raise sol.failures[0]
-    return EstimateReport(params=type(init).from_vector(sol.theta[0]),
-                          iterations=int(sol.iterations[0]),
-                          converged=bool(sol.converged[0]),
-                          covariance=sol.covariance[0],
-                          final_step_norm=float(sol.step_norm[0]))
+    return window_report(sol, 0, bs.n_dim)
 
 
 def solve_known_velocity(batch: MeasurementBatch, bs: BsConstellation,
@@ -319,9 +396,7 @@ def solve_known_velocity(batch: MeasurementBatch, bs: BsConstellation,
     """Estimate ``[p, b, d]`` with the UD velocity supplied externally."""
     system = WhitenedSystem.of([batch], bs,
                                v_known=np.asarray(v_known, dtype=float)[None])
-    if init is None:
-        init = initial_guess_kvd(batch, bs)
-    return _solve(system, init, cfg)
+    return _solve(system, batch, bs, init, cfg)
 
 
 def solve_joint_velocity(batch: MeasurementBatch, bs: BsConstellation,
@@ -329,9 +404,7 @@ def solve_joint_velocity(batch: MeasurementBatch, bs: BsConstellation,
                          cfg: SolverConfig = SolverConfig()) -> EstimateReport:
     """Jointly estimate ``[p, b, d, v]`` from the pseudoranges alone."""
     system = WhitenedSystem.of([batch], bs)
-    if init is None:
-        init = initial_guess_full(batch, bs)
-    return _solve(system, init, cfg)
+    return _solve(system, batch, bs, init, cfg, np.zeros(bs.n_dim))
 
 
 def solve_prior_velocity(batch: MeasurementBatch, bs: BsConstellation,
@@ -342,9 +415,7 @@ def solve_prior_velocity(batch: MeasurementBatch, bs: BsConstellation,
     the least-squares fit of ``[(rho - h) / sigma, R (mean - v)]`` with
     ``R^T R`` the prior information matrix."""
     system = WhitenedSystem.of([batch], bs, priors=[prior])
-    if init is None:
-        init = initial_guess_full(batch, bs, v0=prior.mean)
-    return _solve(system, init, cfg)
+    return _solve(system, batch, bs, init, cfg, prior.mean)
 
 
 def solve_drift_only(batch: MeasurementBatch, bs: BsConstellation,

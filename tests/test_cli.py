@@ -282,3 +282,148 @@ class TestConfigHandling:
                                               "drift_ppm": 5.0}}))
         cfg, _ = scenario_from_config(load_config(path))
         assert cfg.clock.d == pytest.approx(1498.96229, rel=1e-9)
+
+
+def _good_batch_lines(capsys, seed="3"):
+    _, out, _ = run_cli(capsys, "simulate", "--seed", seed)
+    return out.strip().splitlines()
+
+
+def _with_field(lines, column, value, rows=slice(1, None)):
+    """The batch lines with ``column`` of the data ``rows`` set to
+    ``value``."""
+    lines = list(lines)
+    for i in range(len(lines))[rows]:
+        fields = lines[i].split(",")
+        fields[column] = value
+        lines[i] = ",".join(fields)
+    return lines
+
+
+def _solve_without_warnings(capsys, path, *extra):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "solve", "--batch", str(path),
+                                 *extra)
+    return code, out, err, [str(w.message) for w in caught]
+
+
+class TestBatchHardening:
+    """Batch CSVs that used to end in a traceback or in NaN output."""
+
+    @pytest.mark.parametrize("estimator", ["kvd", "uvd", "pvd", "d"])
+    @pytest.mark.parametrize("case, message", [
+        ("non-utf8", "error: cannot read batch"),
+        ("huge-index", "error: batch references a BS index out of range"),
+        ("tiny-sigma", "error: sigma must be strictly positive"),
+        ("huge-sigma", "error: sigma must be strictly positive"),
+    ])
+    def test_rejected_with_one_error_line(self, capsys, tmp_path, estimator,
+                                          case, message):
+        lines = _good_batch_lines(capsys)
+        path = tmp_path / "batch.csv"
+        if case == "non-utf8":
+            text = "\n".join(lines) + "\n"
+            path.write_bytes(text.encode() + b"0,0.08,\xff,0.1\n")
+        else:
+            column, value = {"huge-index": (0, str(10**30)),
+                             "tiny-sigma": (3, "1e-320"),
+                             "huge-sigma": (3, "1e308")}[case]
+            rows = slice(2, 3) if case == "huge-index" else slice(1, None)
+            path.write_text("\n".join(_with_field(lines, column, value, rows))
+                            + "\n")
+        code, out, err, caught = _solve_without_warnings(
+            capsys, path, "--estimator", estimator)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+        assert caught == []
+
+    def test_sigma_range_edges_accepted(self, capsys, tmp_path):
+        lines = _good_batch_lines(capsys)
+        path = tmp_path / "batch.csv"
+        for sigma in ("1e-150", "1e150"):
+            path.write_text("\n".join(_with_field(lines, 3, sigma)) + "\n")
+            code, out, err, caught = _solve_without_warnings(
+                capsys, path, "--estimator", "uvd")
+            assert (code, err, caught) == (0, "", [])
+            assert "nan" not in out and "inf" not in out
+
+
+class TestPriorStd:
+    @pytest.mark.parametrize("std", ["-2", "0", "nan", "inf", "1e-160",
+                                     "1e160"])
+    def test_solve_rejects_unusable_prior_std(self, capsys, tmp_path, std):
+        path = tmp_path / "batch.csv"
+        path.write_text("\n".join(_good_batch_lines(capsys)) + "\n")
+        code, out, err, caught = _solve_without_warnings(
+            capsys, path, "--estimator", "pvd", f"--prior-std={std}")
+        assert code == 1 and out == "" and caught == []
+        assert err.startswith("error: prior_std must be positive")
+
+    @pytest.mark.parametrize("std", ["-2", "0", "nan", "1e160"])
+    def test_crlb_rejects_unusable_prior_std(self, capsys, std):
+        code, out, err = run_cli(capsys, "crlb", f"--prior-std={std}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: prior_std must be positive")
+
+
+class TestSharedParser:
+    def test_calls_do_not_leak_into_each_other(self, capsys, tmp_path):
+        """One parser serves every call of a process: a usage error, a
+        help request and a failed solve in between leave a repeated solve
+        printing what it printed first."""
+        path = tmp_path / "batch.csv"
+        path.write_text("\n".join(_good_batch_lines(capsys)) + "\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("nope\n")
+        good = ("solve", "--batch", str(path), "--estimator", "pvd",
+                "--prior-mean", "1,2", "--prior-std", "3")
+        code, first, _ = run_cli(capsys, *good)
+        assert code == 0 and "converged=true" in first
+        with pytest.raises(SystemExit) as usage:
+            main(["solve", "--batch", str(path), "--estimator", "xyz"])
+        assert usage.value.code == 2
+        with pytest.raises(SystemExit) as shown:
+            main(["solve", "--help"])
+        assert shown.value.code == 0
+        assert "--estimator" in capsys.readouterr().out
+        code, _, err = run_cli(capsys, "solve", "--batch", str(bad),
+                               "--estimator", "uvd")
+        assert code == 1 and err.startswith("error:")
+        code, out, _ = run_cli(capsys, "crlb", "--prior-std", "0.5")
+        assert code == 0 and "pvd_crlb_rmse_m=" in out
+        code, again, _ = run_cli(capsys, *good)
+        assert code == 0
+        assert again == first
+
+
+class TestOverflowingTimes:
+    @pytest.mark.parametrize("estimator", ["kvd", "uvd", "pvd", "d"])
+    def test_epoch_at_the_float_limit_rejected(self, capsys, tmp_path,
+                                               estimator):
+        lines = _with_field(_good_batch_lines(capsys), 1, "1.7e+308",
+                            slice(1, 2))
+        path = tmp_path / "batch.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err, caught = _solve_without_warnings(
+            capsys, path, "--estimator", estimator)
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("error: the whitened design overflows")
+
+
+class TestWidePriorStd:
+    @pytest.mark.parametrize("std", ["1e80", "1e150"])
+    def test_accepted_without_warnings(self, capsys, tmp_path, std):
+        """A prior this wide leaves pvd at uvd; its variance squared
+        overflows, which the prior's symmetry check must not trip on."""
+        path = tmp_path / "batch.csv"
+        path.write_text("\n".join(_good_batch_lines(capsys)) + "\n")
+        code, out, err, caught = _solve_without_warnings(
+            capsys, path, "--estimator", "pvd", f"--prior-std={std}")
+        assert (code, err, caught) == (0, "", [])
+        assert "converged=true" in out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "crlb", f"--prior-std={std}")
+        assert (code, err, [str(w.message) for w in caught]) == (0, "", [])

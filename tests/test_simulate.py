@@ -311,3 +311,63 @@ class TestMixedOutcomeCell:
             outcomes.add("converged" if alone.converged else "max_iter")
         if solver_cfg is MIXED:
             assert outcomes == {"converged", "Diverged", "max_iter"}
+
+
+class TestSingleWindowIdentity:
+    """The harness and the public single-window path are one computation:
+    every converged trial of a stacked cell equals, bit for bit, the public
+    solve of that trial's batch, and that batch equals the one
+    ``synthesize_batch`` makes from the trial's stream."""
+
+    @pytest.mark.parametrize("study, spec", [
+        (study, spec)
+        for study in ("circular", "speed-sweep")
+        for spec in (EstimatorSpec(kind="kvd"),
+                     EstimatorSpec(kind="kvd", speed_deviation=0.5),
+                     EstimatorSpec(kind="uvd"),
+                     EstimatorSpec(kind="pvd"),
+                     EstimatorSpec(kind="pvd", prior_centering="nominal"),
+                     EstimatorSpec(kind="d"))
+        # a nominal-centred prior needs a constant-velocity trajectory
+        if study != "circular" or spec.nominal_prior_std is None
+    ], ids=lambda x: x if isinstance(x, str) else (
+        x.kind + ("-deviated" if x.speed_deviation else "")
+        + ("-nominal" if x.nominal_prior_std else "")))
+    def test_records_equal_public_solves(self, study, spec):
+        from seqloc.experiments import default_scenario
+
+        cfg = default_scenario(study, seed=20261018)
+        records = run_monte_carlo(cfg, spec, n_trials=30)
+        sampler = not hasattr(cfg.trajectory, "state_at")
+        converged = 0
+        for rec in records:
+            if spec.nominal_prior_std is None:
+                rng = trial_rng(cfg.seed, rec.trial)
+                traj = cfg.trajectory.realize(rng)
+                batch, truth = synthesize_batch(
+                    cfg, 0 if sampler else rec.trial, rng, trajectory=traj)
+                for field in ("bs_index", "t", "rho", "sigma", "dt"):
+                    assert np.array_equal(getattr(batch, field),
+                                          getattr(rec.batch, field))
+                assert batch.t_l == rec.batch.t_l
+                assert np.array_equal(truth.as_vector(),
+                                      rec.truth.as_vector())
+            if not rec.converged:
+                continue
+            converged += 1
+            alone = _solve_alone(rec, cfg.bs, spec.kind, SolverConfig())
+            assert type(alone.params) is type(rec.report.params)
+            assert np.array_equal(alone.params.as_vector(),
+                                  rec.report.params.as_vector())
+            assert alone.iterations == rec.report.iterations
+            assert alone.converged
+            assert alone.final_step_norm == rec.report.final_step_norm
+            assert np.array_equal(alone.covariance, rec.report.covariance)
+        assert converged > len(records) // 2
+
+    def test_circular_positions_follow_state_at(self):
+        traj = Circular(center=[50.0, 50.0], radius=30.0,
+                        angular_rate=1.0 / 3.0, phase=0.25)
+        times = np.linspace(-3.0, 40.0, 97).tolist()
+        assert np.array_equal(np.array(traj.positions(times)),
+                              np.array([traj.state_at(t)[0] for t in times]))

@@ -331,3 +331,80 @@ class TestSolveStack:
         assert sol.converged[0] == alone.converged
         assert sol.step_norm[0] == alone.final_step_norm
         assert np.array_equal(sol.covariance[0], alone.covariance)
+
+
+class TestOverflowedWindows:
+    """Windows whose whitened system overflows float64 fail with
+    DimensionMismatch, without a warning and without taking their stack
+    down (an SVD of a design holding inf may never return)."""
+
+    def test_overflowed_displacement_fails_only_its_window(
+            self, bs_square, moving_truth):
+        from seqloc.model import WhitenedSystem
+        from seqloc.solvers import initial_guess_kvd, solve_stack
+
+        # two seconds per slot: 1.7e308 m/s displaces the UD beyond float64
+        batch = canonical_batch(bs_square, moving_truth, slot=2.0)
+        v = [moving_truth.v, [1.7e308, 0.0], moving_truth.v]
+        system = WhitenedSystem.of([batch] * 3, bs_square, v_known=v)
+        start = initial_guess_kvd(batch, bs_square).as_vector()
+        sol = solve_stack(system, np.stack([start] * 3))
+        assert isinstance(sol.failures[1], DimensionMismatch)
+        assert "overflows" in str(sol.failures[1])
+        assert sol.failures[0] is None and sol.failures[2] is None
+        alone = solve_known_velocity(batch, bs_square, moving_truth.v)
+        for k in (0, 2):
+            assert np.array_equal(sol.theta[k], alone.params.as_vector())
+            assert np.array_equal(sol.covariance[k], alone.covariance)
+        with pytest.raises(DimensionMismatch, match="overflows"):
+            solve_known_velocity(batch, bs_square, v[1])
+
+    def test_whitened_times_that_overflow_rejected(self, bs_square):
+        times = [0.0, 1e308, 2e307, 3e307, 4e307, 5e307, 6e307, 7e307]
+        batch = make_batch(np.arange(8) % 4, times, rho=np.full(8, 20.0))
+        for solve in (solve_joint_velocity, solve_drift_only):
+            with pytest.raises(DimensionMismatch, match="overflows"):
+                solve(batch, bs_square)
+
+    def test_times_whose_offset_from_the_epoch_overflows_rejected(self):
+        with pytest.raises(DimensionMismatch, match="epoch must be finite"):
+            make_batch([0, 1, 2, 3], [1.7e308, -1.7e308, 0.0, 1.0],
+                       t_l=1.7e308)
+
+    def test_design_turning_nan_fails_its_window_in_loop_and_at_the_end(self):
+        from seqloc.solvers import solve_stack
+
+        class Stub:
+            """Three one-parameter windows fitting ``theta = target`` from
+            two equal rows; window 1's design is NaN once it moved."""
+
+            target = np.array([1.0, 2.0, 3.0])
+
+            def at(self, theta, live=None):
+                live = np.arange(3) if live is None else live
+                a = np.ones((len(live), 2, 1))
+                a[(live == 1) & (theta[:, 0] != 0.0)] = np.nan
+                z = np.repeat((self.target[live] - theta[:, 0])[:, None], 2,
+                              axis=1)
+                return a, z, None
+
+        for max_iter in (1, 3):  # fails at the covariance, then in the loop
+            sol = solve_stack(Stub(), np.zeros((3, 1)),
+                              SolverConfig(max_iter=max_iter))
+            assert isinstance(sol.failures[1], DimensionMismatch)
+            assert "overflows" in str(sol.failures[1])
+            assert sol.failures[0] is None and sol.failures[2] is None
+            assert np.allclose(sol.theta[[0, 2], 0], [1.0, 3.0],
+                               rtol=1e-12, atol=0)
+            assert np.allclose(sol.covariance[[0, 2], 0, 0], [0.5, 0.5],
+                               rtol=1e-12, atol=0)
+            assert np.isnan(sol.covariance[1]).all()
+            assert list(sol.converged) == [max_iter > 1, False, max_iter > 1]
+
+    def test_whitened_svd_rejects_inf_instead_of_hanging(self):
+        from seqloc.solvers import whitened_svd
+
+        a = np.ones((8, 4))
+        a[0, 0] = np.inf
+        with pytest.raises(DimensionMismatch, match="must be finite"):
+            whitened_svd(a)
