@@ -69,6 +69,7 @@ from .simulate import (
     ScenarioConfig,
     Stationary,
     TdmaSchedule,
+    TrialCell,
     TrialRecord,
     run_monte_carlo,
     synthesize_batch,

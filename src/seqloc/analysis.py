@@ -26,10 +26,13 @@ from .model import (  # noqa: F401
     VARIANTS,
     VelocityPrior,
     WhitenedSystem,
+    WindowStack,
     _row_norms,
+    _stack,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
+    prior_rows,
 )
 from .solvers import design_failures, well_conditioned
 
@@ -82,22 +85,36 @@ def _budgets(bias: np.ndarray, variance: np.ndarray,
                        failures=failures)
 
 
-def _designs_at_truth(batches, bs: BsConstellation, truths, variant: str,
-                      priors=None):
-    """Whitened designs of ``variant`` at the truths of T windows, and per
-    window None or the error that leaves its design unable to determine
-    the parameters (the solvers' rank rule)."""
+def _stacked(batches, truths, priors=None):
+    """T windows, their truths and velocity priors in the form the theory
+    runs on: a WindowStack, the true states ``[p, b, d, v]`` (T, 2N+2)
+    and the prior rows ``(R, mean)`` (see ``model.prior_rows``).  A draw's
+    arrays pass through; lists of MeasurementBatch, FullParams and
+    VelocityPrior, as the single-window API holds them, are stacked."""
+    if isinstance(batches, WindowStack):
+        return batches, truths, priors
+    return (WindowStack.of(batches),
+            _stack([truth.as_vector() for truth in truths]),
+            None if priors is None else prior_rows(priors,
+                                                   truths[0].n_dim))
+
+
+def _designs_at_truth(variant: str, bs: BsConstellation,
+                      windows: WindowStack, truth: np.ndarray, priors=None):
+    """Whitened designs of ``variant`` at the truths (T, 2N+2) of T
+    windows, and per window None or the error that leaves its design
+    unable to determine the parameters (the solvers' rank rule)."""
     if variant not in VARIANTS:
         raise RankDeficient(f"unknown estimator variant {variant!r}")
     if variant == "pvd" and priors is None:
         raise RankDeficient("prior-velocity FIM needs a velocity prior")
-    theta = np.stack([truth.as_vector() for truth in truths])
     n = bs.n_dim
-    system = WhitenedSystem.of(
-        batches, bs, v_known=theta[:, n + 2:] if variant == "kvd" else None,
-        priors=priors if variant == "pvd" else None)
+    root, mean = priors if variant == "pvd" else (None, None)
+    system = WhitenedSystem(
+        bs, windows.bs_index, windows.dt, windows.rho, windows.sigma,
+        truth[:, n + 2:] if variant == "kvd" else None, root, mean)
     # With a known velocity ``at`` reads only the leading [p, b, d].
-    a, _, degenerate = system.at(theta)
+    a, _, degenerate = system.at(truth)
     failures = [None] * len(a)
     design_failures(failures, np.arange(len(a)), degenerate,
                     well_conditioned(np.linalg.svd(a, compute_uv=False)))
@@ -120,8 +137,8 @@ def _inverse_fims(a: np.ndarray, failures: list) -> np.ndarray:
 def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
         variant: str, prior: VelocityPrior | None = None) -> FimMatrix:
     """Fisher information A^T A (= G^T W G) at the true parameters."""
-    a, failures = _designs_at_truth([batch], bs, [truth], variant,
-                                    None if prior is None else [prior])
+    a, failures = _designs_at_truth(variant, bs, *_stacked(
+        [batch], [truth], None if prior is None else [prior]))
     if failures[0] is not None:
         raise failures[0]
     return FimMatrix(matrix=a[0].T @ a[0], variant=variant)
@@ -139,8 +156,9 @@ def crlb(f: FimMatrix) -> np.ndarray:
 def theoretical_rmse_stack(variant: str, batches, bs: BsConstellation,
                            truths, priors=None) -> BudgetStack:
     """``theoretical_rmse`` of T windows at once (one prior per window for
-    ``pvd``)."""
-    a, failures = _designs_at_truth(batches, bs, truths, variant, priors)
+    ``pvd``), given as lists or as a draw's arrays (see ``_stacked``)."""
+    a, failures = _designs_at_truth(variant, bs,
+                                    *_stacked(batches, truths, priors))
     n = bs.n_dim
     variance = _inverse_fims(a, failures)[:, :n, :n]
     return _budgets(np.zeros((len(a), n)), variance, failures)
@@ -171,21 +189,24 @@ class KvdProjectors(NamedTuple):
                              [self.failures[k] for k in rows.tolist()])
 
 
-def kvd_projectors(batches, bs: BsConstellation, truths) -> KvdProjectors:
-    """The kvd projectors of T windows at their truths.  They depend on the
-    true velocity, not on an assumed one, so every known-velocity budget
-    of the same windows (kvd at any deviation, drift-only) shares them."""
-    a, failures = _designs_at_truth(batches, bs, truths, "kvd")
+def kvd_projectors(windows: WindowStack, bs: BsConstellation,
+                   truth: np.ndarray) -> KvdProjectors:
+    """The kvd projectors of T windows at their truths (T, 2N+2).  They
+    depend on the true velocity, not on an assumed one, so every
+    known-velocity budget of the same windows (kvd at any deviation,
+    drift-only) shares them."""
+    a, failures = _designs_at_truth("kvd", bs, windows, truth)
     inv_f = _inverse_fims(a, failures)
-    sigma = np.stack([batch.sigma for batch in batches])
-    return KvdProjectors((inv_f @ a.mT)[:, :bs.n_dim, :] / sigma[:, None, :],
-                         inv_f, failures)
+    return KvdProjectors(
+        (inv_f @ a.mT)[:, :bs.n_dim, :] / windows.sigma[:, None, :],
+        inv_f, failures)
 
 
 def _kvd_projector(batch: MeasurementBatch, bs: BsConstellation,
                    truth: FullParams):
     """``kvd_projectors`` of one window; raises its failure."""
-    projector, inv_f, failures = kvd_projectors([batch], bs, [truth])
+    windows, truths, _ = _stacked([batch], [truth])
+    projector, inv_f, failures = kvd_projectors(windows, bs, truths)
     if failures[0] is not None:
         raise failures[0]
     return projector[0], inv_f[0]
@@ -195,19 +216,20 @@ def bias_deviated_velocity_stack(batches, bs: BsConstellation, truths,
                                  v_assumed,
                                  projectors: KvdProjectors | None = None
                                  ) -> BudgetStack:
-    """``bias_deviated_velocity`` of T windows at once, ``v_assumed``
-    (T, N).  ``projectors`` are the windows' ``kvd_projectors`` when they
-    are already at hand."""
+    """``bias_deviated_velocity`` of T windows at once, given as lists or
+    as a draw's arrays (see ``_stacked``), ``v_assumed`` (T, N).
+    ``projectors`` are the windows' ``kvd_projectors`` when they are
+    already at hand."""
+    windows, truth, _ = _stacked(batches, truths)
     if projectors is None:
-        projectors = kvd_projectors(batches, bs, truths)
+        projectors = kvd_projectors(windows, bs, truth)
     projector, inv_f, failures = projectors
     v_assumed = np.asarray(v_assumed, dtype=float)
-    q = bs.positions[np.stack([batch.bs_index for batch in batches])]
-    dt = np.stack([batch.dt for batch in batches])[..., None]
-    p = np.stack([truth.p for truth in truths])[:, None, :]
-    v = np.stack([truth.v for truth in truths])[:, None, :]
-    r = _row_norms(q - p - dt * v) - _row_norms(q - p - dt * v_assumed[:, None])
     n = bs.n_dim
+    q = bs.positions[windows.bs_index]
+    dt = windows.dt[..., None]
+    p, v = truth[:, None, :n], truth[:, None, n + 2:]
+    r = _row_norms(q - p - dt * v) - _row_norms(q - p - dt * v_assumed[:, None])
     return _budgets((projector @ r[..., None])[..., 0], inv_f[:, :n, :n],
                     failures)
 

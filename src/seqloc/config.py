@@ -25,6 +25,7 @@ Example::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -81,7 +82,7 @@ def _value(section: dict, key: str, where: str, convert, default):
         return default
     try:
         return convert(section[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where} {key!r} is not numeric: "
                           f"{section[key]!r}") from exc
 
@@ -177,48 +178,47 @@ def scenario_from_config(raw: dict, experiment: str | None = None,
 
     cfg = default_scenario(name, seed=DEFAULT_SEED if seed is None else seed)
 
+    # One replace at the end, so the scenario is checked as a whole (a 3-D
+    # constellation with a 3-D trajectory, a new BS count with its order).
+    changes = {}
     if "bs" in raw:
         _check_keys(raw["bs"], {"positions"}, "bs")
-        cfg = replace(cfg, bs=BsConstellation(
-            _vector(raw["bs"], "positions", "bs")))
+        changes["bs"] = BsConstellation(_vector(raw["bs"], "positions", "bs"))
     if "trajectory" in raw:
-        cfg = replace(cfg, trajectory=_trajectory_from(raw["trajectory"]))
+        changes["trajectory"] = _trajectory_from(raw["trajectory"])
     if "clock" in raw:
-        cfg = replace(cfg, clock=_clock_from(raw["clock"]))
+        changes["clock"] = _clock_from(raw["clock"])
     if "schedule" in raw:
         sched = raw["schedule"]
         _check_keys(sched, {"slot_interval", "bs_order", "start_time",
                             "m_per_fix", "epoch_slot_offset"}, "schedule")
         base = cfg.schedule
-        cfg = replace(
-            cfg,
-            schedule=TdmaSchedule(
-                bs_order=_value(sched, "bs_order", "schedule",
-                                lambda v: tuple(int(i) for i in v),
-                                base.bs_order),
-                slot_interval=_number(sched, "slot_interval", "schedule",
-                                      base.slot_interval),
-                start_time=_number(sched, "start_time", "schedule",
-                                   base.start_time)),
-            m_per_fix=_number(sched, "m_per_fix", "schedule", cfg.m_per_fix,
-                              int),
-            epoch_slot_offset=_number(sched, "epoch_slot_offset", "schedule",
-                                      cfg.epoch_slot_offset, int))
+        changes["schedule"] = TdmaSchedule(
+            bs_order=sched.get("bs_order", base.bs_order),
+            slot_interval=_number(sched, "slot_interval", "schedule",
+                                  base.slot_interval),
+            start_time=_number(sched, "start_time", "schedule",
+                               base.start_time))
+        changes["m_per_fix"] = _number(sched, "m_per_fix", "schedule",
+                                       cfg.m_per_fix, int)
+        changes["epoch_slot_offset"] = _number(
+            sched, "epoch_slot_offset", "schedule", cfg.epoch_slot_offset, int)
     if "noise" in raw:
         _check_keys(raw["noise"], {"sigma"}, "noise")
-        cfg = replace(cfg, sigma=raw["noise"].get("sigma", cfg.sigma))
-    cfg = replace(cfg, seed=_number(raw, "seed", "config", cfg.seed, int),
-                  n_trials=_number(raw, "trials", "config", cfg.n_trials,
-                                   int))
+        changes["sigma"] = raw["noise"].get("sigma", cfg.sigma)
+    # ScenarioConfig checks the seed; int() here would truncate 1.5.
+    changes["seed"] = raw.get("seed", cfg.seed) if seed is None else seed
+    changes["n_trials"] = _number(raw, "trials", "config", cfg.n_trials, int)
     if "duration_s" in exp_section:
-        window = cfg.m_per_fix * cfg.schedule.slot_interval
-        cfg = replace(cfg, n_trials=int(round(
-            _number(exp_section, "duration_s", "experiment") / window)))
-
-    if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
+        window = (changes.get("m_per_fix", cfg.m_per_fix)
+                  * changes.get("schedule", cfg.schedule).slot_interval)
+        fixes = _number(exp_section, "duration_s", "experiment") / window
+        if not math.isfinite(fixes):
+            raise ConfigError("experiment duration_s must be finite")
+        changes["n_trials"] = int(round(fixes))
     if trials is not None:
-        cfg = replace(cfg, n_trials=int(trials))
+        changes["n_trials"] = int(trials)
+    cfg = replace(cfg, **changes)
 
     spec = None
     if name is not None:
@@ -228,7 +228,8 @@ def scenario_from_config(raw: dict, experiment: str | None = None,
                                        lambda v: tuple(float(g) for g in v),
                                        _REQUIRED)
         if "estimators" in exp_section:
-            overrides["estimators"] = tuple(exp_section["estimators"])
+            overrides["estimators"] = _value(exp_section, "estimators",
+                                             "experiment", tuple, _REQUIRED)
         if "prior_std" in exp_section:
             overrides["prior_std"] = _number(exp_section, "prior_std",
                                              "experiment")

@@ -1,5 +1,8 @@
 """Experiment harness: the six study configurations, empirical statistics,
-result tables and deterministic CSV/SVG emission.
+result tables and deterministic CSV/SVG emission.  Each (sweep value,
+estimator) cell is aggregated from the columns of its ``TrialCell``
+(``simulate``): no per-trial object is built between the draw and the
+CSV.
 
 Experiments (one CSV per sweep, written with 9 significant digits):
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +41,6 @@ from .simulate import (
     draw_trials,
     solve_trials,
     with_seed,
-    with_sigma,
-    with_speed,
 )
 # Unused here but stays bound in this namespace: perfbench/tracer.py
 # patches run_monte_carlo by module path.
@@ -92,8 +93,9 @@ class RmseResult:
 
 
 def empirical_rmse(errors) -> RmseResult:
-    """Root mean squared Euclidean error plus per-axis components."""
-    arr = np.atleast_2d(np.asarray(list(errors), dtype=float))
+    """Root mean squared Euclidean error plus per-axis components of the
+    position errors (G, N) (an array or a list of rows)."""
+    arr = np.atleast_2d(np.asarray(errors, dtype=float))
     if arr.size == 0:
         raise EmptyInput("no errors to aggregate")
     rmse = float(np.sqrt(np.mean(np.sum(arr**2, axis=1))))
@@ -236,9 +238,12 @@ def point_seed(seed: int, point_index: int) -> int:
 def _scenario_for_point(name: str, cfg: ScenarioConfig,
                         value: float) -> ScenarioConfig:
     if name in ("stationary-noise", "noise-sweep-uvd-pvd"):
-        return with_sigma(cfg, value)
+        return replace(cfg, sigma=float(value))
     if name in ("speed-sweep", "speed-compare"):
-        return with_speed(cfg, value)
+        if not isinstance(cfg.trajectory, RandomPlacement):
+            raise ConfigError("speed sweeps need a RandomPlacement trajectory")
+        return replace(cfg, trajectory=replace(cfg.trajectory,
+                                               speed=float(value)))
     return cfg
 
 
@@ -253,33 +258,31 @@ def _estimator_spec(name: str, estimator: str, value: float,
     return EstimatorSpec(kind=estimator)
 
 
-def _cell_theory(kind: str, recs: list, bs: BsConstellation,
+def _cell_theory(kind: str, cell, rows: np.ndarray, bs: BsConstellation,
                  projectors: analysis.KvdProjectors | None):
-    """(theoretical RMSE, CRLB RMSE) of each trial in ``recs`` whose theory
-    is defined at its truth, evaluated for the whole cell at once.  kvd
-    and d cells take their rows of ``projectors``, the kvd projectors of
-    every trial of the draw."""
-    if not recs:
-        return []
-    batches = [r.batch for r in recs]
-    truths = [r.truth for r in recs]
+    """Theoretical and CRLB RMSE (two lists) of each trial ``rows`` of the
+    TrialCell ``cell`` whose theory is defined at its truth, evaluated for
+    all of them at once.  kvd and d cells take their rows of
+    ``projectors``, the kvd projectors of every trial of the draw."""
+    if not rows.size:
+        return [], []
+    windows, truth = cell.draws.win.take(rows), cell.draws.truth[rows]
     if kind in ("kvd", "d"):
         # Movement bias of the drift-only baseline, deviation bias of kvd
         # (zero when the assumed velocity is the true one).
-        v = ([r.v_assumed for r in recs] if kind == "kvd"
-             else np.zeros((len(recs), bs.n_dim)))
+        v = (cell.v_assumed[rows] if kind == "kvd"
+             else np.zeros((rows.size, bs.n_dim)))
         budgets = analysis.bias_deviated_velocity_stack(
-            batches, bs, truths, v,
-            projectors.take([r.trial for r in recs]))
+            windows, bs, truth, v, projectors.take(rows))
         crlb = np.sqrt(np.trace(budgets.variance, axis1=-2, axis2=-1))
     else:
-        budgets = analysis.theoretical_rmse_stack(
-            kind, batches, bs, truths,
-            priors=[r.prior for r in recs] if kind == "pvd" else None)
+        priors = (None if cell.prior_root is None
+                  else (cell.prior_root[rows], cell.prior_mean[rows]))
+        budgets = analysis.theoretical_rmse_stack(kind, windows, bs, truth,
+                                                  priors=priors)
         crlb = budgets.rmse
-    return [(theo, bound) for theo, bound, failure
-            in zip(budgets.rmse.tolist(), crlb.tolist(), budgets.failures)
-            if failure is None]
+    ok = [k for k, failure in enumerate(budgets.failures) if failure is None]
+    return budgets.rmse[ok].tolist(), crlb[ok].tolist()
 
 
 def run_experiment(spec: ExperimentSpec,
@@ -288,11 +291,13 @@ def run_experiment(spec: ExperimentSpec,
 
     The estimator cells of one sweep value share one ``draw_trials``
     (a nominal-prior pvd cell draws its own), and its kvd and d cells
-    share the kvd projectors of that draw.  Non-converged or failed
-    trials are excluded from the empirical RMSE and reported through the
-    ``non_converged`` column.  Theory columns aggregate the per-trial
-    true-parameter values as root mean squares, over the converged trials
-    whose theory is defined at the truth.
+    share the kvd projectors of that draw.  Each cell is aggregated from
+    the columns of its ``TrialCell``; ``records`` maps (sweep value,
+    estimator) to that cell.  Non-converged or failed trials are excluded
+    from the empirical RMSE and reported through the ``non_converged``
+    column.  Theory columns aggregate the per-trial true-parameter values
+    as root mean squares, over the converged trials whose theory is
+    defined at the truth.
     """
     if cfg is None:
         cfg = default_scenario(spec.name)
@@ -309,24 +314,27 @@ def run_experiment(spec: ExperimentSpec,
             key = espec.nominal_prior_std
             if key not in draws:
                 draws[key] = draw_trials(cfg_pt, nominal_std=key)
-            recs = solve_trials(espec, draws[key])
-            records[(value, estimator)] = recs
-            good = [r for r in recs if r.converged]
+            cell = solve_trials(espec, draws[key])
+            records[(value, estimator)] = cell
+            good = np.flatnonzero(cell.converged)
             emp = theo = crl = float("nan")
-            if good:
-                emp = empirical_rmse([r.position_error for r in good]).rmse
-            if estimator in ("kvd", "d") and good and projectors is None:
+            if good.size:
+                emp = empirical_rmse(cell.position_errors()).rmse
+            if estimator in ("kvd", "d") and good.size and projectors is None:
                 # Both use the true-velocity design of the plain draw.
                 projectors = analysis.kvd_projectors(
-                    draws[key].batches, cfg_pt.bs, draws[key].truths)
-            theory = _cell_theory(estimator, good, cfg_pt.bs, projectors)
+                    draws[key].win, cfg_pt.bs, draws[key].truth)
+            theory, bound = _cell_theory(estimator, cell, good, cfg_pt.bs,
+                                         projectors)
             if theory:
-                theo = float(np.sqrt(np.mean([t[0] ** 2 for t in theory])))
-                crl = float(np.sqrt(np.mean([t[1] ** 2 for t in theory])))
+                # Python's t ** 2 can differ from numpy's square in the
+                # last bit; the CSVs are pinned to the former.
+                theo = float(np.sqrt(np.mean([t ** 2 for t in theory])))
+                crl = float(np.sqrt(np.mean([t ** 2 for t in bound])))
             rows.append(ResultRow(
                 sweep_value=float(value), estimator=estimator,
                 empirical_rmse=emp, theoretical_rmse=theo, crlb_rmse=crl,
-                trials=len(recs), non_converged=len(recs) - len(good)))
+                trials=len(cell), non_converged=len(cell) - good.size))
     return ExperimentResult(spec=spec, scenario=cfg, rows=tuple(rows),
                             records=records)
 
@@ -352,21 +360,28 @@ def _write_sweep_csv(result: ExperimentResult, out_dir: Path) -> Path:
     return path
 
 
+def _circular_errors(result: ExperimentResult, row: ResultRow):
+    """The position errors (G, N) of the converged fixes of ``row`` and
+    the CDF of their Euclidean norms (``np.linalg.norm`` of each row: the
+    square root of its dot product with itself)."""
+    cell = result.records[(result.spec.grid[0], row.estimator)]
+    errors = cell.position_errors()
+    norms = np.sqrt((errors[:, None, :] @ errors[:, :, None])[:, 0, 0])
+    return errors, error_cdf(norms.tolist())
+
+
 def _write_circular_csvs(result: ExperimentResult, out_dir: Path):
-    value = result.spec.grid[0]
     summary = ["estimator,rmse_x_m,rmse_y_m,rmse_pos_m,crlb_rmse_m,"
                "fixes,non_converged"]
     cdf_lines = ["estimator,error_m,cum_fraction"]
     for row in result.rows:
-        recs = result.records[(value, row.estimator)]
-        good = [r for r in recs if r.converged]
-        stats = empirical_rmse([r.position_error for r in good])
+        errors, cdf = _circular_errors(result, row)
+        stats = empirical_rmse(errors)
         summary.append(",".join([
             row.estimator, _fmt(stats.per_axis[0]), _fmt(stats.per_axis[1]),
             _fmt(stats.rmse), _fmt(row.crlb_rmse), str(row.trials),
             str(row.non_converged)]))
-        norms = [float(np.linalg.norm(r.position_error)) for r in good]
-        for err, frac in error_cdf(norms):
+        for err, frac in cdf:
             cdf_lines.append(f"{row.estimator},{_fmt(err)},{_fmt(frac)}")
     s_path = out_dir / "circular_summary.csv"
     c_path = out_dir / "circular_cdf.csv"
@@ -405,13 +420,9 @@ def _axis_labels(name: str):
 def _write_svg(result: ExperimentResult, out_dir: Path) -> Path:
     path = out_dir / f"{result.spec.name}.svg"
     if result.spec.name == "circular":
-        value = result.spec.grid[0]
         series = []
         for row in result.rows:
-            recs = result.records[(value, row.estimator)]
-            norms = [float(np.linalg.norm(r.position_error))
-                     for r in recs if r.converged]
-            pairs = error_cdf(norms)
+            pairs = _circular_errors(result, row)[1]
             series.append((row.estimator, [p[0] for p in pairs],
                            [p[1] for p in pairs]))
         line_chart(series, path, title="position error CDF",

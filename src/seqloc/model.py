@@ -27,6 +27,7 @@ the package by short ids:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,15 @@ def _trusted(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _trusted_params(vec: np.ndarray, n_dim: int):
+    """KvdParams ``[p, b, d]`` or FullParams ``[p, b, d, v]`` over a
+    read-only row ``vec`` that the caller checked finite."""
+    b, d = float(vec[n_dim]), float(vec[n_dim + 1])
+    if vec.size == n_dim + 2:
+        return _trusted(KvdParams, p=vec[:n_dim], b=b, d=d)
+    return _trusted(FullParams, p=vec[:n_dim], b=b, d=d, v=vec[n_dim + 2:])
 
 
 @dataclass(frozen=True)
@@ -452,6 +462,48 @@ def _stack(arrays) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+class WindowStack(NamedTuple):
+    """T windows of M measurements as stacked arrays: ``bs_index``, ``t``,
+    ``rho``, ``sigma`` and ``dt`` (T, M), epochs ``t_l`` (T,)."""
+
+    bs_index: np.ndarray
+    t: np.ndarray
+    rho: np.ndarray
+    sigma: np.ndarray
+    t_l: np.ndarray
+    dt: np.ndarray
+
+    @classmethod
+    def of(cls, batches) -> "WindowStack":
+        """The stack of validated ``batches`` of one length."""
+        return cls(*(_stack([getattr(batch, name) for batch in batches])
+                     for name in ("bs_index", "t", "rho", "sigma")),
+                   np.array([batch.t_l for batch in batches]),
+                   _stack([batch.dt for batch in batches]))
+
+    def take(self, rows) -> "WindowStack":
+        """The windows ``rows``, in that order."""
+        return WindowStack(*(arr[rows] for arr in self))
+
+    def batch(self, k: int) -> MeasurementBatch:
+        """Window ``k`` as a MeasurementBatch over read-only rows of the
+        stack, which was validated as a whole."""
+        return _trusted(MeasurementBatch, bs_index=self.bs_index[k],
+                        t=self.t[k], rho=self.rho[k], sigma=self.sigma[k],
+                        t_l=float(self.t_l[k]), dt=self.dt[k])
+
+
+def prior_rows(priors, n_dim: int):
+    """The prior rows of ``WhitenedSystem`` for one VelocityPrior per
+    window: the upper Cholesky factors ``R`` of the prior informations
+    (T, N, N) and the means (T, N)."""
+    if any(prior.n_dim != n_dim for prior in priors):
+        raise DimensionMismatch("prior dimension does not match BSs")
+    weight = np.linalg.inv(_stack([prior.covariance for prior in priors]))
+    return np.linalg.cholesky(weight).mT, _stack([prior.mean
+                                                  for prior in priors])
+
+
 class WhitenedSystem:
     """The weighted least-squares system of all four estimators and their
     error theory, for a stack of T windows of M measurements each: design
@@ -519,11 +571,7 @@ class WhitenedSystem:
             v_known = np.asarray(v_known, dtype=float)
         root = mean = None
         if priors is not None:
-            if any(prior.n_dim != bs.n_dim for prior in priors):
-                raise DimensionMismatch("prior dimension does not match BSs")
-            weight = np.linalg.inv(_stack([pr.covariance for pr in priors]))
-            root = np.linalg.cholesky(weight).mT
-            mean = _stack([prior.mean for prior in priors])
+            root, mean = prior_rows(priors, bs.n_dim)
         return cls(bs, _stack([b.bs_index for b in batches]),
                    _stack([b.dt for b in batches]),
                    _stack([b.rho for b in batches]),

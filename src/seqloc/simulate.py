@@ -5,47 +5,55 @@ Reproducibility contract: trial ``k`` of a scenario draws everything from
 ``numpy.random.default_rng([seed, k])`` (PCG64 seeded through
 SeedSequence), so its inputs do not depend on which other trials run with
 it.  Within a trial the draw order is fixed: trajectory placement draws
-first (when the trajectory is a random sampler), then the true velocity
-(for a prior centred on the nominal one), then one standard normal per
-measurement.
+first (when the trajectory is a random sampler: two position uniforms,
+then the heading uniform), then the true velocity (for a prior centred on
+the nominal one), then one standard normal per measurement.
 
-The Monte Carlo driver runs in two steps.  ``draw_trials`` makes these
-draws trial by trial, then synthesizes and validates all windows as one
-stack; ``solve_trials`` solves and records that stack for one estimator,
+A Monte Carlo cell is columnar from the draw to the statistics.
+``draw_trials`` makes each trial's draws into rows of ``(T, ...)``
+arrays, then synthesizes and validates all windows and truths as one
+stack; ``solve_trials`` solves that stack for one estimator and returns
+a ``TrialCell``: the trials' parameter vectors, iteration counts,
+convergence flags, step norms, covariances and error names as columns,
 with the same floating-point operations per trial as the single-window
-path, so a trial's outputs are bit-identical to solving it alone.  The
-draws depend on the estimator only through a nominal-centred prior, so
-the experiment harness draws once per sweep value and lets every other
-estimator cell share that draw; a nominal-prior ``pvd`` cell draws its
-own."""
+path, so a trial's outputs are bit-identical to solving it alone.  No
+per-trial object is built on the way; indexing a cell builds the
+``TrialRecord`` of one trial on demand.  The draws depend on the
+estimator only through a nominal-centred prior, so the experiment harness
+draws once per sweep value and lets every other estimator cell share that
+draw; a nominal-prior ``pvd`` cell draws its own."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SeqlocError
+from .errors import ConfigError, DimensionMismatch, SeqlocError
 from .model import (
     BsConstellation,
     FullParams,
     MeasurementBatch,
     VelocityPrior,
     WhitenedSystem,
+    WindowStack,
     _freeze,
     _frozen_array,
     _require_finite,
     _require_sigma,
     _row_norms,
     _trusted,
+    _trusted_params,
 )
 # The solve_* names are unused here but stay bound in this namespace:
 # perfbench/tracer.py patches them by module path.
 from .solvers import (  # noqa: F401
     EstimateReport,
     SolverConfig,
+    StackSolution,
     initial_vectors,
     solve_drift_only,
     solve_joint_velocity,
@@ -61,24 +69,9 @@ ESTIMATOR_KINDS = ("kvd", "uvd", "pvd", "d")
 
 
 @dataclass(frozen=True)
-class Stationary:
-    """UD fixed at ``p0``."""
-
-    p0: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p0", _frozen_array(np.atleast_1d(self.p0)))
-
-    def state_at(self, t: float):
-        return self.p0, np.zeros_like(self.p0)
-
-    def realize(self, rng) -> "Stationary":
-        return self
-
-
-@dataclass(frozen=True)
 class ConstantVelocity:
-    """UD at ``p0`` at ``t_ref`` moving with constant velocity ``v``."""
+    """UD at ``p0`` at ``t_ref`` moving with constant velocity ``v``; with
+    ``p0`` and ``v`` of shape (T, N), T such UDs at once."""
 
     p0: np.ndarray
     v: np.ndarray
@@ -91,8 +84,23 @@ class ConstantVelocity:
     def state_at(self, t: float):
         return self.p0 + self.v * (t - self.t_ref), self.v
 
+    def states(self, times):
+        """Positions and velocities (..., M, N) at the ``times`` (..., M),
+        as ``state_at`` computes them; UD k moves along row k of the
+        times."""
+        v = self.v[..., None, :]
+        p = self.p0[..., None, :] + v * (times - self.t_ref)[..., None]
+        return p, np.broadcast_to(v, p.shape)
+
     def realize(self, rng) -> "ConstantVelocity":
         return self
+
+
+class Stationary(ConstantVelocity):
+    """UD fixed at ``p0``: a ConstantVelocity at zero velocity."""
+
+    def __init__(self, p0):
+        super().__init__(p0=p0, v=np.zeros(np.size(p0)))
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,10 @@ class Circular:
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
         if center.size != 2:
             raise ConfigError("circular trajectories are 2-D")
-        if not (self.radius > 0 and np.isfinite(self.angular_rate)):
-            raise ConfigError("radius must be positive and rate finite")
+        if not (0 < self.radius < math.inf and math.isfinite(self.phase)
+                and math.isfinite(self.angular_rate)):
+            raise ConfigError("radius must be positive and finite, rate "
+                              "and phase finite")
         object.__setattr__(self, "center", _frozen_array(center))
 
     def state_at(self, t: float):
@@ -120,17 +130,30 @@ class Circular:
             [-math.sin(ang), math.cos(ang)])
         return p, v
 
-    def positions(self, times) -> list:
-        """Positions ``[x, y]`` at the float ``times``: ``state_at``'s
-        arithmetic in scalar ``math``, without its arrays."""
-        cx, cy = self.center.tolist()
-        rate, phase, radius = self.angular_rate, self.phase, self.radius
-        out = []
-        for t in times:
-            ang = rate * t + phase
-            out.append([cx + radius * math.cos(ang),
-                        cy + radius * math.sin(ang)])
-        return out
+    def states(self, times):
+        """Positions and velocities (..., 2) at the float ``times`` (any
+        shape): ``state_at``'s arithmetic in scalar ``math`` (numpy's cos
+        and sin may differ in the last bit), without its arrays."""
+        times = np.asarray(times, dtype=float)
+        (cx, cy), radius = self.center.tolist(), self.radius
+        rate, phase = self.angular_rate, self.phase
+        speed = radius * rate
+        rows = []
+        try:
+            for t in times.ravel().tolist():
+                ang = rate * t + phase
+                c, s = math.cos(ang), math.sin(ang)
+                rows.append(((cx + radius * c, cy + radius * s),
+                             (speed * -s, speed * c)))
+        except ValueError as exc:  # math.cos(inf)
+            raise DimensionMismatch("circular trajectory angle overflows") \
+                from exc
+        states = np.array(rows).reshape(times.shape + (2, 2))
+        return states[..., 0, :], states[..., 1, :]
+
+    def positions(self, times) -> np.ndarray:
+        """The positions of ``states``."""
+        return self.states(times)[0]
 
     def realize(self, rng) -> "Circular":
         return self
@@ -143,7 +166,7 @@ class RandomPlacement:
 
     ``realize`` consumes three uniforms (x, y, heading) from the trial
     stream and yields a ConstantVelocity trajectory referenced to
-    ``t_ref``.
+    ``t_ref``; ``place`` does the same for many trials at once.
     """
 
     center: np.ndarray
@@ -155,8 +178,12 @@ class RandomPlacement:
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
         if center.size != 2:
             raise ConfigError("random placement samples a 2-D square")
-        if self.half_side <= 0 or self.speed < 0:
-            raise ConfigError("half_side must be positive and speed >= 0")
+        # rng.uniform needs a finite range 2 * half_side.
+        if not (all(map(math.isfinite, [*center.tolist(), self.t_ref,
+                                        2.0 * self.half_side, self.speed]))
+                and self.half_side > 0 and self.speed >= 0):
+            raise ConfigError("random placement needs a finite center and "
+                              "t_ref, half_side > 0 and speed >= 0, finite")
         object.__setattr__(self, "center", _frozen_array(center))
 
     def realize(self, rng) -> ConstantVelocity:
@@ -164,6 +191,18 @@ class RandomPlacement:
         heading = rng.uniform(0.0, 2.0 * math.pi)
         v = self.speed * np.array([math.cos(heading), math.sin(heading)])
         return ConstantVelocity(p0=self.center + offset, v=v, t_ref=self.t_ref)
+
+    def place(self, uniforms: np.ndarray) -> ConstantVelocity:
+        """``realize`` of T trials from their draws ``uniforms`` (T, 3), as
+        ConstantVelocity rows (T, 2): the same arithmetic, with
+        ``rng.uniform(low, high)`` as ``low + (high - low) * random()``."""
+        h = self.half_side
+        heading = (2.0 * math.pi) * uniforms[:, 2]
+        return ConstantVelocity(
+            p0=self.center + (-h + (h - -h) * uniforms[:, :2]),
+            v=self.speed * np.array([[math.cos(a), math.sin(a)]
+                                     for a in heading.tolist()]),
+            t_ref=self.t_ref)
 
 
 @dataclass(frozen=True)
@@ -193,11 +232,19 @@ class TdmaSchedule:
     start_time: float = 0.0
 
     def __post_init__(self):
-        order = tuple(int(i) for i in self.bs_order)
+        try:
+            if isinstance(self.bs_order, (str, bytes)):
+                raise TypeError
+            order = tuple(int(i) for i in self.bs_order)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError("bs_order must be a list of BS indices, got "
+                              f"{self.bs_order!r}") from exc
         if len(order) < 1 or len(set(order)) != len(order):
             raise ConfigError("bs_order must list each BS exactly once")
-        if self.slot_interval <= 0:
-            raise ConfigError("slot_interval must be positive")
+        if not (0 < self.slot_interval < math.inf
+                and math.isfinite(self.start_time)):
+            raise ConfigError("slot_interval must be positive and finite, "
+                              "start_time finite")
         object.__setattr__(self, "bs_order", order)
 
     def slot_times(self, first_slot: int, count: int) -> np.ndarray:
@@ -248,6 +295,22 @@ class ScenarioConfig:
             raise ConfigError("sigma must be scalar or one value per BS")
         if sorted(self.schedule.bs_order) != list(range(self.bs.n_bs)):
             raise ConfigError("bs_order must be a permutation of all BSs")
+        traj = self.trajectory
+        dims = {arr.size for arr in (getattr(traj, "p0", None),
+                                     getattr(traj, "v", None),
+                                     getattr(traj, "center", None))
+                if arr is not None}
+        if dims != {self.bs.n_dim}:
+            raise ConfigError(f"the trajectory must be {self.bs.n_dim}-D "
+                              f"like the base stations")
+        seed = self.seed
+        if isinstance(seed, float) and seed.is_integer():
+            seed = int(seed)
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or seed < 0):
+            raise ConfigError(f"seed must be a non-negative integer, got "
+                              f"{self.seed!r}")
+        object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "sigma", _frozen_array(sigma))
 
     def sigma_for(self, bs_index: np.ndarray) -> np.ndarray:
@@ -267,54 +330,38 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial)])
 
 
-def _positions(trajectories, times: np.ndarray) -> np.ndarray:
-    """UD positions (T, M, N): trial ``k``'s trajectory at its window times
-    ``times[k]``, through the same arithmetic as its ``state_at``."""
-    if all(type(traj) is ConstantVelocity for traj in trajectories):
-        p0 = np.stack([traj.p0 for traj in trajectories])[:, None, :]
-        v = np.stack([traj.v for traj in trajectories])[:, None, :]
-        t_ref = np.array([traj.t_ref for traj in trajectories], dtype=float)
-        return p0 + v * (times - t_ref[:, None])[..., None]
-    if all(type(traj) is Circular for traj in trajectories):
-        return np.array([traj.positions(row) for traj, row
-                         in zip(trajectories, times.tolist())])
-    return np.array([traj.state_at(t)[0]
-                     for traj, row in zip(trajectories, times)
-                     for t in row]).reshape(times.shape + (-1,))
-
-
-class _Windows(NamedTuple):
-    """T synthesized windows as stacked arrays: ``bs_index``, ``t``,
-    ``rho``, ``sigma`` and ``dt`` (T, M), epochs ``t_l`` (T,)."""
-
-    bs_index: np.ndarray
-    t: np.ndarray
-    rho: np.ndarray
-    sigma: np.ndarray
-    t_l: np.ndarray
-    dt: np.ndarray
-
-
-def _synthesize(cfg: ScenarioConfig, fix_index: np.ndarray, trajectories,
-                noise: np.ndarray | None) -> _Windows:
-    """Windows of fixes ``fix_index`` (T,) along ``trajectories`` (one
-    realized trajectory per window), with the standard-normal draws
-    ``noise`` (T, M) scaled by each measurement's sigma (noiseless when
-    None)."""
-    m = cfg.m_per_fix
+def _synthesize(cfg: ScenarioConfig, fix_index: np.ndarray, trajectory,
+                noise: np.ndarray | None):
+    """Windows of fixes ``fix_index`` (T,) along ``trajectory`` (its
+    ``states``), with the standard-normal draws ``noise`` (T, M) scaled by
+    each measurement's sigma (noiseless when None), and their true states
+    ``[p, b, d, v]`` (T, 2N+2) at the epochs: a WindowStack and an array,
+    validated finite and read-only.  A value that overflows fails with
+    DimensionMismatch instead of a warning."""
+    m, e, clock = cfg.m_per_fix, cfg.epoch_slot_offset, cfg.clock
     first_slot = (fix_index * m)[:, None]
-    times = cfg.schedule.slot_times(first_slot, m)
     bs_idx = cfg.schedule.slot_bs(first_slot, m)
     sigma = cfg.sigma_for(bs_idx)
-    positions = _positions(trajectories, times)
-    ranges = _row_norms(cfg.bs.positions[bs_idx] - positions)
-    offsets = cfg.clock.b0 + cfg.clock.d * (times - cfg.clock.t_ref)
-    rho = ranges + offsets
-    if noise is not None:
-        rho = rho + noise * sigma
-    t_l = times[:, cfg.epoch_slot_offset]
-    return _Windows(bs_index=bs_idx, t=times, rho=rho, sigma=sigma, t_l=t_l,
-                    dt=times - t_l[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        times = cfg.schedule.slot_times(first_slot, m)
+        _require_finite(times, "times")
+        dt = times - times[:, e, None]
+        _require_finite(dt, "times from the epoch")
+        positions, velocities = trajectory.states(times)
+        offsets = clock.b0 + clock.d * (times - clock.t_ref)
+        rho = _row_norms(cfg.bs.positions[bs_idx] - positions) + offsets
+        if noise is not None:
+            rho = rho + noise * sigma
+        _require_finite(rho, "pseudoranges")
+        # The true state at the epoch is the window's epoch column.
+        truth = np.concatenate([positions[:, e], offsets[:, e, None],
+                                np.full((len(times), 1), clock.d),
+                                velocities[:, e]], axis=1)
+        _require_finite(truth, "velocity")
+    win = WindowStack(bs_idx, times, rho, sigma, times[:, e], dt)
+    for arr in (*win, truth):
+        arr.setflags(write=False)
+    return win, truth
 
 
 def synthesize_batch(cfg: ScenarioConfig, fix_index: int,
@@ -329,23 +376,15 @@ def synthesize_batch(cfg: ScenarioConfig, fix_index: int,
     default).  Returns (MeasurementBatch, FullParams).
     """
     traj = cfg.trajectory if trajectory is None else trajectory
-    if not hasattr(traj, "state_at"):
+    if not hasattr(traj, "states"):
         raise ConfigError("trajectory sampler must be realized first")
     noise = None
     if not noiseless:
         if rng is None:
             raise ConfigError("noisy synthesis needs a random stream")
         noise = rng.standard_normal(cfg.m_per_fix)[None]
-    win = _synthesize(cfg, np.array([fix_index]), [traj], noise)
-    # Validated as arrays, as in draw_trials; sigma came from the scenario.
-    _require_finite(win.t, "times")
-    _require_finite(win.rho, "pseudoranges")
-    t_l = float(win.t_l[0])
-    batch = _trusted(MeasurementBatch, bs_index=_freeze(win.bs_index[0]),
-                     t=_freeze(win.t[0]), rho=_freeze(win.rho[0]),
-                     sigma=_freeze(win.sigma[0]), t_l=t_l,
-                     dt=_freeze(win.dt[0]))
-    return batch, truth_state(traj, cfg.clock, t_l)
+    win, truth = _synthesize(cfg, np.array([fix_index]), traj, noise)
+    return win.batch(0), _trusted_params(truth[0], cfg.bs.n_dim)
 
 
 @dataclass(frozen=True)
@@ -427,17 +466,14 @@ class TrialRecord:
 
 class TrialDraws(NamedTuple):
     """The trials of one scenario after their random draws: the stacked
-    windows, the true velocities at their epochs (T, N), one read-only
-    MeasurementBatch and one FullParams truth per trial, and for a draw
-    made for a nominal-prior pvd its prior width and the nominal
-    velocities (the prior means).  Every array is validated and
+    windows, the true states ``[p, b, d, v]`` at their epochs (T, 2N+2),
+    and for a draw made for a nominal-prior pvd its prior width and the
+    nominal velocities (the prior means).  Every array is validated and
     read-only, so any number of estimator cells can share one draw."""
 
     scenario: ScenarioConfig
-    win: _Windows
-    truth_v: np.ndarray
-    batches: list
-    truths: list
+    win: WindowStack
+    truth: np.ndarray
     nominal_std: float | None
     nominal_v: np.ndarray | None
 
@@ -448,146 +484,159 @@ def draw_trials(cfg: ScenarioConfig, n_trials: int | None = None,
     ``cfg.n_trials``) trials of ``cfg``.
 
     Each trial makes its draws from its own stream, in the order of the
-    module contract; then all trials are synthesized as one stack.  With
-    ``nominal_std`` (see ``EstimatorSpec.nominal_prior_std``) each trial's
-    true velocity is drawn from a prior of that width around its nominal
-    one, which costs one more normal vector per trial.
+    module contract, into one row of the uniform and normal arrays; then
+    all trials are synthesized as one stack.  With ``nominal_std`` (see
+    ``EstimatorSpec.nominal_prior_std``) each trial's true velocity is
+    drawn from a prior of that width around its nominal one, which costs
+    one more normal vector per trial.
     """
     n = cfg.n_trials if n_trials is None else int(n_trials)
     if n < 1:
         raise ConfigError("need at least one trial")
-    n_dim, m = cfg.bs.n_dim, cfg.m_per_fix
-    trajectories, nominal_v = [], []
-    noise = np.empty((n, m))
+    traj, n_dim = cfg.trajectory, cfg.bs.n_dim
+    sampler = isinstance(traj, RandomPlacement)
+    if nominal_std is not None and not (
+            sampler or isinstance(traj, ConstantVelocity)):
+        raise ConfigError("nominal prior centering needs a constant-velocity "
+                          "trajectory or sampler")
+    extra = 0 if nominal_std is None else n_dim
+    uniforms = np.empty((n, 3))
+    normals = np.empty((n, extra + cfg.m_per_fix))
+    # random(3) and one standard_normal(N + M) consume each stream exactly
+    # as uniform(size=2), uniform(), standard_normal(N), standard_normal(M).
     for k in range(n):
         rng = trial_rng(cfg.seed, k)
-        traj = cfg.trajectory.realize(rng)
-        if nominal_std is not None:
-            # The realized velocity becomes the prior mean; the actual
-            # truth is then drawn from that prior (one normal vector,
-            # before the measurement noise draws).
-            if not isinstance(traj, ConstantVelocity):
-                raise ConfigError(
-                    "nominal prior centering needs a constant-velocity "
-                    "trajectory or sampler")
-            nominal_v.append(traj.v)
-            true_v = traj.v + nominal_std * rng.standard_normal(n_dim)
-            traj = ConstantVelocity(p0=traj.p0, v=true_v, t_ref=traj.t_ref)
-        trajectories.append(traj)
-        noise[k] = rng.standard_normal(m)
+        if sampler:
+            rng.random(out=uniforms[k])
+        rng.standard_normal(out=normals[k])
 
+    nominal = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sampler:
+            traj = traj.place(uniforms)
+        if nominal_std is not None:
+            # The sampled velocity becomes the prior mean; the truth is
+            # drawn from that prior.
+            nominal = np.broadcast_to(traj.v, (n, n_dim))
+            traj = ConstantVelocity(traj.p0, traj.v + nominal_std
+                                    * normals[:, :n_dim], traj.t_ref)
     # Fixed trajectories advance through the TDMA schedule; per-trial
     # samplers restart the window at fix 0.
-    sampler = not hasattr(cfg.trajectory, "state_at")
-    win = _synthesize(cfg, np.zeros(n, dtype=int) if sampler else np.arange(n),
-                      trajectories, noise)
-    t_l = win.t_l.tolist()
-    states = [traj.state_at(t) for traj, t in zip(trajectories, t_l)]
-    truth_p = np.array([p for p, _ in states])
-    truth_v = np.array([v for _, v in states])
-    truth_b = cfg.clock.b0 + cfg.clock.d * (win.t_l - cfg.clock.t_ref)
-    for arr, what in ((win.t, "times"), (win.rho, "pseudoranges"),
-                      (truth_p, "position"), (truth_v, "velocity"),
-                      (truth_b, "clock offset")):
-        _require_finite(arr, what)
-    nominal = None if nominal_std is None else np.array(nominal_v)
-    for arr in (*win, truth_p, truth_v, nominal):
-        if arr is not None:
+    win, truth = _synthesize(cfg, np.zeros(n, dtype=int) if sampler
+                             else np.arange(n), traj, normals[:, extra:])
+    return TrialDraws(cfg, win, truth, nominal_std, nominal)
+
+
+class TrialCell(Sequence):
+    """The trials of one estimator over one draw as read-only columns:
+    trial indices, final parameter vectors ``theta`` (T, P), iteration
+    counts, convergence flags, last step norms, covariances (T, P, P),
+    per trial None or the name of the exception its single-window solve
+    raises, the kvd assumed velocities (T, N) and the pvd prior means
+    (T, N) and information roots (T, N, N), or None.  Indexing builds the
+    TrialRecord of one trial; the harness reads the columns."""
+
+    __slots__ = ("spec", "draws", "trial", "theta", "iterations",
+                 "converged", "step_norm", "covariance", "errors",
+                 "v_assumed", "prior_mean", "prior_root")
+
+    def __init__(self, spec: EstimatorSpec, draws: TrialDraws,
+                 sol: StackSolution, v_assumed=None, prior_mean=None,
+                 prior_root=None):
+        for arr in sol[:5]:
             arr.setflags(write=False)
-    d = float(cfg.clock.d)
-    b = truth_b.tolist()
-    # Rows of arrays validated as stacks; no per-trial re-validation.
-    batches = [_trusted(MeasurementBatch, bs_index=win.bs_index[k],
-                        t=win.t[k], rho=win.rho[k], sigma=win.sigma[k],
-                        t_l=t_l[k], dt=win.dt[k]) for k in range(n)]
-    truths = [_trusted(FullParams, p=truth_p[k], b=b[k], d=d, v=truth_v[k])
-              for k in range(n)]
-    return TrialDraws(cfg, win, truth_v, batches, truths, nominal_std,
-                      nominal)
+        self.spec, self.draws = spec, draws
+        self.trial = _freeze(np.arange(len(sol.theta)))
+        (self.theta, self.iterations, self.converged, self.step_norm,
+         self.covariance) = sol[:5]
+        self.errors = tuple(None if failure is None
+                            else type(failure).__name__
+                            for failure in sol.failures)
+        self.v_assumed, self.prior_mean = v_assumed, prior_mean
+        self.prior_root = prior_root
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+    def __getitem__(self, k):
+        rows = range(len(self))[k]
+        if isinstance(rows, range):
+            return [self._record(i) for i in rows]
+        return self._record(rows)
+
+    def _record(self, k: int) -> TrialRecord:
+        n = self.draws.scenario.bs.n_dim
+        error = self.errors[k]
+        prior = None
+        if self.prior_mean is not None:
+            std = self.spec.prior_std
+            prior = _trusted(VelocityPrior, mean=self.prior_mean[k],
+                             covariance=_frozen_array(std * std * np.eye(n)))
+        return TrialRecord(
+            trial=int(self.trial[k]), batch=self.draws.win.batch(k),
+            truth=_trusted_params(self.draws.truth[k], n),
+            report=None if error is not None else window_report(self, k, n),
+            error=error,
+            v_assumed=None if self.v_assumed is None else self.v_assumed[k],
+            prior=prior)
+
+    def position_errors(self) -> np.ndarray:
+        """Position errors (G, N) of the G converged trials, in trial
+        order."""
+        n = self.draws.scenario.bs.n_dim
+        return (self.theta[self.converged, :n]
+                - self.draws.truth[self.converged, :n])
 
 
 def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
-                 solver_cfg: SolverConfig = SolverConfig()
-                 ) -> list[TrialRecord]:
+                 solver_cfg: SolverConfig = SolverConfig()) -> TrialCell:
     """Solve every trial of ``draws`` with the estimator ``spec`` as one
-    stack (``solvers.solve_stack``) and record them in trial order.
+    stack (``solvers.solve_stack``) and return them as a TrialCell.
 
     ``draws`` must come from ``draw_trials`` with ``spec``'s
     ``nominal_prior_std``.  A trial the single-window solve would reject
-    is recorded with that exception's name in ``error`` and no report; it
-    never aborts the others.
+    keeps that exception's name in ``errors``; it never aborts the others.
     """
     if draws.nominal_std != spec.nominal_prior_std:
         raise ConfigError("trials were drawn for a different velocity prior")
     bs, win = draws.scenario.bs, draws.win
-    n, n_dim = len(draws.batches), bs.n_dim
-    v_known = root = mean = covariance = None
+    n, n_dim = len(win.t_l), bs.n_dim
+    truth_v = draws.truth[:, n_dim + 2:]
+    v_known = root = mean = None
     if spec.kind == "kvd":
-        v_known = assumed_velocities(draws.truth_v, spec.speed_deviation)
+        v_known = _freeze(assumed_velocities(truth_v, spec.speed_deviation))
     elif spec.kind == "d":
         v_known = np.zeros((n, n_dim))
     elif spec.kind == "pvd":
-        mean = draws.truth_v if draws.nominal_v is None else draws.nominal_v
-        covariance = _frozen_array(
-            spec.prior_std * spec.prior_std * np.eye(n_dim))
+        mean = truth_v if draws.nominal_v is None else draws.nominal_v
+        covariance = spec.prior_std * spec.prior_std * np.eye(n_dim)
         root = np.broadcast_to(
             np.linalg.cholesky(np.linalg.inv(covariance)).T, (n, n_dim, n_dim))
     try:
         system = WhitenedSystem(bs, win.bs_index, win.dt, win.rho, win.sigma,
                                 v_known, root, mean)
     except SeqlocError as exc:  # no window of this length can be solved
-        sol, failures = None, [exc] * n
+        p = n_dim + 2 if v_known is not None else 2 * n_dim + 2
+        sol = StackSolution(np.full((n, p), np.nan), np.zeros(n, dtype=int),
+                            np.zeros(n, dtype=bool), np.zeros(n),
+                            np.full((n, p, p), np.nan), [exc] * n)
     else:
         v0 = None
         if v_known is None:
             v0 = np.zeros((n, n_dim)) if mean is None else mean
         sol = solve_stack(system, initial_vectors(bs, win.bs_index, win.rho,
                                                   v0), solver_cfg)
-        failures = sol.failures
-    return _records(spec, draws, sol, failures, v_known, mean, covariance)
+    return TrialCell(spec, draws, sol,
+                     v_known if spec.kind == "kvd" else None, mean, root)
 
 
 def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
                     solver_cfg: SolverConfig = SolverConfig(),
-                    n_trials: int | None = None) -> list[TrialRecord]:
+                    n_trials: int | None = None) -> TrialCell:
     """Independent trials of one estimator over one scenario, in trial
     order: ``draw_trials`` then ``solve_trials``."""
     return solve_trials(
         spec, draw_trials(cfg, n_trials, spec.nominal_prior_std), solver_cfg)
-
-
-def _records(spec, draws, sol, failures, v_known, mean,
-             covariance) -> list[TrialRecord]:
-    """One TrialRecord per trial over read-only rows of the stacked arrays,
-    which were validated as stacks."""
-    for arr in (v_known, mean):
-        if arr is not None:
-            arr.setflags(write=False)
-    n = draws.scenario.bs.n_dim
-    records = []
-    for k, (batch, truth, failure) in enumerate(
-            zip(draws.batches, draws.truths, failures)):
-        report = None if failure is not None else window_report(sol, k, n)
-        prior = (None if mean is None else
-                 _trusted(VelocityPrior, mean=mean[k], covariance=covariance))
-        records.append(TrialRecord(
-            trial=k, batch=batch, truth=truth, report=report,
-            error=None if failure is None else type(failure).__name__,
-            v_assumed=v_known[k] if spec.kind == "kvd" else None,
-            prior=prior))
-    return records
-
-
-def with_speed(cfg: ScenarioConfig, speed: float) -> ScenarioConfig:
-    """Scenario copy with the sampler speed replaced."""
-    if not isinstance(cfg.trajectory, RandomPlacement):
-        raise ConfigError("speed sweeps need a RandomPlacement trajectory")
-    return replace(cfg, trajectory=replace(cfg.trajectory, speed=float(speed)))
-
-
-def with_sigma(cfg: ScenarioConfig, sigma: float) -> ScenarioConfig:
-    """Scenario copy with the noise level replaced."""
-    return replace(cfg, sigma=float(sigma))
 
 
 def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:

@@ -37,7 +37,7 @@ from .model import (  # noqa: F401
     _freeze,
     _require_finite,
     _row_norms,
-    _trusted,
+    _trusted_params,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
@@ -353,18 +353,12 @@ def _final_covariance(system: WhitenedSystem, theta: np.ndarray, final,
 
 
 def window_report(sol: StackSolution, k: int, n_dim: int) -> EstimateReport:
-    """The report of window ``k`` of a solved stack, which did not fail,
-    over read-only rows of its arrays.  The stack's iterates are finite
-    (a non-finite step fails its window), so the params are not validated
-    again."""
-    theta = sol.theta[k]
-    b, d = float(theta[n_dim]), float(theta[n_dim + 1])
-    if theta.size == n_dim + 2:
-        params = _trusted(KvdParams, p=theta[:n_dim], b=b, d=d)
-    else:
-        params = _trusted(FullParams, p=theta[:n_dim], b=b, d=d,
-                          v=theta[n_dim + 2:])
-    return EstimateReport(params=params, iterations=int(sol.iterations[k]),
+    """The report of window ``k`` of a solved stack (anything with the
+    columns of a StackSolution), which did not fail, over read-only rows
+    of its arrays.  The stack's iterates are finite (a non-finite step
+    fails its window), so the params are not validated again."""
+    return EstimateReport(params=_trusted_params(sol.theta[k], n_dim),
+                          iterations=int(sol.iterations[k]),
                           converged=bool(sol.converged[k]),
                           covariance=sol.covariance[k],
                           final_step_norm=float(sol.step_norm[k]))
