@@ -23,6 +23,7 @@ from .model import (  # noqa: F401
     BsConstellation,
     FullParams,
     MeasurementBatch,
+    PriorRows,
     VARIANTS,
     VelocityPrior,
     WhitenedSystem,
@@ -85,34 +86,34 @@ def _budgets(bias: np.ndarray, variance: np.ndarray,
                        failures=failures)
 
 
-def _stacked(batches, truths, priors=None):
+def _stacked(bs: BsConstellation, batches, truths, priors=None):
     """T windows, their truths and velocity priors in the form the theory
     runs on: a WindowStack, the true states ``[p, b, d, v]`` (T, 2N+2)
-    and the prior rows ``(R, mean)`` (see ``model.prior_rows``).  A draw's
-    arrays pass through; lists of MeasurementBatch, FullParams and
-    VelocityPrior, as the single-window API holds them, are stacked."""
-    if isinstance(batches, WindowStack):
-        return batches, truths, priors
-    return (WindowStack.of(batches),
-            _stack([truth.as_vector() for truth in truths]),
-            None if priors is None else prior_rows(priors,
-                                                   truths[0].n_dim))
+    and PriorRows.  Each is read by its own type, so a draw's arrays and
+    the lists of MeasurementBatch, FullParams and VelocityPrior that the
+    single-window API holds can be mixed."""
+    if not isinstance(batches, WindowStack):
+        batches = WindowStack.of(batches)
+    if not isinstance(truths, np.ndarray):
+        truths = _stack([truth.as_vector() for truth in truths])
+    if priors is not None and not isinstance(priors, PriorRows):
+        priors = prior_rows(priors, bs.n_dim)
+    return batches, truths, priors
 
 
 def _designs_at_truth(variant: str, bs: BsConstellation,
                       windows: WindowStack, truth: np.ndarray, priors=None):
     """Whitened designs of ``variant`` at the truths (T, 2N+2) of T
-    windows, and per window None or the error that leaves its design
-    unable to determine the parameters (the solvers' rank rule)."""
+    windows (with PriorRows for pvd), and per window None or the error
+    that leaves its design unable to determine the parameters (the
+    solvers' rank rule)."""
     if variant not in VARIANTS:
         raise RankDeficient(f"unknown estimator variant {variant!r}")
     if variant == "pvd" and priors is None:
         raise RankDeficient("prior-velocity FIM needs a velocity prior")
-    n = bs.n_dim
-    root, mean = priors if variant == "pvd" else (None, None)
     system = WhitenedSystem(
-        bs, windows.bs_index, windows.dt, windows.rho, windows.sigma,
-        truth[:, n + 2:] if variant == "kvd" else None, root, mean)
+        bs, windows, truth[:, bs.n_dim + 2:] if variant == "kvd" else None,
+        priors if variant == "pvd" else None)
     # With a known velocity ``at`` reads only the leading [p, b, d].
     a, _, degenerate = system.at(truth)
     failures = [None] * len(a)
@@ -138,7 +139,7 @@ def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
         variant: str, prior: VelocityPrior | None = None) -> FimMatrix:
     """Fisher information A^T A (= G^T W G) at the true parameters."""
     a, failures = _designs_at_truth(variant, bs, *_stacked(
-        [batch], [truth], None if prior is None else [prior]))
+        bs, [batch], [truth], None if prior is None else [prior]))
     if failures[0] is not None:
         raise failures[0]
     return FimMatrix(matrix=a[0].T @ a[0], variant=variant)
@@ -158,7 +159,7 @@ def theoretical_rmse_stack(variant: str, batches, bs: BsConstellation,
     """``theoretical_rmse`` of T windows at once (one prior per window for
     ``pvd``), given as lists or as a draw's arrays (see ``_stacked``)."""
     a, failures = _designs_at_truth(variant, bs,
-                                    *_stacked(batches, truths, priors))
+                                    *_stacked(bs, batches, truths, priors))
     n = bs.n_dim
     variance = _inverse_fims(a, failures)[:, :n, :n]
     return _budgets(np.zeros((len(a), n)), variance, failures)
@@ -205,7 +206,7 @@ def kvd_projectors(windows: WindowStack, bs: BsConstellation,
 def _kvd_projector(batch: MeasurementBatch, bs: BsConstellation,
                    truth: FullParams):
     """``kvd_projectors`` of one window; raises its failure."""
-    windows, truths, _ = _stacked([batch], [truth])
+    windows, truths, _ = _stacked(bs, [batch], [truth])
     projector, inv_f, failures = kvd_projectors(windows, bs, truths)
     if failures[0] is not None:
         raise failures[0]
@@ -220,7 +221,7 @@ def bias_deviated_velocity_stack(batches, bs: BsConstellation, truths,
     as a draw's arrays (see ``_stacked``), ``v_assumed`` (T, N).
     ``projectors`` are the windows' ``kvd_projectors`` when they are
     already at hand."""
-    windows, truth, _ = _stacked(batches, truths)
+    windows, truth, _ = _stacked(bs, batches, truths)
     if projectors is None:
         projectors = kvd_projectors(windows, bs, truth)
     projector, inv_f, failures = projectors

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, EmptyInput
-from .model import BsConstellation
+from .model import BsConstellation, PriorRows
 from .simulate import (
     Circular,
     ClockModel,
@@ -47,15 +47,6 @@ from .simulate import (
 from .simulate import run_monte_carlo  # noqa: F401
 from .svgplot import line_chart
 
-EXPERIMENT_NAMES = (
-    "stationary-noise",
-    "speed-sweep",
-    "velocity-deviation",
-    "noise-sweep-uvd-pvd",
-    "speed-compare",
-    "circular",
-)
-
 RESULT_COLUMNS = ("sweep_value", "estimator", "empirical_rmse_m",
                   "theoretical_rmse_m", "crlb_rmse_m", "trials",
                   "non_converged")
@@ -64,23 +55,16 @@ _SIGMA_GRID = tuple(float(s) for s in np.logspace(-2, 0, 5))
 _SPEED_GRID = (0.1, 1.0, 5.0, 10.0, 20.0)
 _DEVIATION_GRID = (0.0, 0.5, 1.0, 2.0, 5.0)
 
-_DEFAULT_GRIDS = {
-    "stationary-noise": _SIGMA_GRID,
-    "speed-sweep": _SPEED_GRID,
-    "velocity-deviation": _DEVIATION_GRID,
-    "noise-sweep-uvd-pvd": _SIGMA_GRID,
-    "speed-compare": _SPEED_GRID,
-    "circular": (10.0,),
+# Each study's default sweep grid and estimators.
+_DEFAULTS = {
+    "stationary-noise": (_SIGMA_GRID, ("kvd", "d")),
+    "speed-sweep": (_SPEED_GRID, ("kvd", "d")),
+    "velocity-deviation": (_DEVIATION_GRID, ("kvd",)),
+    "noise-sweep-uvd-pvd": (_SIGMA_GRID, ("uvd", "pvd")),
+    "speed-compare": (_SPEED_GRID, ("kvd", "pvd", "uvd")),
+    "circular": ((10.0,), ("kvd", "pvd", "uvd", "d")),
 }
-
-_DEFAULT_ESTIMATORS = {
-    "stationary-noise": ("kvd", "d"),
-    "speed-sweep": ("kvd", "d"),
-    "velocity-deviation": ("kvd",),
-    "noise-sweep-uvd-pvd": ("uvd", "pvd"),
-    "speed-compare": ("kvd", "pvd", "uvd"),
-    "circular": ("kvd", "pvd", "uvd", "d"),
-}
+EXPERIMENT_NAMES = tuple(_DEFAULTS)
 
 DEFAULT_SEED = 20260808
 CIRCULAR_DURATION_S = 360.0
@@ -126,12 +110,8 @@ def error_cdf(values):
     if not vals:
         raise EmptyInput("no samples for a CDF")
     n = len(vals)
-    pairs = []
-    for i, v in enumerate(vals):
-        if i + 1 < n and vals[i + 1] == v:
-            continue
-        pairs.append((v, (i + 1) / n))
-    return pairs
+    return [(v, (i + 1) / n) for i, v in enumerate(vals)
+            if i + 1 == n or vals[i + 1] != v]
 
 
 @dataclass(frozen=True)
@@ -164,15 +144,9 @@ class ExperimentSpec:
 def default_spec(name: str, **overrides) -> ExperimentSpec:
     if name not in EXPERIMENT_NAMES:
         raise ConfigError(f"unknown experiment {name!r}")
-    base = dict(name=name, grid=_DEFAULT_GRIDS[name],
-                estimators=_DEFAULT_ESTIMATORS[name])
-    base.update(overrides)
-    return ExperimentSpec(**base)
-
-
-def canonical_clock() -> ClockModel:
-    # 5 ppm oscillator drift expressed in range-rate units.
-    return ClockModel(b0=30.0, d=1498.96229)
+    grid, estimators = _DEFAULTS[name]
+    return ExperimentSpec(**{"name": name, "grid": grid,
+                             "estimators": estimators, **overrides})
 
 
 def default_scenario(name: str | None = None, seed: int = DEFAULT_SEED,
@@ -180,34 +154,25 @@ def default_scenario(name: str | None = None, seed: int = DEFAULT_SEED,
     """Baseline scenario for an experiment: the 30 m four-BS square with a
     randomly placed UD, or the 100 m square with the circular arc."""
     schedule = TdmaSchedule(bs_order=(0, 1, 2, 3), slot_interval=0.01)
+    # 5 ppm oscillator drift expressed in range-rate units.
+    common = dict(clock=ClockModel(b0=30.0, d=1498.96229), schedule=schedule,
+                  m_per_fix=8, sigma=0.1, seed=seed)
     if name == "circular":
         n_fixes = int(round(CIRCULAR_DURATION_S / (8 * schedule.slot_interval)))
         return ScenarioConfig(
             bs=BsConstellation([[0, 0], [100, 0], [100, 100], [0, 100]]),
             trajectory=Circular(center=[50, 50], radius=30.0,
                                 angular_rate=10.0 / 30.0),
-            clock=canonical_clock(),
-            schedule=schedule,
-            m_per_fix=8,
-            sigma=0.1,
-            seed=seed,
             n_trials=n_fixes,
             # The reference table for this scenario is only reproducible
             # with the epoch on the second reception of each window.
-            epoch_slot_offset=1,
-        )
+            epoch_slot_offset=1, **common)
     speed = 0.0 if name == "stationary-noise" else 5.0
     return ScenarioConfig(
         bs=BsConstellation([[0, 0], [30, 0], [30, 30], [0, 30]]),
         trajectory=RandomPlacement(center=[15, 15], half_side=5.0,
                                    speed=speed),
-        clock=canonical_clock(),
-        schedule=schedule,
-        m_per_fix=8,
-        sigma=0.1,
-        seed=seed,
-        n_trials=trials,
-    )
+        n_trials=trials, **common)
 
 
 @dataclass(frozen=True)
@@ -276,8 +241,8 @@ def _cell_theory(kind: str, cell, rows: np.ndarray, bs: BsConstellation,
             windows, bs, truth, v, projectors.take(rows))
         crlb = np.sqrt(np.trace(budgets.variance, axis1=-2, axis2=-1))
     else:
-        priors = (None if cell.prior_root is None
-                  else (cell.prior_root[rows], cell.prior_mean[rows]))
+        priors = (None if cell.prior is None
+                  else PriorRows(*(arr[rows] for arr in cell.prior)))
         budgets = analysis.theoretical_rmse_stack(kind, windows, bs, truth,
                                                   priors=priors)
         crlb = budgets.rmse
@@ -343,9 +308,10 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _write_lines(path: Path, lines) -> None:
+def _write_lines(path: Path, lines) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    return path
 
 
 def _write_sweep_csv(result: ExperimentResult, out_dir: Path) -> Path:
@@ -355,9 +321,7 @@ def _write_sweep_csv(result: ExperimentResult, out_dir: Path) -> Path:
             _fmt(r.sweep_value), r.estimator, _fmt(r.empirical_rmse),
             _fmt(r.theoretical_rmse), _fmt(r.crlb_rmse), str(r.trials),
             str(r.non_converged)]))
-    path = out_dir / f"{result.spec.name}.csv"
-    _write_lines(path, lines)
-    return path
+    return _write_lines(out_dir / f"{result.spec.name}.csv", lines)
 
 
 def _circular_errors(result: ExperimentResult, row: ResultRow):
@@ -383,11 +347,8 @@ def _write_circular_csvs(result: ExperimentResult, out_dir: Path):
             str(row.non_converged)]))
         for err, frac in cdf:
             cdf_lines.append(f"{row.estimator},{_fmt(err)},{_fmt(frac)}")
-    s_path = out_dir / "circular_summary.csv"
-    c_path = out_dir / "circular_cdf.csv"
-    _write_lines(s_path, summary)
-    _write_lines(c_path, cdf_lines)
-    return [s_path, c_path]
+    return [_write_lines(out_dir / "circular_summary.csv", summary),
+            _write_lines(out_dir / "circular_cdf.csv", cdf_lines)]
 
 
 def _write_manifest(result: ExperimentResult, out_dir: Path) -> Path:
@@ -404,9 +365,8 @@ def _write_manifest(result: ExperimentResult, out_dir: Path) -> Path:
         "epoch_slot_offset": cfg.epoch_slot_offset,
         "rng": RNG_ALGORITHM,
     }
-    path = out_dir / f"{spec.name}_run.json"
-    _write_lines(path, [json.dumps(manifest, sort_keys=True, indent=2)])
-    return path
+    return _write_lines(out_dir / f"{spec.name}_run.json",
+                        [json.dumps(manifest, sort_keys=True, indent=2)])
 
 
 def _axis_labels(name: str):

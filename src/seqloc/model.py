@@ -476,8 +476,10 @@ class WindowStack(NamedTuple):
     @classmethod
     def of(cls, batches) -> "WindowStack":
         """The stack of validated ``batches`` of one length."""
-        return cls(*(_stack([getattr(batch, name) for batch in batches])
-                     for name in ("bs_index", "t", "rho", "sigma")),
+        return cls(_stack([batch.bs_index for batch in batches]),
+                   _stack([batch.t for batch in batches]),
+                   _stack([batch.rho for batch in batches]),
+                   _stack([batch.sigma for batch in batches]),
                    np.array([batch.t_l for batch in batches]),
                    _stack([batch.dt for batch in batches]))
 
@@ -493,15 +495,22 @@ class WindowStack(NamedTuple):
                         t_l=float(self.t_l[k]), dt=self.dt[k])
 
 
-def prior_rows(priors, n_dim: int):
-    """The prior rows of ``WhitenedSystem`` for one VelocityPrior per
-    window: the upper Cholesky factors ``R`` of the prior informations
-    (T, N, N) and the means (T, N)."""
+class PriorRows(NamedTuple):
+    """The prior rows of ``WhitenedSystem`` for T windows: the upper
+    Cholesky factors ``R`` of the prior informations (T, N, N) and the
+    prior means (T, N)."""
+
+    root: np.ndarray
+    mean: np.ndarray
+
+
+def prior_rows(priors, n_dim: int) -> PriorRows:
+    """The PriorRows of one VelocityPrior per window."""
     if any(prior.n_dim != n_dim for prior in priors):
         raise DimensionMismatch("prior dimension does not match BSs")
     weight = np.linalg.inv(_stack([prior.covariance for prior in priors]))
-    return np.linalg.cholesky(weight).mT, _stack([prior.mean
-                                                  for prior in priors])
+    return PriorRows(np.linalg.cholesky(weight).mT,
+                     _stack([prior.mean for prior in priors]))
 
 
 class WhitenedSystem:
@@ -514,16 +523,18 @@ class WhitenedSystem:
     information.  Then ``A^T A = G^T W G`` and ``A^T z = G^T W r`` per
     window.
 
-    Every array has a leading trial axis: ``bs_index``, ``dt``, ``rho`` and
-    ``sigma`` are (T, M), ``v_known`` and ``prior_mean`` (T, N),
-    ``prior_root`` (T, N, N).  The constructor checks what the windows
-    cannot be solved without (measurement count, BS indices, velocity
-    shape); ``of`` builds the stack from validated batches and priors.
+    Every array has a leading trial axis: the ``windows`` (a WindowStack)
+    are (T, M), ``v_known`` is (T, N), ``priors`` are PriorRows.  The
+    constructor checks what the windows cannot be solved without
+    (measurement count, BS indices, velocity shape); ``of`` builds the
+    stack from validated batches and priors.
     """
 
-    def __init__(self, bs: BsConstellation, bs_index, dt, rho, sigma,
-                 v_known=None, prior_root=None, prior_mean=None):
+    def __init__(self, bs: BsConstellation, windows: WindowStack,
+                 v_known=None, priors: PriorRows | None = None):
         n = bs.n_dim
+        bs_index, dt, rho = windows.bs_index, windows.dt, windows.rho
+        prior_root, prior_mean = (None, None) if priors is None else priors
         count, m = bs_index.shape
         self.n_params = 2 * n + 2 if v_known is None else n + 2
         short = self.n_params - m - (0 if prior_root is None else n)
@@ -540,7 +551,7 @@ class WhitenedSystem:
             raise DimensionMismatch("prior dimension does not match BSs")
         self.n_dim = n
         self.q = bs.positions[bs_index]
-        self.dt, self.rho, self.w = dt, rho, 1.0 / sigma
+        self.dt, self.rho, self.w = dt, rho, 1.0 / windows.sigma
         # Per-row factors of the design, (T, M, 1): (-e) * w == e * (-w).
         self.dt_col, self.neg_w = dt[..., None], -self.w[..., None]
         self.v_known = v_known
@@ -567,15 +578,9 @@ class WhitenedSystem:
     def of(cls, batches, bs: BsConstellation, v_known=None, priors=None):
         """The stack of ``batches`` (one length M), with known velocities
         (T, N) or one VelocityPrior per window, or neither."""
-        if v_known is not None:
-            v_known = np.asarray(v_known, dtype=float)
-        root = mean = None
-        if priors is not None:
-            root, mean = prior_rows(priors, bs.n_dim)
-        return cls(bs, _stack([b.bs_index for b in batches]),
-                   _stack([b.dt for b in batches]),
-                   _stack([b.rho for b in batches]),
-                   _stack([b.sigma for b in batches]), v_known, root, mean)
+        return cls(bs, WindowStack.of(batches),
+                   None if v_known is None else np.asarray(v_known, float),
+                   None if priors is None else prior_rows(priors, bs.n_dim))
 
     def at(self, theta: np.ndarray, live=None):
         """Whitened designs ``A`` (L, rows, P), residuals ``z`` (L, rows)

@@ -9,25 +9,19 @@ first (when the trajectory is a random sampler: two position uniforms,
 then the heading uniform), then the true velocity (for a prior centred on
 the nominal one), then one standard normal per measurement.
 
-A Monte Carlo cell is columnar from the draw to the statistics.
-``draw_trials`` makes each trial's draws into rows of ``(T, ...)``
-arrays, then synthesizes and validates all windows and truths as one
-stack; ``solve_trials`` solves that stack for one estimator and returns
-a ``TrialCell``: the trials' parameter vectors, iteration counts,
-convergence flags, step norms, covariances and error names as columns,
-with the same floating-point operations per trial as the single-window
-path, so a trial's outputs are bit-identical to solving it alone.  No
-per-trial object is built on the way; indexing a cell builds the
-``TrialRecord`` of one trial on demand.  The draws depend on the
-estimator only through a nominal-centred prior, so the experiment harness
-draws once per sweep value and lets every other estimator cell share that
-draw; a nominal-prior ``pvd`` cell draws its own."""
+A Monte Carlo cell is columnar: ``draw_trials`` synthesizes all trials
+of a scenario as ``(T, ...)`` arrays and ``solve_trials`` solves them
+for one estimator into a ``TrialCell`` of columns, with the
+floating-point operations of the single-window path, so each trial is
+bit-identical to solving it alone; indexing the cell builds one
+``TrialRecord``.  Estimator cells can share a draw, except that a
+nominal-prior ``pvd`` cell needs its own."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +31,7 @@ from .model import (
     BsConstellation,
     FullParams,
     MeasurementBatch,
+    PriorRows,
     VelocityPrior,
     WhitenedSystem,
     WindowStack,
@@ -96,11 +91,16 @@ class ConstantVelocity:
         return self
 
 
+@dataclass(frozen=True)
 class Stationary(ConstantVelocity):
     """UD fixed at ``p0``: a ConstantVelocity at zero velocity."""
 
-    def __init__(self, p0):
-        super().__init__(p0=p0, v=np.zeros(np.size(p0)))
+    v: np.ndarray = field(init=False, repr=False)
+    t_ref: float = field(default=0.0, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "v", np.zeros(np.size(self.p0)))
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,12 @@ class Circular:
         object.__setattr__(self, "center", _frozen_array(center))
 
     def state_at(self, t: float):
-        ang = self.angular_rate * t + self.phase
-        p = self.center + self.radius * np.array([math.cos(ang), math.sin(ang)])
-        v = self.radius * self.angular_rate * np.array(
-            [-math.sin(ang), math.cos(ang)])
-        return p, v
+        return self.states(t)
 
     def states(self, times):
         """Positions and velocities (..., 2) at the float ``times`` (any
-        shape): ``state_at``'s arithmetic in scalar ``math`` (numpy's cos
-        and sin may differ in the last bit), without its arrays."""
+        shape), computed in scalar ``math``: numpy's cos and sin may
+        differ in the last bit."""
         times = np.asarray(times, dtype=float)
         (cx, cy), radius = self.center.tolist(), self.radius
         rate, phase = self.angular_rate, self.phase
@@ -166,7 +162,7 @@ class RandomPlacement:
 
     ``realize`` consumes three uniforms (x, y, heading) from the trial
     stream and yields a ConstantVelocity trajectory referenced to
-    ``t_ref``; ``place`` does the same for many trials at once.
+    ``t_ref``: ``place`` of one trial.
     """
 
     center: np.ndarray
@@ -178,7 +174,7 @@ class RandomPlacement:
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
         if center.size != 2:
             raise ConfigError("random placement samples a 2-D square")
-        # rng.uniform needs a finite range 2 * half_side.
+        # place() scales the uniforms by the range 2 * half_side.
         if not (all(map(math.isfinite, [*center.tolist(), self.t_ref,
                                         2.0 * self.half_side, self.speed]))
                 and self.half_side > 0 and self.speed >= 0):
@@ -187,15 +183,13 @@ class RandomPlacement:
         object.__setattr__(self, "center", _frozen_array(center))
 
     def realize(self, rng) -> ConstantVelocity:
-        offset = rng.uniform(-self.half_side, self.half_side, size=2)
-        heading = rng.uniform(0.0, 2.0 * math.pi)
-        v = self.speed * np.array([math.cos(heading), math.sin(heading)])
-        return ConstantVelocity(p0=self.center + offset, v=v, t_ref=self.t_ref)
+        placed = self.place(rng.random(3)[None])
+        return ConstantVelocity(placed.p0[0], placed.v[0], self.t_ref)
 
     def place(self, uniforms: np.ndarray) -> ConstantVelocity:
-        """``realize`` of T trials from their draws ``uniforms`` (T, 3), as
-        ConstantVelocity rows (T, 2): the same arithmetic, with
-        ``rng.uniform(low, high)`` as ``low + (high - low) * random()``."""
+        """T placements from the trials' uniforms (T, 3) in [0, 1), as
+        ConstantVelocity rows (T, 2): ``rng.uniform(low, high)``'s
+        ``low + (high - low) * random()``, headings in scalar ``math``."""
         h = self.half_side
         heading = (2.0 * math.pi) * uniforms[:, 2]
         return ConstantVelocity(
@@ -288,18 +282,14 @@ class ScenarioConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sigma must be a number or a list of "
                               f"numbers, got {self.sigma!r}") from exc
-        if sigma.ndim != 1:
+        if sigma.ndim != 1 or sigma.size not in (1, self.bs.n_bs):
             raise ConfigError("sigma must be scalar or one value per BS")
         _require_sigma(sigma, ConfigError)
-        if sigma.size not in (1, self.bs.n_bs):
-            raise ConfigError("sigma must be scalar or one value per BS")
         if sorted(self.schedule.bs_order) != list(range(self.bs.n_bs)):
             raise ConfigError("bs_order must be a permutation of all BSs")
-        traj = self.trajectory
-        dims = {arr.size for arr in (getattr(traj, "p0", None),
-                                     getattr(traj, "v", None),
-                                     getattr(traj, "center", None))
-                if arr is not None}
+        dims = {getattr(self.trajectory, name).size
+                for name in ("p0", "v", "center")
+                if hasattr(self.trajectory, name)}
         if dims != {self.bs.n_dim}:
             raise ConfigError(f"the trajectory must be {self.bs.n_dim}-D "
                               f"like the base stations")
@@ -348,7 +338,7 @@ def _synthesize(cfg: ScenarioConfig, fix_index: np.ndarray, trajectory,
         dt = times - times[:, e, None]
         _require_finite(dt, "times from the epoch")
         positions, velocities = trajectory.states(times)
-        offsets = clock.b0 + clock.d * (times - clock.t_ref)
+        offsets = clock.offset_at(times)
         rho = _row_norms(cfg.bs.positions[bs_idx] - positions) + offsets
         if noise is not None:
             rho = rho + noise * sigma
@@ -366,8 +356,7 @@ def _synthesize(cfg: ScenarioConfig, fix_index: np.ndarray, trajectory,
 
 def synthesize_batch(cfg: ScenarioConfig, fix_index: int,
                      rng: np.random.Generator | None = None,
-                     trajectory=None,
-                     noiseless: bool = False):
+                     trajectory=None, noiseless: bool = False):
     """One measurement window (fix) and the true state at its epoch.
 
     Fix ``k`` occupies global slots ``k*m_per_fix .. k*m_per_fix + M - 1``
@@ -420,8 +409,7 @@ class EstimatorSpec:
     def nominal_prior_std(self) -> float | None:
         """The prior width this estimator's trial draws depend on: set only
         for ``pvd`` centred on the nominal velocity, whose truth is drawn
-        from the prior; None for every estimator that shares the plain
-        draws."""
+        from the prior; None for the estimators that share plain draws."""
         if self.kind == "pvd" and self.prior_centering == "nominal":
             return self.prior_std
         return None
@@ -481,14 +469,10 @@ class TrialDraws(NamedTuple):
 def draw_trials(cfg: ScenarioConfig, n_trials: int | None = None,
                 nominal_std: float | None = None) -> TrialDraws:
     """Draw, synthesize and validate ``n_trials`` (default
-    ``cfg.n_trials``) trials of ``cfg``.
-
-    Each trial makes its draws from its own stream, in the order of the
-    module contract, into one row of the uniform and normal arrays; then
-    all trials are synthesized as one stack.  With ``nominal_std`` (see
-    ``EstimatorSpec.nominal_prior_std``) each trial's true velocity is
-    drawn from a prior of that width around its nominal one, which costs
-    one more normal vector per trial.
+    ``cfg.n_trials``) trials of ``cfg`` as one stack.  With
+    ``nominal_std`` (see ``EstimatorSpec.nominal_prior_std``) each trial's
+    true velocity is drawn from a prior of that width around its nominal
+    one, which costs one more normal vector per trial.
     """
     n = cfg.n_trials if n_trials is None else int(n_trials)
     if n < 1:
@@ -532,28 +516,25 @@ class TrialCell(Sequence):
     trial indices, final parameter vectors ``theta`` (T, P), iteration
     counts, convergence flags, last step norms, covariances (T, P, P),
     per trial None or the name of the exception its single-window solve
-    raises, the kvd assumed velocities (T, N) and the pvd prior means
-    (T, N) and information roots (T, N, N), or None.  Indexing builds the
-    TrialRecord of one trial; the harness reads the columns."""
+    raises, the kvd assumed velocities (T, N) and the pvd PriorRows, or
+    None.  Indexing builds the TrialRecord of one trial."""
 
     __slots__ = ("spec", "draws", "trial", "theta", "iterations",
                  "converged", "step_norm", "covariance", "errors",
-                 "v_assumed", "prior_mean", "prior_root")
+                 "v_assumed", "prior")
 
     def __init__(self, spec: EstimatorSpec, draws: TrialDraws,
-                 sol: StackSolution, v_assumed=None, prior_mean=None,
-                 prior_root=None):
+                 sol: StackSolution, v_assumed=None,
+                 prior: PriorRows | None = None):
         for arr in sol[:5]:
             arr.setflags(write=False)
         self.spec, self.draws = spec, draws
         self.trial = _freeze(np.arange(len(sol.theta)))
         (self.theta, self.iterations, self.converged, self.step_norm,
          self.covariance) = sol[:5]
-        self.errors = tuple(None if failure is None
-                            else type(failure).__name__
-                            for failure in sol.failures)
-        self.v_assumed, self.prior_mean = v_assumed, prior_mean
-        self.prior_root = prior_root
+        self.errors = tuple(None if f is None else type(f).__name__
+                            for f in sol.failures)
+        self.v_assumed, self.prior = v_assumed, prior
 
     def __len__(self) -> int:
         return len(self.trial)
@@ -568,9 +549,9 @@ class TrialCell(Sequence):
         n = self.draws.scenario.bs.n_dim
         error = self.errors[k]
         prior = None
-        if self.prior_mean is not None:
+        if self.prior is not None:
             std = self.spec.prior_std
-            prior = _trusted(VelocityPrior, mean=self.prior_mean[k],
+            prior = _trusted(VelocityPrior, mean=self.prior.mean[k],
                              covariance=_frozen_array(std * std * np.eye(n)))
         return TrialRecord(
             trial=int(self.trial[k]), batch=self.draws.win.batch(k),
@@ -581,8 +562,7 @@ class TrialCell(Sequence):
             prior=prior)
 
     def position_errors(self) -> np.ndarray:
-        """Position errors (G, N) of the G converged trials, in trial
-        order."""
+        """Position errors (G, N) of the G converged trials, in order."""
         n = self.draws.scenario.bs.n_dim
         return (self.theta[self.converged, :n]
                 - self.draws.truth[self.converged, :n])
@@ -602,19 +582,18 @@ def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
     bs, win = draws.scenario.bs, draws.win
     n, n_dim = len(win.t_l), bs.n_dim
     truth_v = draws.truth[:, n_dim + 2:]
-    v_known = root = mean = None
+    v_known = prior = None
     if spec.kind == "kvd":
         v_known = _freeze(assumed_velocities(truth_v, spec.speed_deviation))
     elif spec.kind == "d":
         v_known = np.zeros((n, n_dim))
     elif spec.kind == "pvd":
-        mean = truth_v if draws.nominal_v is None else draws.nominal_v
         covariance = spec.prior_std * spec.prior_std * np.eye(n_dim)
-        root = np.broadcast_to(
-            np.linalg.cholesky(np.linalg.inv(covariance)).T, (n, n_dim, n_dim))
+        root = np.linalg.cholesky(np.linalg.inv(covariance)).T
+        prior = PriorRows(np.broadcast_to(root, (n, n_dim, n_dim)), truth_v
+                          if draws.nominal_v is None else draws.nominal_v)
     try:
-        system = WhitenedSystem(bs, win.bs_index, win.dt, win.rho, win.sigma,
-                                v_known, root, mean)
+        system = WhitenedSystem(bs, win, v_known, prior)
     except SeqlocError as exc:  # no window of this length can be solved
         p = n_dim + 2 if v_known is not None else 2 * n_dim + 2
         sol = StackSolution(np.full((n, p), np.nan), np.zeros(n, dtype=int),
@@ -623,11 +602,11 @@ def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
     else:
         v0 = None
         if v_known is None:
-            v0 = np.zeros((n, n_dim)) if mean is None else mean
+            v0 = np.zeros((n, n_dim)) if prior is None else prior.mean
         sol = solve_stack(system, initial_vectors(bs, win.bs_index, win.rho,
                                                   v0), solver_cfg)
     return TrialCell(spec, draws, sol,
-                     v_known if spec.kind == "kvd" else None, mean, root)
+                     v_known if spec.kind == "kvd" else None, prior)
 
 
 def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
@@ -640,4 +619,4 @@ def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
 
 
 def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(cfg, seed=int(seed))
+    return replace(cfg, seed=seed)

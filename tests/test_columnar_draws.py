@@ -1,0 +1,111 @@
+"""The single-window trajectory API and the theory entry points share one
+implementation with the columnar Monte Carlo draw.
+
+``RandomPlacement.realize`` is ``place`` of one trial and must still make
+``rng.uniform``'s numbers; ``Circular.state_at`` is ``states`` at one time
+and must still be the textbook formula; ``Stationary`` is a frozen
+ConstantVelocity at zero velocity; and the ``*_stack`` theory reads each
+argument by its own type, so lists and a draw's arrays can be mixed."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from seqloc import (
+    Circular,
+    EstimatorSpec,
+    RandomPlacement,
+    Stationary,
+    VelocityPrior,
+    analysis,
+    trial_rng,
+)
+from seqloc.experiments import default_scenario
+from seqloc.model import PriorRows, WindowStack
+from seqloc.simulate import draw_trials, solve_trials
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260808])
+def test_realize_makes_rng_uniform_numbers(seed):
+    sampler = RandomPlacement(center=[15, 15], half_side=5.0, speed=3.0,
+                              t_ref=0.25)
+    for k in range(20):
+        rng = trial_rng(seed, k)
+        offset = rng.uniform(-5.0, 5.0, size=2)
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        after = rng.standard_normal()
+        rng = trial_rng(seed, k)
+        traj = sampler.realize(rng)
+        assert np.array_equal(traj.p0, sampler.center + offset)
+        assert np.array_equal(traj.v, 3.0 * np.array([math.cos(heading),
+                                                      math.sin(heading)]))
+        assert traj.t_ref == 0.25
+        # realize leaves the stream where the uniforms left it.
+        assert rng.standard_normal() == after
+
+
+def test_circular_state_at_is_the_textbook_formula():
+    traj = Circular(center=[50, 50], radius=30.0, angular_rate=1 / 3,
+                    phase=0.4)
+    for t in np.linspace(0.0, 360.0, 97).tolist():
+        ang = traj.angular_rate * t + traj.phase
+        p, v = traj.state_at(t)
+        assert np.array_equal(p, traj.center + traj.radius * np.array(
+            [math.cos(ang), math.sin(ang)]))
+        assert np.array_equal(v, traj.radius * traj.angular_rate * np.array(
+            [-math.sin(ang), math.cos(ang)]))
+
+
+def test_stationary_is_a_frozen_dataclass_at_zero_velocity():
+    traj = Stationary(p0=[3.0, 4.0])
+    assert repr(traj) == "Stationary(p0=array([3., 4.]))"
+    moved = dataclasses.replace(traj, p0=[5.0, 6.0])
+    assert isinstance(moved, Stationary)
+    assert np.array_equal(moved.p0, [5.0, 6.0])
+    assert np.array_equal(moved.v, [0.0, 0.0]) and moved.t_ref == 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.p0 = np.zeros(2)
+    with pytest.raises(TypeError):
+        Stationary(p0=[3.0, 4.0], v=[1.0, 0.0])
+
+
+@pytest.fixture(scope="module")
+def pvd_cell():
+    cfg = default_scenario("speed-compare", seed=11, trials=2)
+    spec = EstimatorSpec("pvd", prior_std=0.7, prior_centering="nominal")
+    return cfg, solve_trials(spec, draw_trials(cfg, nominal_std=0.7))
+
+
+def _budgets_equal(a, b):
+    return (np.array_equal(a.bias, b.bias)
+            and np.array_equal(a.variance, b.variance)
+            and np.array_equal(a.rmse, b.rmse) and a.failures == b.failures)
+
+
+def test_theory_reads_each_argument_by_its_own_type(pvd_cell):
+    """Two windows: a list of two VelocityPriors beside a WindowStack is
+    read as two priors, never as the (root, mean) pair of PriorRows."""
+    cfg, cell = pvd_cell
+    records = list(cell)
+    batches = [r.batch for r in records]
+    truths = [r.truth for r in records]
+    priors = [r.prior for r in records]
+    assert len(priors) == 2 and all(isinstance(p, VelocityPrior)
+                                    for p in priors)
+    stack, truth = cell.draws.win, cell.draws.truth
+    assert isinstance(stack, WindowStack)
+    rows = PriorRows(*(np.asarray(arr) for arr in cell.prior))
+    lists = analysis.theoretical_rmse_stack("pvd", batches, cfg.bs, truths,
+                                            priors)
+    for forms in [(stack, truth, rows), (stack, truths, priors),
+                  (batches, truth, priors), (stack, truth, priors),
+                  (batches, truths, rows)]:
+        mixed = analysis.theoretical_rmse_stack("pvd", forms[0], cfg.bs,
+                                                forms[1], forms[2])
+        assert _budgets_equal(mixed, lists)
+    v = cell.draws.truth[:, cfg.bs.n_dim + 2:] + 0.5
+    assert _budgets_equal(
+        analysis.bias_deviated_velocity_stack(stack, cfg.bs, truths, v),
+        analysis.bias_deviated_velocity_stack(batches, cfg.bs, truths, v))

@@ -17,6 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from seqloc.cli import main
+from seqloc.errors import ConfigError
+from seqloc.experiments import default_scenario
+from seqloc.simulate import with_seed
 
 EXTREMES = (0.0, -0.0, 5e-324, 1e-300, 1e-9, 1.0, 2.5, 1e9, 1e154, 1e300,
             1e308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
@@ -189,6 +192,15 @@ class TestScenarioConfigRegressions:
         as_float = _repro(tmp_path, "simulate", {"seed": 7.0})
         as_int = _repro(tmp_path, "simulate", {"seed": 7})
         assert as_float[0] == 0 and as_float == as_int
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "7"])
+    def test_with_seed_checks_the_seed(self, seed):
+        """``with_seed`` goes through the same check; it truncated 1.5
+        to 1 and 2.9 to 2."""
+        cfg = default_scenario(None)
+        with pytest.raises(ConfigError, match="non-negative integer"):
+            with_seed(cfg, seed)
+        assert with_seed(cfg, 7.0).seed == 7
 
     @pytest.mark.parametrize("key, value", [
         ("half_side", math.nan), ("half_side", 1e308), ("half_side", math.inf),
