@@ -25,6 +25,7 @@ from . import analysis
 from .errors import ConfigError, SeqlocError
 from .experiments import (
     EXPERIMENT_NAMES,
+    default_constellation,
     default_scenario,
     default_spec,
     run_experiment,
@@ -32,7 +33,7 @@ from .experiments import (
 )
 from .config import load_config, scenario_from_config
 from .model import MeasurementBatch, VelocityPrior
-from .simulate import ESTIMATOR_KINDS, synthesize_batch, trial_rng
+from .simulate import ESTIMATOR_KINDS, _integer, synthesize_batch, trial_rng
 from .solvers import (
     solve_drift_only,
     solve_joint_velocity,
@@ -191,22 +192,28 @@ def _print_report(report, n_dim: int) -> None:
 
 
 def _cmd_solve(args) -> int:
-    cfg, _ = _scenario(args)
+    if args.config is not None:
+        bs = _scenario(args)[0].bs
+    else:
+        # Solving draws nothing, but a bad --seed is still an error.
+        if args.seed is not None:
+            _integer(args.seed, "seed")
+        bs = default_constellation()
     batch = _read_batch_csv(args.batch, args.epoch)
-    n = cfg.bs.n_dim
+    n = bs.n_dim
     if args.estimator == "kvd":
         v = (np.zeros(n) if args.velocity is None
              else _parse_vector(args.velocity, "velocity"))
-        report = solve_known_velocity(batch, cfg.bs, v)
+        report = solve_known_velocity(batch, bs, v)
     elif args.estimator == "d":
-        report = solve_drift_only(batch, cfg.bs)
+        report = solve_drift_only(batch, bs)
     elif args.estimator == "uvd":
-        report = solve_joint_velocity(batch, cfg.bs)
+        report = solve_joint_velocity(batch, bs)
     else:
         mean = (np.zeros(n) if args.prior_mean is None
                 else _parse_vector(args.prior_mean, "prior mean"))
         prior = VelocityPrior.isotropic(mean, args.prior_std)
-        report = solve_prior_velocity(batch, cfg.bs, prior)
+        report = solve_prior_velocity(batch, bs, prior)
     print(f"estimator={args.estimator}")
     _print_report(report, n)
     return 0

@@ -87,11 +87,10 @@ def _value(section: dict, key: str, where: str, convert, default):
                           f"{section[key]!r}") from exc
 
 
-def _number(section: dict, key: str, where: str, default=_REQUIRED,
-            kind=float):
-    """``section[key]`` as a ``kind`` number; ConfigError when it is
-    missing without a default, or not a number."""
-    return _value(section, key, where, kind, default)
+def _number(section: dict, key: str, where: str, default=_REQUIRED):
+    """``section[key]`` as a float; ConfigError when it is missing without
+    a default, or not a number."""
+    return _value(section, key, where, float, default)
 
 
 def _vector(section: dict, key: str, where: str) -> np.ndarray:
@@ -178,8 +177,9 @@ def scenario_from_config(raw: dict, experiment: str | None = None,
 
     cfg = default_scenario(name, seed=DEFAULT_SEED if seed is None else seed)
 
-    # One replace at the end, so the scenario is checked as a whole (a 3-D
-    # constellation with a 3-D trajectory, a new BS count with its order).
+    # One replace for all the sections, so the scenario is checked as a
+    # whole (a 3-D constellation with a 3-D trajectory, a new BS count with
+    # its order).
     changes = {}
     if "bs" in raw:
         _check_keys(raw["bs"], {"positions"}, "bs")
@@ -199,26 +199,24 @@ def scenario_from_config(raw: dict, experiment: str | None = None,
                                   base.slot_interval),
             start_time=_number(sched, "start_time", "schedule",
                                base.start_time))
-        changes["m_per_fix"] = _number(sched, "m_per_fix", "schedule",
-                                       cfg.m_per_fix, int)
-        changes["epoch_slot_offset"] = _number(
-            sched, "epoch_slot_offset", "schedule", cfg.epoch_slot_offset, int)
+        # ScenarioConfig checks the integer keys; int() would truncate 6.9.
+        changes["m_per_fix"] = sched.get("m_per_fix", cfg.m_per_fix)
+        changes["epoch_slot_offset"] = sched.get("epoch_slot_offset",
+                                                 cfg.epoch_slot_offset)
     if "noise" in raw:
         _check_keys(raw["noise"], {"sigma"}, "noise")
         changes["sigma"] = raw["noise"].get("sigma", cfg.sigma)
-    # ScenarioConfig checks the seed; int() here would truncate 1.5.
     changes["seed"] = raw.get("seed", cfg.seed) if seed is None else seed
-    changes["n_trials"] = _number(raw, "trials", "config", cfg.n_trials, int)
+    changes["n_trials"] = raw.get("trials", cfg.n_trials)
+    cfg = replace(cfg, **changes)
     if "duration_s" in exp_section:
-        window = (changes.get("m_per_fix", cfg.m_per_fix)
-                  * changes.get("schedule", cfg.schedule).slot_interval)
+        window = cfg.m_per_fix * cfg.schedule.slot_interval
         fixes = _number(exp_section, "duration_s", "experiment") / window
         if not math.isfinite(fixes):
             raise ConfigError("experiment duration_s must be finite")
-        changes["n_trials"] = int(round(fixes))
+        cfg = replace(cfg, n_trials=int(round(fixes)))
     if trials is not None:
-        changes["n_trials"] = int(trials)
-    cfg = replace(cfg, **changes)
+        cfg = replace(cfg, n_trials=trials)
 
     spec = None
     if name is not None:

@@ -149,6 +149,13 @@ def default_spec(name: str, **overrides) -> ExperimentSpec:
                              "estimators": estimators, **overrides})
 
 
+def default_constellation(name: str | None = None) -> BsConstellation:
+    """The base stations of ``default_scenario(name)``: a four-BS square,
+    100 m for the circular study and 30 m otherwise."""
+    side = 100 if name == "circular" else 30
+    return BsConstellation([[0, 0], [side, 0], [side, side], [0, side]])
+
+
 def default_scenario(name: str | None = None, seed: int = DEFAULT_SEED,
                      trials: int = 1000) -> ScenarioConfig:
     """Baseline scenario for an experiment: the 30 m four-BS square with a
@@ -156,11 +163,11 @@ def default_scenario(name: str | None = None, seed: int = DEFAULT_SEED,
     schedule = TdmaSchedule(bs_order=(0, 1, 2, 3), slot_interval=0.01)
     # 5 ppm oscillator drift expressed in range-rate units.
     common = dict(clock=ClockModel(b0=30.0, d=1498.96229), schedule=schedule,
-                  m_per_fix=8, sigma=0.1, seed=seed)
+                  m_per_fix=8, sigma=0.1, seed=seed,
+                  bs=default_constellation(name))
     if name == "circular":
         n_fixes = int(round(CIRCULAR_DURATION_S / (8 * schedule.slot_interval)))
         return ScenarioConfig(
-            bs=BsConstellation([[0, 0], [100, 0], [100, 100], [0, 100]]),
             trajectory=Circular(center=[50, 50], radius=30.0,
                                 angular_rate=10.0 / 30.0),
             n_trials=n_fixes,
@@ -169,7 +176,6 @@ def default_scenario(name: str | None = None, seed: int = DEFAULT_SEED,
             epoch_slot_offset=1, **common)
     speed = 0.0 if name == "stationary-noise" else 5.0
     return ScenarioConfig(
-        bs=BsConstellation([[0, 0], [30, 0], [30, 30], [0, 30]]),
         trajectory=RandomPlacement(center=[15, 15], half_side=5.0,
                                    speed=speed),
         n_trials=trials, **common)

@@ -266,13 +266,17 @@ class VelocityPrior:
     @classmethod
     def isotropic(cls, mean, std: float) -> "VelocityPrior":
         """Prior of per-axis standard deviation ``std`` around ``mean``;
-        its variance and information must be finite and non-zero."""
+        its variance and information must be finite and non-zero.  The
+        covariance is diagonal and positive by construction, so only the
+        mean is checked."""
         var = float(std) * float(std)
         if not (std > 0 and 0 < var < np.inf and 0 < 1 / var < np.inf):
             raise DimensionMismatch("prior_std must be positive, with a "
                                     "finite non-zero variance and inverse")
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        return cls(mean=mean, covariance=var * np.eye(mean.size))
+        mean = _frozen_array(np.atleast_1d(mean))
+        _require_finite(mean, "prior mean")
+        return _trusted(cls, mean=mean,
+                        covariance=_frozen_array(var * np.eye(mean.size)))
 
 
 @dataclass(frozen=True)
@@ -497,20 +501,32 @@ class WindowStack(NamedTuple):
 
 class PriorRows(NamedTuple):
     """The prior rows of ``WhitenedSystem`` for T windows: the upper
-    Cholesky factors ``R`` of the prior informations (T, N, N) and the
-    prior means (T, N)."""
+    Cholesky factors ``R`` of the prior informations (T, N, N) (see
+    ``information_root``) and the prior means (T, N)."""
 
     root: np.ndarray
     mean: np.ndarray
+
+
+def information_root(covariance: np.ndarray) -> np.ndarray:
+    """The upper Cholesky factors ``R`` (..., N, N) of the informations of
+    SPD covariances (..., N, N), ``R^T R = inv(covariance)``: for diagonal
+    covariances ``diag(sqrt(1 / var))``, bit for bit what the dense
+    ``cholesky(inv(covariance)).mT`` gives, which the others take."""
+    var = np.diagonal(covariance, axis1=-2, axis2=-1)
+    # An SPD diagonal is positive: no other non-zero means diagonal.
+    if np.count_nonzero(covariance) == var.size:
+        return np.sqrt(1.0 / var)[..., None] * np.eye(var.shape[-1])
+    return np.linalg.cholesky(np.linalg.inv(covariance)).mT
 
 
 def prior_rows(priors, n_dim: int) -> PriorRows:
     """The PriorRows of one VelocityPrior per window."""
     if any(prior.n_dim != n_dim for prior in priors):
         raise DimensionMismatch("prior dimension does not match BSs")
-    weight = np.linalg.inv(_stack([prior.covariance for prior in priors]))
-    return PriorRows(np.linalg.cholesky(weight).mT,
-                     _stack([prior.mean for prior in priors]))
+    return PriorRows(
+        information_root(_stack([prior.covariance for prior in priors])),
+        _stack([prior.mean for prior in priors]))
 
 
 class WhitenedSystem:

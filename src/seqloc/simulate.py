@@ -4,10 +4,12 @@ sequential pseudorange batches and the Monte Carlo driver.
 Reproducibility contract: trial ``k`` of a scenario draws everything from
 ``numpy.random.default_rng([seed, k])`` (PCG64 seeded through
 SeedSequence), so its inputs do not depend on which other trials run with
-it.  Within a trial the draw order is fixed: trajectory placement draws
-first (when the trajectory is a random sampler: two position uniforms,
-then the heading uniform), then the true velocity (for a prior centred on
-the nominal one), then one standard normal per measurement.
+it; ``draw_trials`` hashes the seeds of all its trials at once
+(``trial_seeds``) into the same streams.  Within a trial the draw order
+is fixed: trajectory placement draws first (when the trajectory is a
+random sampler: two position uniforms, then the heading uniform), then
+the true velocity (for a prior centred on the nominal one), then one
+standard normal per measurement.
 
 A Monte Carlo cell is columnar: ``draw_trials`` synthesizes all trials
 of a scenario as ``(T, ...)`` arrays and ``solve_trials`` solves them
@@ -19,6 +21,7 @@ nominal-prior ``pvd`` cell needs its own."""
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -42,6 +45,7 @@ from .model import (
     _row_norms,
     _trusted,
     _trusted_params,
+    information_root,
 )
 # The solve_* names are unused here but stay bound in this namespace:
 # perfbench/tracer.py patches them by module path.
@@ -61,6 +65,20 @@ from .solvers import (  # noqa: F401
 RNG_ALGORITHM = "numpy-pcg64/seedsequence([seed, trial])"
 
 ESTIMATOR_KINDS = ("kvd", "uvd", "pvd", "d")
+
+
+def _integer(value, what: str, low: int = 0) -> int:
+    """``value`` as an int of at least ``low`` (0 or 1): an int, a numpy
+    integer or an integral float.  Anything else, a bool included, is a
+    ConfigError naming ``what``."""
+    number = value
+    if isinstance(number, float) and number.is_integer():
+        number = int(number)
+    if (isinstance(number, bool) or not isinstance(number, (int, np.integer))
+            or number < low):
+        sign = "non-negative" if low == 0 else "positive"
+        raise ConfigError(f"{what} must be a {sign} integer, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -229,8 +247,9 @@ class TdmaSchedule:
         try:
             if isinstance(self.bs_order, (str, bytes)):
                 raise TypeError
-            order = tuple(int(i) for i in self.bs_order)
-        except (TypeError, ValueError, OverflowError) as exc:
+            order = tuple(_integer(i, "a bs_order entry")
+                          for i in self.bs_order)
+        except TypeError as exc:
             raise ConfigError("bs_order must be a list of BS indices, got "
                               f"{self.bs_order!r}") from exc
         if len(order) < 1 or len(set(order)) != len(order):
@@ -271,11 +290,11 @@ class ScenarioConfig:
     epoch_slot_offset: int = 0
 
     def __post_init__(self):
-        if self.m_per_fix < 1:
-            raise ConfigError("m_per_fix must be at least 1")
-        if self.n_trials < 1:
-            raise ConfigError("n_trials must be at least 1")
-        if not 0 <= self.epoch_slot_offset < self.m_per_fix:
+        for name, low in (("m_per_fix", 1), ("n_trials", 1),
+                          ("epoch_slot_offset", 0), ("seed", 0)):
+            object.__setattr__(self, name,
+                               _integer(getattr(self, name), name, low))
+        if not self.epoch_slot_offset < self.m_per_fix:
             raise ConfigError("epoch_slot_offset must index into the window")
         try:
             sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
@@ -293,14 +312,6 @@ class ScenarioConfig:
         if dims != {self.bs.n_dim}:
             raise ConfigError(f"the trajectory must be {self.bs.n_dim}-D "
                               f"like the base stations")
-        seed = self.seed
-        if isinstance(seed, float) and seed.is_integer():
-            seed = int(seed)
-        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-                or seed < 0):
-            raise ConfigError(f"seed must be a non-negative integer, got "
-                              f"{self.seed!r}")
-        object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "sigma", _frozen_array(sigma))
 
     def sigma_for(self, bs_index: np.ndarray) -> np.ndarray:
@@ -318,6 +329,120 @@ def truth_state(trajectory, clock: ClockModel, t: float) -> FullParams:
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """The per-trial random stream; see RNG_ALGORITHM."""
     return np.random.default_rng([int(seed), int(trial)])
+
+
+# numpy's SeedSequence: a pool of 4 uint32 words, filled and mixed through
+# hashmix calls whose multipliers follow a fixed sequence (INIT_A times
+# powers of MULT_A), then read out through a second one (INIT_B, MULT_B).
+_POOL = 4
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**i`` mod 2**32 for i < count, as uint32."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hash_a(count: int) -> np.ndarray:
+    return _powers(0x43B0D7E5, 0x931E8875, count)
+
+
+# hashmix call i xors with constant i and multiplies by constant i + 1.  The
+# pool fill and the all-pairs mix make 16 calls; each entropy word beyond
+# the pool makes 4 more, so this covers seeds below 2**(32 * 15);
+# trial_seeds makes a longer one for larger seeds.
+_HASH_A = _hash_a(64 + 1)
+
+
+def _mix_rounds() -> np.ndarray:
+    """The xor and multiply constants (2, 4, 4) of the all-pairs mix,
+    which hashes pool word ``src`` once for each other word: row ``src``
+    holds them in the columns of those words (its own column unused)."""
+    rounds = np.zeros((2, _POOL, _POOL), dtype=np.uint32)
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        call = _POOL + 3 * src + np.arange(3)
+        rounds[:, src, dst] = _HASH_A[call], _HASH_A[call + 1]
+    return rounds
+
+
+_MIX_ROUNDS = _mix_rounds()
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
+
+
+def _hashmix(value: np.ndarray, xor, mult) -> np.ndarray:
+    """SeedSequence's hashmix over uint32 arrays (which wrap silently)."""
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * _MIX_L - y * _MIX_R
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def trial_seeds(seed: int, n: int, first: int = 0) -> np.ndarray:
+    """The PCG64 seed words (n, 4) uint64 of trials ``first`` to
+    ``first + n - 1``: the row of trial ``k`` is
+    ``SeedSequence([seed, k]).generate_state(4, np.uint64)``, the state
+    ``trial_rng(seed, k)`` starts from, hashed for all trials at once."""
+    if first + n > 2**32:
+        raise ConfigError("at most 2**32 trials: a trial index is one "
+                          "32-bit word of its seed")
+    seed = int(seed)
+    # The little-endian 32-bit words of the seed, at least one.
+    words = [seed >> shift & 0xFFFFFFFF
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((n, len(words) + 1), dtype=np.uint32)
+    entropy[:, :-1] = words
+    entropy[:, -1] = np.arange(first, first + n, dtype=np.uint32)
+    extra = max(entropy.shape[1] - _POOL, 0)
+    calls = 4 * (_POOL + extra)
+    consts = _HASH_A if calls < len(_HASH_A) else _hash_a(calls + 1)
+    # Fill: the entropy words, then zeros up to the pool size.
+    pool = np.zeros((n, _POOL), dtype=np.uint32)
+    pool[:, :min(_POOL, entropy.shape[1])] = entropy[:, :_POOL]
+    pool = _hashmix(pool, consts[:_POOL], consts[1:_POOL + 1])
+    # Mix every word into every other, one source word at a time.
+    for src in range(_POOL):
+        hashed = _hashmix(pool[:, src, None], _MIX_ROUNDS[0, src],
+                          _MIX_ROUNDS[1, src])
+        mixed = _mix(pool, hashed)
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    # Entropy beyond the pool is mixed into every word.
+    for i, src in enumerate(range(_POOL, entropy.shape[1])):
+        call = 4 * (_POOL + i)
+        pool = _mix(pool, _hashmix(entropy[:, src, None],
+                                   consts[call:call + _POOL],
+                                   consts[call + 1:call + _POOL + 1]))
+    # generate_state: 8 words cycling over the pool, paired little-endian.
+    state = _hashmix(np.concatenate([pool, pool], axis=1), _HASH_B[:-1],
+                     _HASH_B[1:])
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words() -> type:
+    """The seed sequence that stands for one row of ``trial_seeds``: PCG64
+    reads its seed as ``generate_state(4, np.uint64)`` and gets the row.
+    Defined on first use, so that importing seqloc does not import
+    numpy.random (numpy loads it on first access)."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 def _synthesize(cfg: ScenarioConfig, fix_index: np.ndarray, trajectory,
@@ -400,8 +525,11 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator kind {self.kind!r}")
-        if self.prior_std <= 0:
-            raise ConfigError("prior_std must be positive")
+        var = self.prior_std * self.prior_std
+        if not (self.prior_std > 0 and 0 < var < math.inf
+                and 0 < 1 / var < math.inf):
+            raise ConfigError("prior_std must be positive, with a finite "
+                              "non-zero variance and inverse")
         if self.prior_centering not in ("truth", "nominal"):
             raise ConfigError("prior_centering must be 'truth' or 'nominal'")
 
@@ -474,9 +602,8 @@ def draw_trials(cfg: ScenarioConfig, n_trials: int | None = None,
     true velocity is drawn from a prior of that width around its nominal
     one, which costs one more normal vector per trial.
     """
-    n = cfg.n_trials if n_trials is None else int(n_trials)
-    if n < 1:
-        raise ConfigError("need at least one trial")
+    n = cfg.n_trials if n_trials is None else _integer(n_trials, "n_trials", 1)
+    seeds = trial_seeds(cfg.seed, n)
     traj, n_dim = cfg.trajectory, cfg.bs.n_dim
     sampler = isinstance(traj, RandomPlacement)
     if nominal_std is not None and not (
@@ -486,10 +613,13 @@ def draw_trials(cfg: ScenarioConfig, n_trials: int | None = None,
     extra = 0 if nominal_std is None else n_dim
     uniforms = np.empty((n, 3))
     normals = np.empty((n, extra + cfg.m_per_fix))
-    # random(3) and one standard_normal(N + M) consume each stream exactly
-    # as uniform(size=2), uniform(), standard_normal(N), standard_normal(M).
-    for k in range(n):
-        rng = trial_rng(cfg.seed, k)
+    # The streams of trial_rng(seed, k), seeded for all trials at once;
+    # random(3) and one standard_normal(N + M) consume each exactly as
+    # uniform(size=2), uniform(), standard_normal(N), standard_normal(M).
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    seed_words = _seed_words()
+    for k, words in enumerate(seeds):
+        rng = generator(pcg64(seed_words(words)))
         if sampler:
             rng.random(out=uniforms[k])
         rng.standard_normal(out=normals[k])
@@ -588,8 +718,8 @@ def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
     elif spec.kind == "d":
         v_known = np.zeros((n, n_dim))
     elif spec.kind == "pvd":
-        covariance = spec.prior_std * spec.prior_std * np.eye(n_dim)
-        root = np.linalg.cholesky(np.linalg.inv(covariance)).T
+        root = information_root(spec.prior_std * spec.prior_std
+                                * np.eye(n_dim))
         prior = PriorRows(np.broadcast_to(root, (n, n_dim, n_dim)), truth_v
                           if draws.nominal_v is None else draws.nominal_v)
     try:

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from seqloc.cli import main
+from seqloc.config import scenario_from_config
 from seqloc.errors import ConfigError
 from seqloc.experiments import default_scenario
-from seqloc.simulate import with_seed
+from seqloc.simulate import draw_trials, with_seed
 
 EXTREMES = (0.0, -0.0, 5e-324, 1e-300, 1e-9, 1.0, 2.5, 1e9, 1e154, 1e300,
             1e308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
@@ -181,6 +182,15 @@ class TestScenarioConfigRegressions:
         assert (code, out, runtime) == (1, "", [])
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
+    def test_negative_seed_flag_on_solve(self, tmp_path):
+        """``solve`` draws nothing but still rejects a bad ``--seed``."""
+        assert _run(["simulate", "--out", str(tmp_path)])[0] == 0
+        code, out, err, runtime = _run(["solve", "--batch",
+                                        str(tmp_path / "batch.csv"),
+                                        "--estimator", "kvd", "--seed", "-1"])
+        assert (code, out, runtime) == (1, "", [])
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     @pytest.mark.parametrize("command", ["crlb", "simulate", "experiment"])
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_bad_config_seed(self, tmp_path, command, seed):
@@ -260,6 +270,19 @@ class TestScenarioConfigRegressions:
         code, out, err, runtime = _repro(tmp_path, "crlb", cfg)
         assert (code, err, runtime) == (0, "", [])
 
+    @pytest.mark.parametrize("prior_std", [1e-300, 1e200])
+    def test_prior_std_without_a_finite_information(self, tmp_path,
+                                                    prior_std):
+        """A prior width whose variance or information is 0 or inf: it
+        ended in a LinAlgError traceback from the pvd cells."""
+        cfg = {"experiment": {"prior_std": prior_std}}
+        code, out, err, runtime = _run(
+            ["experiment", "noise-sweep-uvd-pvd", "--trials", "3", "--out",
+             str(tmp_path / "out"), "--config", str(_write(tmp_path, cfg))])
+        assert (code, out, runtime) == (1, "", [])
+        assert err == ("error: prior_std must be positive, with a finite "
+                       "non-zero variance and inverse\n")
+
     @pytest.mark.parametrize("duration", [math.inf, math.nan])
     def test_non_finite_duration(self, tmp_path, duration):
         cfg = {"experiment": {"duration_s": duration}}
@@ -268,6 +291,60 @@ class TestScenarioConfigRegressions:
              "--config", str(_write(tmp_path, cfg))])
         assert (code, out, runtime) == (1, "", [])
         assert err == "error: experiment duration_s must be finite\n"
+
+
+class TestIntegerKeys:
+    """Integer keys once went through ``int()``, which truncates: 1.5
+    trials ran 1 trial, ``m_per_fix`` 6.9 gave 6.  A non-integral or
+    boolean value is now an error, as for the seed; an integral float is
+    still that integer."""
+
+    @staticmethod
+    def _assert_rejected(tmp_path, cfg, key):
+        code, out, err, runtime = _repro(tmp_path, "crlb", cfg)
+        assert (code, out, runtime) == (1, "", [])
+        assert err.startswith(f"error: {key} must be a ")
+        with pytest.raises(ConfigError, match="integer"):
+            scenario_from_config(cfg)
+
+    @pytest.mark.parametrize("value", [1.5, True, "3"])
+    def test_trials(self, tmp_path, value):
+        self._assert_rejected(tmp_path, {"trials": value}, "n_trials")
+        cfg, _ = scenario_from_config({"trials": 3.0})
+        assert cfg.n_trials == 3 and type(cfg.n_trials) is int
+
+    @pytest.mark.parametrize("value", [6.9, True, "8"])
+    def test_m_per_fix(self, tmp_path, value):
+        self._assert_rejected(tmp_path, {"schedule": {"m_per_fix": value}},
+                              "m_per_fix")
+        cfg, _ = scenario_from_config({"schedule": {"m_per_fix": 6.0}})
+        assert cfg.m_per_fix == 6 and type(cfg.m_per_fix) is int
+
+    @pytest.mark.parametrize("value", [1.9, False, "1"])
+    def test_epoch_slot_offset(self, tmp_path, value):
+        self._assert_rejected(
+            tmp_path, {"schedule": {"epoch_slot_offset": value}},
+            "epoch_slot_offset")
+        cfg, _ = scenario_from_config({"schedule": {"epoch_slot_offset": 1.0}})
+        assert cfg.epoch_slot_offset == 1
+        assert type(cfg.epoch_slot_offset) is int
+
+    @pytest.mark.parametrize("order", [[0.5, 1, 2, 3], [False, 1, 2, 3],
+                                       [0, 1, 2, 3.5]])
+    def test_bs_order_entries(self, tmp_path, order):
+        self._assert_rejected(tmp_path, {"schedule": {"bs_order": order}},
+                              "a bs_order entry")
+        cfg, _ = scenario_from_config({"schedule": {"bs_order": [0.0, 1, 2,
+                                                                 3]}})
+        assert cfg.schedule.bs_order == (0, 1, 2, 3)
+        assert all(type(i) is int for i in cfg.schedule.bs_order)
+
+    @pytest.mark.parametrize("value", [2.5, True, "2", 0])
+    def test_draw_trials_n_trials(self, scenario, value):
+        with pytest.raises(ConfigError, match="n_trials must be a positive "
+                                              "integer"):
+            draw_trials(scenario, n_trials=value)
+        assert len(draw_trials(scenario, n_trials=2.0).truth) == 2
 
 
 def _write(tmp_path, cfg):

@@ -24,6 +24,8 @@ from seqloc import (
     residual,
 )
 
+from seqloc.model import information_root, prior_rows
+
 from conftest import canonical_batch, make_batch
 
 
@@ -83,6 +85,54 @@ class TestTypes:
         bad = np.zeros((4, 6))
         with pytest.raises(DimensionMismatch):
             DesignMatrix(matrix=bad, variant="pvd")
+
+
+def _dense_root(covariance):
+    return np.linalg.cholesky(np.linalg.inv(covariance)).mT
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+class TestInformationRoot:
+    """A diagonal covariance's information root ``diag(sqrt(1/var))`` is
+    the dense ``cholesky(inv(cov)).mT`` bit for bit, zero signs included;
+    any other covariance takes the dense route."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_isotropic_priors(self, n):
+        for std in [1e-9, 0.1, 0.7, 2.0, 3.3, 1e9]:
+            prior = VelocityPrior.isotropic(np.ones(n), std)
+            rows = prior_rows([prior], n)
+            assert _same_bits(rows.root, _dense_root(prior.covariance[None]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_diagonal_covariances(self, n):
+        rng = np.random.default_rng(5)
+        var = np.exp(rng.uniform(-40.0, 40.0, (2000, n)))
+        covariance = var[:, :, None] * np.eye(n)
+        assert _same_bits(information_root(covariance),
+                          _dense_root(covariance))
+        for k in range(0, 2000, 97):
+            assert _same_bits(information_root(covariance[k]),
+                              _dense_root(covariance[k]))
+
+    def test_correlated_covariance_takes_the_dense_route(self):
+        covariance = np.array([[[4.0, 1.0], [1.0, 2.0]],
+                               [[4.0, 0.0], [0.0, 2.0]]])
+        assert _same_bits(information_root(covariance),
+                          _dense_root(covariance))
+
+    def test_isotropic_prior_checks_its_mean(self):
+        with pytest.raises(DimensionMismatch, match="prior mean"):
+            VelocityPrior.isotropic([np.nan, 0.0], 2.0)
+        prior = VelocityPrior.isotropic([1, 2], 2.0)
+        assert np.array_equal(prior.mean, [1.0, 2.0])
+        assert np.array_equal(prior.covariance, 4.0 * np.eye(2))
+        assert not prior.mean.flags.writeable
+        assert not prior.covariance.flags.writeable
 
 
 class TestPredict:

@@ -1,16 +1,22 @@
 """Work-count guards: the single-window paths do a fixed amount of set-up
-and factorization work per call, and a Monte Carlo sweep builds no object
-per trial, counted rather than timed."""
+and factorization work per call, a Monte Carlo sweep builds no object and
+seeds no generator per trial, and importing seqloc loads no numpy.random,
+counted rather than timed."""
 
 import argparse
+import os
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqloc
 import seqloc.cli
+import seqloc.experiments
 import seqloc.model
 from seqloc import (
     ConstantVelocity,
@@ -76,6 +82,38 @@ def test_cli_builds_no_parser_per_call(monkeypatch, tmp_path, capsys):
     assert built[0] == 0
 
 
+def test_cli_solve_builds_no_scenario(monkeypatch, tmp_path, capsys):
+    """``seqloc solve`` needs only the default constellation, not the
+    whole default scenario."""
+    seqloc.cli.main(["simulate", "--seed", "3", "--out", str(tmp_path)])
+    batch = str(tmp_path / "batch.csv")
+    scenarios = [_counting(monkeypatch, module, "default_scenario")
+                 for module in (seqloc.cli, seqloc.experiments)]
+    for kind in ("kvd", "uvd", "pvd", "d", "kvd", "uvd", "pvd", "d"):
+        assert seqloc.cli.main(["solve", "--batch", batch,
+                                "--estimator", kind]) == 0
+    assert seqloc.cli.main(["solve", "--batch", batch, "--estimator", "kvd",
+                            "--seed", "7"]) == 0
+    assert seqloc.cli.main(["solve", "--batch", batch, "--estimator", "pvd",
+                            "--prior-mean", "1,2"]) == 0
+    capsys.readouterr()
+    assert [calls[0] for calls in scenarios] == [0, 0]
+
+
+def test_isotropic_prior_solve_factors_nothing_but_the_svds(monkeypatch):
+    """An isotropic prior's information root is ``I / std``: the pvd
+    solve runs no eigvalsh, inv or cholesky, at set-up or in the loop."""
+    cfg = default_scenario("circular", seed=5)
+    batch, truth = synthesize_batch(cfg, 7, trial_rng(cfg.seed, 7))
+    factorizations = [_counting(monkeypatch, np.linalg, name)
+                      for name in ("eigvalsh", "inv", "cholesky")]
+    for std in (0.5, 2.0, 8.0):
+        report = solve_prior_velocity(
+            batch, cfg.bs, VelocityPrior.isotropic(truth.v, std))
+        assert report.converged
+    assert [calls[0] for calls in factorizations] == [0, 0, 0]
+
+
 PER_TRIAL_TYPES = (TrialRecord, EstimateReport, MeasurementBatch, FullParams,
                    ConstantVelocity)
 
@@ -119,3 +157,29 @@ def test_sweep_builds_no_object_per_trial(monkeypatch, study):
             trials * len(spec.grid) * len(spec.estimators))
         counts.append(dict(built))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("study", ["speed-compare", "circular"])
+def test_sweep_seeds_no_generator_per_trial(monkeypatch, study):
+    """A draw seeds its trials' streams in one pass: a sweep over 10 and
+    over 40 trials per cell makes the same number of default_rng calls."""
+    spec = default_spec(study, grid=default_spec(study).grid[:2])
+    made = _counting(monkeypatch, np.random, "default_rng")
+    counts = []
+    for trials in (10, 40):
+        made[0] = 0
+        cfg = replace(default_scenario(study, seed=11), n_trials=trials)
+        run_experiment(spec, cfg)
+        counts.append(made[0])
+    assert counts[0] == counts[1]
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """numpy imports numpy.random on first access; importing seqloc makes
+    no such access, so a process that draws nothing never pays for it."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(seqloc.__file__).resolve().parents[1]))
+    code = "import sys, seqloc; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
