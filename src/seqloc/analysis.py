@@ -35,7 +35,7 @@ from .model import (  # noqa: F401
     build_design_uvd,
     prior_rows,
 )
-from .solvers import design_failures, well_conditioned
+from .solvers import rank_rule
 
 ORDERING_EIG_FLOOR = -1e-10  # PD tolerance for covariance-ordering checks
 
@@ -101,12 +101,14 @@ def _stacked(bs: BsConstellation, batches, truths, priors=None):
     return batches, truths, priors
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _designs_at_truth(variant: str, bs: BsConstellation,
                       windows: WindowStack, truth: np.ndarray, priors=None):
     """Whitened designs of ``variant`` at the truths (T, 2N+2) of T
     windows (with PriorRows for pvd), and per window None or the error
     that leaves its design unable to determine the parameters (the
-    solvers' rank rule)."""
+    solvers' ``rank_rule``; a truth so far out that its design overflows
+    fails with DimensionMismatch, without a warning)."""
     if variant not in VARIANTS:
         raise RankDeficient(f"unknown estimator variant {variant!r}")
     if variant == "pvd" and priors is None:
@@ -117,8 +119,8 @@ def _designs_at_truth(variant: str, bs: BsConstellation,
     # With a known velocity ``at`` reads only the leading [p, b, d].
     a, _, degenerate = system.at(truth)
     failures = [None] * len(a)
-    design_failures(failures, np.arange(len(a)), degenerate,
-                    well_conditioned(np.linalg.svd(a, compute_uv=False)))
+    rank_rule(a, failures, np.arange(len(a)), degenerate, system.m,
+              compute_uv=False)
     return a, failures
 
 
@@ -213,6 +215,7 @@ def _kvd_projector(batch: MeasurementBatch, bs: BsConstellation,
     return projector[0], inv_f[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bias_deviated_velocity_stack(batches, bs: BsConstellation, truths,
                                  v_assumed,
                                  projectors: KvdProjectors | None = None

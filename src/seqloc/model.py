@@ -11,9 +11,12 @@ drift ``d`` (meters/second) and velocity ``v``.  A measurement taken
     h = ||q - (p + v*dt)|| + b + d*dt
 
 where ``q`` is the transmitting BS position.  This module holds the
-immutable domain types plus the forward model, line-of-sight vectors,
-design (Jacobian) matrices and residual vectors, and the whitened
-least-squares system that the solvers and the error analysis share.
+immutable domain types and ``WhitenedSystem``, the one forward model and
+Jacobian, which the solvers and the error analysis share; the designs,
+residuals and predictions of one batch (``build_design_*``, ``residual``,
+``predict_batch``) are that system with unit noise levels.  Only the
+oracles ``predict_pseudorange``, ``los_vector`` and ``WeightModel`` are
+written out apart from it.
 
 Three estimator families share this model and are referred to throughout
 the package by short ids:
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DimensionMismatch, RankDeficient
+from .errors import DegenerateGeometry, DimensionMismatch
 
 # UD closer than this to a BS (after velocity displacement) is degenerate.
 DEFAULT_GEOMETRY_EPS = 1e-9
@@ -332,27 +335,14 @@ class DesignMatrix:
             raise DimensionMismatch(f"unknown design variant {self.variant!r}")
         mat = np.atleast_2d(np.array(self.matrix, dtype=float))
         _require_finite(mat, "design matrix")
-        cols = mat.shape[1]
-        if self.variant == "kvd":
-            if cols - 2 not in (2, 3):
-                raise DimensionMismatch("kvd design must have N+2 columns")
-        else:
-            if cols % 2 or (cols - 2) // 2 not in (2, 3):
-                raise DimensionMismatch("design must have 2N+2 columns")
-            if self.variant == "pvd":
-                n = (cols - 2) // 2
-                bottom = mat[-n:, :]
-                expected = np.hstack([np.zeros((n, n + 2)), np.eye(n)])
-                if mat.shape[0] <= n or not np.array_equal(bottom, expected):
-                    raise DimensionMismatch(
-                        "pvd design must end with the [0 | I] prior block")
+        if self.variant == "pvd":
+            n = (mat.shape[1] - 2) // 2
+            bottom = mat[-n:, :]
+            expected = np.hstack([np.zeros((n, n + 2)), np.eye(n)])
+            if mat.shape[0] <= n or not np.array_equal(bottom, expected):
+                raise DimensionMismatch(
+                    "pvd design must end with the [0 | I] prior block")
         object.__setattr__(self, "matrix", _frozen_array(mat))
-
-
-def _bs_rows(batch: MeasurementBatch, bs: BsConstellation) -> np.ndarray:
-    if np.any(batch.bs_index < 0) or np.any(batch.bs_index >= bs.n_bs):
-        raise DimensionMismatch("batch references a BS index out of range")
-    return bs.positions[batch.bs_index]
 
 
 def predict_pseudorange(q, params: FullParams, dt: float) -> float:
@@ -365,100 +355,37 @@ def predict_pseudorange(q, params: FullParams, dt: float) -> float:
     return geometric + params.b + params.d * dt
 
 
-def los_vector(q, p, v, dt: float, eps: float = DEFAULT_GEOMETRY_EPS) -> np.ndarray:
+def los_vector(q, p, v, dt: float) -> np.ndarray:
     """Unit line-of-sight vector from the displaced UD toward the BS.
 
     Raises DegenerateGeometry when the displaced UD sits on the BS
-    (distance below ``eps``).
+    (distance below DEFAULT_GEOMETRY_EPS).
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     diff = q - p - v * dt
     dist = np.linalg.norm(diff)
-    if dist < eps:
-        raise DegenerateGeometry(f"UD within {eps} m of BS at {q}")
+    if dist < DEFAULT_GEOMETRY_EPS:
+        raise DegenerateGeometry(
+            f"UD within {DEFAULT_GEOMETRY_EPS} m of BS at {q}")
     return diff / dist
 
 
-def _los(q, p, shift, eps):
+def _los(q, p, shift):
     """Unit LOS vectors and distances from the UD, displaced by ``shift``
     (``v*dt`` per row), toward the BS rows ``q``, one row per measurement,
     over any leading trial axes; plus the per-window mask of UDs within
-    ``eps`` of a BS, or None when there is none.  The rows of a masked
-    window are finite but meaningless."""
+    DEFAULT_GEOMETRY_EPS of a BS, or None when there is none.  The LOS
+    rows of a masked window are finite but meaningless."""
     diff = q - p[..., None, :] - shift
-    dist = _row_norms(diff)
+    dist = safe = _row_norms(diff)
     degenerate = None
-    if np.minimum.reduce(dist, axis=None) < eps:
-        near = dist < eps
+    if np.minimum.reduce(dist, axis=None) < DEFAULT_GEOMETRY_EPS:
+        near = dist < DEFAULT_GEOMETRY_EPS
         degenerate = near.any(axis=-1)
-        dist = np.where(near, 1.0, dist)
-    return diff / dist[..., None], dist, degenerate
-
-
-def _los_rows(batch: MeasurementBatch, bs: BsConstellation, p, v,
-              eps: float = DEFAULT_GEOMETRY_EPS):
-    """Validated ``_los`` for one batch and parameter point."""
-    q = _bs_rows(batch, bs)
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if p.size != bs.n_dim or v.size != bs.n_dim:
-        raise DimensionMismatch("parameter dimension does not match BSs")
-    los, dist, degenerate = _los(q, p, batch.dt[:, None] * v[None, :], eps)
-    if degenerate is not None:
-        raise DegenerateGeometry("UD coincides with a BS in this batch")
-    return los, dist
-
-
-def _design_rows(los: np.ndarray, dt: np.ndarray, joint: bool) -> np.ndarray:
-    """Design rows ``[-e, 1, dt]``, extended with ``-e*dt`` when the
-    velocity is estimated (``joint``)."""
-    cols = [-los, np.ones((dt.size, 1)), dt[:, None]]
-    if joint:
-        cols.append(-los * dt[:, None])
-    return np.hstack(cols)
-
-
-def predict_batch(batch: MeasurementBatch, bs: BsConstellation,
-                  params: FullParams) -> np.ndarray:
-    """Vector of noise-free pseudoranges for one batch (zero distance is
-    legal here; only LOS computation needs separation)."""
-    q = _bs_rows(batch, bs)
-    if params.n_dim != bs.n_dim:
-        raise DimensionMismatch("parameter dimension does not match BSs")
-    diff = q - params.p[None, :] - batch.dt[:, None] * params.v[None, :]
-    dist = np.linalg.norm(diff, axis=1)
-    return dist + params.b + params.d * batch.dt
-
-
-def build_design_kvd(batch: MeasurementBatch, bs: BsConstellation,
-                     at: KvdParams, v_known,
-                     eps: float = DEFAULT_GEOMETRY_EPS) -> DesignMatrix:
-    """Known-velocity design: rows ``[-e, 1, dt]`` linearized at ``at``."""
-    los, _ = _los_rows(batch, bs, at.p, v_known, eps)
-    return DesignMatrix(matrix=_design_rows(los, batch.dt, joint=False),
-                        variant="kvd")
-
-
-def build_design_uvd(batch: MeasurementBatch, bs: BsConstellation,
-                     at: FullParams,
-                     eps: float = DEFAULT_GEOMETRY_EPS) -> DesignMatrix:
-    """Joint-velocity design: rows ``[-e, 1, dt, -e*dt]``."""
-    los, _ = _los_rows(batch, bs, at.p, at.v, eps)
-    return DesignMatrix(matrix=_design_rows(los, batch.dt, joint=True),
-                        variant="uvd")
-
-
-def build_design_pvd(batch: MeasurementBatch, bs: BsConstellation,
-                     at: FullParams,
-                     eps: float = DEFAULT_GEOMETRY_EPS) -> DesignMatrix:
-    """Prior-velocity design: joint rows stacked over the ``[0 | I]``
-    prior block."""
-    top = build_design_uvd(batch, bs, at, eps).matrix
-    n = bs.n_dim
-    bottom = np.hstack([np.zeros((n, n + 2)), np.eye(n)])
-    return DesignMatrix(matrix=np.vstack([top, bottom]), variant="pvd")
+        safe = np.where(near, 1.0, dist)
+    return diff / safe[..., None], dist, degenerate
 
 
 def _stack(arrays) -> np.ndarray:
@@ -541,9 +468,9 @@ class WhitenedSystem:
 
     Every array has a leading trial axis: the ``windows`` (a WindowStack)
     are (T, M), ``v_known`` is (T, N), ``priors`` are PriorRows.  The
-    constructor checks what the windows cannot be solved without
-    (measurement count, BS indices, velocity shape); ``of`` builds the
-    stack from validated batches and priors.
+    constructor checks the BS indices and the velocity and prior shapes;
+    whether there are enough measurements is the solvers' rank rule.
+    ``of`` builds the stack from validated batches and priors.
     """
 
     def __init__(self, bs: BsConstellation, windows: WindowStack,
@@ -553,19 +480,18 @@ class WhitenedSystem:
         prior_root, prior_mean = (None, None) if priors is None else priors
         count, m = bs_index.shape
         self.n_params = 2 * n + 2 if v_known is None else n + 2
-        short = self.n_params - m - (0 if prior_root is None else n)
-        if short > 0:
-            raise RankDeficient(f"need at least {m + short} "
-                                f"measurements, got {m}")
         if bs_index.min() < 0 or bs_index.max() >= bs.n_bs:
             raise DimensionMismatch("batch references a BS index out of range")
         if v_known is not None:
             if v_known.shape != (count, n):
                 raise DimensionMismatch("velocity dimension does not match BSs")
             _require_finite(v_known, "velocity")
-        if prior_root is not None and prior_root.shape != (count, n, n):
+            if prior_root is not None:
+                raise DimensionMismatch("a known velocity takes no prior")
+        if prior_root is not None and (prior_root.shape != (count, n, n)
+                                       or prior_mean.shape != (count, n)):
             raise DimensionMismatch("prior dimension does not match BSs")
-        self.n_dim = n
+        self.n_dim, self.m = n, m
         self.q = bs.positions[bs_index]
         self.dt, self.rho, self.w = dt, rho, 1.0 / windows.sigma
         # Per-row factors of the design, (T, M, 1): (-e) * w == e * (-w).
@@ -622,8 +548,7 @@ class WhitenedSystem:
         v = theta[:, n + 2:]
         if shift is None:
             shift = dt_col * v[:, None, :]
-        los, dist, degenerate = _los(q, theta[:, :n], shift,
-                                     DEFAULT_GEOMETRY_EPS)
+        los, dist, degenerate = _los(q, theta[:, :n], shift)
         np.multiply(los, neg_w, out=a[:, :m, :n])
         if self.v_known is None:
             np.multiply(los * dt_col, neg_w, out=a[:, :m, n + 2:])
@@ -634,6 +559,36 @@ class WhitenedSystem:
         return a, np.concatenate([z, prior_z], axis=1), degenerate
 
 
+def _unwhitened(batch: MeasurementBatch, bs: BsConstellation, at,
+                v_known=None, prior_mean=None, rho: bool = True):
+    """``WhitenedSystem.at`` for the one window ``batch`` at the params
+    ``at`` with every ``sigma`` set to 1, so that nothing is whitened: the
+    design rows, the residual ``rho - h`` (``-h`` without ``rho``) and
+    whether the UD sits on a BS.  ``prior_mean`` appends the prior rows
+    ``[0 | I]`` with residual ``prior_mean - v``."""
+    windows = WindowStack.of([batch])._replace(sigma=np.ones((1, batch.m)))
+    if not rho:
+        windows = windows._replace(rho=np.zeros((1, batch.m)))
+    priors = (None if prior_mean is None
+              else PriorRows(np.eye(bs.n_dim)[None], prior_mean[None]))
+    system = WhitenedSystem(
+        bs, windows,
+        None if v_known is None else np.asarray(v_known, dtype=float)[None],
+        priors)
+    theta = at.as_vector()[None]
+    if theta.shape[1:] != (system.n_params,):
+        raise DimensionMismatch("parameters do not match the estimator")
+    a, z, degenerate = system.at(theta)
+    return a[0], z[0], degenerate is not None
+
+
+def predict_batch(batch: MeasurementBatch, bs: BsConstellation,
+                  params: FullParams) -> np.ndarray:
+    """Vector of noise-free pseudoranges for one batch (zero distance is
+    legal here; only LOS computation needs separation)."""
+    return -_unwhitened(batch, bs, params, rho=False)[1]
+
+
 def residual(batch: MeasurementBatch, bs: BsConstellation, at,
              v_known=None, prior: VelocityPrior | None = None) -> np.ndarray:
     """Residual vector at the linearization point ``at``.
@@ -642,20 +597,34 @@ def residual(batch: MeasurementBatch, bs: BsConstellation, at,
     ``rho - h`` with the params' own velocity; FullParams + prior ->
     stacked ``[rho - h, mean - v]`` (length M+N).
     """
-    if isinstance(at, KvdParams):
-        if v_known is None:
-            raise DimensionMismatch("known-velocity residual needs v_known")
-        if prior is not None:
-            raise DimensionMismatch("prior is not part of the kvd residual")
-        full = FullParams(p=at.p, b=at.b, d=at.d, v=v_known)
-        return batch.rho - predict_batch(batch, bs, full)
-    if isinstance(at, FullParams):
-        if v_known is not None:
-            raise DimensionMismatch("v_known conflicts with joint estimation")
-        top = batch.rho - predict_batch(batch, bs, at)
-        if prior is None:
-            return top
-        if prior.n_dim != at.n_dim:
-            raise DimensionMismatch("prior dimension does not match params")
-        return np.concatenate([top, prior.mean - at.v])
-    raise DimensionMismatch(f"unsupported parameter type {type(at)!r}")
+    return _unwhitened(batch, bs, at, v_known,
+                       None if prior is None else prior.mean)[1]
+
+
+def _design(batch: MeasurementBatch, bs: BsConstellation, at, variant: str,
+            v_known=None) -> DesignMatrix:
+    a, _, degenerate = _unwhitened(
+        batch, bs, at, v_known,
+        np.zeros(bs.n_dim) if variant == "pvd" else None)
+    if degenerate:
+        raise DegenerateGeometry("UD coincides with a BS in this batch")
+    return DesignMatrix(matrix=a, variant=variant)
+
+
+def build_design_kvd(batch: MeasurementBatch, bs: BsConstellation,
+                     at: KvdParams, v_known) -> DesignMatrix:
+    """Known-velocity design: rows ``[-e, 1, dt]`` linearized at ``at``."""
+    return _design(batch, bs, at, "kvd", v_known)
+
+
+def build_design_uvd(batch: MeasurementBatch, bs: BsConstellation,
+                     at: FullParams) -> DesignMatrix:
+    """Joint-velocity design: rows ``[-e, 1, dt, -e*dt]``."""
+    return _design(batch, bs, at, "uvd")
+
+
+def build_design_pvd(batch: MeasurementBatch, bs: BsConstellation,
+                     at: FullParams) -> DesignMatrix:
+    """Prior-velocity design: joint rows stacked over the ``[0 | I]``
+    prior block."""
+    return _design(batch, bs, at, "pvd")

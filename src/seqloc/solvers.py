@@ -79,54 +79,74 @@ class EstimateReport:
     final_step_norm: float
 
 
-def _condition(s: np.ndarray) -> float:
-    return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+# A UD position or displacement so large that its distances to the BSs
+# overflow: the LOS rows of its design turn NaN.
+_OVERFLOWED_DESIGN = "measurements too large: the whitened design overflows"
 
 
-def well_conditioned(s: np.ndarray) -> np.ndarray:
-    """Per-window mask of singular values ``s`` (..., P) whose condition
-    number is within MAX_DESIGN_CONDITION (a zero, negative-zero or NaN
-    smallest one is not)."""
-    last = s[..., -1]
-    positive = last > 0
-    if positive.all():
-        return s[..., 0] / last <= MAX_DESIGN_CONDITION
+def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
+              m: int | None = None, compute_uv: bool = True):
+    """The one rule a whitened design must pass before it is used.
+
+    Factors the designs ``a`` (L, rows, P) of the windows ``trials`` and
+    sets ``failures[k]`` once for each window ``k`` that cannot determine
+    its parameters, to the first of:
+
+    * fewer rows than parameters (RankDeficient, counted in measurements:
+      ``m`` of the rows are pseudoranges, every row when None);
+    * a design that is not finite (DimensionMismatch: LAPACK rejects a NaN
+      design, so one overflowed window would fail the stacked SVD);
+    * a UD on a BS, where ``degenerate`` (DegenerateGeometry);
+    * a condition number beyond MAX_DESIGN_CONDITION, or a zero,
+      negative-zero or NaN smallest singular value (RankDeficient).
+
+    Returns the mask of the usable windows (None when every window is)
+    and their SVD ``(U, S, V^T)``, or ``S`` alone without ``compute_uv``.
+    """
+    rows, params = a.shape[-2:]
+    broken = None
+    try:
+        svd = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        broken = ~np.isfinite(a).all(axis=(1, 2))
+        svd = np.linalg.svd(np.where(broken[:, None, None], 0.0, a),
+                            full_matrices=False, compute_uv=compute_uv)
+    s = svd[1] if compute_uv else svd
+    last = s[:, -1]
+    if (rows >= params and broken is None and degenerate is None
+            and np.minimum.reduce(last) > 0
+            and np.maximum.reduce(s[:, 0] / last) <= MAX_DESIGN_CONDITION):
+        return None, svd
     with np.errstate(divide="ignore", invalid="ignore"):
-        return positive & (s[..., 0] / last <= MAX_DESIGN_CONDITION)
-
-
-def design_failures(failures: list, trials, degenerate,
-                    conditioned) -> np.ndarray:
-    """Set ``failures[k]`` for each window ``k`` of ``trials`` whose whitened
-    design is unusable: DegenerateGeometry where ``degenerate`` (a UD on a
-    BS; None for no window), else RankDeficient where not ``conditioned``.
-    Returns the mask of usable windows."""
-    usable = conditioned if degenerate is None else conditioned & ~degenerate
-    for k in np.asarray(trials)[~usable].tolist():
-        failures[k] = RankDeficient("whitened design matrix is rank-deficient")
-    if degenerate is not None:
-        for k in np.asarray(trials)[degenerate].tolist():
-            failures[k] = DegenerateGeometry(
-                "UD coincides with a BS in this batch")
-    return usable
+        conditioned = (last > 0) & (s[:, 0] / last <= MAX_DESIGN_CONDITION)
+    m = rows if m is None else m
+    keep = np.ones(len(a), dtype=bool)
+    for mask, error, message in (
+            (np.full(len(a), rows < params), RankDeficient,
+             f"need at least {m + params - rows} measurements, got {m}"),
+            (broken, DimensionMismatch, _OVERFLOWED_DESIGN),
+            (degenerate, DegenerateGeometry,
+             "UD coincides with a BS in this batch"),
+            (~conditioned, RankDeficient,
+             "whitened design matrix is rank-deficient")):
+        if mask is not None:
+            for k in np.asarray(trials)[keep & mask].tolist():
+                failures[k] = error(message)
+            keep &= ~mask
+    return keep, (tuple(x[keep] for x in svd) if compute_uv else s[keep])
 
 
 def whitened_svd(a: np.ndarray):
-    """Thin SVD ``(U, S, V^T)`` of one whitened design matrix.
-
-    Raises RankDeficient when ``a`` cannot determine its parameters: fewer
-    rows than columns, or a condition number beyond MAX_DESIGN_CONDITION;
-    DimensionMismatch when it is not finite (LAPACK may never return from
-    the SVD of a matrix holding inf).
-    """
-    if a.shape[0] < a.shape[1]:
-        raise RankDeficient(
-            f"{a.shape[0]} rows cannot determine {a.shape[1]} parameters")
+    """Thin SVD ``(U, S, V^T)`` of one whitened design matrix; raises the
+    failure of its ``rank_rule``, or DimensionMismatch first when it is
+    not finite (LAPACK may never return from the SVD of a matrix holding
+    inf)."""
     _require_finite(a, "whitened design matrix")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if not well_conditioned(s):
-        raise RankDeficient("whitened design matrix is rank-deficient")
-    return u, s, vt
+    failures = [None]
+    _, (u, s, vt) = rank_rule(a[None], failures, [0])
+    if failures[0] is not None:
+        raise failures[0]
+    return u[0], s[0], vt[0]
 
 
 def _whiten(g, w):
@@ -141,7 +161,8 @@ def design_condition(g, w) -> float:
     """Condition number of sqrt(W) G (its square is the normal-matrix
     condition number)."""
     _, a = _whiten(g, w)
-    return _condition(np.linalg.svd(a, compute_uv=False))
+    s = np.linalg.svd(a, compute_uv=False)
+    return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
 
 
 def wls_step(g, w, r) -> np.ndarray:
@@ -156,9 +177,6 @@ def wls_step(g, w, r) -> np.ndarray:
 # Pseudoranges so large that their mean range mismatch, the initial clock
 # offset, overflows float64.
 _OVERFLOWED_START = "pseudoranges too large: the initial clock offset overflows"
-# A UD position or displacement so large that its distances to the BSs
-# overflow: the LOS rows of its design turn NaN.
-_OVERFLOWED_DESIGN = "measurements too large: the whitened design overflows"
 
 
 def _centroid(positions: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -227,16 +245,6 @@ class StackSolution(NamedTuple):
     failures: list
 
 
-def _finite_designs(failures: list, trials, a: np.ndarray) -> np.ndarray:
-    """Mask of the windows ``trials`` whose whitened designs ``a`` are
-    finite; each other one fails with DimensionMismatch.  LAPACK rejects a
-    NaN design, so one overflowed window would fail the stacked SVD."""
-    finite = np.isfinite(a).all(axis=(1, 2))
-    for k in np.asarray(trials)[~finite].tolist():
-        failures[k] = DimensionMismatch(_OVERFLOWED_DESIGN)
-    return finite
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def solve_stack(system: WhitenedSystem, theta: np.ndarray,
                 cfg: SolverConfig = SolverConfig()) -> StackSolution:
@@ -246,9 +254,8 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     A window leaves the loop when its step norm drops below the threshold
     (converged), at the iteration cap (not converged), or when it fails:
     a start that is not finite (DimensionMismatch: ``initial_vectors``
-    overflowed on its pseudoranges, or a design that overflowed), a UD on
-    a BS (DegenerateGeometry), a design beyond the condition cap
-    (RankDeficient) or a step beyond the divergence guard (Diverged, also
+    overflowed on its pseudoranges), a design that fails the
+    ``rank_rule``, or a step beyond the divergence guard (Diverged, also
     when it overflows to inf or NaN).  Failures are recorded per window,
     never raised.  While every window is still iterating the arrays are
     used whole, without indexing.
@@ -262,6 +269,9 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     # A non-finite step norm diverges whatever the guard.
     guard = min(cfg.divergence_guard, sys.float_info.max)
     live, th, norm = np.arange(count), theta, None
+    # Pseudorange rows per window (prior rows come on top), for the rank
+    # rule's message; a system that does not say has no prior rows.
+    m = getattr(system, "m", None)
     if not np.isfinite(theta).all():
         finite = np.isfinite(theta).all(axis=1)
         for k in np.flatnonzero(~finite).tolist():
@@ -272,25 +282,9 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
             break
         whole = live.size == count
         a, z, degenerate = system.at(th, None if whole else live)
-        try:
-            u, s, vt = np.linalg.svd(a, full_matrices=False)
-        except np.linalg.LinAlgError:
-            keep = _finite_designs(failures, live, a)
-            live, th, a, z = live[keep], th[keep], a[keep], z[keep]
-            if degenerate is not None:
-                degenerate = degenerate[keep]
-            if not live.size:
-                break
-            u, s, vt = np.linalg.svd(a, full_matrices=False)
-        # Every design usable: no UD on a BS, conditions within the cap.
-        last = s[:, -1]
-        if not (degenerate is None and np.minimum.reduce(last) > 0
-                and np.maximum.reduce(s[:, 0] / last)
-                <= MAX_DESIGN_CONDITION):
-            usable = design_failures(failures, live, degenerate,
-                                     well_conditioned(s))
-            live, th, z = live[usable], th[usable], z[usable]
-            u, s, vt = u[usable], s[usable], vt[usable]
+        keep, (u, s, vt) = rank_rule(a, failures, live, degenerate, m)
+        if keep is not None:
+            live, th, z = live[keep], th[keep], z[keep]
             if not live.size:
                 break
         step = vt.mT @ ((u.mT @ z[..., None]) / s[..., None])
@@ -326,29 +320,19 @@ def _final_covariance(system: WhitenedSystem, theta: np.ndarray, final,
                       failures: list) -> np.ndarray:
     """Covariances ``V S^-2 V^T`` (T, P, P) at the final iterates ``theta``
     of the windows ``final`` (every window when None), NaN elsewhere.  A
-    window whose design is unusable at its final iterate fails here."""
+    window whose design is unusable at its final iterate fails here (the
+    loop has already failed every window with too few rows)."""
     if final is not None and not final.size:
         return np.full(theta.shape + theta.shape[1:], np.nan)
     a, _, degenerate = system.at(theta if final is None else theta[final],
                                  final)
-    try:
-        _, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError:
-        final = np.arange(len(theta)) if final is None else final
-        keep = _finite_designs(failures, final, a)
-        return _final_covariance(system, theta, final[keep], failures)
-    last = s[:, -1]
-    if not (degenerate is None and np.minimum.reduce(last) > 0
-            and np.maximum.reduce(s[:, 0] / last) <= MAX_DESIGN_CONDITION):
-        final = np.arange(len(theta)) if final is None else final
-        usable = design_failures(failures, final, degenerate,
-                                 well_conditioned(s))
-        final, s, vt = final[usable], s[usable], vt[usable]
+    trials = np.arange(len(theta)) if final is None else final
+    keep, (_, s, vt) = rank_rule(a, failures, trials, degenerate)
     covariance = (vt.mT / (s**2)[..., None, :]) @ vt
-    if final is None:
+    if final is None and keep is None:
         return covariance
     stacked = np.full(theta.shape + theta.shape[1:], np.nan)
-    stacked[final] = covariance
+    stacked[trials if keep is None else trials[keep]] = covariance
     return stacked
 
 

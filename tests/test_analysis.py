@@ -5,6 +5,8 @@ weighted design and direct normal-equation algebra, independent of the
 package's vectorized/SVD code paths.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -299,3 +301,75 @@ class TestBiasLowerBound:
             assert check.bias_norm_sq == pytest.approx(
                 float(np.dot(exact.bias, exact.bias)), rel=1e-12)
             assert check.holds
+
+
+class TestPriorInterpolation:
+    def test_pvd_trace_rises_from_kvd_to_uvd(self):
+        """The pvd position-covariance trace never decreases as prior_std
+        rises from 1e-6 to 1e6, and its two ends are the kvd and the uvd
+        traces."""
+        rng = np.random.default_rng(90)
+        stds = np.logspace(-6, 6, 49)
+        for _ in range(40):
+            bs, truth = random_geometry(rng)
+            batch = canonical_batch(bs, truth)
+            priors = [VelocityPrior.isotropic(truth.v, std) for std in stds]
+            pvd = analysis.theoretical_rmse_stack(
+                "pvd", [batch] * stds.size, bs, [truth] * stds.size, priors)
+            assert pvd.failures == [None] * stds.size
+            trace = np.trace(pvd.variance, axis1=1, axis2=2)
+            assert np.all(np.diff(trace) >= 0)
+            for kind, end in (("kvd", trace[0]), ("uvd", trace[-1])):
+                budget = analysis.theoretical_rmse(kind, batch, bs, truth)
+                assert end == pytest.approx(np.trace(budget.variance),
+                                            rel=1e-6, abs=0)
+
+
+class TestOverflowedTruth:
+    """A truth so far out that its whitened design overflows leaves the
+    theory undefined: DimensionMismatch, as from the solvers, with no
+    numpy warning and no LinAlgError."""
+
+    FAR = FullParams(p=[-1.7e308, 0.0], b=30.0, d=0.0, v=[-1.7e308, 0.0])
+
+    @staticmethod
+    def batch():
+        return make_batch(np.arange(8) % 4, 0.01 * np.arange(8),
+                          rho=np.full(8, 20.0))
+
+    def test_single_window_theory_raises(self, bs_square):
+        batch, far = self.batch(), self.FAR
+        prior = VelocityPrior.isotropic(far.v, 2.0)
+        calls = [lambda kind=kind: analysis.fim(batch, bs_square, far, kind,
+                                               prior=prior)
+                 for kind in ("kvd", "uvd", "pvd")]
+        calls += [lambda kind=kind: analysis.theoretical_rmse(
+            kind, batch, bs_square, far, prior=prior)
+            for kind in ("kvd", "uvd", "pvd")]
+        calls += [
+            lambda: analysis.bias_deviated_velocity(batch, bs_square, far,
+                                                    [0.0, 0.0]),
+            lambda: analysis.bias_drift_only(batch, bs_square, far),
+            lambda: analysis.bias_linear_lower_bound(batch, bs_square, far,
+                                                     [[1.0, 0.0]]),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DimensionMismatch, match="overflows"):
+                    call()
+
+    def test_fails_only_its_window_of_a_stack(self, bs_square, moving_truth):
+        batch = self.batch()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stack = analysis.theoretical_rmse_stack(
+                "uvd", [batch] * 3, bs_square,
+                [moving_truth, self.FAR, moving_truth])
+        assert isinstance(stack.failures[1], DimensionMismatch)
+        assert np.isnan(stack.rmse[1])
+        alone = analysis.theoretical_rmse("uvd", batch, bs_square,
+                                          moving_truth)
+        for k in (0, 2):
+            assert stack.failures[k] is None
+            assert np.array_equal(stack.variance[k], alone.variance)

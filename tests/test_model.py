@@ -24,7 +24,7 @@ from seqloc import (
     residual,
 )
 
-from seqloc.model import information_root, prior_rows
+from seqloc.model import WhitenedSystem, information_root, prior_rows
 
 from conftest import canonical_batch, make_batch
 
@@ -349,3 +349,75 @@ class TestJacobianAgainstFiniteDifferences:
                               v=rng.uniform(-10, 10, n))
             for variant in ("kvd", "uvd", "pvd"):
                 self.assert_variant_matches(batch, bs, full, variant)
+
+
+class TestWhitenedJacobian:
+    """``WhitenedSystem.at`` against central differences of its own
+    whitened residual, ``A = -dz/dtheta``, prior rows included, on a
+    stack of three windows and through a ``live`` subset of it."""
+
+    STEP = 1e-6
+
+    def stack(self, rng):
+        """Three noisy 8-row windows with unequal noise levels, their
+        truths (3, 2N+2) and one correlated velocity prior per window."""
+        bs = BsConstellation(rng.uniform(0, 30, (4, 2)))
+        batches, truths, priors = [], [], []
+        for _ in range(3):
+            truth = FullParams(p=rng.uniform(5, 25, 2),
+                               b=rng.uniform(-50, 50),
+                               d=rng.uniform(-2000, 2000),
+                               v=rng.uniform(-10, 10, 2))
+            clean = canonical_batch(bs, truth)
+            sigma = rng.uniform(0.05, 0.5, clean.m)
+            batches.append(MeasurementBatch(
+                bs_index=clean.bs_index, t=clean.t,
+                rho=clean.rho + sigma * rng.standard_normal(clean.m),
+                sigma=sigma, t_l=0.02))
+            truths.append(truth.as_vector())
+            root = rng.normal(size=(2, 2))
+            priors.append(VelocityPrior(truth.v + rng.normal(size=2),
+                                        root @ root.T + 0.25 * np.eye(2)))
+        return bs, batches, np.stack(truths), priors
+
+    def systems(self, bs, batches, truths, priors):
+        """Each estimator's system and the points (3, P) to differentiate
+        at: near the truths, so that the residuals are small."""
+        v = truths[:, 4:]
+        return {
+            "kvd": (WhitenedSystem.of(batches, bs, v_known=v),
+                    truths[:, :4]),
+            "d": (WhitenedSystem.of(batches, bs, v_known=np.zeros_like(v)),
+                  truths[:, :4]),
+            "uvd": (WhitenedSystem.of(batches, bs), truths),
+            "pvd": (WhitenedSystem.of(batches, bs, priors=priors), truths),
+        }
+
+    def assert_matches(self, system, theta, live=None):
+        a, z, degenerate = system.at(theta, live)
+        assert degenerate is None
+        numeric = np.empty_like(a)
+        for j in range(theta.shape[1]):
+            e = np.zeros(theta.shape[1])
+            e[j] = self.STEP
+            plus = system.at(theta + e, live)[1]
+            minus = system.at(theta - e, live)[1]
+            numeric[:, :, j] = -(plus - minus) / (2 * self.STEP)
+        rel = np.abs(numeric - a) / np.maximum(np.abs(a), 1.0)
+        assert np.max(rel) < 1e-6
+        return a, z
+
+    @pytest.mark.parametrize("kind", ["kvd", "d", "uvd", "pvd"])
+    def test_stack_and_live_subset(self, kind):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            bs, batches, truths, priors = self.stack(rng)
+            system, theta = self.systems(bs, batches, truths, priors)[kind]
+            theta = theta + rng.normal(0.0, 0.5, theta.shape)
+            a, z = self.assert_matches(system, theta)
+            rows = 8 + (2 if kind == "pvd" else 0)
+            assert a.shape == (3, rows, theta.shape[1])
+            live = np.array([2, 0])
+            a_live, z_live = self.assert_matches(system, theta[live], live)
+            assert np.array_equal(a_live, a[live])
+            assert np.array_equal(z_live, z[live])
