@@ -54,8 +54,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """``np.isfinite(arr).all()``, by ``np.count_nonzero``, which skips
+    the Python wrapper of the ``all`` method that dominates the cost on a
+    window's arrays."""
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
+
+
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise DimensionMismatch(f"{what} must be finite")
 
 
@@ -373,12 +380,13 @@ def los_vector(q, p, v, dt: float) -> np.ndarray:
 
 
 def _los(q, p, shift):
-    """Unit LOS vectors and distances from the UD, displaced by ``shift``
-    (``v*dt`` per row), toward the BS rows ``q``, one row per measurement,
-    over any leading trial axes; plus the per-window mask of UDs within
-    DEFAULT_GEOMETRY_EPS of a BS, or None when there is none.  The LOS
-    rows of a masked window are finite but meaningless."""
-    diff = q - p[..., None, :] - shift
+    """Unit LOS vectors and distances from the UD at ``p`` (..., 1, N),
+    displaced by ``shift`` (``v*dt`` per row), toward the BS rows ``q``,
+    one row per measurement, over any leading trial axes; plus the
+    per-window mask of UDs within DEFAULT_GEOMETRY_EPS of a BS, or None
+    when there is none.  The LOS rows of a masked window are finite but
+    meaningless."""
+    diff = q - p - shift
     dist = safe = _row_norms(diff)
     degenerate = None
     if np.minimum.reduce(dist, axis=None) < DEFAULT_GEOMETRY_EPS:
@@ -407,12 +415,17 @@ class WindowStack(NamedTuple):
     @classmethod
     def of(cls, batches) -> "WindowStack":
         """The stack of validated ``batches`` of one length."""
-        return cls(_stack([batch.bs_index for batch in batches]),
-                   _stack([batch.t for batch in batches]),
-                   _stack([batch.rho for batch in batches]),
-                   _stack([batch.sigma for batch in batches]),
+        if len(batches) == 1:
+            (batch,) = batches
+            return cls(batch.bs_index[None], batch.t[None], batch.rho[None],
+                       batch.sigma[None], np.array([batch.t_l]),
+                       batch.dt[None])
+        return cls(np.stack([batch.bs_index for batch in batches]),
+                   np.stack([batch.t for batch in batches]),
+                   np.stack([batch.rho for batch in batches]),
+                   np.stack([batch.sigma for batch in batches]),
                    np.array([batch.t_l for batch in batches]),
-                   _stack([batch.dt for batch in batches]))
+                   np.stack([batch.dt for batch in batches]))
 
     def take(self, rows) -> "WindowStack":
         """The windows ``rows``, in that order."""
@@ -440,7 +453,7 @@ def information_root(covariance: np.ndarray) -> np.ndarray:
     SPD covariances (..., N, N), ``R^T R = inv(covariance)``: for diagonal
     covariances ``diag(sqrt(1 / var))``, bit for bit what the dense
     ``cholesky(inv(covariance)).mT`` gives, which the others take."""
-    var = np.diagonal(covariance, axis1=-2, axis2=-1)
+    var = covariance.diagonal(axis1=-2, axis2=-1)
     # An SPD diagonal is positive: no other non-zero means diagonal.
     if np.count_nonzero(covariance) == var.size:
         return np.sqrt(1.0 / var)[..., None] * np.eye(var.shape[-1])
@@ -473,6 +486,9 @@ class WhitenedSystem:
     ``of`` builds the stack from validated batches and priors.
     """
 
+    # A displacement or whitened time that overflows fails its window in
+    # the solver, or the whole stack below, without a warning.
+    @np.errstate(over="ignore")
     def __init__(self, bs: BsConstellation, windows: WindowStack,
                  v_known=None, priors: PriorRows | None = None):
         n = bs.n_dim
@@ -480,7 +496,8 @@ class WhitenedSystem:
         prior_root, prior_mean = (None, None) if priors is None else priors
         count, m = bs_index.shape
         self.n_params = 2 * n + 2 if v_known is None else n + 2
-        if bs_index.min() < 0 or bs_index.max() >= bs.n_bs:
+        if (np.minimum.reduce(bs_index, axis=None) < 0
+                or np.maximum.reduce(bs_index, axis=None) >= bs.n_bs):
             raise DimensionMismatch("batch references a BS index out of range")
         if v_known is not None:
             if v_known.shape != (count, n):
@@ -492,7 +509,7 @@ class WhitenedSystem:
                                        or prior_mean.shape != (count, n)):
             raise DimensionMismatch("prior dimension does not match BSs")
         self.n_dim, self.m = n, m
-        self.q = bs.positions[bs_index]
+        self.q = bs.positions.take(bs_index, axis=0)
         self.dt, self.rho, self.w = dt, rho, 1.0 / windows.sigma
         # Per-row factors of the design, (T, M, 1): (-e) * w == e * (-w).
         self.dt_col, self.neg_w = dt[..., None], -self.w[..., None]
@@ -503,15 +520,13 @@ class WhitenedSystem:
         rows = m + (0 if prior_root is None else n)
         self.template = np.zeros((count, rows, self.n_params))
         self.template[:, :m, n] = self.w
-        # A displacement that overflows fails its window in the solver.
-        with np.errstate(over="ignore"):
-            self.template[:, :m, n + 1] = dt * self.w
-            self.shift = (None if v_known is None
-                          else self.dt_col * v_known[:, None, :])
+        self.template[:, :m, n + 1] = dt * self.w
+        self.shift = (None if v_known is None
+                      else self.dt_col * v_known[:, None, :])
         if prior_root is not None:
             self.template[:, m:, n + 2:] = prior_root
         # LAPACK may never return from the SVD of a design holding inf.
-        if not np.isfinite(self.template).all():
+        if not _all_finite(self.template):
             raise DimensionMismatch("the whitened design overflows: times "
                                     "too far from the epoch, or too tight "
                                     "a prior")
@@ -545,17 +560,16 @@ class WhitenedSystem:
             if root is not None:
                 root, mean = root[live], mean[live]
         n, m = self.n_dim, dt.shape[-1]
-        v = theta[:, n + 2:]
         if shift is None:
-            shift = dt_col * v[:, None, :]
-        los, dist, degenerate = _los(q, theta[:, :n], shift)
+            shift = dt_col * theta[:, None, n + 2:]
+        los, dist, degenerate = _los(q, theta[:, None, :n], shift)
         np.multiply(los, neg_w, out=a[:, :m, :n])
         if self.v_known is None:
             np.multiply(los * dt_col, neg_w, out=a[:, :m, n + 2:])
         z = (rho - (dist + theta[:, n, None] + theta[:, n + 1, None] * dt)) * w
         if root is None:
             return a, z, degenerate
-        prior_z = (root @ (mean - v)[..., None])[..., 0]
+        prior_z = (root @ (mean - theta[:, n + 2:])[..., None])[..., 0]
         return a, np.concatenate([z, prior_z], axis=1), degenerate
 
 

@@ -722,9 +722,12 @@ def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
                                 * np.eye(n_dim))
         prior = PriorRows(np.broadcast_to(root, (n, n_dim, n_dim)), truth_v
                           if draws.nominal_v is None else draws.nominal_v)
+    # The constructor rejects, for the whole cell, a BS index out of
+    # range, a velocity of the wrong shape or a whitened template that
+    # overflows; too few measurements fail per window in the rank rule.
     try:
         system = WhitenedSystem(bs, win, v_known, prior)
-    except SeqlocError as exc:  # no window of this length can be solved
+    except SeqlocError as exc:
         p = n_dim + 2 if v_known is not None else 2 * n_dim + 2
         sol = StackSolution(np.full((n, p), np.nan), np.zeros(n, dtype=int),
                             np.zeros(n, dtype=bool), np.zeros(n),

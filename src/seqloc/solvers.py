@@ -11,7 +11,12 @@ covariance is ``V S^-2 V^T`` at the final iterate.
 The loop (``solve_stack``) runs on a stack of windows with numpy's
 stacked ``svd``/``matmul``; a window that fails or converges leaves the
 stack through a mask.  The Monte Carlo harness passes a whole sweep cell,
-the public ``solve_*`` a stack of one.
+the public ``solve_*`` a stack of one.  Both run the same loop and the
+same floating-point operations; only the happy-path guards (the rank
+rule's smallest singular value and condition number, the loop's
+threshold and divergence exit) depend on the size, through ``_extreme``:
+a stack of one window compares Python floats, which costs less than a
+numpy reduction on one value, and a larger stack reduces with ufuncs.
 """
 
 from __future__ import annotations
@@ -34,9 +39,11 @@ from .model import (  # noqa: F401
     MeasurementBatch,
     VelocityPrior,
     WhitenedSystem,
+    _all_finite,
     _freeze,
     _require_finite,
     _row_norms,
+    _trusted,
     _trusted_params,
     build_design_kvd,
     build_design_pvd,
@@ -84,6 +91,15 @@ class EstimateReport:
 _OVERFLOWED_DESIGN = "measurements too large: the whitened design overflows"
 
 
+def _extreme(reduce, values: np.ndarray):
+    """``reduce(values)`` over a guard's per-window values (L,): the one
+    value as a Python float when the stack holds one window, which
+    compares several times faster than a numpy scalar, else the ufunc
+    reduction.  A NaN comes out of both, and a float keeps its sign, so
+    NaN, +0.0 and -0.0 take the same branch of a comparison either way."""
+    return values.item() if len(values) == 1 else reduce(values)
+
+
 def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
               m: int | None = None, compute_uv: bool = True):
     """The one rule a whitened design must pass before it is used.
@@ -114,8 +130,9 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
     s = svd[1] if compute_uv else svd
     last = s[:, -1]
     if (rows >= params and broken is None and degenerate is None
-            and np.minimum.reduce(last) > 0
-            and np.maximum.reduce(s[:, 0] / last) <= MAX_DESIGN_CONDITION):
+            and _extreme(np.minimum.reduce, last) > 0
+            and _extreme(np.maximum.reduce, s[:, 0] / last)
+            <= MAX_DESIGN_CONDITION):
         return None, svd
     with np.errstate(divide="ignore", invalid="ignore"):
         conditioned = (last > 0) & (s[:, 0] / last <= MAX_DESIGN_CONDITION)
@@ -183,8 +200,9 @@ def _centroid(positions: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Mean of the BS ``positions`` that the window ``row`` hears, each
     once, in index order: ``positions[np.unique(row)].mean(axis=0)`` with
     the same floating-point operations."""
-    heard = np.bincount(row, minlength=len(positions)) > 0
-    return np.add.reduce(positions[heard], axis=0) / np.count_nonzero(heard)
+    heard = positions.compress(
+        np.bincount(row, minlength=len(positions)) > 0, axis=0)
+    return np.add.reduce(heard, axis=0) / len(heard)
 
 
 @np.errstate(over="ignore")
@@ -197,12 +215,13 @@ def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
     range mismatch, zero drift; extended with the velocities ``v0``
     (T, N) to ``[p, b, d, v]`` when given.  The offset of a window whose
     pseudoranges overflow that mean is infinite."""
-    if (bs_index == bs_index[0]).all():
+    if len(bs_index) == 1 or (bs_index == bs_index[0]).all():
         p0 = _centroid(bs.positions, bs_index[0])[None]
-        p0 = p0.repeat(len(bs_index), axis=0)
+        if len(bs_index) > 1:
+            p0 = p0.repeat(len(bs_index), axis=0)
     else:
         p0 = np.array([_centroid(bs.positions, row) for row in bs_index])
-    ranges = _row_norms(bs.positions[bs_index] - p0[:, None, :])
+    ranges = _row_norms(bs.positions.take(bs_index, axis=0) - p0[:, None, :])
     # np.mean over the last axis, without its Python overhead
     b = np.add.reduce(rho - ranges, axis=-1) / rho.shape[-1]
     cols = [p0, b[:, None], np.zeros((len(b), 1))]
@@ -272,7 +291,7 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     # Pseudorange rows per window (prior rows come on top), for the rank
     # rule's message; a system that does not say has no prior rows.
     m = getattr(system, "m", None)
-    if not np.isfinite(theta).all():
+    if not _all_finite(theta):
         finite = np.isfinite(theta).all(axis=1)
         for k in np.flatnonzero(~finite).tolist():
             failures[k] = DimensionMismatch(_OVERFLOWED_START)
@@ -295,8 +314,8 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
         else:
             theta[live] = th
         # Leave below the threshold, or beyond the guard (NaN included).
-        if not (np.minimum.reduce(norm) >= cfg.threshold
-                and np.maximum.reduce(norm) <= guard):
+        if not (_extreme(np.minimum.reduce, norm) >= cfg.threshold
+                and _extreme(np.maximum.reduce, norm) <= guard):
             stay = (norm >= cfg.threshold) & (norm <= guard)
             for k, x in zip(live[~stay].tolist(), norm[~stay].tolist()):
                 iterations[k], step_norm[k] = iteration, x
@@ -326,13 +345,14 @@ def _final_covariance(system: WhitenedSystem, theta: np.ndarray, final,
         return np.full(theta.shape + theta.shape[1:], np.nan)
     a, _, degenerate = system.at(theta if final is None else theta[final],
                                  final)
-    trials = np.arange(len(theta)) if final is None else final
+    trials = range(len(theta)) if final is None else final
     keep, (_, s, vt) = rank_rule(a, failures, trials, degenerate)
     covariance = (vt.mT / (s**2)[..., None, :]) @ vt
     if final is None and keep is None:
         return covariance
+    rows = np.asarray(trials)
     stacked = np.full(theta.shape + theta.shape[1:], np.nan)
-    stacked[trials if keep is None else trials[keep]] = covariance
+    stacked[rows if keep is None else rows[keep]] = covariance
     return stacked
 
 
@@ -340,12 +360,14 @@ def window_report(sol: StackSolution, k: int, n_dim: int) -> EstimateReport:
     """The report of window ``k`` of a solved stack (anything with the
     columns of a StackSolution), which did not fail, over read-only rows
     of its arrays.  The stack's iterates are finite (a non-finite step
-    fails its window), so the params are not validated again."""
-    return EstimateReport(params=_trusted_params(sol.theta[k], n_dim),
-                          iterations=int(sol.iterations[k]),
-                          converged=bool(sol.converged[k]),
-                          covariance=sol.covariance[k],
-                          final_step_norm=float(sol.step_norm[k]))
+    fails its window), so neither the params nor the report are
+    validated again."""
+    return _trusted(EstimateReport,
+                    params=_trusted_params(sol.theta[k], n_dim),
+                    iterations=int(sol.iterations[k]),
+                    converged=bool(sol.converged[k]),
+                    covariance=sol.covariance[k],
+                    final_step_norm=float(sol.step_norm[k]))
 
 
 def _solve(system: WhitenedSystem, batch: MeasurementBatch,

@@ -371,3 +371,37 @@ class TestSingleWindowIdentity:
         times = np.linspace(-3.0, 40.0, 97).tolist()
         assert np.array_equal(np.array(traj.positions(times)),
                               np.array([traj.state_at(t)[0] for t in times]))
+
+
+class TestShortWindows:
+    def test_three_measurement_cell_fails_every_trial_in_the_rank_rule(
+            self, scenario, monkeypatch):
+        """Three pseudoranges cannot fix kvd's four parameters: every
+        trial of the cell fails in ``solve_stack``'s rank rule with the
+        message of the single-window solve, not in the constructor."""
+        from dataclasses import replace
+
+        from seqloc import simulate
+        from seqloc.errors import RankDeficient
+
+        message = "need at least 4 measurements, got 3"
+        cfg = replace(scenario, m_per_fix=3)
+        failures = []
+        real = simulate.solve_stack
+
+        def solve(*args):
+            sol = real(*args)
+            failures.extend(sol.failures)
+            return sol
+
+        monkeypatch.setattr(simulate, "solve_stack", solve)
+        cell = run_monte_carlo(cfg, EstimatorSpec(kind="kvd"), n_trials=20)
+        assert len(failures) == 20
+        assert all(type(f) is RankDeficient and str(f) == message
+                   for f in failures)
+        assert cell.errors == ("RankDeficient",) * 20
+        assert not cell.converged.any()
+        for rec in cell[:3]:
+            with pytest.raises(RankDeficient) as alone:
+                solve_known_velocity(rec.batch, cfg.bs, rec.v_assumed)
+            assert str(alone.value) == message
