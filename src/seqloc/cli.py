@@ -26,11 +26,12 @@ from .errors import ConfigError, SeqlocError
 from .experiments import (
     EXPERIMENT_NAMES,
     default_constellation,
-    default_scenario,
-    default_spec,
     run_experiment,
     write_experiment,
 )
+# Unused here but stays bound in this namespace: perfbench/tracer.py
+# patches default_scenario by module path.
+from .experiments import default_scenario  # noqa: F401
 from .config import load_config, scenario_from_config
 from .model import MeasurementBatch, VelocityPrior
 from .simulate import ESTIMATOR_KINDS, _integer, synthesize_batch, trial_rng
@@ -95,19 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario(args, experiment: str | None = None, trials: int | None = None):
-    if args.config is not None:
-        raw = load_config(args.config)
-        return scenario_from_config(raw, experiment=experiment,
-                                    seed=args.seed, trials=trials)
-    cfg = default_scenario(experiment)
-    if args.seed is not None:
-        from .simulate import with_seed
-        cfg = with_seed(cfg, args.seed)
-    if trials is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, n_trials=trials)
-    spec = default_spec(experiment) if experiment is not None else None
-    return cfg, spec
+    """(ScenarioConfig, ExperimentSpec or None) of the ``--config`` file,
+    or of an empty config without one, with ``--seed`` and ``trials``."""
+    raw = {} if args.config is None else load_config(args.config)
+    return scenario_from_config(raw, experiment=experiment, seed=args.seed,
+                                trials=trials)
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, EmptyInput
-from .model import BsConstellation, PriorRows
+from .model import BsConstellation, PriorRows, prior_variance
 from .simulate import (
     Circular,
     ClockModel,
@@ -116,27 +116,25 @@ def error_cdf(values):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One named study: sweep grid, estimators, MAP prior width, output
-    location, optional SVG charts."""
+    """One named study: sweep grid, estimators and MAP prior width."""
 
     name: str
     grid: tuple
     estimators: tuple
     prior_std: float = 2.0
-    out_dir: Path | None = None
-    svg: bool = False
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment {self.name!r}")
         grid = tuple(float(g) for g in self.grid)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("grid must be nonempty and strictly increasing")
+        if (not grid or not all(map(math.isfinite, grid))
+                or any(b <= a for a, b in zip(grid, grid[1:]))):
+            raise ConfigError("grid must be nonempty, finite and strictly "
+                              "increasing")
         ests = tuple(self.estimators)
         if not ests:
             raise ConfigError("need at least one estimator")
-        if self.prior_std <= 0:
-            raise ConfigError("prior_std must be positive")
+        prior_variance(self.prior_std, ConfigError)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "estimators", ests)
 
@@ -409,9 +407,9 @@ def _write_svg(result: ExperimentResult, out_dir: Path) -> Path:
 
 
 def write_experiment(result: ExperimentResult, out_dir,
-                     svg: bool | None = None) -> list:
-    """Emit the CSV results (plus manifest, plus optional SVG chart);
-    byte-identical for identical (spec, scenario, seed)."""
+                     svg: bool = False) -> list:
+    """Emit the CSV results and the manifest, plus an SVG chart when
+    ``svg``; byte-identical for identical (spec, scenario, seed)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -420,7 +418,6 @@ def write_experiment(result: ExperimentResult, out_dir,
     else:
         files.append(_write_sweep_csv(result, out_dir))
     files.append(_write_manifest(result, out_dir))
-    want_svg = result.spec.svg if svg is None else svg
-    if want_svg:
+    if svg:
         files.append(_write_svg(result, out_dir))
     return files

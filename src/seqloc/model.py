@@ -78,6 +78,17 @@ def _require_sigma(sigma: np.ndarray, error=DimensionMismatch) -> None:
                     "non-zero square and reciprocal")
 
 
+def prior_variance(std, error=DimensionMismatch) -> float:
+    """The variance ``std * std`` of the per-axis velocity-prior width
+    ``std``; raises ``error`` unless ``std`` is positive, with a finite,
+    non-zero variance and inverse (the prior information)."""
+    var = float(std) * float(std)
+    if not (std > 0 and 0 < var < np.inf and 0 < 1 / var < np.inf):
+        raise error("prior_std must be positive, with a finite non-zero "
+                    "variance and inverse")
+    return var
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis: ``np.linalg.norm(x, axis=-1)``
     with the same floating-point operations, without its Python overhead."""
@@ -275,14 +286,10 @@ class VelocityPrior:
 
     @classmethod
     def isotropic(cls, mean, std: float) -> "VelocityPrior":
-        """Prior of per-axis standard deviation ``std`` around ``mean``;
-        its variance and information must be finite and non-zero.  The
-        covariance is diagonal and positive by construction, so only the
-        mean is checked."""
-        var = float(std) * float(std)
-        if not (std > 0 and 0 < var < np.inf and 0 < 1 / var < np.inf):
-            raise DimensionMismatch("prior_std must be positive, with a "
-                                    "finite non-zero variance and inverse")
+        """Prior of per-axis standard deviation ``std`` around ``mean``
+        (see ``prior_variance``).  The covariance is diagonal and positive
+        by construction, so only the mean is checked."""
+        var = prior_variance(std)
         mean = _frozen_array(np.atleast_1d(mean))
         _require_finite(mean, "prior mean")
         return _trusted(cls, mean=mean,
@@ -484,6 +491,9 @@ class WhitenedSystem:
     constructor checks the BS indices and the velocity and prior shapes;
     whether there are enough measurements is the solvers' rank rule.
     ``of`` builds the stack from validated batches and priors.
+
+    ``v_start`` (T, N) is where a solve starts the free velocity: the
+    prior means with a prior, else zero; None when the velocity is known.
     """
 
     # A displacement or whitened time that overflows fails its window in
@@ -515,6 +525,9 @@ class WhitenedSystem:
         self.dt_col, self.neg_w = dt[..., None], -self.w[..., None]
         self.v_known = v_known
         self.prior_root, self.prior_mean = prior_root, prior_mean
+        self.v_start = (None if v_known is not None
+                        else np.zeros((count, n)) if prior_root is None
+                        else prior_mean)
         # What every iterate shares: the whitened [1, dt] columns, the
         # prior rows and, with a known velocity, the displacements v*dt.
         rows = m + (0 if prior_root is None else n)

@@ -43,9 +43,9 @@ from .model import (
     _require_finite,
     _require_sigma,
     _row_norms,
-    _trusted,
     _trusted_params,
     information_root,
+    prior_variance,
 )
 # The solve_* names are unused here but stay bound in this namespace:
 # perfbench/tracer.py patches them by module path.
@@ -164,10 +164,6 @@ class Circular:
                 from exc
         states = np.array(rows).reshape(times.shape + (2, 2))
         return states[..., 0, :], states[..., 1, :]
-
-    def positions(self, times) -> np.ndarray:
-        """The positions of ``states``."""
-        return self.states(times)[0]
 
     def realize(self, rng) -> "Circular":
         return self
@@ -525,11 +521,7 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator kind {self.kind!r}")
-        var = self.prior_std * self.prior_std
-        if not (self.prior_std > 0 and 0 < var < math.inf
-                and 0 < 1 / var < math.inf):
-            raise ConfigError("prior_std must be positive, with a finite "
-                              "non-zero variance and inverse")
+        prior_variance(self.prior_std, ConfigError)
         if self.prior_centering not in ("truth", "nominal"):
             raise ConfigError("prior_centering must be 'truth' or 'nominal'")
 
@@ -678,11 +670,8 @@ class TrialCell(Sequence):
     def _record(self, k: int) -> TrialRecord:
         n = self.draws.scenario.bs.n_dim
         error = self.errors[k]
-        prior = None
-        if self.prior is not None:
-            std = self.spec.prior_std
-            prior = _trusted(VelocityPrior, mean=self.prior.mean[k],
-                             covariance=_frozen_array(std * std * np.eye(n)))
+        prior = (None if self.prior is None else VelocityPrior.isotropic(
+            self.prior.mean[k], self.spec.prior_std))
         return TrialRecord(
             trial=int(self.trial[k]), batch=self.draws.win.batch(k),
             truth=_trusted_params(self.draws.truth[k], n),
@@ -733,11 +722,8 @@ def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
                             np.zeros(n, dtype=bool), np.zeros(n),
                             np.full((n, p, p), np.nan), [exc] * n)
     else:
-        v0 = None
-        if v_known is None:
-            v0 = np.zeros((n, n_dim)) if prior is None else prior.mean
         sol = solve_stack(system, initial_vectors(bs, win.bs_index, win.rho,
-                                                  v0), solver_cfg)
+                                                  system.v_start), solver_cfg)
     return TrialCell(spec, draws, sol,
                      v_known if spec.kind == "kvd" else None, prior)
 

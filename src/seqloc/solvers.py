@@ -241,14 +241,6 @@ def initial_guess_kvd(batch: MeasurementBatch, bs: BsConstellation) -> KvdParams
     return KvdParams.from_vector(start)
 
 
-def initial_guess_full(batch: MeasurementBatch, bs: BsConstellation,
-                       v0=None) -> FullParams:
-    """Full-state start: kvd guess extended with ``v0`` (default zero)."""
-    guess = initial_guess_kvd(batch, bs)
-    v0 = np.zeros(bs.n_dim) if v0 is None else np.asarray(v0, dtype=float)
-    return FullParams(p=guess.p, b=guess.b, d=guess.d, v=v0)
-
-
 class StackSolution(NamedTuple):
     """Gauss-Newton outcome of a stack of T windows: final parameter
     vectors (T, P), iteration counts, convergence flags, last step norms,
@@ -372,13 +364,13 @@ def window_report(sol: StackSolution, k: int, n_dim: int) -> EstimateReport:
 
 def _solve(system: WhitenedSystem, batch: MeasurementBatch,
            bs: BsConstellation, init: KvdParams | FullParams | None,
-           cfg: SolverConfig, v0: np.ndarray | None = None) -> EstimateReport:
+           cfg: SolverConfig) -> EstimateReport:
     """One window through ``solve_stack`` as a stack of one, from ``init``
-    or else from ``initial_vectors`` (with the velocity ``v0`` when the
-    velocity is estimated); its failure is raised."""
+    or else from ``initial_vectors`` (with the system's ``v_start``); its
+    failure is raised."""
     if init is None:
         theta = initial_vectors(bs, batch.bs_index[None], batch.rho[None],
-                                None if v0 is None else v0[None])
+                                system.v_start)
     else:
         theta = init.as_vector()[None]
         if theta.shape[1:] != (system.n_params,):
@@ -404,7 +396,7 @@ def solve_joint_velocity(batch: MeasurementBatch, bs: BsConstellation,
                          cfg: SolverConfig = SolverConfig()) -> EstimateReport:
     """Jointly estimate ``[p, b, d, v]`` from the pseudoranges alone."""
     system = WhitenedSystem.of([batch], bs)
-    return _solve(system, batch, bs, init, cfg, np.zeros(bs.n_dim))
+    return _solve(system, batch, bs, init, cfg)
 
 
 def solve_prior_velocity(batch: MeasurementBatch, bs: BsConstellation,
@@ -415,7 +407,7 @@ def solve_prior_velocity(batch: MeasurementBatch, bs: BsConstellation,
     the least-squares fit of ``[(rho - h) / sigma, R (mean - v)]`` with
     ``R^T R`` the prior information matrix."""
     system = WhitenedSystem.of([batch], bs, priors=[prior])
-    return _solve(system, batch, bs, init, cfg, prior.mean)
+    return _solve(system, batch, bs, init, cfg)
 
 
 def solve_drift_only(batch: MeasurementBatch, bs: BsConstellation,

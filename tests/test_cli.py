@@ -2,10 +2,16 @@
 
 import json
 import warnings
+import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from seqloc import (VelocityPrior, solve_drift_only, solve_joint_velocity,
+                    solve_known_velocity, solve_prior_velocity,
+                    synthesize_batch, trial_rng)
 from seqloc.cli import main
+from seqloc.config import scenario_from_config
 
 
 def run_cli(capsys, *args):
@@ -427,3 +433,77 @@ class TestWidePriorStd:
             warnings.simplefilter("always")
             code, _, err = run_cli(capsys, "crlb", f"--prior-std={std}")
         assert (code, err, [str(w.message) for w in caught]) == (0, "", [])
+
+
+class TestSolveConfig:
+    """``seqloc solve --config`` solves on the config's constellation."""
+
+    CONFIG = {"bs": {"positions": [[100, 200], [140, 200], [140, 240],
+                                   [100, 240]]},
+              "trajectory": {"kind": "constant-velocity",
+                             "position": [115, 215], "velocity": [3, -4]}}
+
+    @pytest.mark.parametrize("kind", ["kvd", "uvd", "pvd", "d"])
+    def test_prints_the_library_solve_on_the_config_bs(self, capsys,
+                                                       tmp_path, kind):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.CONFIG))
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(path),
+                             "--out", str(tmp_path))
+        assert code == 0
+        batch_csv = str(tmp_path / "batch.csv")
+        code, out, err = run_cli(capsys, "solve", "--batch", batch_csv,
+                                 "--estimator", kind, "--config", str(path))
+        assert (code, err) == (0, "")
+        printed = dict(line.split("=") for line in out.strip().splitlines())
+
+        cfg, _ = scenario_from_config(self.CONFIG)
+        batch, _ = synthesize_batch(cfg, 0, trial_rng(cfg.seed, 0))
+        zero = np.zeros(2)
+        report = {
+            "kvd": lambda: solve_known_velocity(batch, cfg.bs, zero),
+            "uvd": lambda: solve_joint_velocity(batch, cfg.bs),
+            "pvd": lambda: solve_prior_velocity(
+                batch, cfg.bs, VelocityPrior.isotropic(zero, 2.0)),
+            "d": lambda: solve_drift_only(batch, cfg.bs),
+        }[kind]()
+        assert printed["converged"] == "true"
+        assert (printed["px"], printed["py"]) == tuple(
+            f"{x:.9g}" for x in report.params.p)
+        # The default 30 m square would place the UD elsewhere.
+        _, default_out, _ = run_cli(capsys, "solve", "--batch", batch_csv,
+                                    "--estimator", kind)
+        assert default_out != out
+
+
+class TestVectorFlags:
+    @pytest.mark.parametrize("kind, flag, message", [
+        ("kvd", "--velocity=1,x", "cannot parse velocity '1,x'"),
+        ("pvd", "--prior-mean=1,2,3,4",
+         "prior mean must have 2 or 3 components"),
+    ], ids=["velocity", "prior-mean"])
+    def test_malformed_vector_is_one_error_line(self, capsys, tmp_path,
+                                                kind, flag, message):
+        path = tmp_path / "batch.csv"
+        path.write_text("\n".join(_good_batch_lines(capsys)) + "\n")
+        code, out, err, caught = _solve_without_warnings(
+            capsys, path, "--estimator", kind, flag)
+        assert (code, out, caught) == (1, "", [])
+        assert err == f"error: {message}\n"
+
+
+class TestCircularSvg:
+    def test_writes_a_cdf_chart_that_parses(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "experiment", "circular",
+                               "--trials", "5", "--svg",
+                               "--out", str(tmp_path))
+        assert code == 0
+        path = tmp_path / "circular.svg"
+        assert f"wrote {path}" in out.splitlines()
+        root = ET.parse(path).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.tag == f"{ns}svg"
+        texts = [t.text for t in root.iter(f"{ns}text")]
+        assert texts[0] == "position error CDF"
+        assert texts[-4:] == ["kvd", "pvd", "uvd", "d"]
+        assert len(root.findall(f"{ns}polyline")) == 4

@@ -13,13 +13,15 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from seqloc import simulate, solve_drift_only, solve_known_velocity
 from seqloc.cli import main
 from seqloc.config import scenario_from_config
-from seqloc.errors import ConfigError
-from seqloc.experiments import default_scenario
+from seqloc.errors import ConfigError, SeqlocError
+from seqloc.experiments import default_scenario, run_experiment
 from seqloc.simulate import draw_trials, with_seed
 
 EXTREMES = (0.0, -0.0, 5e-324, 1e-300, 1e-9, 1.0, 2.5, 1e9, 1e154, 1e300,
@@ -363,3 +365,87 @@ def test_nominal_prior_on_a_stationary_ud(tmp_path):
          str(tmp_path / "out"), "--config", str(_write(tmp_path, cfg))])
     assert (code, err, runtime) == (0, "", [])
     assert "pvd @ 1: rmse" in out
+
+
+@pytest.mark.parametrize("study, experiment, message", [
+    ("velocity-deviation", {"grid": [0.5, math.nan]},
+     "grid must be nonempty, finite and strictly increasing"),
+    ("velocity-deviation", {"grid": [0.5, math.inf]},
+     "grid must be nonempty, finite and strictly increasing"),
+    ("speed-sweep", {"prior_std": math.nan},
+     "prior_std must be positive, with a finite non-zero variance and "
+     "inverse"),
+], ids=["nan-grid", "inf-grid", "nan-prior-std"])
+def test_non_finite_sweep_values_rejected(tmp_path, study, experiment,
+                                          message):
+    """A NaN grid value or prior width was accepted: the sweep wrote a
+    ``nan`` row and a manifest holding a bare NaN, which is not strict
+    JSON."""
+    cfg = {"experiment": experiment, "trials": 3}
+    code, out, err, runtime = _run(
+        ["experiment", study, "--out", str(tmp_path / "out"),
+         "--config", str(_write(tmp_path, cfg))])
+    assert (code, out, runtime) == (1, "", [])
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+class TestWholeCellFallback:
+    """A cell whose ``WhitenedSystem`` cannot be built records the
+    constructor's error for every trial (``solve_trials``' whole-cell
+    fallback), the error each trial's single-window solve raises, and the
+    sweep goes on.  Slots 1e300 s apart put ``dt`` near 7e300: at sigma
+    1e-10 the whitened ``dt / sigma`` column overflows, at sigma 0.1 it
+    does not, but no design is usable."""
+
+    CONFIG = {"schedule": {"slot_interval": 1e300}, "trials": 3,
+              "experiment": {"grid": [1e-10, 0.1]}}
+    EXPECTED = {1e-10: "DimensionMismatch", 0.1: "RankDeficient"}
+
+    def test_errors_match_the_single_window_solves(self, monkeypatch):
+        stacked = []
+        real = simulate.solve_stack
+
+        def solve(system, theta, cfg):
+            stacked.append(float(system.w.max()))
+            return real(system, theta, cfg)
+
+        monkeypatch.setattr(simulate, "solve_stack", solve)
+        cfg, spec = scenario_from_config(self.CONFIG, "stationary-noise")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_experiment(spec, cfg)
+            # Only the sigma 0.1 cells reach the loop.
+            assert stacked == [10.0, 10.0]
+            assert len(result.records) == 4
+            for (value, kind), cell in result.records.items():
+                assert cell.errors == (self.EXPECTED[value],) * 3
+                assert not cell.converged.any()
+                for rec in cell:
+                    with pytest.raises(SeqlocError) as alone:
+                        if kind == "kvd":
+                            solve_known_velocity(rec.batch, cfg.bs,
+                                                 rec.v_assumed)
+                        else:
+                            solve_drift_only(rec.batch, cfg.bs)
+                    assert type(alone.value).__name__ == rec.error
+        assert [w for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        assert [(r.sweep_value, r.estimator, r.trials, r.non_converged)
+                for r in result.rows] == [(1e-10, "kvd", 3, 3),
+                                          (1e-10, "d", 3, 3),
+                                          (0.1, "kvd", 3, 3),
+                                          (0.1, "d", 3, 3)]
+        assert all(np.isnan(r.empirical_rmse) for r in result.rows)
+
+    def test_sweep_exits_zero(self, tmp_path):
+        code, out, err, runtime = _run(
+            ["experiment", "stationary-noise", "--out",
+             str(tmp_path / "out"), "--config",
+             str(_write(tmp_path, self.CONFIG))])
+        assert (code, err, runtime) == (0, "", [])
+        assert "kvd @ 1e-10: rmse nan m" in out
+        lines = (tmp_path / "out" / "stationary-noise.csv").read_text()
+        assert lines.splitlines()[1:] == [
+            "1e-10,kvd,nan,nan,nan,3,3", "1e-10,d,nan,nan,nan,3,3",
+            "0.1,kvd,nan,nan,nan,3,3", "0.1,d,nan,nan,nan,3,3"]

@@ -369,7 +369,7 @@ class TestSingleWindowIdentity:
         traj = Circular(center=[50.0, 50.0], radius=30.0,
                         angular_rate=1.0 / 3.0, phase=0.25)
         times = np.linspace(-3.0, 40.0, 97).tolist()
-        assert np.array_equal(np.array(traj.positions(times)),
+        assert np.array_equal(np.array(traj.states(times)[0]),
                               np.array([traj.state_at(t)[0] for t in times]))
 
 
