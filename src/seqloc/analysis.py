@@ -205,16 +205,6 @@ def kvd_projectors(windows: WindowStack, bs: BsConstellation,
         inv_f, failures)
 
 
-def _kvd_projector(batch: MeasurementBatch, bs: BsConstellation,
-                   truth: FullParams):
-    """``kvd_projectors`` of one window; raises its failure."""
-    windows, truths, _ = _stacked(bs, [batch], [truth])
-    projector, inv_f, failures = kvd_projectors(windows, bs, truths)
-    if failures[0] is not None:
-        raise failures[0]
-    return projector[0], inv_f[0]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def bias_deviated_velocity_stack(batches, bs: BsConstellation, truths,
                                  v_assumed,
@@ -350,7 +340,11 @@ def bias_linear_lower_bound(batch: MeasurementBatch, bs: BsConstellation,
     each supplied deviation is checked against
     ||bias||^2 >= alpha * ||dv||^2 (within BOUND_SLACK).
     """
-    projector, _ = _kvd_projector(batch, bs, truth)
+    windows, truths, _ = _stacked(bs, [batch], [truth])
+    projector, _, failures = kvd_projectors(windows, bs, truths)
+    if failures[0] is not None:
+        raise failures[0]
+    projector = projector[0]
     q = bs.positions[batch.bs_index]
     rel = q - truth.p[None, :]
     base_range = np.linalg.norm(rel, axis=1)

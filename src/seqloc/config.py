@@ -38,7 +38,6 @@ from .simulate import (
     ClockModel,
     ConstantVelocity,
     RandomPlacement,
-    ScenarioConfig,
     Stationary,
     TdmaSchedule,
 )

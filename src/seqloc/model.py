@@ -89,6 +89,12 @@ def prior_variance(std, error=DimensionMismatch) -> float:
     return var
 
 
+def parameter_count(n_dim: int, velocity_known: bool) -> int:
+    """The length of the parameter vector: ``[p, b, d]`` (N+2) when the
+    velocity is known, else ``[p, b, d, v]`` (2N+2)."""
+    return n_dim + 2 if velocity_known else 2 * n_dim + 2
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis: ``np.linalg.norm(x, axis=-1)``
     with the same floating-point operations, without its Python overhead."""
@@ -107,7 +113,7 @@ def _trusted(cls, **fields):
 def _trusted_params(vec: np.ndarray, n_dim: int):
     """KvdParams ``[p, b, d]`` or FullParams ``[p, b, d, v]`` over a
     read-only row ``vec`` that the caller checked finite."""
-    b, d = float(vec[n_dim]), float(vec[n_dim + 1])
+    b, d = vec.item(n_dim), vec.item(n_dim + 1)
     if vec.size == n_dim + 2:
         return _trusted(KvdParams, p=vec[:n_dim], b=b, d=d)
     return _trusted(FullParams, p=vec[:n_dim], b=b, d=d, v=vec[n_dim + 2:])
@@ -290,10 +296,10 @@ class VelocityPrior:
         (see ``prior_variance``).  The covariance is diagonal and positive
         by construction, so only the mean is checked."""
         var = prior_variance(std)
-        mean = _frozen_array(np.atleast_1d(mean))
+        mean = _freeze(np.array(mean, dtype=float, ndmin=1))
         _require_finite(mean, "prior mean")
         return _trusted(cls, mean=mean,
-                        covariance=_frozen_array(var * np.eye(mean.size)))
+                        covariance=_freeze(var * np.eye(mean.size)))
 
 
 @dataclass(frozen=True)
@@ -384,23 +390,6 @@ def los_vector(q, p, v, dt: float) -> np.ndarray:
         raise DegenerateGeometry(
             f"UD within {DEFAULT_GEOMETRY_EPS} m of BS at {q}")
     return diff / dist
-
-
-def _los(q, p, shift):
-    """Unit LOS vectors and distances from the UD at ``p`` (..., 1, N),
-    displaced by ``shift`` (``v*dt`` per row), toward the BS rows ``q``,
-    one row per measurement, over any leading trial axes; plus the
-    per-window mask of UDs within DEFAULT_GEOMETRY_EPS of a BS, or None
-    when there is none.  The LOS rows of a masked window are finite but
-    meaningless."""
-    diff = q - p - shift
-    dist = safe = _row_norms(diff)
-    degenerate = None
-    if np.minimum.reduce(dist, axis=None) < DEFAULT_GEOMETRY_EPS:
-        near = dist < DEFAULT_GEOMETRY_EPS
-        degenerate = near.any(axis=-1)
-        safe = np.where(near, 1.0, dist)
-    return diff / safe[..., None], dist, degenerate
 
 
 def _stack(arrays) -> np.ndarray:
@@ -505,9 +494,11 @@ class WhitenedSystem:
         bs_index, dt, rho = windows.bs_index, windows.dt, windows.rho
         prior_root, prior_mean = (None, None) if priors is None else priors
         count, m = bs_index.shape
-        self.n_params = 2 * n + 2 if v_known is None else n + 2
-        if (np.minimum.reduce(bs_index, axis=None) < 0
-                or np.maximum.reduce(bs_index, axis=None) >= bs.n_bs):
+        self.n_params = parameter_count(n, v_known is not None)
+        index = bs_index.tolist()[0] if count == 1 else None
+        if ((min(index) < 0 or max(index) >= bs.n_bs) if count == 1 else
+                (np.minimum.reduce(bs_index, axis=None) < 0
+                 or np.maximum.reduce(bs_index, axis=None) >= bs.n_bs)):
             raise DimensionMismatch("batch references a BS index out of range")
         if v_known is not None:
             if v_known.shape != (count, n):
@@ -533,7 +524,7 @@ class WhitenedSystem:
         rows = m + (0 if prior_root is None else n)
         self.template = np.zeros((count, rows, self.n_params))
         self.template[:, :m, n] = self.w
-        self.template[:, :m, n + 1] = dt * self.w
+        np.multiply(dt, self.w, out=self.template[:, :m, n + 1])
         self.shift = (None if v_known is None
                       else self.dt_col * v_known[:, None, :])
         if prior_root is not None:
@@ -554,11 +545,11 @@ class WhitenedSystem:
 
     def at(self, theta: np.ndarray, live=None):
         """Whitened designs ``A`` (L, rows, P), residuals ``z`` (L, rows)
-        and the degenerate-geometry mask (L,) or None (see ``_los``) at
-        the parameter vectors ``theta`` (L, P) of the trials ``live``
-        (every trial when None).  ``theta`` is the raw ``[p, b, d]`` or
-        ``[p, b, d, v]``; a known velocity reads only its leading
-        ``[p, b, d]``."""
+        and the mask (L,) of windows with the displaced UD within
+        DEFAULT_GEOMETRY_EPS of a BS (finite but meaningless LOS rows), or
+        None, at the raw ``[p, b, d]`` or ``[p, b, d, v]`` vectors
+        ``theta`` (L, P) of the trials ``live`` (every trial when None); a
+        known velocity reads only the leading ``[p, b, d]``."""
         q, dt, rho, w = self.q, self.dt, self.rho, self.w
         dt_col, neg_w = self.dt_col, self.neg_w
         a, shift = self.template, self.shift
@@ -572,10 +563,20 @@ class WhitenedSystem:
                 shift = shift[live]
             if root is not None:
                 root, mean = root[live], mean[live]
-        n, m = self.n_dim, dt.shape[-1]
+        n, m = self.n_dim, self.m
         if shift is None:
             shift = dt_col * theta[:, None, n + 2:]
-        los, dist, degenerate = _los(q, theta[:, None, :n], shift)
+        diff = q - theta[:, None, :n] - shift
+        dist = safe = _row_norms(diff)
+        degenerate = None
+        # Python's min (one window) may drop a NaN, which numpy's keeps.
+        if ((min(dist.tolist()[0]) if len(dist) == 1
+             else np.minimum.reduce(dist, axis=None)) < DEFAULT_GEOMETRY_EPS
+                and not np.isnan(dist).any()):
+            near = dist < DEFAULT_GEOMETRY_EPS
+            degenerate = near.any(axis=-1)
+            safe = np.where(near, 1.0, dist)
+        los = diff / safe[..., None]
         np.multiply(los, neg_w, out=a[:, :m, :n])
         if self.v_known is None:
             np.multiply(los * dt_col, neg_w, out=a[:, :m, n + 2:])

@@ -45,6 +45,7 @@ from .model import (
     _row_norms,
     _trusted_params,
     information_root,
+    parameter_count,
     prior_variance,
 )
 # The solve_* names are unused here but stay bound in this namespace:
@@ -157,8 +158,8 @@ class Circular:
             for t in times.ravel().tolist():
                 ang = rate * t + phase
                 c, s = math.cos(ang), math.sin(ang)
-                rows.append(((cx + radius * c, cy + radius * s),
-                             (speed * -s, speed * c)))
+                rows += (cx + radius * c, cy + radius * s, speed * -s,
+                         speed * c)
         except ValueError as exc:  # math.cos(inf)
             raise DimensionMismatch("circular trajectory angle overflows") \
                 from exc
@@ -256,13 +257,13 @@ class TdmaSchedule:
                               "start_time finite")
         object.__setattr__(self, "bs_order", order)
 
-    def slot_times(self, first_slot: int, count: int) -> np.ndarray:
+    def slots(self, first_slot, count: int):
+        """The transmitting BSs and the times of the ``count`` slots from
+        ``first_slot`` on (an int or an array of them, (T, 1))."""
         slots = first_slot + np.arange(count)
-        return self.start_time + slots * self.slot_interval
-
-    def slot_bs(self, first_slot: int, count: int) -> np.ndarray:
         order = np.array(self.bs_order, dtype=int)
-        return order[(first_slot + np.arange(count)) % order.size]
+        return (order[slots % order.size],
+                self.start_time + slots * self.slot_interval)
 
 
 @dataclass(frozen=True)
@@ -309,11 +310,6 @@ class ScenarioConfig:
             raise ConfigError(f"the trajectory must be {self.bs.n_dim}-D "
                               f"like the base stations")
         object.__setattr__(self, "sigma", _frozen_array(sigma))
-
-    def sigma_for(self, bs_index: np.ndarray) -> np.ndarray:
-        if self.sigma.size == 1:
-            return np.full(bs_index.shape, self.sigma[0])
-        return self.sigma[bs_index]
 
 
 def truth_state(trajectory, clock: ClockModel, t: float) -> FullParams:
@@ -387,7 +383,12 @@ def trial_seeds(seed: int, n: int, first: int = 0) -> np.ndarray:
     """The PCG64 seed words (n, 4) uint64 of trials ``first`` to
     ``first + n - 1``: the row of trial ``k`` is
     ``SeedSequence([seed, k]).generate_state(4, np.uint64)``, the state
-    ``trial_rng(seed, k)`` starts from, hashed for all trials at once."""
+    ``trial_rng(seed, k)`` starts from, hashed for all trials at once.
+
+    The hash costs about 60 us per call whatever ``n`` (2-core x86-64,
+    numpy 2.4), against about 13 us per trial for ``trial_rng``, so it
+    seeds fewer than about 5 trials slower than per-trial generators
+    would; every default study and benchmark workload draws 50 or more."""
     if first + n > 2**32:
         raise ConfigError("at most 2**32 trials: a trial index is one "
                           "32-bit word of its seed")
@@ -441,6 +442,7 @@ def _seed_words() -> type:
     return SeedWords
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _synthesize(cfg: ScenarioConfig, fix_index: np.ndarray, trajectory,
                 noise: np.ndarray | None):
     """Windows of fixes ``fix_index`` (T,) along ``trajectory`` (its
@@ -450,25 +452,23 @@ def _synthesize(cfg: ScenarioConfig, fix_index: np.ndarray, trajectory,
     validated finite and read-only.  A value that overflows fails with
     DimensionMismatch instead of a warning."""
     m, e, clock = cfg.m_per_fix, cfg.epoch_slot_offset, cfg.clock
-    first_slot = (fix_index * m)[:, None]
-    bs_idx = cfg.schedule.slot_bs(first_slot, m)
-    sigma = cfg.sigma_for(bs_idx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        times = cfg.schedule.slot_times(first_slot, m)
-        _require_finite(times, "times")
-        dt = times - times[:, e, None]
-        _require_finite(dt, "times from the epoch")
-        positions, velocities = trajectory.states(times)
-        offsets = clock.offset_at(times)
-        rho = _row_norms(cfg.bs.positions[bs_idx] - positions) + offsets
-        if noise is not None:
-            rho = rho + noise * sigma
-        _require_finite(rho, "pseudoranges")
-        # The true state at the epoch is the window's epoch column.
-        truth = np.concatenate([positions[:, e], offsets[:, e, None],
-                                np.full((len(times), 1), clock.d),
-                                velocities[:, e]], axis=1)
-        _require_finite(truth, "velocity")
+    bs_idx, times = cfg.schedule.slots((fix_index * m)[:, None], m)
+    # One noise level for every BS wraps to index 0.
+    sigma = cfg.sigma.take(bs_idx, mode="wrap")
+    _require_finite(times, "times")
+    dt = times - times[:, e, None]
+    _require_finite(dt, "times from the epoch")
+    positions, velocities = trajectory.states(times)
+    offsets = clock.offset_at(times)
+    rho = _row_norms(cfg.bs.positions.take(bs_idx, 0) - positions) + offsets
+    if noise is not None:
+        rho = rho + noise * sigma
+    _require_finite(rho, "pseudoranges")
+    # The true state at the epoch is the window's epoch column.
+    truth = np.concatenate([positions[:, e], offsets[:, e, None],
+                            np.full((len(times), 1), clock.d),
+                            velocities[:, e]], axis=1)
+    _require_finite(truth, "velocity")
     win = WindowStack(bs_idx, times, rho, sigma, times[:, e], dt)
     for arr in (*win, truth):
         arr.setflags(write=False)
@@ -592,8 +592,8 @@ def draw_trials(cfg: ScenarioConfig, n_trials: int | None = None,
     ``cfg.n_trials``) trials of ``cfg`` as one stack.  With
     ``nominal_std`` (see ``EstimatorSpec.nominal_prior_std``) each trial's
     true velocity is drawn from a prior of that width around its nominal
-    one, which costs one more normal vector per trial.
-    """
+    one, which costs one more normal vector per trial.  The trial seeds
+    are hashed at once (``trial_seeds``), faster from about 5 trials on."""
     n = cfg.n_trials if n_trials is None else _integer(n_trials, "n_trials", 1)
     seeds = trial_seeds(cfg.seed, n)
     traj, n_dim = cfg.trajectory, cfg.bs.n_dim
@@ -717,10 +717,8 @@ def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
     try:
         system = WhitenedSystem(bs, win, v_known, prior)
     except SeqlocError as exc:
-        p = n_dim + 2 if v_known is not None else 2 * n_dim + 2
-        sol = StackSolution(np.full((n, p), np.nan), np.zeros(n, dtype=int),
-                            np.zeros(n, dtype=bool), np.zeros(n),
-                            np.full((n, p, p), np.nan), [exc] * n)
+        sol = StackSolution.failed(
+            n, parameter_count(n_dim, v_known is not None), exc)
     else:
         sol = solve_stack(system, initial_vectors(bs, win.bs_index, win.rho,
                                                   system.v_start), solver_cfg)

@@ -12,11 +12,11 @@ The loop (``solve_stack``) runs on a stack of windows with numpy's
 stacked ``svd``/``matmul``; a window that fails or converges leaves the
 stack through a mask.  The Monte Carlo harness passes a whole sweep cell,
 the public ``solve_*`` a stack of one.  Both run the same loop and the
-same floating-point operations; only the happy-path guards (the rank
-rule's smallest singular value and condition number, the loop's
-threshold and divergence exit) depend on the size, through ``_extreme``:
-a stack of one window compares Python floats, which costs less than a
-numpy reduction on one value, and a larger stack reduces with ufuncs.
+same floating-point operations; only the happy-path guards (rank rule,
+loop exit, and the BS index and UD-on-a-BS tests of ``WhitenedSystem``)
+depend on the size: a stack of one window compares Python numbers, which
+costs less than numpy reductions on a few values, a larger stack reduces
+with ufuncs, and NaN, +0.0 and -0.0 take the same branch either way.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .model import (  # noqa: F401
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
+    parameter_count,
     residual,
 )
 
@@ -91,15 +92,6 @@ class EstimateReport:
 _OVERFLOWED_DESIGN = "measurements too large: the whitened design overflows"
 
 
-def _extreme(reduce, values: np.ndarray):
-    """``reduce(values)`` over a guard's per-window values (L,): the one
-    value as a Python float when the stack holds one window, which
-    compares several times faster than a numpy scalar, else the ufunc
-    reduction.  A NaN comes out of both, and a float keeps its sign, so
-    NaN, +0.0 and -0.0 take the same branch of a comparison either way."""
-    return values.item() if len(values) == 1 else reduce(values)
-
-
 def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
               m: int | None = None, compute_uv: bool = True):
     """The one rule a whitened design must pass before it is used.
@@ -128,12 +120,15 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
         svd = np.linalg.svd(np.where(broken[:, None, None], 0.0, a),
                             full_matrices=False, compute_uv=compute_uv)
     s = svd[1] if compute_uv else svd
+    if rows >= params and broken is None and degenerate is None:
+        if len(s) == 1:  # Python floats (see the module docstring)
+            first, last = s.item(0), s.item(-1)
+            if last > 0 and first / last <= MAX_DESIGN_CONDITION:
+                return None, svd
+        elif (np.minimum.reduce(s[:, -1]) > 0 and np.maximum.reduce(
+                s[:, 0] / s[:, -1]) <= MAX_DESIGN_CONDITION):
+            return None, svd
     last = s[:, -1]
-    if (rows >= params and broken is None and degenerate is None
-            and _extreme(np.minimum.reduce, last) > 0
-            and _extreme(np.maximum.reduce, s[:, 0] / last)
-            <= MAX_DESIGN_CONDITION):
-        return None, svd
     with np.errstate(divide="ignore", invalid="ignore"):
         conditioned = (last > 0) & (s[:, 0] / last <= MAX_DESIGN_CONDITION)
     m = rows if m is None else m
@@ -200,34 +195,37 @@ def _centroid(positions: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Mean of the BS ``positions`` that the window ``row`` hears, each
     once, in index order: ``positions[np.unique(row)].mean(axis=0)`` with
     the same floating-point operations."""
-    heard = positions.compress(
-        np.bincount(row, minlength=len(positions)) > 0, axis=0)
-    return np.add.reduce(heard, axis=0) / len(heard)
+    if len(set(row.tolist())) < len(positions):  # not every BS is heard
+        positions = positions.compress(
+            np.bincount(row, minlength=len(positions)) > 0, axis=0)
+    return np.add.reduce(positions, axis=0) / float(len(positions))
 
 
 @np.errstate(over="ignore")
 def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
-                    rho: np.ndarray, v0: np.ndarray | None = None
-                    ) -> np.ndarray:
+                    rho: np.ndarray, v0: np.ndarray | None = None,
+                    q: np.ndarray | None = None) -> np.ndarray:
     """Deterministic geometry-aware starts ``[p, b, d]`` (T, N+2) for the
     windows ``bs_index``/``rho`` (T, M), whose BS indices are in range:
     the centroid of the BSs each window hears, the offset from the mean
     range mismatch, zero drift; extended with the velocities ``v0``
-    (T, N) to ``[p, b, d, v]`` when given.  The offset of a window whose
-    pseudoranges overflow that mean is infinite."""
+    (T, N) to ``[p, b, d, v]`` when given; ``q`` are the measurements' BS
+    rows when gathered.  The offset of a window whose pseudoranges
+    overflow that mean is infinite."""
+    n = bs.n_dim
+    theta = np.zeros((len(rho), parameter_count(n, v0 is None)))
     if len(bs_index) == 1 or (bs_index == bs_index[0]).all():
-        p0 = _centroid(bs.positions, bs_index[0])[None]
-        if len(bs_index) > 1:
-            p0 = p0.repeat(len(bs_index), axis=0)
+        theta[:, :n] = _centroid(bs.positions, bs_index[0])
     else:
-        p0 = np.array([_centroid(bs.positions, row) for row in bs_index])
-    ranges = _row_norms(bs.positions.take(bs_index, axis=0) - p0[:, None, :])
+        theta[:, :n] = [_centroid(bs.positions, row) for row in bs_index]
+    ranges = _row_norms((bs.positions.take(bs_index, axis=0) if q is None
+                         else q) - theta[:, None, :n])
     # np.mean over the last axis, without its Python overhead
-    b = np.add.reduce(rho - ranges, axis=-1) / rho.shape[-1]
-    cols = [p0, b[:, None], np.zeros((len(b), 1))]
+    np.divide(np.add.reduce(rho - ranges, axis=-1), float(rho.shape[-1]),
+              out=theta[:, n])
     if v0 is not None:
-        cols.append(v0)
-    return np.concatenate(cols, axis=1)
+        theta[:, n + 2:] = v0
+    return theta
 
 
 def initial_guess_kvd(batch: MeasurementBatch, bs: BsConstellation) -> KvdParams:
@@ -254,6 +252,14 @@ class StackSolution(NamedTuple):
     step_norm: np.ndarray
     covariance: np.ndarray
     failures: list
+
+    @classmethod
+    def failed(cls, count: int, n_params: int, error) -> "StackSolution":
+        """``count`` windows of ``n_params`` parameters, all failed."""
+        return cls(np.full((count, n_params), np.nan),
+                   np.zeros(count, dtype=int), np.zeros(count, dtype=bool),
+                   np.zeros(count), np.full((count, n_params, n_params),
+                                            np.nan), [error] * count)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -306,15 +312,21 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
         else:
             theta[live] = th
         # Leave below the threshold, or beyond the guard (NaN included).
-        if not (_extreme(np.minimum.reduce, norm) >= cfg.threshold
-                and _extreme(np.maximum.reduce, norm) <= guard):
-            stay = (norm >= cfg.threshold) & (norm <= guard)
-            for k, x in zip(live[~stay].tolist(), norm[~stay].tolist()):
+        low, high = ((norm.item(),) * 2 if len(norm) == 1 else
+                     (np.minimum.reduce(norm), np.maximum.reduce(norm)))
+        if not (low >= cfg.threshold and high <= guard):
+            # A stack of one window leaves whole, without masks.
+            stay = (None if len(norm) == 1
+                    else (norm >= cfg.threshold) & (norm <= guard))
+            gone = (live, norm) if stay is None else (live[~stay], norm[~stay])
+            for k, x in zip(gone[0].tolist(), gone[1].tolist()):
                 iterations[k], step_norm[k] = iteration, x
                 if x <= guard:
                     converged[k] = True
                 else:
                     failures[k] = Diverged(f"step norm {x:.3e} exceeded guard")
+            if stay is None:
+                break
             live, th, norm = live[stay], th[stay], norm[stay]
     else:
         iterations[live], step_norm[live] = cfg.max_iter, norm
@@ -356,21 +368,22 @@ def window_report(sol: StackSolution, k: int, n_dim: int) -> EstimateReport:
     validated again."""
     return _trusted(EstimateReport,
                     params=_trusted_params(sol.theta[k], n_dim),
-                    iterations=int(sol.iterations[k]),
-                    converged=bool(sol.converged[k]),
+                    iterations=sol.iterations.item(k),
+                    converged=sol.converged.item(k),
                     covariance=sol.covariance[k],
-                    final_step_norm=float(sol.step_norm[k]))
+                    final_step_norm=sol.step_norm.item(k))
 
 
-def _solve(system: WhitenedSystem, batch: MeasurementBatch,
-           bs: BsConstellation, init: KvdParams | FullParams | None,
-           cfg: SolverConfig) -> EstimateReport:
+def _solve(batch: MeasurementBatch, bs: BsConstellation,
+           init: KvdParams | FullParams | None, cfg: SolverConfig,
+           v_known=None, priors=None) -> EstimateReport:
     """One window through ``solve_stack`` as a stack of one, from ``init``
     or else from ``initial_vectors`` (with the system's ``v_start``); its
     failure is raised."""
+    system = WhitenedSystem.of([batch], bs, v_known, priors)
     if init is None:
-        theta = initial_vectors(bs, batch.bs_index[None], batch.rho[None],
-                                system.v_start)
+        theta = initial_vectors(bs, batch.bs_index[None], system.rho,
+                                system.v_start, system.q)
     else:
         theta = init.as_vector()[None]
         if theta.shape[1:] != (system.n_params,):
@@ -386,17 +399,14 @@ def solve_known_velocity(batch: MeasurementBatch, bs: BsConstellation,
                          v_known, init: KvdParams | None = None,
                          cfg: SolverConfig = SolverConfig()) -> EstimateReport:
     """Estimate ``[p, b, d]`` with the UD velocity supplied externally."""
-    system = WhitenedSystem.of([batch], bs,
-                               v_known=np.asarray(v_known, dtype=float)[None])
-    return _solve(system, batch, bs, init, cfg)
+    return _solve(batch, bs, init, cfg, np.asarray(v_known, float)[None])
 
 
 def solve_joint_velocity(batch: MeasurementBatch, bs: BsConstellation,
                          init: FullParams | None = None,
                          cfg: SolverConfig = SolverConfig()) -> EstimateReport:
     """Jointly estimate ``[p, b, d, v]`` from the pseudoranges alone."""
-    system = WhitenedSystem.of([batch], bs)
-    return _solve(system, batch, bs, init, cfg)
+    return _solve(batch, bs, init, cfg)
 
 
 def solve_prior_velocity(batch: MeasurementBatch, bs: BsConstellation,
@@ -406,8 +416,7 @@ def solve_prior_velocity(batch: MeasurementBatch, bs: BsConstellation,
     """MAP estimate of ``[p, b, d, v]`` under a Gaussian velocity prior:
     the least-squares fit of ``[(rho - h) / sigma, R (mean - v)]`` with
     ``R^T R`` the prior information matrix."""
-    system = WhitenedSystem.of([batch], bs, priors=[prior])
-    return _solve(system, batch, bs, init, cfg)
+    return _solve(batch, bs, init, cfg, priors=[prior])
 
 
 def solve_drift_only(batch: MeasurementBatch, bs: BsConstellation,
@@ -415,5 +424,4 @@ def solve_drift_only(batch: MeasurementBatch, bs: BsConstellation,
                      cfg: SolverConfig = SolverConfig()) -> EstimateReport:
     """Conventional baseline: known-velocity solve with velocity pinned to
     zero (no movement compensation)."""
-    return solve_known_velocity(batch, bs, np.zeros(bs.n_dim), init=init,
-                                cfg=cfg)
+    return _solve(batch, bs, init, cfg, np.zeros((1, bs.n_dim)))

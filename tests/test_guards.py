@@ -16,7 +16,17 @@ from seqloc.errors import Diverged, RankDeficient
 from seqloc.model import WhitenedSystem
 from seqloc.solvers import MAX_DESIGN_CONDITION, initial_vectors, solve_stack
 
+from seqloc import (BsConstellation, KvdParams, MeasurementBatch,
+                    build_design_kvd)
+from seqloc.errors import DegenerateGeometry, DimensionMismatch, SeqlocError
+from seqloc.model import DEFAULT_GEOMETRY_EPS
+from seqloc.solvers import _OVERFLOWED_DESIGN
+
 from conftest import canonical_batch
+from conftest import make_batch
+from test_reference_loop import (ReferenceSystem, _assert_columns_equal,
+                                 initial_vectors as reference_starts,
+                                 solve_stack as reference_loop)
 
 
 def _just_above_cap(s):
@@ -124,3 +134,171 @@ def test_exit_guard_diverges_on_a_non_finite_step(monkeypatch, bs_square,
     for name, edit in STEP_EDITS.items():
         _check(monkeypatch, bs_square, batch, moving_truth.v, windows, edit,
                cfg, Diverged, f"step norm {name} exceeded guard")
+
+
+# The size-aware branches of the set-up and of the design: a stack of one
+# window takes Python's min and max of its BS indices and of its distances
+# to the BSs, a larger stack numpy's reductions.  Each case must end as the
+# reference loop (every guard a ufunc reduction) ends it, and leave the
+# other windows of a stack of three as they are alone.
+
+FAR = 1e308
+
+
+def _far_constellation(bs):
+    """``bs`` and two more BSs, at -FAR and +FAR on the x-axis."""
+    return BsConstellation(np.vstack([bs.positions,
+                                      [[-FAR, 0.0], [FAR, 0.0]]]))
+
+
+def _nan_window(bs_far):
+    """A window, velocity and start whose UD sits on the BS at -FAR at the
+    epoch (distance 0) and, moving at FAR m/s, overflows its distance to
+    the BS at +FAR two seconds later to NaN (inf - inf)."""
+    left = bs_far.n_bs - 2
+    batch = make_batch([left, left + 1, 0, 1, 2, 3, 0, 1],
+                       [0.0, 2.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    return batch, np.array([FAR, 0.0]), np.array([-FAR, 0.0, 0.0, 0.0])
+
+
+def _matches_reference_alone(bs, batch, v, start):
+    """The public solve of one window from ``start`` ends as the reference
+    loop ends; returns its report or its failure."""
+    system = WhitenedSystem.of([batch], bs, v_known=[v])
+    want = reference_loop(ReferenceSystem(system), start[None])
+    try:
+        got = solve_known_velocity(batch, bs, v,
+                                   init=KvdParams.from_vector(start))
+    except SeqlocError as exc:
+        assert (type(exc), str(exc)) == (type(want.failures[0]),
+                                         str(want.failures[0]))
+        return exc
+    assert want.failures == [None]
+    assert got.params.as_vector().tobytes() == want.theta[0].tobytes()
+    assert got.iterations == want.iterations[0]
+    assert got.converged == want.converged[0]
+    assert got.covariance.tobytes() == want.covariance[0].tobytes()
+    return got
+
+
+def _matches_reference_stacked(bs, batch, v, crafted):
+    """A stack of three windows, the middle one ``crafted`` (a batch, its
+    velocity and start), the outer ones ``batch`` from its own start: every
+    column equals the reference loop's, and the outer windows equal the
+    solve of ``batch`` alone.  Returns the middle window's failure."""
+    mid_batch, mid_v, mid_start = crafted
+    system = WhitenedSystem.of([batch, mid_batch, batch], bs,
+                               v_known=[v, mid_v, v])
+    outer = initial_vectors(bs, batch.bs_index[None], batch.rho[None])[0]
+    starts = np.stack([outer, mid_start, outer])
+    sol = solve_stack(system, starts)
+    _assert_columns_equal(sol, reference_loop(ReferenceSystem(system),
+                                              starts))
+    alone = solve_known_velocity(batch, bs, v)
+    for k in (0, 2):
+        assert sol.failures[k] is None
+        assert sol.theta[k].tobytes() == alone.params.as_vector().tobytes()
+        assert sol.iterations[k] == alone.iterations
+        assert sol.covariance[k].tobytes() == alone.covariance.tobytes()
+    return sol.failures[1]
+
+
+def _from_near_a_bs(bs, truth, distance, windows):
+    """Solve the canonical window of ``truth`` from ``distance`` m to the
+    right of the BS at the origin, alone or in the middle of three.  The
+    first design marks that window degenerate exactly when ``distance`` is
+    below DEFAULT_GEOMETRY_EPS, and gives no mask otherwise, as the
+    reference loop's does."""
+    batch = canonical_batch(bs, truth)
+    start = np.array([distance, 0.0, truth.b, truth.d])
+    system = WhitenedSystem.of([batch], bs, v_known=[truth.v])
+    mask = system.at(start[None])[2]
+    want = ReferenceSystem(system).at(start[None])[2]
+    assert (mask is None) == (want is None) == (
+        distance >= DEFAULT_GEOMETRY_EPS)
+    assert want is None or np.array_equal(mask, want)
+    if windows == 1:
+        return _matches_reference_alone(bs, batch, truth.v, start)
+    return _matches_reference_stacked(bs, batch, truth.v,
+                                      (batch, truth.v, start))
+
+
+@pytest.mark.parametrize("windows", [1, 3], ids=("T=1", "T=3"))
+def test_ud_exactly_on_a_bs_is_degenerate(bs_square, moving_truth, windows):
+    failure = _from_near_a_bs(bs_square, moving_truth, 0.0, windows)
+    assert isinstance(failure, DegenerateGeometry)
+    assert str(failure) == "UD coincides with a BS in this batch"
+
+
+@pytest.mark.parametrize("windows", [1, 3], ids=("T=1", "T=3"))
+def test_distances_at_the_geometry_eps(bs_square, moving_truth, windows):
+    """One float below DEFAULT_GEOMETRY_EPS from a BS is degenerate; the
+    value itself and one float above are not."""
+    eps = DEFAULT_GEOMETRY_EPS
+    for distance in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)):
+        outcome = _from_near_a_bs(bs_square, moving_truth, distance, windows)
+        assert isinstance(outcome, DegenerateGeometry) == (distance < eps)
+
+
+@pytest.mark.parametrize("windows", [1, 3], ids=("T=1", "T=3"))
+def test_nan_distance_next_to_a_zero_distance(bs_square, moving_truth,
+                                              windows):
+    """numpy's min of a zero and a NaN is NaN, so the window is not
+    degenerate: its design is not finite, which the rank rule reports
+    before degenerate geometry, and so does a single design."""
+    bs_far = _far_constellation(bs_square)
+    crafted = _nan_window(bs_far)
+    if windows == 1:
+        failure = _matches_reference_alone(bs_far, *crafted)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DimensionMismatch,
+                              match="design matrix must be finite"):
+            build_design_kvd(crafted[0], bs_far,
+                             KvdParams.from_vector(crafted[2]), crafted[1])
+    else:
+        failure = _matches_reference_stacked(
+            bs_far, canonical_batch(bs_square, moving_truth),
+            moving_truth.v, crafted)
+    assert isinstance(failure, DimensionMismatch)
+    assert str(failure) == _OVERFLOWED_DESIGN
+
+
+@pytest.mark.parametrize("windows", [1, 3], ids=("T=1", "T=3"))
+def test_bs_index_range(bs_square, moving_truth, windows):
+    """BS index -1 and n_bs are out of range, 0 and n_bs - 1 are not, in a
+    stack of one window and in a stack of three."""
+    good = canonical_batch(bs_square, moving_truth)
+    for index in (-1, 0, bs_square.n_bs - 1, bs_square.n_bs):
+        idx = good.bs_index.copy()
+        idx[5] = index
+        crafted = MeasurementBatch(bs_index=idx, t=good.t, rho=good.rho,
+                                   sigma=good.sigma, t_l=good.t_l)
+        batches = [crafted] if windows == 1 else [good, crafted, good]
+        v = [moving_truth.v] * len(batches)
+        if 0 <= index < bs_square.n_bs:
+            WhitenedSystem.of(batches, bs_square, v_known=v)
+            continue
+        with pytest.raises(DimensionMismatch,
+                           match="batch references a BS index out of range"):
+            WhitenedSystem.of(batches, bs_square, v_known=v)
+        if windows == 1:
+            with pytest.raises(DimensionMismatch, match="out of range"):
+                solve_known_velocity(crafted, bs_square, moving_truth.v)
+
+
+@pytest.mark.parametrize("heard", [(0, 1, 2, 3), (0, 2), (1, 2, 3), (3,)],
+                         ids=("all", "two", "three", "one"))
+def test_start_centroid_of_the_heard_bss(bs_square, moving_truth, heard):
+    """The start is the centroid of the BSs a window hears, each once,
+    whether it hears every BS or some: equal to the reference starts for
+    one window, for three alike and for three that differ."""
+    order = np.resize(np.array(heard), 8)
+    other = np.resize(np.arange(bs_square.n_bs), 8)
+    for rows in ([order], [order] * 3, [order, other, order]):
+        bs_index = np.stack(rows)
+        rho = np.arange(bs_index.size, dtype=float).reshape(bs_index.shape)
+        got = initial_vectors(bs_square, bs_index, rho)
+        assert got.tobytes() == reference_starts(bs_square, bs_index,
+                                                 rho).tobytes()
+        assert np.allclose(got[0, :2], bs_square.positions[list(heard)]
+                           .mean(axis=0))
