@@ -1,0 +1,53 @@
+#!/usr/bin/env bash
+# Byte-identity of seqloc's outputs between two source trees.
+#
+# Usage: .github/outputs-identity.sh BASE_TREE HEAD_TREE WORK_DIR
+#
+# Runs, in each tree, the six studies (--trials 20 --svg), crlb --seed 3,
+# simulate --seed 3 and solve of that batch with every estimator, the base
+# under PYTHONHASHSEED=0 and the head under 1, writing each tree's files
+# and stdout/stderr under WORK_DIR/base and WORK_DIR/head.  Fails unless
+# every file the base writes is byte-identical in the head; files only the
+# head writes are allowed.
+set -euo pipefail
+
+STUDIES="stationary-noise speed-sweep velocity-deviation noise-sweep-uvd-pvd
+speed-compare circular"
+
+write_outputs() {  # TREE OUT HASHSEED
+    local src out hash_seed="$3"
+    src="$(cd "$1" && pwd)/src"
+    mkdir -p "$2"
+    out="$(cd "$2" && pwd)"
+    # Run inside OUT, so that the paths the commands print are relative.
+    seqloc() {
+        (cd "$out" && PYTHONPATH="$src" PYTHONHASHSEED="$hash_seed" \
+            python -m seqloc.cli "$@")
+    }
+    for name in $STUDIES; do
+        seqloc experiment "$name" --trials 20 --svg --out studies \
+            > "$out/experiment-$name.out"
+    done
+    seqloc crlb --seed 3 > "$out/crlb.out"
+    seqloc simulate --seed 3 > "$out/batch.csv"
+    for estimator in kvd uvd pvd d; do
+        seqloc solve --batch batch.csv --estimator "$estimator" \
+            > "$out/solve-$estimator.out" 2> "$out/solve-$estimator.err" \
+            || echo "exit status $?" >> "$out/solve-$estimator.err"
+    done
+}
+
+base="$3/base" head="$3/head"
+write_outputs "$1" "$base" 0
+write_outputs "$2" "$head" 1
+status=0 count=0
+while IFS= read -r -d '' file; do
+    rel="${file#"$base"/}"
+    count=$((count + 1))
+    if ! cmp -s "$file" "$head/$rel"; then
+        echo "differs from the base: $rel"
+        status=1
+    fi
+done < <(find "$base" -type f -print0 | sort -z)
+echo "$count base files compared, status $status"
+exit "$status"

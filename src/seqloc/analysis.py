@@ -29,7 +29,6 @@ from .model import (  # noqa: F401
     WhitenedSystem,
     WindowStack,
     _row_norms,
-    _stack,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
@@ -86,19 +85,12 @@ def _budgets(bias: np.ndarray, variance: np.ndarray,
                        failures=failures)
 
 
-def _stacked(bs: BsConstellation, batches, truths, priors=None):
-    """T windows, their truths and velocity priors in the form the theory
-    runs on: a WindowStack, the true states ``[p, b, d, v]`` (T, 2N+2)
-    and PriorRows.  Each is read by its own type, so a draw's arrays and
-    the lists of MeasurementBatch, FullParams and VelocityPrior that the
-    single-window API holds can be mixed."""
-    if not isinstance(batches, WindowStack):
-        batches = WindowStack.of(batches)
-    if not isinstance(truths, np.ndarray):
-        truths = _stack([truth.as_vector() for truth in truths])
-    if priors is not None and not isinstance(priors, PriorRows):
-        priors = prior_rows(priors, bs.n_dim)
-    return batches, truths, priors
+def _one(batch: MeasurementBatch, truth: FullParams, bs: BsConstellation,
+         prior: VelocityPrior | None = None):
+    """One window in the form the theory runs on: a WindowStack, the true
+    state ``[p, b, d, v]`` (1, 2N+2) and, with a prior, its PriorRows."""
+    return (WindowStack.of([batch]), truth.as_vector()[None],
+            None if prior is None else prior_rows([prior], bs.n_dim))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -140,8 +132,8 @@ def _inverse_fims(a: np.ndarray, failures: list) -> np.ndarray:
 def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
         variant: str, prior: VelocityPrior | None = None) -> FimMatrix:
     """Fisher information A^T A (= G^T W G) at the true parameters."""
-    a, failures = _designs_at_truth(variant, bs, *_stacked(
-        bs, [batch], [truth], None if prior is None else [prior]))
+    a, failures = _designs_at_truth(variant, bs,
+                                    *_one(batch, truth, bs, prior))
     if failures[0] is not None:
         raise failures[0]
     return FimMatrix(matrix=a[0].T @ a[0], variant=variant)
@@ -156,12 +148,12 @@ def crlb(f: FimMatrix) -> np.ndarray:
     return np.diagonal(np.linalg.inv(f.matrix)).copy()
 
 
-def theoretical_rmse_stack(variant: str, batches, bs: BsConstellation,
-                           truths, priors=None) -> BudgetStack:
-    """``theoretical_rmse`` of T windows at once (one prior per window for
-    ``pvd``), given as lists or as a draw's arrays (see ``_stacked``)."""
-    a, failures = _designs_at_truth(variant, bs,
-                                    *_stacked(bs, batches, truths, priors))
+def theoretical_rmse_stack(variant: str, windows: WindowStack,
+                           bs: BsConstellation, truth: np.ndarray,
+                           priors: PriorRows | None = None) -> BudgetStack:
+    """``theoretical_rmse`` of T windows at their truths (T, 2N+2) at once,
+    with one prior row block per window for ``pvd``."""
+    a, failures = _designs_at_truth(variant, bs, windows, truth, priors)
     n = bs.n_dim
     variance = _inverse_fims(a, failures)[:, :n, :n]
     return _budgets(np.zeros((len(a), n)), variance, failures)
@@ -172,8 +164,9 @@ def theoretical_rmse(variant: str, batch: MeasurementBatch,
                      prior: VelocityPrior | None = None) -> ErrorBudget:
     """Zero-bias budget of an optimal estimator: the position block of the
     inverse Fisher information."""
-    return theoretical_rmse_stack(variant, [batch], bs, [truth],
-                                  None if prior is None else [prior]).one()
+    windows, truths, priors = _one(batch, truth, bs, prior)
+    return theoretical_rmse_stack(variant, windows, bs, truths,
+                                  priors).one()
 
 
 class KvdProjectors(NamedTuple):
@@ -206,19 +199,16 @@ def kvd_projectors(windows: WindowStack, bs: BsConstellation,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def bias_deviated_velocity_stack(batches, bs: BsConstellation, truths,
-                                 v_assumed,
+def bias_deviated_velocity_stack(windows: WindowStack, bs: BsConstellation,
+                                 truth: np.ndarray, v_assumed: np.ndarray,
                                  projectors: KvdProjectors | None = None
                                  ) -> BudgetStack:
-    """``bias_deviated_velocity`` of T windows at once, given as lists or
-    as a draw's arrays (see ``_stacked``), ``v_assumed`` (T, N).
-    ``projectors`` are the windows' ``kvd_projectors`` when they are
-    already at hand."""
-    windows, truth, _ = _stacked(bs, batches, truths)
+    """``bias_deviated_velocity`` of T windows at their truths (T, 2N+2)
+    at once, ``v_assumed`` (T, N).  ``projectors`` are the windows'
+    ``kvd_projectors`` when they are already at hand."""
     if projectors is None:
         projectors = kvd_projectors(windows, bs, truth)
     projector, inv_f, failures = projectors
-    v_assumed = np.asarray(v_assumed, dtype=float)
     n = bs.n_dim
     q = bs.positions[windows.bs_index]
     dt = windows.dt[..., None]
@@ -237,8 +227,9 @@ def bias_deviated_velocity(batch: MeasurementBatch, bs: BsConstellation,
     and the assumed displaced geometric ranges; the variance is the usual
     noise-only position block.
     """
-    return bias_deviated_velocity_stack([batch], bs, [truth],
-                                        [v_assumed]).one()
+    windows, truths, _ = _one(batch, truth, bs)
+    return bias_deviated_velocity_stack(
+        windows, bs, truths, np.asarray(v_assumed, dtype=float)[None]).one()
 
 
 def bias_drift_only(batch: MeasurementBatch, bs: BsConstellation,
@@ -340,7 +331,7 @@ def bias_linear_lower_bound(batch: MeasurementBatch, bs: BsConstellation,
     each supplied deviation is checked against
     ||bias||^2 >= alpha * ||dv||^2 (within BOUND_SLACK).
     """
-    windows, truths, _ = _stacked(bs, [batch], [truth])
+    windows, truths, _ = _one(batch, truth, bs)
     projector, _, failures = kvd_projectors(windows, bs, truths)
     if failures[0] is not None:
         raise failures[0]

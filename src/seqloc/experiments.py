@@ -255,7 +255,7 @@ def _cell_theory(kind: str, cell, rows: np.ndarray, bs: BsConstellation,
 
 
 def run_experiment(spec: ExperimentSpec,
-                   cfg: ScenarioConfig | None = None) -> ExperimentResult:
+                   cfg: ScenarioConfig) -> ExperimentResult:
     """Execute the sweep and aggregate per (sweep value, estimator).
 
     The estimator cells of one sweep value share one ``draw_trials``
@@ -268,8 +268,6 @@ def run_experiment(spec: ExperimentSpec,
     as root mean squares, over the converged trials whose theory is
     defined at the truth.
     """
-    if cfg is None:
-        cfg = default_scenario(spec.name)
     rows = []
     records: dict = {}
     for k, value in enumerate(spec.grid):

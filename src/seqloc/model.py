@@ -220,31 +220,19 @@ class KvdParams:
 
 
 @dataclass(frozen=True)
-class FullParams:
-    """Full parameter vector ``[p, b, d, v]`` (dimension 2N+2)."""
+class FullParams(KvdParams):
+    """Full parameter vector ``[p, b, d, v]`` (dimension 2N+2): the
+    known-velocity ``[p, b, d]`` and the velocity."""
 
-    p: np.ndarray
-    b: float
-    d: float
     v: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float, ndmin=1)
+        super().__post_init__()
         v = np.array(self.v, dtype=float, ndmin=1)
-        if p.shape != v.shape:
+        if self.p.shape != v.shape:
             raise DimensionMismatch("position and velocity dimensions differ")
-        _require_finite(p, "position")
         _require_finite(v, "velocity")
-        if not (np.isfinite(self.b) and np.isfinite(self.d)):
-            raise DimensionMismatch("clock terms must be finite")
-        object.__setattr__(self, "p", _freeze(p))
         object.__setattr__(self, "v", _freeze(v))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "d", float(self.d))
-
-    @property
-    def n_dim(self) -> int:
-        return self.p.size
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.p, [self.b, self.d], self.v])
@@ -569,13 +557,16 @@ class WhitenedSystem:
         diff = q - theta[:, None, :n] - shift
         dist = safe = _row_norms(diff)
         degenerate = None
-        # Python's min (one window) may drop a NaN, which numpy's keeps.
-        if ((min(dist.tolist()[0]) if len(dist) == 1
-             else np.minimum.reduce(dist, axis=None)) < DEFAULT_GEOMETRY_EPS
-                and not np.isnan(dist).any()):
-            near = dist < DEFAULT_GEOMETRY_EPS
-            degenerate = near.any(axis=-1)
-            safe = np.where(near, 1.0, dist)
+        # The gate may drop a NaN (Python's min of one window, numpy's
+        # fmin); a window holding a NaN distance is never degenerate: its
+        # design is not finite, which the rank rule reports first.
+        if (min(dist.tolist()[0]) if len(dist) == 1
+                else np.fmin.reduce(dist, axis=None)) < DEFAULT_GEOMETRY_EPS:
+            near = ((dist < DEFAULT_GEOMETRY_EPS)
+                    & ~np.isnan(dist).any(axis=-1, keepdims=True))
+            if near.any():
+                degenerate = near.any(axis=-1)
+                safe = np.where(near, 1.0, dist)
         los = diff / safe[..., None]
         np.multiply(los, neg_w, out=a[:, :m, :n])
         if self.v_known is None:

@@ -481,10 +481,15 @@ def synthesize_batch(cfg: ScenarioConfig, fix_index: int,
     """One measurement window (fix) and the true state at its epoch.
 
     Fix ``k`` occupies global slots ``k*m_per_fix .. k*m_per_fix + M - 1``
-    (consecutive, non-overlapping windows).  The epoch is the reception
+    (consecutive, non-overlapping windows), so ``k`` is a non-negative
+    integer whose last slot fits in int64.  The epoch is the reception
     time indexed by ``cfg.epoch_slot_offset`` (the first measurement by
     default).  Returns (MeasurementBatch, FullParams).
     """
+    fix_index = _integer(fix_index, "fix index")
+    if (fix_index + 1) * cfg.m_per_fix > 2**63:  # slots are int64
+        raise ConfigError(f"fix index {fix_index} is too large: its slots "
+                          "overflow a 64-bit integer")
     traj = cfg.trajectory if trajectory is None else trajectory
     if not hasattr(traj, "states"):
         raise ConfigError("trajectory sampler must be realized first")
@@ -635,15 +640,14 @@ def draw_trials(cfg: ScenarioConfig, n_trials: int | None = None,
 
 class TrialCell(Sequence):
     """The trials of one estimator over one draw as read-only columns:
-    trial indices, final parameter vectors ``theta`` (T, P), iteration
-    counts, convergence flags, last step norms, covariances (T, P, P),
-    per trial None or the name of the exception its single-window solve
-    raises, the kvd assumed velocities (T, N) and the pvd PriorRows, or
-    None.  Indexing builds the TrialRecord of one trial."""
+    final parameter vectors ``theta`` (T, P), iteration counts,
+    convergence flags, last step norms, covariances (T, P, P), per trial
+    None or the name of the exception its single-window solve raises, the
+    kvd assumed velocities (T, N) and the pvd PriorRows, or None.
+    Indexing builds the TrialRecord of one trial."""
 
-    __slots__ = ("spec", "draws", "trial", "theta", "iterations",
-                 "converged", "step_norm", "covariance", "errors",
-                 "v_assumed", "prior")
+    __slots__ = ("spec", "draws", "theta", "iterations", "converged",
+                 "step_norm", "covariance", "errors", "v_assumed", "prior")
 
     def __init__(self, spec: EstimatorSpec, draws: TrialDraws,
                  sol: StackSolution, v_assumed=None,
@@ -651,7 +655,6 @@ class TrialCell(Sequence):
         for arr in sol[:5]:
             arr.setflags(write=False)
         self.spec, self.draws = spec, draws
-        self.trial = _freeze(np.arange(len(sol.theta)))
         (self.theta, self.iterations, self.converged, self.step_norm,
          self.covariance) = sol[:5]
         self.errors = tuple(None if f is None else type(f).__name__
@@ -659,7 +662,7 @@ class TrialCell(Sequence):
         self.v_assumed, self.prior = v_assumed, prior
 
     def __len__(self) -> int:
-        return len(self.trial)
+        return len(self.theta)
 
     def __getitem__(self, k):
         rows = range(len(self))[k]
@@ -673,7 +676,7 @@ class TrialCell(Sequence):
         prior = (None if self.prior is None else VelocityPrior.isotropic(
             self.prior.mean[k], self.spec.prior_std))
         return TrialRecord(
-            trial=int(self.trial[k]), batch=self.draws.win.batch(k),
+            trial=k, batch=self.draws.win.batch(k),
             truth=_trusted_params(self.draws.truth[k], n),
             report=None if error is not None else window_report(self, k, n),
             error=error,

@@ -148,19 +148,6 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
     return keep, (tuple(x[keep] for x in svd) if compute_uv else s[keep])
 
 
-def whitened_svd(a: np.ndarray):
-    """Thin SVD ``(U, S, V^T)`` of one whitened design matrix; raises the
-    failure of its ``rank_rule``, or DimensionMismatch first when it is
-    not finite (LAPACK may never return from the SVD of a matrix holding
-    inf)."""
-    _require_finite(a, "whitened design matrix")
-    failures = [None]
-    _, (u, s, vt) = rank_rule(a[None], failures, [0])
-    if failures[0] is not None:
-        raise failures[0]
-    return u[0], s[0], vt[0]
-
-
 def _whiten(g, w):
     """Upper Cholesky factor ``B`` of a dense SPD weight (``B^T B = W``)
     and the whitened design ``B G``."""
@@ -179,11 +166,17 @@ def design_condition(g, w) -> float:
 
 def wls_step(g, w, r) -> np.ndarray:
     """One weighted-least-squares step ``(G^T W G)^-1 G^T W r`` for a
-    dense weight ``W``, whitened by its Cholesky factor and solved under
-    the solvers' ``whitened_svd`` rank rule."""
+    dense weight ``W``, whitened by its Cholesky factor and solved through
+    its SVD under the solvers' ``rank_rule``, whose failure is raised; a
+    whitened design that is not finite fails with DimensionMismatch first
+    (LAPACK may never return from the SVD of a matrix holding inf)."""
     root, a = _whiten(g, w)
-    u, s, vt = whitened_svd(a)
-    return vt.T @ ((u.T @ (root @ np.asarray(r, dtype=float))) / s)
+    _require_finite(a, "whitened design matrix")
+    failures = [None]
+    _, (u, s, vt) = rank_rule(a[None], failures, [0])
+    if failures[0] is not None:
+        raise failures[0]
+    return vt[0].T @ ((u[0].T @ (root @ np.asarray(r, dtype=float))) / s[0])
 
 
 # Pseudoranges so large that their mean range mismatch, the initial clock
@@ -286,9 +279,6 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     # A non-finite step norm diverges whatever the guard.
     guard = min(cfg.divergence_guard, sys.float_info.max)
     live, th, norm = np.arange(count), theta, None
-    # Pseudorange rows per window (prior rows come on top), for the rank
-    # rule's message; a system that does not say has no prior rows.
-    m = getattr(system, "m", None)
     if not _all_finite(theta):
         finite = np.isfinite(theta).all(axis=1)
         for k in np.flatnonzero(~finite).tolist():
@@ -299,7 +289,8 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
             break
         whole = live.size == count
         a, z, degenerate = system.at(th, None if whole else live)
-        keep, (u, s, vt) = rank_rule(a, failures, live, degenerate, m)
+        keep, (u, s, vt) = rank_rule(a, failures, live, degenerate,
+                                     system.m)
         if keep is not None:
             live, th, z = live[keep], th[keep], z[keep]
             if not live.size:

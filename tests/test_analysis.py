@@ -18,6 +18,7 @@ from seqloc import (
     VelocityPrior,
     analysis,
 )
+from seqloc.model import WindowStack, prior_rows
 
 from conftest import DRIFT_MPS, canonical_batch, make_batch, random_geometry
 
@@ -315,7 +316,9 @@ class TestPriorInterpolation:
             batch = canonical_batch(bs, truth)
             priors = [VelocityPrior.isotropic(truth.v, std) for std in stds]
             pvd = analysis.theoretical_rmse_stack(
-                "pvd", [batch] * stds.size, bs, [truth] * stds.size, priors)
+                "pvd", WindowStack.of([batch] * stds.size), bs,
+                np.stack([truth.as_vector()] * stds.size),
+                prior_rows(priors, bs.n_dim))
             assert pvd.failures == [None] * stds.size
             trace = np.trace(pvd.variance, axis1=1, axis2=2)
             assert np.all(np.diff(trace) >= 0)
@@ -364,8 +367,9 @@ class TestOverflowedTruth:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             stack = analysis.theoretical_rmse_stack(
-                "uvd", [batch] * 3, bs_square,
-                [moving_truth, self.FAR, moving_truth])
+                "uvd", WindowStack.of([batch] * 3), bs_square,
+                np.stack([t.as_vector() for t in
+                          (moving_truth, self.FAR, moving_truth)]))
         assert isinstance(stack.failures[1], DimensionMismatch)
         assert np.isnan(stack.rmse[1])
         alone = analysis.theoretical_rmse("uvd", batch, bs_square,

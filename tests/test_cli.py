@@ -507,3 +507,17 @@ class TestCircularSvg:
         assert texts[0] == "position error CDF"
         assert texts[-4:] == ["kvd", "pvd", "uvd", "d"]
         assert len(root.findall(f"{ns}polyline")) == 4
+
+
+class TestFixIndex:
+    @pytest.mark.parametrize("fix, message", [
+        ("-5", "error: fix index must be a non-negative integer, got -5"),
+        ("2000000000000000000",
+         "error: fix index 2000000000000000000 is too large"),
+        ("100000000000000000000",
+         "error: fix index 100000000000000000000 is too large"),
+    ], ids=("negative", "2e18", "1e20"))
+    def test_out_of_range_fix_is_one_error_line(self, capsys, fix, message):
+        code, out, err = run_cli(capsys, "simulate", "--fix", fix)
+        assert (code, out) == (1, "")
+        assert err.startswith(message) and err.count("\n") == 1

@@ -4,8 +4,8 @@ implementation with the columnar Monte Carlo draw.
 ``RandomPlacement.realize`` is ``place`` of one trial and must still make
 ``rng.uniform``'s numbers; ``Circular.state_at`` is ``states`` at one time
 and must still be the textbook formula; ``Stationary`` is a frozen
-ConstantVelocity at zero velocity; and the ``*_stack`` theory reads each
-argument by its own type, so lists and a draw's arrays can be mixed."""
+ConstantVelocity at zero velocity; and the ``*_stack`` theory gives a
+draw's arrays the budgets of the stacks built from its trial records."""
 
 import dataclasses
 import math
@@ -23,7 +23,7 @@ from seqloc import (
     trial_rng,
 )
 from seqloc.experiments import default_scenario
-from seqloc.model import PriorRows, WindowStack
+from seqloc.model import WindowStack, prior_rows
 from seqloc.simulate import draw_trials, solve_trials
 
 
@@ -84,28 +84,27 @@ def _budgets_equal(a, b):
             and np.array_equal(a.rmse, b.rmse) and a.failures == b.failures)
 
 
-def test_theory_reads_each_argument_by_its_own_type(pvd_cell):
-    """Two windows: a list of two VelocityPriors beside a WindowStack is
-    read as two priors, never as the (root, mean) pair of PriorRows."""
+def test_draw_arrays_give_the_budgets_of_the_records(pvd_cell):
+    """Two windows: the draw's WindowStack, truths and PriorRows give the
+    budgets of the stacks built from the cell's TrialRecords (their
+    MeasurementBatch, FullParams and VelocityPrior), bit for bit."""
     cfg, cell = pvd_cell
     records = list(cell)
-    batches = [r.batch for r in records]
-    truths = [r.truth for r in records]
     priors = [r.prior for r in records]
     assert len(priors) == 2 and all(isinstance(p, VelocityPrior)
                                     for p in priors)
     stack, truth = cell.draws.win, cell.draws.truth
     assert isinstance(stack, WindowStack)
-    rows = PriorRows(*(np.asarray(arr) for arr in cell.prior))
-    lists = analysis.theoretical_rmse_stack("pvd", batches, cfg.bs, truths,
-                                            priors)
-    for forms in [(stack, truth, rows), (stack, truths, priors),
-                  (batches, truth, priors), (stack, truth, priors),
-                  (batches, truths, rows)]:
-        mixed = analysis.theoretical_rmse_stack("pvd", forms[0], cfg.bs,
-                                                forms[1], forms[2])
-        assert _budgets_equal(mixed, lists)
-    v = cell.draws.truth[:, cfg.bs.n_dim + 2:] + 0.5
+    batches = WindowStack.of([r.batch for r in records])
+    truths = np.stack([r.truth.as_vector() for r in records])
+    assert truths.tobytes() == truth.tobytes()
+    from_records = analysis.theoretical_rmse_stack(
+        "pvd", batches, cfg.bs, truths, prior_rows(priors, cfg.bs.n_dim))
+    assert from_records.failures == [None, None]
     assert _budgets_equal(
-        analysis.bias_deviated_velocity_stack(stack, cfg.bs, truths, v),
+        analysis.theoretical_rmse_stack("pvd", stack, cfg.bs, truth,
+                                        cell.prior), from_records)
+    v = truth[:, cfg.bs.n_dim + 2:] + 0.5
+    assert _budgets_equal(
+        analysis.bias_deviated_velocity_stack(stack, cfg.bs, truth, v),
         analysis.bias_deviated_velocity_stack(batches, cfg.bs, truths, v))

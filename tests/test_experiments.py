@@ -23,6 +23,7 @@ from seqloc import (
 )
 from seqloc import experiments, simulate
 from seqloc.experiments import point_seed
+from seqloc.model import WindowStack, prior_rows
 from seqloc.simulate import with_seed
 
 
@@ -183,17 +184,19 @@ def _per_cell_theory(kind, good, bs):
     ``theoretical_rmse_stack`` for uvd and pvd."""
     if not good:
         return math.nan, math.nan
-    batches = [r.batch for r in good]
-    truths = [r.truth for r in good]
+    windows = WindowStack.of([r.batch for r in good])
+    truths = np.stack([r.truth.as_vector() for r in good])
     if kind in ("kvd", "d"):
-        v = ([r.v_assumed for r in good] if kind == "kvd"
+        v = (np.stack([r.v_assumed for r in good]) if kind == "kvd"
              else np.zeros((len(good), bs.n_dim)))
-        budgets = analysis.bias_deviated_velocity_stack(batches, bs, truths, v)
+        budgets = analysis.bias_deviated_velocity_stack(windows, bs, truths,
+                                                        v)
         crlb = np.sqrt(np.trace(budgets.variance, axis1=-2, axis2=-1))
     else:
         budgets = analysis.theoretical_rmse_stack(
-            kind, batches, bs, truths,
-            priors=[r.prior for r in good] if kind == "pvd" else None)
+            kind, windows, bs, truths,
+            priors=(prior_rows([r.prior for r in good], bs.n_dim)
+                    if kind == "pvd" else None))
         crlb = budgets.rmse
     kept = [(t, c) for t, c, f in zip(budgets.rmse.tolist(), crlb.tolist(),
                                       budgets.failures) if f is None]

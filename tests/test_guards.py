@@ -8,6 +8,8 @@ crafted value: the rank rule's smallest singular value and condition
 number, and the loop's step norm.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,37 @@ def test_start_centroid_of_the_heard_bss(bs_square, moving_truth, heard):
                                                  rho).tobytes()
         assert np.allclose(got[0, :2], bs_square.positions[list(heard)]
                            .mean(axis=0))
+
+
+def _failure_alone(bs, batch, v, start):
+    """The failure of the public solve of one window from ``start``."""
+    with pytest.raises(SeqlocError) as failed:
+        solve_known_velocity(batch, bs, v, init=KvdParams.from_vector(start))
+    return failed.value
+
+
+@pytest.mark.parametrize("order", ["nan,bs", "bs,nan", "bs,nan,bs",
+                                   "nan,bs,nan"])
+def test_nan_window_leaves_a_ud_on_a_bs_degenerate(bs_square, moving_truth,
+                                                   order):
+    """A window with a NaN distance and one whose UD starts exactly on BS
+    0, stacked in any order: each fails as it fails alone (design not
+    finite, degenerate geometry), with no RuntimeWarning."""
+    bs_far = _far_constellation(bs_square)
+    windows = {"nan": _nan_window(bs_far),
+               "bs": (canonical_batch(bs_square, moving_truth),
+                      moving_truth.v,
+                      np.array([0.0, 0.0, moving_truth.b, moving_truth.d]))}
+    alone = {name: _failure_alone(bs_far, *crafted)
+             for name, crafted in windows.items()}
+    assert isinstance(alone["nan"], DimensionMismatch)
+    assert isinstance(alone["bs"], DegenerateGeometry)
+    names = order.split(",")
+    batches, vs, starts = zip(*(windows[name] for name in names))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_stack(WhitenedSystem.of(batches, bs_far, v_known=vs),
+                          np.stack(starts))
+    for name, failure in zip(names, sol.failures):
+        assert (type(failure), str(failure)) == (type(alone[name]),
+                                                 str(alone[name]))

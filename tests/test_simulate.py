@@ -164,6 +164,29 @@ class TestSynthesizeBatch:
         with pytest.raises(ConfigError):
             synthesize_batch(scenario, 0, noiseless=True)
 
+    @pytest.mark.parametrize("fix, message", [
+        (-5, "fix index must be a non-negative integer, got -5"),
+        (1.5, "fix index must be a non-negative integer, got 1.5"),
+        (2**60, f"fix index {2**60} is too large"),
+        (2**61, f"fix index {2**61} is too large"),
+        (10**20, f"fix index {10**20} is too large"),
+    ], ids=("negative", "fraction", "2**60", "2**61", "1e20"))
+    def test_fix_index_must_keep_its_slots_in_int64(self, scenario, fix,
+                                                     message):
+        """Fix k's last slot (k + 1) * M - 1 must fit in int64: 2**61
+        used to wrap around to fix 0's window, 2**60 to negative times."""
+        with pytest.raises(ConfigError, match=message):
+            synthesize_batch(scenario, fix, trajectory=Stationary(p0=[15, 15]),
+                             noiseless=True)
+
+    def test_last_fix_in_int64(self, scenario):
+        last = 2**63 // scenario.m_per_fix - 1
+        batch, _ = synthesize_batch(scenario, last,
+                                    trajectory=Stationary(p0=[15, 15]),
+                                    noiseless=True)
+        assert np.array_equal(batch.bs_index, np.arange(8) % 4)
+        assert batch.t[0] == pytest.approx((2**63 - 8) * 0.01, rel=1e-15)
+
 
 class TestMonteCarlo:
     def test_deterministic_repeat(self, scenario):

@@ -379,6 +379,7 @@ class TestOverflowedWindows:
             two equal rows; window 1's design is NaN once it moved."""
 
             target = np.array([1.0, 2.0, 3.0])
+            m = 2
 
             def at(self, theta, live=None):
                 live = np.arange(3) if live is None else live
@@ -401,10 +402,10 @@ class TestOverflowedWindows:
             assert np.isnan(sol.covariance[1]).all()
             assert list(sol.converged) == [max_iter > 1, False, max_iter > 1]
 
-    def test_whitened_svd_rejects_inf_instead_of_hanging(self):
-        from seqloc.solvers import whitened_svd
-
-        a = np.ones((8, 4))
-        a[0, 0] = np.inf
-        with pytest.raises(DimensionMismatch, match="must be finite"):
-            whitened_svd(a)
+    def test_wls_step_rejects_inf_instead_of_hanging(self):
+        g = np.ones((8, 4))
+        g[0, 0] = np.inf
+        # Whitening multiplies the inf by the weight root's zeros: NaN.
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(DimensionMismatch, match="must be finite"):
+            wls_step(g, np.eye(8), np.ones(8))
