@@ -12,7 +12,6 @@ simulator and a deterministic Monte Carlo experiment harness.
 from .analysis import (
     BiasLowerBound,
     ErrorBudget,
-    FimMatrix,
     OrderingCheck,
     bias_deviated_velocity,
     bias_drift_only,
@@ -46,7 +45,6 @@ from .experiments import (
 )
 from .model import (
     BsConstellation,
-    DesignMatrix,
     FullParams,
     KvdParams,
     MeasurementBatch,

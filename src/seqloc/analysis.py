@@ -40,14 +40,6 @@ ORDERING_EIG_FLOOR = -1e-10  # PD tolerance for covariance-ordering checks
 
 
 @dataclass(frozen=True)
-class FimMatrix:
-    """Fisher information matrix tagged with its estimator variant."""
-
-    matrix: np.ndarray
-    variant: str
-
-
-@dataclass(frozen=True)
 class ErrorBudget:
     """Position bias vector, N-by-N variance and scalar RMSE, tied together
     by rmse^2 = ||bias||^2 + trace(variance)."""
@@ -130,22 +122,22 @@ def _inverse_fims(a: np.ndarray, failures: list) -> np.ndarray:
 
 
 def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
-        variant: str, prior: VelocityPrior | None = None) -> FimMatrix:
+        variant: str, prior: VelocityPrior | None = None) -> np.ndarray:
     """Fisher information A^T A (= G^T W G) at the true parameters."""
     a, failures = _designs_at_truth(variant, bs,
                                     *_one(batch, truth, bs, prior))
     if failures[0] is not None:
         raise failures[0]
-    return FimMatrix(matrix=a[0].T @ a[0], variant=variant)
+    return a[0].T @ a[0]
 
 
-def crlb(f: FimMatrix) -> np.ndarray:
-    """Diagonal of the inverse Fisher information; the first N entries are
-    the per-axis position bounds."""
-    eigs = np.linalg.eigvalsh(f.matrix)
+def crlb(f: np.ndarray) -> np.ndarray:
+    """Diagonal of the inverse of the Fisher information ``f``; the first
+    N entries are the per-axis position bounds."""
+    eigs = np.linalg.eigvalsh(f)
     if eigs[0] <= 0 or not np.all(np.isfinite(eigs)):
         raise RankDeficient("Fisher information is not positive-definite")
-    return np.diagonal(np.linalg.inv(f.matrix)).copy()
+    return np.diagonal(np.linalg.inv(f)).copy()
 
 
 def theoretical_rmse_stack(variant: str, windows: WindowStack,
@@ -177,12 +169,6 @@ class KvdProjectors(NamedTuple):
     projector: np.ndarray
     inverse: np.ndarray
     failures: list
-
-    def take(self, rows) -> "KvdProjectors":
-        """The projectors of the windows ``rows``, in that order."""
-        rows = np.asarray(rows, dtype=int)
-        return KvdProjectors(self.projector[rows], self.inverse[rows],
-                             [self.failures[k] for k in rows.tolist()])
 
 
 def kvd_projectors(windows: WindowStack, bs: BsConstellation,
@@ -263,7 +249,7 @@ def check_crlb_ordering(batch: MeasurementBatch, bs: BsConstellation,
     """
     n = bs.n_dim
     k = n + 2
-    f = fim(batch, bs, truth, "uvd").matrix
+    f = fim(batch, bs, truth, "uvd")
     a00, a01, a11 = f[:k, :k], f[:k, k:], f[k:, k:]
     w_v = prior.weight()
     try:

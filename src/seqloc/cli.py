@@ -153,7 +153,8 @@ def _read_batch_csv(path: Path, epoch: float | None) -> MeasurementBatch:
 
 def _cmd_simulate(args) -> int:
     cfg, _ = _scenario(args)
-    rng = trial_rng(cfg.seed, 0)
+    # Fix k draws from trial k's stream, which takes no negative index.
+    rng = trial_rng(cfg.seed, _integer(args.fix, "fix index"))
     traj = cfg.trajectory.realize(rng)
     batch, _ = synthesize_batch(cfg, args.fix, rng, trajectory=traj)
     lines = _batch_csv_lines(batch)

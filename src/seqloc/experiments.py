@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, EmptyInput
-from .model import BsConstellation, PriorRows, prior_variance
+from .model import BsConstellation, prior_variance
 from .simulate import (
     Circular,
     ClockModel,
@@ -227,31 +227,25 @@ def _estimator_spec(name: str, estimator: str, value: float,
     return EstimatorSpec(kind=estimator)
 
 
-def _cell_theory(kind: str, cell, rows: np.ndarray, bs: BsConstellation,
+def _cell_theory(kind: str, cell, bs: BsConstellation,
                  projectors: analysis.KvdProjectors | None):
-    """Theoretical and CRLB RMSE (two lists) of each trial ``rows`` of the
-    TrialCell ``cell`` whose theory is defined at its truth, evaluated for
-    all of them at once.  kvd and d cells take their rows of
-    ``projectors``, the kvd projectors of every trial of the draw."""
-    if not rows.size:
-        return [], []
-    windows, truth = cell.draws.win.take(rows), cell.draws.truth[rows]
+    """The theory budgets (a BudgetStack) of every trial of the TrialCell
+    ``cell`` at its truth and their CRLB RMSEs (T,), evaluated for the
+    whole draw at once.  kvd and d cells take ``projectors``, the kvd
+    projectors of that draw."""
+    windows, truth = cell.draws.win, cell.draws.truth
     if kind in ("kvd", "d"):
         # Movement bias of the drift-only baseline, deviation bias of kvd
         # (zero when the assumed velocity is the true one).
-        v = (cell.v_assumed[rows] if kind == "kvd"
-             else np.zeros((rows.size, bs.n_dim)))
+        v = (cell.v_assumed if kind == "kvd"
+             else np.zeros((len(truth), bs.n_dim)))
         budgets = analysis.bias_deviated_velocity_stack(
-            windows, bs, truth, v, projectors.take(rows))
-        crlb = np.sqrt(np.trace(budgets.variance, axis1=-2, axis2=-1))
-    else:
-        priors = (None if cell.prior is None
-                  else PriorRows(*(arr[rows] for arr in cell.prior)))
-        budgets = analysis.theoretical_rmse_stack(kind, windows, bs, truth,
-                                                  priors=priors)
-        crlb = budgets.rmse
-    ok = [k for k, failure in enumerate(budgets.failures) if failure is None]
-    return budgets.rmse[ok].tolist(), crlb[ok].tolist()
+            windows, bs, truth, v, projectors)
+        return budgets, np.sqrt(np.trace(budgets.variance, axis1=-2,
+                                         axis2=-1))
+    budgets = analysis.theoretical_rmse_stack(kind, windows, bs, truth,
+                                              priors=cell.prior)
+    return budgets, budgets.rmse
 
 
 def run_experiment(spec: ExperimentSpec,
@@ -285,19 +279,22 @@ def run_experiment(spec: ExperimentSpec,
             records[(value, estimator)] = cell
             good = np.flatnonzero(cell.converged)
             emp = theo = crl = float("nan")
+            # Without a converged trial the cell may have failed as a whole.
             if good.size:
                 emp = empirical_rmse(cell.position_errors()).rmse
-            if estimator in ("kvd", "d") and good.size and projectors is None:
-                # Both use the true-velocity design of the plain draw.
-                projectors = analysis.kvd_projectors(
-                    draws[key].win, cfg_pt.bs, draws[key].truth)
-            theory, bound = _cell_theory(estimator, cell, good, cfg_pt.bs,
-                                         projectors)
-            if theory:
-                # Python's t ** 2 can differ from numpy's square in the
-                # last bit; the CSVs are pinned to the former.
-                theo = float(np.sqrt(np.mean([t ** 2 for t in theory])))
-                crl = float(np.sqrt(np.mean([t ** 2 for t in bound])))
+                if estimator in ("kvd", "d") and projectors is None:
+                    # Both use the true-velocity design of the plain draw.
+                    projectors = analysis.kvd_projectors(
+                        draws[key].win, cfg_pt.bs, draws[key].truth)
+                budgets, bound = _cell_theory(estimator, cell, cfg_pt.bs,
+                                              projectors)
+                ok = [i for i in good.tolist() if budgets.failures[i] is None]
+                if ok:
+                    # Python's t ** 2 can differ from numpy's square in the
+                    # last bit; the CSVs are pinned to the former.
+                    theo, crl = (float(np.sqrt(np.mean(
+                        [t ** 2 for t in values[ok].tolist()])))
+                        for values in (budgets.rmse, bound))
             rows.append(ResultRow(
                 sweep_value=float(value), estimator=estimator,
                 empirical_rmse=emp, theoretical_rmse=theo, crlb_rmse=crl,

@@ -323,36 +323,6 @@ class WeightModel:
         return full
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Jacobian of the measurement model, tagged by estimator variant.
-
-    Row structure per variant ("e" is the unit LOS vector; row order
-    matches the batch):
-
-    * kvd: ``[-e, 1, dt]``                      shape (M, N+2)
-    * uvd: ``[-e, 1, dt, -e*dt]``               shape (M, 2N+2)
-    * pvd: uvd rows stacked over ``[0 | I_N]``  shape (M+N, 2N+2)
-    """
-
-    matrix: np.ndarray
-    variant: str
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise DimensionMismatch(f"unknown design variant {self.variant!r}")
-        mat = np.atleast_2d(np.array(self.matrix, dtype=float))
-        _require_finite(mat, "design matrix")
-        if self.variant == "pvd":
-            n = (mat.shape[1] - 2) // 2
-            bottom = mat[-n:, :]
-            expected = np.hstack([np.zeros((n, n + 2)), np.eye(n)])
-            if mat.shape[0] <= n or not np.array_equal(bottom, expected):
-                raise DimensionMismatch(
-                    "pvd design must end with the [0 | I] prior block")
-        object.__setattr__(self, "matrix", _frozen_array(mat))
-
-
 def predict_pseudorange(q, params: FullParams, dt: float) -> float:
     """Noise-free pseudorange from BS at ``q`` for a UD displaced by
     ``v*dt`` from its epoch position: ``||q - (p + v*dt)|| + b + d*dt``."""
@@ -410,10 +380,6 @@ class WindowStack(NamedTuple):
                    np.stack([batch.sigma for batch in batches]),
                    np.array([batch.t_l for batch in batches]),
                    np.stack([batch.dt for batch in batches]))
-
-    def take(self, rows) -> "WindowStack":
-        """The windows ``rows``, in that order."""
-        return WindowStack(*(arr[rows] for arr in self))
 
     def batch(self, k: int) -> MeasurementBatch:
         """Window ``k`` as a MeasurementBatch over read-only rows of the
@@ -621,29 +587,31 @@ def residual(batch: MeasurementBatch, bs: BsConstellation, at,
 
 
 def _design(batch: MeasurementBatch, bs: BsConstellation, at, variant: str,
-            v_known=None) -> DesignMatrix:
+            v_known=None) -> np.ndarray:
     a, _, degenerate = _unwhitened(
         batch, bs, at, v_known,
         np.zeros(bs.n_dim) if variant == "pvd" else None)
     if degenerate:
         raise DegenerateGeometry("UD coincides with a BS in this batch")
-    return DesignMatrix(matrix=a, variant=variant)
+    _require_finite(a, "design matrix")
+    return a
 
 
 def build_design_kvd(batch: MeasurementBatch, bs: BsConstellation,
-                     at: KvdParams, v_known) -> DesignMatrix:
-    """Known-velocity design: rows ``[-e, 1, dt]`` linearized at ``at``."""
+                     at: KvdParams, v_known) -> np.ndarray:
+    """Known-velocity design (M, N+2) linearized at ``at``: rows
+    ``[-e, 1, dt]``, ``e`` the unit LOS vector, in the batch's order."""
     return _design(batch, bs, at, "kvd", v_known)
 
 
 def build_design_uvd(batch: MeasurementBatch, bs: BsConstellation,
-                     at: FullParams) -> DesignMatrix:
-    """Joint-velocity design: rows ``[-e, 1, dt, -e*dt]``."""
+                     at: FullParams) -> np.ndarray:
+    """Joint-velocity design (M, 2N+2): rows ``[-e, 1, dt, -e*dt]``."""
     return _design(batch, bs, at, "uvd")
 
 
 def build_design_pvd(batch: MeasurementBatch, bs: BsConstellation,
-                     at: FullParams) -> DesignMatrix:
-    """Prior-velocity design: joint rows stacked over the ``[0 | I]``
-    prior block."""
+                     at: FullParams) -> np.ndarray:
+    """Prior-velocity design (M+N, 2N+2): the joint rows stacked over the
+    ``[0 | I_N]`` prior block."""
     return _design(batch, bs, at, "pvd")

@@ -33,7 +33,6 @@ from .errors import (DegenerateGeometry, DimensionMismatch, Diverged,
 # namespace: perfbench/tracer.py patches them by module path.
 from .model import (  # noqa: F401
     BsConstellation,
-    DesignMatrix,
     FullParams,
     KvdParams,
     MeasurementBatch,
@@ -152,8 +151,7 @@ def _whiten(g, w):
     """Upper Cholesky factor ``B`` of a dense SPD weight (``B^T B = W``)
     and the whitened design ``B G``."""
     root = np.linalg.cholesky(np.asarray(w, dtype=float)).T
-    gm = g.matrix if isinstance(g, DesignMatrix) else np.asarray(g, dtype=float)
-    return root, root @ gm
+    return root, root @ np.asarray(g, dtype=float)
 
 
 def design_condition(g, w) -> float:
@@ -168,8 +166,11 @@ def wls_step(g, w, r) -> np.ndarray:
     """One weighted-least-squares step ``(G^T W G)^-1 G^T W r`` for a
     dense weight ``W``, whitened by its Cholesky factor and solved through
     its SVD under the solvers' ``rank_rule``, whose failure is raised; a
-    whitened design that is not finite fails with DimensionMismatch first
-    (LAPACK may never return from the SVD of a matrix holding inf)."""
+    design that is not finite, before or after whitening, fails with
+    DimensionMismatch first (LAPACK may never return from the SVD of a
+    matrix holding inf)."""
+    g = np.asarray(g, dtype=float)
+    _require_finite(g, "design matrix")
     root, a = _whiten(g, w)
     _require_finite(a, "whitened design matrix")
     failures = [None]
@@ -236,7 +237,8 @@ class StackSolution(NamedTuple):
     """Gauss-Newton outcome of a stack of T windows: final parameter
     vectors (T, P), iteration counts, convergence flags, last step norms,
     covariances ``V S^-2 V^T`` (T, P, P), and per window None or the
-    SeqlocError that ended it (its other entries are then meaningless).
+    SeqlocError that ended it (its other entries are then meaningless, and
+    it is not converged).
     ``theta`` and ``covariance`` are read-only."""
 
     theta: np.ndarray
@@ -326,6 +328,8 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
              else np.flatnonzero([f is None for f in failures]))
     theta.setflags(write=False)
     covariance = _final_covariance(system, theta, final, failures)
+    if any(failures):  # a failed window has not converged
+        converged[[f is not None for f in failures]] = False
     return StackSolution(theta, iterations, converged, step_norm,
                          _freeze(covariance), failures)
 

@@ -79,13 +79,13 @@ def test_criterion_01_jacobian_finite_differences():
             if variant == "kvd":
                 vec = full.kvd_part().as_vector()
                 analytic = build_design_kvd(batch, bs, full.kvd_part(),
-                                            full.v).matrix
+                                            full.v)
             elif variant == "uvd":
                 vec = full.as_vector()
-                analytic = build_design_uvd(batch, bs, full).matrix
+                analytic = build_design_uvd(batch, bs, full)
             else:
                 vec = full.as_vector()
-                analytic = build_design_pvd(batch, bs, full).matrix[:8, :]
+                analytic = build_design_pvd(batch, bs, full)[:8, :]
             numeric = np.zeros_like(analytic)
             for j in range(vec.size):
                 basis = np.zeros(vec.size)

@@ -44,22 +44,22 @@ class TestFim:
         batch = canonical_batch(bs_square, moving_truth)
         _, _, expected = oracle_kvd_normal(batch, bs_square, moving_truth)
         f = analysis.fim(batch, bs_square, moving_truth, "kvd")
-        assert np.allclose(f.matrix, expected, rtol=1e-12)
+        assert np.allclose(f, expected, rtol=1e-12)
 
     def test_sigma_scaling(self, bs_square, moving_truth):
         base = canonical_batch(bs_square, moving_truth, sigma=0.1)
         scaled = canonical_batch(bs_square, moving_truth, sigma=0.3)
         for variant in ("kvd", "uvd"):
-            f1 = analysis.fim(base, bs_square, moving_truth, variant).matrix
-            f2 = analysis.fim(scaled, bs_square, moving_truth, variant).matrix
+            f1 = analysis.fim(base, bs_square, moving_truth, variant)
+            f2 = analysis.fim(scaled, bs_square, moving_truth, variant)
             assert np.allclose(f2, f1 / 9.0, rtol=1e-10)
 
     def test_pvd_top_left_is_kvd(self, bs_square, moving_truth):
         batch = canonical_batch(bs_square, moving_truth)
         prior = VelocityPrior.isotropic(moving_truth.v, 2.0)
         f_p = analysis.fim(batch, bs_square, moving_truth, "pvd",
-                           prior=prior).matrix
-        f_k = analysis.fim(batch, bs_square, moving_truth, "kvd").matrix
+                           prior=prior)
+        f_k = analysis.fim(batch, bs_square, moving_truth, "kvd")
         assert np.allclose(f_p[:4, :4], f_k, rtol=1e-12)
 
     def test_symmetric_positive_definite_random(self):
@@ -70,7 +70,7 @@ class TestFim:
             bs, truth = random_geometry(rng, min_range=1.0)
             prior = VelocityPrior.isotropic(truth.v, 2.0)
             for variant, pr in (("kvd", None), ("uvd", None), ("pvd", prior)):
-                f = analysis.fim(batch, bs, truth, variant, prior=pr).matrix
+                f = analysis.fim(batch, bs, truth, variant, prior=pr)
                 assert np.allclose(f, f.T, rtol=1e-10)
                 assert np.min(np.linalg.eigvalsh(f)) > 0
 
@@ -83,7 +83,7 @@ class TestFim:
 
 class TestCrlb:
     def test_diagonal_inverse(self):
-        f = analysis.FimMatrix(matrix=np.diag([4.0, 25.0]), variant="kvd")
+        f = np.diag([4.0, 25.0])
         assert np.allclose(analysis.crlb(f), [0.25, 0.04])
 
     def test_scales_linearly_with_sigma(self, bs_square, stationary_truth):
@@ -263,7 +263,7 @@ class TestCovarianceOrdering:
         from seqloc.model import WeightModel, build_design_uvd
 
         batch = canonical_batch(bs_square, moving_truth)
-        g = build_design_uvd(batch, bs_square, moving_truth).matrix
+        g = build_design_uvd(batch, bs_square, moving_truth)
         w = WeightModel.from_batch(batch).w_rho
         full_inverse = np.linalg.inv(g.T @ w @ g)[:4, :4]
         g0, g1 = g[:, :4], g[:, 4:]

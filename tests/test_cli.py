@@ -179,6 +179,21 @@ class TestExperiment:
         assert code == 0
         assert (tmp_path / "speed-sweep.svg").exists()
 
+    def test_trials_that_fail_at_their_last_iterate_are_non_converged(
+            self, capsys, tmp_path):
+        """A stationary UD on a BS at a noise of 1e-12 m: every solve
+        converges onto the BS, where its final design is degenerate."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "trajectory": {"kind": "stationary", "position": [0, 30]},
+            "trials": 20, "experiment": {"grid": [1e-12]}}))
+        code, _, _ = run_cli(capsys, "experiment", "stationary-noise",
+                             "--config", str(path), "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "stationary-noise.csv").read_text().splitlines()
+        assert lines[1:] == ["1e-12,kvd,nan,nan,nan,20,20",
+                             "1e-12,d,nan,nan,nan,20,20"]
+
 
 class TestConfigHandling:
     def test_config_overrides_scenario(self, capsys, tmp_path):
@@ -521,3 +536,19 @@ class TestFixIndex:
         code, out, err = run_cli(capsys, "simulate", "--fix", fix)
         assert (code, out) == (1, "")
         assert err.startswith(message) and err.count("\n") == 1
+
+    CIRCULAR = {"trajectory": {"kind": "circular", "center": [50, 50],
+                               "radius": 30, "angular_rate": 0.3}}
+
+    @pytest.mark.parametrize("fix", [0, 1, 7])
+    def test_fix_k_draws_the_noise_of_trial_k(self, capsys, tmp_path, fix):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.CIRCULAR))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                                 "--seed", "3", "--fix", str(fix))
+        assert (code, err) == (0, "")
+        cfg, _ = scenario_from_config(self.CIRCULAR, seed=3)
+        batch, _ = synthesize_batch(cfg, fix, trial_rng(3, fix))
+        assert out.splitlines()[1:] == [
+            f"{i},{t:.17g},{rho:.17g},{sigma:.17g}" for i, t, rho, sigma
+            in zip(batch.bs_index, batch.t, batch.rho, batch.sigma)]

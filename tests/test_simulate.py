@@ -428,3 +428,21 @@ class TestShortWindows:
             with pytest.raises(RankDeficient) as alone:
                 solve_known_velocity(rec.batch, cfg.bs, rec.v_assumed)
             assert str(alone.value) == message
+
+
+class TestFailedMeansNotConverged:
+    """A stationary UD on a BS at a noise of 1e-12 m: every solve converges
+    onto the BS, where the design of its final iterate is degenerate."""
+
+    CONFIG = {"trajectory": {"kind": "stationary", "position": [0, 30]},
+              "noise": {"sigma": 1e-12}, "trials": 20}
+
+    @pytest.mark.parametrize("kind", ["kvd", "d", "uvd"])
+    def test_no_trial_is_both_converged_and_failed(self, kind):
+        from seqloc.config import scenario_from_config
+
+        cfg, _ = scenario_from_config(self.CONFIG)
+        cell = run_monte_carlo(cfg, EstimatorSpec(kind=kind))
+        assert cell.errors == ("DegenerateGeometry",) * 20
+        assert not cell.converged.any()
+        assert cell.position_errors().shape == (0, 2)
