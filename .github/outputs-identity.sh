@@ -3,10 +3,11 @@
 #
 # Usage: .github/outputs-identity.sh BASE_TREE HEAD_TREE WORK_DIR
 #
-# Runs, in each tree, the six studies (--trials 20 --svg), crlb --seed 3,
-# simulate --seed 3 and solve of that batch with every estimator, the base
-# under PYTHONHASHSEED=0 and the head under 1, writing each tree's files
-# and stdout/stderr under WORK_DIR/base and WORK_DIR/head.  Fails unless
+# Runs, in each tree, the six studies (--trials 20 --svg), crlb --seed 3
+# (also with --prior-std 0.5), simulate --seed 3 (also with --fix 7) and
+# solve of the fix-0 batch with every estimator, the base under
+# PYTHONHASHSEED=0 and the head under 1, writing each tree's files and
+# stdout/stderr under WORK_DIR/base and WORK_DIR/head.  Fails unless
 # every file the base writes is byte-identical in the head; files only the
 # head writes are allowed.
 set -euo pipefail
@@ -29,7 +30,9 @@ write_outputs() {  # TREE OUT HASHSEED
             > "$out/experiment-$name.out"
     done
     seqloc crlb --seed 3 > "$out/crlb.out"
+    seqloc crlb --seed 3 --prior-std 0.5 > "$out/crlb-prior-std.out"
     seqloc simulate --seed 3 > "$out/batch.csv"
+    seqloc simulate --seed 3 --fix 7 > "$out/batch-fix7.csv"
     for estimator in kvd uvd pvd d; do
         seqloc solve --batch batch.csv --estimator "$estimator" \
             > "$out/solve-$estimator.out" 2> "$out/solve-$estimator.err" \

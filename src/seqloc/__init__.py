@@ -77,7 +77,6 @@ from .simulate import (
 from .solvers import (
     EstimateReport,
     SolverConfig,
-    initial_guess_kvd,
     solve_drift_only,
     solve_joint_velocity,
     solve_known_velocity,

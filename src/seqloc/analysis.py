@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RankDeficient
-# build_design_* are unused here but stay bound in this namespace:
+# build_design_kvd/pvd are unused here but stay bound in this namespace:
 # perfbench/tracer.py patches them by module path.
 from .model import (  # noqa: F401
     BsConstellation,
@@ -312,29 +312,26 @@ def bias_linear_lower_bound(batch: MeasurementBatch, bs: BsConstellation,
     """Tightest quadratic lower bound on the deviated-velocity bias.
 
     Builds S = S2^T S1^T S1 S2 where S1 holds the position rows of the
-    weighted projector and S2 the first-order sensitivity of the residual
-    to a velocity deviation; alpha is the smallest eigenvalue of S, and
-    each supplied deviation is checked against
-    ||bias||^2 >= alpha * ||dv||^2 (within BOUND_SLACK).
+    weighted projector and S2 = dt*e the first-order sensitivity of the
+    residual to a velocity deviation (the negated velocity block of the
+    joint design at the truth, ``e`` the LOS from the displaced UD);
+    alpha is the smallest eigenvalue of S, and each supplied deviation is
+    checked against ||bias||^2 >= alpha * ||dv||^2 (within BOUND_SLACK).
     """
     windows, truths, _ = _one(batch, truth, bs)
-    projector, _, failures = kvd_projectors(windows, bs, truths)
-    if failures[0] is not None:
-        raise failures[0]
-    projector = projector[0]
-    q = bs.positions[batch.bs_index]
-    rel = q - truth.p[None, :]
-    base_range = np.linalg.norm(rel, axis=1)
-    if np.any(base_range <= 0):
-        raise RankDeficient("UD coincides with a BS")
-    s2 = batch.dt[:, None] * rel / base_range[:, None]
+    projectors = kvd_projectors(windows, bs, truths)
+    if projectors.failures[0] is not None:
+        raise projectors.failures[0]
+    projector = projectors.projector[0]
+    s2 = -build_design_uvd(batch, bs, truth)[:, bs.n_dim + 2:]
     s = s2.T @ projector.T @ projector @ s2
     alpha = float(np.min(np.linalg.eigvalsh(s)))
 
     checks = []
     for dv in deviations:
         dv = np.atleast_1d(np.asarray(dv, dtype=float))
-        exact = bias_deviated_velocity(batch, bs, truth, truth.v + dv)
+        exact = bias_deviated_velocity_stack(
+            windows, bs, truths, (truth.v + dv)[None], projectors).one()
         bias_sq = float(np.dot(exact.bias, exact.bias))
         bound = alpha * float(np.dot(dv, dv))
         holds = bias_sq >= bound * (1.0 - BOUND_SLACK)

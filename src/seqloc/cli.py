@@ -217,7 +217,7 @@ def _cmd_crlb(args) -> int:
     cfg, _ = _scenario(args)
     rng = trial_rng(cfg.seed, 0)
     traj = cfg.trajectory.realize(rng)
-    batch, truth = synthesize_batch(cfg, 0, trajectory=traj, noiseless=True)
+    batch, truth = synthesize_batch(cfg, 0, trajectory=traj)
     prior = VelocityPrior.isotropic(truth.v, args.prior_std)
     budgets = {
         "kvd": analysis.theoretical_rmse("kvd", batch, cfg.bs, truth),

@@ -59,7 +59,8 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 
 
 def load_config(path) -> dict:
-    """Read and structurally validate a config file."""
+    """Read a config file holding a JSON object; ``scenario_from_config``
+    validates its keys."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -67,7 +68,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
     return raw
 
 
@@ -160,10 +160,9 @@ def scenario_from_config(raw: dict, experiment: str | None = None,
     Precedence: experiment defaults, then config-file sections, then the
     explicit ``seed``/``trials`` arguments (the CLI flags).
     """
+    _check_keys(raw, _TOP_KEYS, "config")
     name = experiment
     exp_section = raw.get("experiment", {})
-    if not isinstance(exp_section, dict):
-        raise ConfigError("experiment section must be an object")
     _check_keys(exp_section, {"name", "grid", "estimators", "prior_std",
                               "duration_s"}, "experiment")
     if name is None:

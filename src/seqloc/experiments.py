@@ -40,7 +40,6 @@ from .simulate import (
     TdmaSchedule,
     draw_trials,
     solve_trials,
-    with_seed,
 )
 # Unused here but stays bound in this namespace: perfbench/tracer.py
 # patches run_monte_carlo by module path.
@@ -265,8 +264,8 @@ def run_experiment(spec: ExperimentSpec,
     rows = []
     records: dict = {}
     for k, value in enumerate(spec.grid):
-        cfg_pt = with_seed(_scenario_for_point(spec.name, cfg, value),
-                           point_seed(cfg.seed, k))
+        cfg_pt = replace(_scenario_for_point(spec.name, cfg, value),
+                         seed=point_seed(cfg.seed, k))
         draws = {}  # nominal prior std (None for the plain draw) -> draws
         projectors = None
         for estimator in spec.estimators:

@@ -42,12 +42,6 @@ DEFAULT_GEOMETRY_EPS = 1e-9
 VARIANTS = ("kvd", "uvd", "pvd")
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """Mark an array this module just created read-only, in place."""
     arr.setflags(write=False)
@@ -132,7 +126,7 @@ class BsConstellation:
         if pos.shape[1] not in (2, 3):
             raise DimensionMismatch("positions must be 2-D or 3-D")
         _require_finite(pos, "BS positions")
-        object.__setattr__(self, "positions", _frozen_array(pos))
+        object.__setattr__(self, "positions", _freeze(pos))
 
     @property
     def n_bs(self) -> int:
@@ -267,8 +261,8 @@ class VelocityPrior:
             raise DimensionMismatch("prior covariance must be symmetric")
         if np.min(np.linalg.eigvalsh(cov)) <= 0:
             raise DimensionMismatch("prior covariance must be positive-definite")
-        object.__setattr__(self, "mean", _frozen_array(mean))
-        object.__setattr__(self, "covariance", _frozen_array(cov))
+        object.__setattr__(self, "mean", _freeze(mean))
+        object.__setattr__(self, "covariance", _freeze(cov))
 
     @property
     def n_dim(self) -> int:
@@ -301,7 +295,7 @@ class WeightModel:
         diag = np.atleast_1d(np.array(self.rho_diag, dtype=float))
         if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
             raise DimensionMismatch("weights must be strictly positive")
-        object.__setattr__(self, "rho_diag", _frozen_array(diag))
+        object.__setattr__(self, "rho_diag", _freeze(diag))
 
     @classmethod
     def from_batch(cls, batch: MeasurementBatch) -> "WeightModel":

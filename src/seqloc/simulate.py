@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +39,6 @@ from .model import (
     WhitenedSystem,
     WindowStack,
     _freeze,
-    _frozen_array,
     _require_finite,
     _require_sigma,
     _row_norms,
@@ -92,8 +91,9 @@ class ConstantVelocity:
     t_ref: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "p0", _frozen_array(np.atleast_1d(self.p0)))
-        object.__setattr__(self, "v", _frozen_array(np.atleast_1d(self.v)))
+        for name in ("p0", "v"):
+            object.__setattr__(self, name, _freeze(
+                np.array(getattr(self, name), dtype=float, ndmin=1)))
 
     def state_at(self, t: float):
         return self.p0 + self.v * (t - self.t_ref), self.v
@@ -133,14 +133,14 @@ class Circular:
     phase: float = 0.0
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        center = np.array(self.center, dtype=float, ndmin=1)
         if center.size != 2:
             raise ConfigError("circular trajectories are 2-D")
         if not (0 < self.radius < math.inf and math.isfinite(self.phase)
                 and math.isfinite(self.angular_rate)):
             raise ConfigError("radius must be positive and finite, rate "
                               "and phase finite")
-        object.__setattr__(self, "center", _frozen_array(center))
+        object.__setattr__(self, "center", _freeze(center))
 
     def state_at(self, t: float):
         return self.states(t)
@@ -186,7 +186,7 @@ class RandomPlacement:
     t_ref: float = 0.0
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        center = np.array(self.center, dtype=float, ndmin=1)
         if center.size != 2:
             raise ConfigError("random placement samples a 2-D square")
         # place() scales the uniforms by the range 2 * half_side.
@@ -195,7 +195,7 @@ class RandomPlacement:
                 and self.half_side > 0 and self.speed >= 0):
             raise ConfigError("random placement needs a finite center and "
                               "t_ref, half_side > 0 and speed >= 0, finite")
-        object.__setattr__(self, "center", _frozen_array(center))
+        object.__setattr__(self, "center", _freeze(center))
 
     def realize(self, rng) -> ConstantVelocity:
         placed = self.place(rng.random(3)[None])
@@ -294,7 +294,7 @@ class ScenarioConfig:
         if not self.epoch_slot_offset < self.m_per_fix:
             raise ConfigError("epoch_slot_offset must index into the window")
         try:
-            sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
+            sigma = np.array(self.sigma, dtype=float, ndmin=1)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sigma must be a number or a list of "
                               f"numbers, got {self.sigma!r}") from exc
@@ -309,7 +309,7 @@ class ScenarioConfig:
         if dims != {self.bs.n_dim}:
             raise ConfigError(f"the trajectory must be {self.bs.n_dim}-D "
                               f"like the base stations")
-        object.__setattr__(self, "sigma", _frozen_array(sigma))
+        object.__setattr__(self, "sigma", _freeze(sigma))
 
 
 def truth_state(trajectory, clock: ClockModel, t: float) -> FullParams:
@@ -477,14 +477,15 @@ def _synthesize(cfg: ScenarioConfig, fix_index: np.ndarray, trajectory,
 
 def synthesize_batch(cfg: ScenarioConfig, fix_index: int,
                      rng: np.random.Generator | None = None,
-                     trajectory=None, noiseless: bool = False):
+                     trajectory=None):
     """One measurement window (fix) and the true state at its epoch.
 
     Fix ``k`` occupies global slots ``k*m_per_fix .. k*m_per_fix + M - 1``
     (consecutive, non-overlapping windows), so ``k`` is a non-negative
     integer whose last slot fits in int64.  The epoch is the reception
     time indexed by ``cfg.epoch_slot_offset`` (the first measurement by
-    default).  Returns (MeasurementBatch, FullParams).
+    default).  The noise is drawn from ``rng``; without one the window is
+    noiseless.  Returns (MeasurementBatch, FullParams).
     """
     fix_index = _integer(fix_index, "fix index")
     if (fix_index + 1) * cfg.m_per_fix > 2**63:  # slots are int64
@@ -493,11 +494,7 @@ def synthesize_batch(cfg: ScenarioConfig, fix_index: int,
     traj = cfg.trajectory if trajectory is None else trajectory
     if not hasattr(traj, "states"):
         raise ConfigError("trajectory sampler must be realized first")
-    noise = None
-    if not noiseless:
-        if rng is None:
-            raise ConfigError("noisy synthesis needs a random stream")
-        noise = rng.standard_normal(cfg.m_per_fix)[None]
+    noise = None if rng is None else rng.standard_normal(cfg.m_per_fix)[None]
     win, truth = _synthesize(cfg, np.array([fix_index]), traj, noise)
     return win.batch(0), _trusted_params(truth[0], cfg.bs.n_dim)
 
@@ -736,7 +733,3 @@ def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
     order: ``draw_trials`` then ``solve_trials``."""
     return solve_trials(
         spec, draw_trials(cfg, n_trials, spec.nominal_prior_std), solver_cfg)
-
-
-def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(cfg, seed=seed)

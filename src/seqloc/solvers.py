@@ -149,9 +149,15 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
 
 def _whiten(g, w):
     """Upper Cholesky factor ``B`` of a dense SPD weight (``B^T B = W``)
-    and the whitened design ``B G``."""
+    and the whitened design ``B G``.  A design that is not finite, before
+    or after whitening, fails with DimensionMismatch (LAPACK may never
+    return from the SVD of a matrix holding inf)."""
+    g = np.asarray(g, dtype=float)
+    _require_finite(g, "design matrix")
     root = np.linalg.cholesky(np.asarray(w, dtype=float)).T
-    return root, root @ np.asarray(g, dtype=float)
+    a = root @ g
+    _require_finite(a, "whitened design matrix")
+    return root, a
 
 
 def design_condition(g, w) -> float:
@@ -164,15 +170,9 @@ def design_condition(g, w) -> float:
 
 def wls_step(g, w, r) -> np.ndarray:
     """One weighted-least-squares step ``(G^T W G)^-1 G^T W r`` for a
-    dense weight ``W``, whitened by its Cholesky factor and solved through
-    its SVD under the solvers' ``rank_rule``, whose failure is raised; a
-    design that is not finite, before or after whitening, fails with
-    DimensionMismatch first (LAPACK may never return from the SVD of a
-    matrix holding inf)."""
-    g = np.asarray(g, dtype=float)
-    _require_finite(g, "design matrix")
+    dense weight ``W``, whitened by ``_whiten`` and solved through its SVD
+    under the solvers' ``rank_rule``, whose failure is raised."""
     root, a = _whiten(g, w)
-    _require_finite(a, "whitened design matrix")
     failures = [None]
     _, (u, s, vt) = rank_rule(a[None], failures, [0])
     if failures[0] is not None:
@@ -220,17 +220,6 @@ def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
     if v0 is not None:
         theta[:, n + 2:] = v0
     return theta
-
-
-def initial_guess_kvd(batch: MeasurementBatch, bs: BsConstellation) -> KvdParams:
-    """Deterministic geometry-aware start: BS centroid, offset from the
-    mean range mismatch, zero drift."""
-    if batch.bs_index.min() < 0 or batch.bs_index.max() >= bs.n_bs:
-        raise DimensionMismatch("batch references a BS index out of range")
-    start = initial_vectors(bs, batch.bs_index[None], batch.rho[None])[0]
-    if not np.isfinite(start[bs.n_dim]):
-        raise DimensionMismatch(_OVERFLOWED_START)
-    return KvdParams.from_vector(start)
 
 
 class StackSolution(NamedTuple):

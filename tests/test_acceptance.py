@@ -274,14 +274,12 @@ def test_criterion_09_bias_lower_bound_and_slope():
     bias slope over [0.01, 0.5] m/s lies in [0.9, 1.1]."""
     t0 = time.perf_counter()
     failures = []
-    # Moderate speeds: the bound's sensitivity matrix linearizes the LOS
-    # at the undisplaced position, its first-order regime.
     rng = np.random.default_rng(909)
     batch = make_batch(np.arange(8) % 4, 0.01 * np.arange(8),
                        rho=np.zeros(8))
     mags = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
     for geom in range(100):
-        bs, truth = random_geometry(rng, max_speed=5.0, min_range=1.0)
+        bs, truth = random_geometry(rng, max_speed=20.0, min_range=1.0)
         heading = rng.uniform(0, 2 * np.pi)
         direction = np.array([np.cos(heading), np.sin(heading)])
         deviations = [m * direction for m in (0.1, 0.5, 1.0)]

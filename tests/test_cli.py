@@ -12,6 +12,7 @@ from seqloc import (VelocityPrior, solve_drift_only, solve_joint_velocity,
                     synthesize_batch, trial_rng)
 from seqloc.cli import main
 from seqloc.config import scenario_from_config
+from seqloc.errors import ConfigError
 
 
 def run_cli(capsys, *args):
@@ -216,6 +217,13 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 1
         assert "noize" in err
+
+    def test_unknown_top_key_rejected_in_the_library(self):
+        """Every config passes through ``scenario_from_config``, which
+        holds the unknown-key check, so a library caller's typo fails."""
+        with pytest.raises(ConfigError, match=r"^unknown key\(s\) \['nosie'\] "
+                                              r"in config$"):
+            scenario_from_config({"nosie": {"sigma": 5}})
 
     def test_unknown_nested_key_rejected(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

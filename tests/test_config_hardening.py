@@ -12,6 +12,7 @@ import io
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from seqloc.cli import main
 from seqloc.config import scenario_from_config
 from seqloc.errors import ConfigError, SeqlocError
 from seqloc.experiments import default_scenario, run_experiment
-from seqloc.simulate import draw_trials, with_seed
+from seqloc.simulate import draw_trials
 
 EXTREMES = (0.0, -0.0, 5e-324, 1e-300, 1e-9, 1.0, 2.5, 1e9, 1e154, 1e300,
             1e308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
@@ -206,13 +207,13 @@ class TestScenarioConfigRegressions:
         assert as_float[0] == 0 and as_float == as_int
 
     @pytest.mark.parametrize("seed", [1.5, -1, "7"])
-    def test_with_seed_checks_the_seed(self, seed):
-        """``with_seed`` goes through the same check; it truncated 1.5
-        to 1 and 2.9 to 2."""
+    def test_replaced_seed_is_checked(self, seed):
+        """A seed set by ``dataclasses.replace`` goes through the same
+        check: 1.5 is not truncated to 1."""
         cfg = default_scenario(None)
         with pytest.raises(ConfigError, match="non-negative integer"):
-            with_seed(cfg, seed)
-        assert with_seed(cfg, 7.0).seed == 7
+            replace(cfg, seed=seed)
+        assert replace(cfg, seed=7.0).seed == 7
 
     @pytest.mark.parametrize("key, value", [
         ("half_side", math.nan), ("half_side", 1e308), ("half_side", math.inf),

@@ -24,7 +24,6 @@ from seqloc import (
 from seqloc import experiments, simulate
 from seqloc.experiments import point_seed
 from seqloc.model import WindowStack, prior_rows
-from seqloc.simulate import with_seed
 
 
 class TestEmpiricalRmse:
@@ -127,7 +126,7 @@ class TestRunExperiment:
         spec, cfg = tiny("velocity-deviation", trials=80, grid=(.0, 2.0))
         result = run_experiment(spec, cfg)
         zero_row = [r for r in result.rows if r.sweep_value == 0.0][0]
-        plain = run_monte_carlo(with_seed(cfg, point_seed(cfg.seed, 0)),
+        plain = run_monte_carlo(replace(cfg, seed=point_seed(cfg.seed, 0)),
                                 EstimatorSpec(kind="kvd"))
         expected = empirical_rmse(
             [r.position_error for r in plain if r.converged]).rmse
@@ -245,9 +244,9 @@ class TestSharedDraws:
         rows = iter(result.rows)
         outcomes = set()
         for k, value in enumerate(spec.grid):
-            cfg_pt = with_seed(
+            cfg_pt = replace(
                 experiments._scenario_for_point(name, cfg, value),
-                point_seed(cfg.seed, k))
+                seed=point_seed(cfg.seed, k))
             for estimator in spec.estimators:
                 espec = experiments._estimator_spec(name, estimator, value,
                                                     spec.prior_std)

@@ -61,7 +61,7 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 @PROPERTY
 @given(scenarios())
 def test_moving_ud_recovered_by_kvd_uvd_pvd(cfg):
-    batch, truth = synthesize_batch(cfg, 0, noiseless=True)
+    batch, truth = synthesize_batch(cfg, 0)
     reports = {
         "kvd": solve_known_velocity(batch, cfg.bs, truth.v),
         "uvd": solve_joint_velocity(batch, cfg.bs),
@@ -76,7 +76,7 @@ def test_moving_ud_recovered_by_kvd_uvd_pvd(cfg):
 @PROPERTY
 @given(scenarios(stationary=True))
 def test_stationary_ud_recovered_by_drift_only(cfg):
-    batch, truth = synthesize_batch(cfg, 0, noiseless=True)
+    batch, truth = synthesize_batch(cfg, 0)
     report = solve_drift_only(batch, cfg.bs)
     assert report.converged
     assert _position_error(report, truth) < RECOVERY_M

@@ -1,21 +1,22 @@
 """Validation branches that no other test reaches: each rejects its input
 with its own error type and message."""
 
-import warnings
+import json
+import math
 
 import numpy as np
 import pytest
 
 from seqloc import (ConfigError, DimensionMismatch, EstimatorSpec,
-                    RankDeficient, analysis, initial_guess_kvd,
-                    solve_joint_velocity)
+                    RankDeficient, SolverConfig, VelocityPrior, analysis,
+                    rmse_standard_error, solve_joint_velocity,
+                    solve_prior_velocity)
 from seqloc.cli import main
 from seqloc.experiments import default_scenario
 from seqloc.model import PriorRows, WhitenedSystem, WindowStack
 from seqloc.simulate import draw_trials, solve_trials
-from seqloc.solvers import _OVERFLOWED_START
 
-from conftest import canonical_batch, make_batch
+from conftest import canonical_batch
 
 
 def test_initial_guess_must_match_the_estimator(bs_square, moving_truth,
@@ -54,25 +55,6 @@ def test_known_velocity_takes_no_prior(bs_square, moving_batch):
                        np.zeros((1, 2)), prior)
 
 
-def test_initial_guess_kvd_rejects_bs_index_out_of_range(bs_square,
-                                                         moving_batch):
-    batch = make_batch([0, 1, 2, 4, 0, 1, 2, 3], moving_batch.t,
-                       rho=moving_batch.rho)
-    with pytest.raises(DimensionMismatch,
-                       match="batch references a BS index out of range"):
-        initial_guess_kvd(batch, bs_square)
-
-
-def test_initial_guess_kvd_rejects_an_overflowing_offset(bs_square):
-    batch = make_batch(np.arange(8) % 4, 0.01 * np.arange(8),
-                       rho=np.full(8, 1.7e308))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DimensionMismatch) as failed:
-            initial_guess_kvd(batch, bs_square)
-    assert str(failed.value) == _OVERFLOWED_START
-
-
 def test_cli_epoch_must_be_finite(capsys, tmp_path, bs_square,
                                   moving_truth):
     batch = canonical_batch(bs_square, moving_truth)
@@ -86,3 +68,57 @@ def test_cli_epoch_must_be_finite(capsys, tmp_path, bs_square,
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == "error: localization epoch must be finite\n"
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "config must be a JSON object"),
+    ({"bs": [[0, 0]]}, "bs section must be an object"),
+    ({"trajectory": [1]}, "trajectory section must be an object"),
+    ({"experiment": "speed-sweep"}, "experiment section must be an object"),
+    ({"trajectory": {"kind": "circular", "center": [15, 15], "radius": 0,
+                     "speed": 3}},
+     "circular trajectory radius must be positive"),
+    ({"trajectory": {"kind": "circular", "center": [15, 15, 0],
+                     "radius": 5, "speed": 3}},
+     "circular trajectories are 2-D"),
+    ({"trajectory": {"kind": "spiral"}}, "unknown trajectory kind 'spiral'"),
+    ({"schedule": {"epoch_slot_offset": 8, "m_per_fix": 8}},
+     "epoch_slot_offset must index into the window"),
+    ({"noise": {"sigma": [0.1, 0.1, 0.1]}},
+     "sigma must be scalar or one value per BS"),
+    ({"experiment": {"estimators": []}}, "need at least one estimator"),
+], ids=("array", "bs", "trajectory", "experiment", "radius-0", "center-3d",
+        "spiral", "epoch-offset", "three-sigmas", "no-estimators"))
+def test_config_rejected_through_main(capsys, tmp_path, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(["experiment", "speed-sweep", "--trials", "2", "--config",
+                 str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fields", [{"max_iter": 0}, {"threshold": 0}])
+def test_solver_config_limits(fields):
+    with pytest.raises(ValueError):
+        SolverConfig(**fields)
+
+
+def test_crlb_of_an_indefinite_information():
+    with pytest.raises(RankDeficient,
+                       match="Fisher information is not positive-definite"):
+        analysis.crlb(np.diag([1.0, 0.0, 2.0]))
+
+
+def test_rmse_standard_error_edges():
+    assert rmse_standard_error([[0.3, 0.4]]) == math.inf
+    assert rmse_standard_error([[0.0, 0.0]] * 3) == 0.0
+
+
+def test_prior_dimension_must_match_the_constellation(bs_square,
+                                                      moving_batch):
+    prior = VelocityPrior.isotropic(np.zeros(3), 1.0)
+    with pytest.raises(DimensionMismatch,
+                       match="prior dimension does not match BSs"):
+        solve_prior_velocity(moving_batch, bs_square, prior)

@@ -97,8 +97,7 @@ class TestSchedule:
 class TestSynthesizeBatch:
     def test_noiseless_matches_forward_model(self, scenario):
         traj = ConstantVelocity(p0=[14.0, 16.0], v=[3.0, -4.0])
-        batch, truth = synthesize_batch(scenario, 2, trajectory=traj,
-                                        noiseless=True)
+        batch, truth = synthesize_batch(scenario, 2, trajectory=traj)
         for i in range(batch.m):
             state = truth_state(traj, scenario.clock, batch.t[i])
             instant = FullParams(state.p, state.b, state.d, np.zeros(2))
@@ -108,8 +107,7 @@ class TestSynthesizeBatch:
 
     def test_slots_and_epoch(self, scenario):
         traj = Stationary(p0=[15, 15])
-        batch, truth = synthesize_batch(scenario, 3, trajectory=traj,
-                                        noiseless=True)
+        batch, truth = synthesize_batch(scenario, 3, trajectory=traj)
         assert np.allclose(np.diff(batch.t), 0.01)
         assert batch.t[0] == pytest.approx(3 * 8 * 0.01)
         assert batch.t_l == batch.t[0]
@@ -122,15 +120,13 @@ class TestSynthesizeBatch:
 
         shifted = replace(scenario, epoch_slot_offset=1)
         batch, truth = synthesize_batch(shifted, 0,
-                                        trajectory=Stationary(p0=[15, 15]),
-                                        noiseless=True)
+                                        trajectory=Stationary(p0=[15, 15]))
         assert batch.t_l == pytest.approx(0.01)
         assert batch.dt[0] == pytest.approx(-0.01)
 
     def test_noise_statistics(self, scenario):
         traj = Stationary(p0=[15, 15])
-        clean, _ = synthesize_batch(scenario, 0, trajectory=traj,
-                                    noiseless=True)
+        clean, _ = synthesize_batch(scenario, 0, trajectory=traj)
         n_draws = 12500  # 12500 batches x 8 entries = 1e5 samples
         samples = np.empty((n_draws, 8))
         for k in range(n_draws):
@@ -162,7 +158,7 @@ class TestSynthesizeBatch:
 
     def test_sampler_must_be_realized(self, scenario):
         with pytest.raises(ConfigError):
-            synthesize_batch(scenario, 0, noiseless=True)
+            synthesize_batch(scenario, 0)
 
     @pytest.mark.parametrize("fix, message", [
         (-5, "fix index must be a non-negative integer, got -5"),
@@ -176,14 +172,12 @@ class TestSynthesizeBatch:
         """Fix k's last slot (k + 1) * M - 1 must fit in int64: 2**61
         used to wrap around to fix 0's window, 2**60 to negative times."""
         with pytest.raises(ConfigError, match=message):
-            synthesize_batch(scenario, fix, trajectory=Stationary(p0=[15, 15]),
-                             noiseless=True)
+            synthesize_batch(scenario, fix, trajectory=Stationary(p0=[15, 15]))
 
     def test_last_fix_in_int64(self, scenario):
         last = 2**63 // scenario.m_per_fix - 1
         batch, _ = synthesize_batch(scenario, last,
-                                    trajectory=Stationary(p0=[15, 15]),
-                                    noiseless=True)
+                                    trajectory=Stationary(p0=[15, 15]))
         assert np.array_equal(batch.bs_index, np.arange(8) % 4)
         assert batch.t[0] == pytest.approx((2**63 - 8) * 0.01, rel=1e-15)
 

@@ -22,6 +22,7 @@ from seqloc import (
     solve_prior_velocity,
     wls_step,
 )
+from seqloc.solvers import design_condition
 
 from conftest import DRIFT_MPS, canonical_batch, make_batch, random_geometry
 
@@ -304,7 +305,7 @@ class TestSolveStack:
     def test_failures_stay_in_their_window(self, bs_square, moving_truth):
         from seqloc.errors import DegenerateGeometry
         from seqloc.model import WhitenedSystem
-        from seqloc.solvers import initial_guess_kvd, solve_stack
+        from seqloc.solvers import initial_vectors, solve_stack
 
         good = canonical_batch(bs_square, moving_truth)
         # equal dt collapses the offset and drift columns
@@ -313,7 +314,9 @@ class TestSolveStack:
         batches = (good, flat, good)
         v = [moving_truth.v] * 3
         system = WhitenedSystem.of(batches, bs_square, v_known=v)
-        inits = [initial_guess_kvd(b, bs_square) for b in batches]
+        bs_index = np.stack([b.bs_index for b in batches])
+        inits = [KvdParams.from_vector(start) for start in
+                 initial_vectors(bs_square, bs_index, system.rho)]
         # the third window starts on BS 0, where its first row has dt = 0
         inits[2] = KvdParams(p=bs_square.positions[0], b=30.0, d=0.0)
         sol = solve_stack(system, np.stack([i.as_vector() for i in inits]))
@@ -341,13 +344,14 @@ class TestOverflowedWindows:
     def test_overflowed_displacement_fails_only_its_window(
             self, bs_square, moving_truth):
         from seqloc.model import WhitenedSystem
-        from seqloc.solvers import initial_guess_kvd, solve_stack
+        from seqloc.solvers import initial_vectors, solve_stack
 
         # two seconds per slot: 1.7e308 m/s displaces the UD beyond float64
         batch = canonical_batch(bs_square, moving_truth, slot=2.0)
         v = [moving_truth.v, [1.7e308, 0.0], moving_truth.v]
         system = WhitenedSystem.of([batch] * 3, bs_square, v_known=v)
-        start = initial_guess_kvd(batch, bs_square).as_vector()
+        start = initial_vectors(bs_square, batch.bs_index[None],
+                                batch.rho[None])[0]
         sol = solve_stack(system, np.stack([start] * 3))
         assert isinstance(sol.failures[1], DimensionMismatch)
         assert "overflows" in str(sol.failures[1])
@@ -408,3 +412,12 @@ class TestOverflowedWindows:
         # Whitening would multiply the inf by the weight root's zeros.
         with pytest.raises(DimensionMismatch, match="must be finite"):
             wls_step(g, np.eye(8), np.ones(8))
+
+    def test_design_condition_rejects_inf_like_wls_step(self):
+        """Without a warning: pyproject turns RuntimeWarning into an
+        error."""
+        g = np.ones((8, 4))
+        g[0, 0] = np.inf
+        with pytest.raises(DimensionMismatch,
+                           match="design matrix must be finite"):
+            design_condition(g, np.eye(8))
