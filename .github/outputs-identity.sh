@@ -5,9 +5,13 @@
 #
 # Runs, in each tree, the six studies (--trials 20 --svg), crlb --seed 3
 # (also with --prior-std 0.5), simulate --seed 3 (also with --fix 7) and
-# solve of the fix-0 batch with every estimator, the base under
-# PYTHONHASHSEED=0 and the head under 1, writing each tree's files and
-# stdout/stderr under WORK_DIR/base and WORK_DIR/head.  Fails unless
+# solve of the fix-0 batch with every estimator.  Then, with the head's
+# .github/identity-config.json (a 3-D five-BS scenario) as --config for
+# both trees: crlb, simulate --fix 3, solve of that batch with every
+# estimator, and the noise-sweep-uvd-pvd (--svg) and velocity-deviation
+# studies.  The base runs under PYTHONHASHSEED=0 and the head under 1,
+# each writing its files and stdout/stderr under WORK_DIR/base and
+# WORK_DIR/head.  Fails unless
 # every file the base writes is byte-identical in the head; files only the
 # head writes are allowed.
 set -euo pipefail
@@ -38,9 +42,26 @@ write_outputs() {  # TREE OUT HASHSEED
             > "$out/solve-$estimator.out" 2> "$out/solve-$estimator.err" \
             || echo "exit status $?" >> "$out/solve-$estimator.err"
     done
+    local args
+    seqloc crlb --config "$config" > "$out/config-crlb.out"
+    seqloc simulate --config "$config" --fix 3 > "$out/batch-config.csv"
+    for estimator in kvd uvd pvd d; do
+        args=()
+        if [ "$estimator" = kvd ]; then args=(--velocity 2,-1,0.5); fi
+        seqloc solve --config "$config" --batch batch-config.csv \
+            --estimator "$estimator" "${args[@]}" \
+            > "$out/config-solve-$estimator.out" \
+            2> "$out/config-solve-$estimator.err" \
+            || echo "exit status $?" >> "$out/config-solve-$estimator.err"
+    done
+    seqloc experiment noise-sweep-uvd-pvd --config "$config" --svg \
+        --out config-studies > "$out/config-experiment-noise-sweep-uvd-pvd.out"
+    seqloc experiment velocity-deviation --config "$config" \
+        --out config-studies > "$out/config-experiment-velocity-deviation.out"
 }
 
 base="$3/base" head="$3/head"
+config="$(cd "$2" && pwd)/.github/identity-config.json"
 write_outputs "$1" "$base" 0
 write_outputs "$2" "$head" 1
 status=0 count=0

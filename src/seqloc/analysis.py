@@ -112,12 +112,8 @@ def _inverse_fims(a: np.ndarray, failures: list) -> np.ndarray:
     """``(A^T A)^-1`` of each window whose design is usable, NaN for the
     others."""
     ok = np.flatnonzero([f is None for f in failures])
-    if ok.size == len(a):
-        return np.linalg.inv(a.mT @ a)
     inv = np.full((len(a),) + a.shape[-1:] * 2, np.nan)
-    if ok.size:
-        usable = a[ok]
-        inv[ok] = np.linalg.inv(usable.mT @ usable)
+    inv[ok] = np.linalg.inv(a[ok].mT @ a[ok])
     return inv
 
 
@@ -317,6 +313,8 @@ def bias_linear_lower_bound(batch: MeasurementBatch, bs: BsConstellation,
     joint design at the truth, ``e`` the LOS from the displaced UD);
     alpha is the smallest eigenvalue of S, and each supplied deviation is
     checked against ||bias||^2 >= alpha * ||dv||^2 (within BOUND_SLACK).
+    The bound is first order in dv and the slack does not cover every
+    case: README gives a 1 m/s deviation at which the check fails.
     """
     windows, truths, _ = _one(batch, truth, bs)
     projectors = kvd_projectors(windows, bs, truths)

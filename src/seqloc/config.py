@@ -40,11 +40,8 @@ from .simulate import (
     RandomPlacement,
     Stationary,
     TdmaSchedule,
+    drift_from_ppm,
 )
-
-# Only place in the package where the propagation speed appears: converting
-# an oscillator drift given in ppm into range-rate units.
-SPEED_OF_LIGHT_M_S = 299792458.0
 
 _TOP_KEYS = {"bs", "trajectory", "clock", "schedule", "noise", "seed",
              "trials", "experiment"}
@@ -142,8 +139,7 @@ def _clock_from(section: dict) -> ClockModel:
     if ("drift_ppm" in section) and ("drift_mps" in section):
         raise ConfigError("give drift as ppm or m/s, not both")
     if "drift_ppm" in section:
-        drift = _number(section, "drift_ppm", "clock") * 1e-6 \
-            * SPEED_OF_LIGHT_M_S
+        drift = drift_from_ppm(_number(section, "drift_ppm", "clock"))
     elif "drift_mps" in section:
         drift = _number(section, "drift_mps", "clock")
     else:

@@ -39,6 +39,7 @@ from .simulate import (
     ScenarioConfig,
     TdmaSchedule,
     draw_trials,
+    drift_from_ppm,
     solve_trials,
 )
 # Unused here but stays bound in this namespace: perfbench/tracer.py
@@ -158,9 +159,8 @@ def default_scenario(name: str | None = None, seed: int = DEFAULT_SEED,
     """Baseline scenario for an experiment: the 30 m four-BS square with a
     randomly placed UD, or the 100 m square with the circular arc."""
     schedule = TdmaSchedule(bs_order=(0, 1, 2, 3), slot_interval=0.01)
-    # 5 ppm oscillator drift expressed in range-rate units.
-    common = dict(clock=ClockModel(b0=30.0, d=1498.96229), schedule=schedule,
-                  m_per_fix=8, sigma=0.1, seed=seed,
+    common = dict(clock=ClockModel(b0=30.0, d=drift_from_ppm(5.0)),
+                  schedule=schedule, m_per_fix=8, sigma=0.1, seed=seed,
                   bs=default_constellation(name))
     if name == "circular":
         n_fixes = int(round(CIRCULAR_DURATION_S / (8 * schedule.slot_interval)))
@@ -226,27 +226,6 @@ def _estimator_spec(name: str, estimator: str, value: float,
     return EstimatorSpec(kind=estimator)
 
 
-def _cell_theory(kind: str, cell, bs: BsConstellation,
-                 projectors: analysis.KvdProjectors | None):
-    """The theory budgets (a BudgetStack) of every trial of the TrialCell
-    ``cell`` at its truth and their CRLB RMSEs (T,), evaluated for the
-    whole draw at once.  kvd and d cells take ``projectors``, the kvd
-    projectors of that draw."""
-    windows, truth = cell.draws.win, cell.draws.truth
-    if kind in ("kvd", "d"):
-        # Movement bias of the drift-only baseline, deviation bias of kvd
-        # (zero when the assumed velocity is the true one).
-        v = (cell.v_assumed if kind == "kvd"
-             else np.zeros((len(truth), bs.n_dim)))
-        budgets = analysis.bias_deviated_velocity_stack(
-            windows, bs, truth, v, projectors)
-        return budgets, np.sqrt(np.trace(budgets.variance, axis1=-2,
-                                         axis2=-1))
-    budgets = analysis.theoretical_rmse_stack(kind, windows, bs, truth,
-                                              priors=cell.prior)
-    return budgets, budgets.rmse
-
-
 def run_experiment(spec: ExperimentSpec,
                    cfg: ScenarioConfig) -> ExperimentResult:
     """Execute the sweep and aggregate per (sweep value, estimator).
@@ -281,12 +260,23 @@ def run_experiment(spec: ExperimentSpec,
             # Without a converged trial the cell may have failed as a whole.
             if good.size:
                 emp = empirical_rmse(cell.position_errors()).rmse
-                if estimator in ("kvd", "d") and projectors is None:
+                win, truth, bs = cell.draws.win, cell.draws.truth, cfg_pt.bs
+                if estimator in ("kvd", "d"):
                     # Both use the true-velocity design of the plain draw.
-                    projectors = analysis.kvd_projectors(
-                        draws[key].win, cfg_pt.bs, draws[key].truth)
-                budgets, bound = _cell_theory(estimator, cell, cfg_pt.bs,
-                                              projectors)
+                    if projectors is None:
+                        projectors = analysis.kvd_projectors(win, bs, truth)
+                    # Deviation bias of kvd (zero at the true velocity),
+                    # movement bias of the drift-only baseline.
+                    v = (cell.v_assumed if estimator == "kvd"
+                         else np.zeros((len(truth), bs.n_dim)))
+                    budgets = analysis.bias_deviated_velocity_stack(
+                        win, bs, truth, v, projectors)
+                else:
+                    budgets = analysis.theoretical_rmse_stack(
+                        estimator, win, bs, truth, priors=cell.prior)
+                # The CRLB column is the zero-bias part of the budget.
+                bound = np.sqrt(np.trace(budgets.variance, axis1=-2,
+                                         axis2=-1))
                 ok = [i for i in good.tolist() if budgets.failures[i] is None]
                 if ok:
                     # Python's t ** 2 can differ from numpy's square in the

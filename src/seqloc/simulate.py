@@ -231,6 +231,15 @@ class ClockModel:
         return self.b0 + self.d * (t - self.t_ref)
 
 
+SPEED_OF_LIGHT_M_S = 299792458.0  # its only appearance in the package
+
+
+def drift_from_ppm(ppm: float) -> float:
+    """An oscillator drift of ``ppm`` parts per million in range-rate
+    units (m/s), the ``d`` of ClockModel."""
+    return ppm * 1e-6 * SPEED_OF_LIGHT_M_S
+
+
 @dataclass(frozen=True)
 class TdmaSchedule:
     """Round-robin slot plan: BS ``bs_order[k % len]`` transmits in global

@@ -147,32 +147,18 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
     return keep, (tuple(x[keep] for x in svd) if compute_uv else s[keep])
 
 
-def _whiten(g, w):
-    """Upper Cholesky factor ``B`` of a dense SPD weight (``B^T B = W``)
-    and the whitened design ``B G``.  A design that is not finite, before
-    or after whitening, fails with DimensionMismatch (LAPACK may never
-    return from the SVD of a matrix holding inf)."""
+def wls_step(g, w, r) -> np.ndarray:
+    """One weighted-least-squares step ``(G^T W G)^-1 G^T W r`` for a
+    dense weight ``W``: the design is whitened by the upper Cholesky
+    factor ``B`` of ``W`` (``B^T B = W``) and solved through its SVD under
+    the solvers' ``rank_rule``, whose failure is raised.  A design that is
+    not finite, before or after whitening, fails with DimensionMismatch
+    (LAPACK may never return from the SVD of a matrix holding inf)."""
     g = np.asarray(g, dtype=float)
     _require_finite(g, "design matrix")
     root = np.linalg.cholesky(np.asarray(w, dtype=float)).T
     a = root @ g
     _require_finite(a, "whitened design matrix")
-    return root, a
-
-
-def design_condition(g, w) -> float:
-    """Condition number of sqrt(W) G (its square is the normal-matrix
-    condition number)."""
-    _, a = _whiten(g, w)
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-
-
-def wls_step(g, w, r) -> np.ndarray:
-    """One weighted-least-squares step ``(G^T W G)^-1 G^T W r`` for a
-    dense weight ``W``, whitened by ``_whiten`` and solved through its SVD
-    under the solvers' ``rank_rule``, whose failure is raised."""
-    root, a = _whiten(g, w)
     failures = [None]
     _, (u, s, vt) = rank_rule(a[None], failures, [0])
     if failures[0] is not None:

@@ -22,7 +22,6 @@ from seqloc import (
     solve_prior_velocity,
     wls_step,
 )
-from seqloc.solvers import design_condition
 
 from conftest import DRIFT_MPS, canonical_batch, make_batch, random_geometry
 
@@ -412,12 +411,3 @@ class TestOverflowedWindows:
         # Whitening would multiply the inf by the weight root's zeros.
         with pytest.raises(DimensionMismatch, match="must be finite"):
             wls_step(g, np.eye(8), np.ones(8))
-
-    def test_design_condition_rejects_inf_like_wls_step(self):
-        """Without a warning: pyproject turns RuntimeWarning into an
-        error."""
-        g = np.ones((8, 4))
-        g[0, 0] = np.inf
-        with pytest.raises(DimensionMismatch,
-                           match="design matrix must be finite"):
-            design_condition(g, np.eye(8))
