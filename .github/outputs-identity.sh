@@ -9,7 +9,10 @@
 # .github/identity-config.json (a 3-D five-BS scenario) as --config for
 # both trees: crlb, simulate --fix 3, solve of that batch with every
 # estimator, and the noise-sweep-uvd-pvd (--svg) and velocity-deviation
-# studies.  The base runs under PYTHONHASHSEED=0 and the head under 1,
+# studies.  With the head's .github/identity-stationary.json (a stationary
+# UD) as --config for both trees: the stationary-noise study, crlb,
+# simulate --fix 2 and solve of that batch with every estimator.  The
+# base runs under PYTHONHASHSEED=0 and the head under 1,
 # each writing its files and stdout/stderr under WORK_DIR/base and
 # WORK_DIR/head.  Fails unless
 # every file the base writes is byte-identical in the head; files only the
@@ -58,10 +61,23 @@ write_outputs() {  # TREE OUT HASHSEED
         --out config-studies > "$out/config-experiment-noise-sweep-uvd-pvd.out"
     seqloc experiment velocity-deviation --config "$config" \
         --out config-studies > "$out/config-experiment-velocity-deviation.out"
+    seqloc experiment stationary-noise --config "$stationary" \
+        --out stationary-studies > "$out/stationary-experiment.out"
+    seqloc crlb --config "$stationary" > "$out/stationary-crlb.out"
+    seqloc simulate --config "$stationary" --fix 2 \
+        > "$out/batch-stationary.csv"
+    for estimator in kvd uvd pvd d; do
+        seqloc solve --config "$stationary" --batch batch-stationary.csv \
+            --estimator "$estimator" \
+            > "$out/stationary-solve-$estimator.out" \
+            2> "$out/stationary-solve-$estimator.err" \
+            || echo "exit status $?" >> "$out/stationary-solve-$estimator.err"
+    done
 }
 
 base="$3/base" head="$3/head"
 config="$(cd "$2" && pwd)/.github/identity-config.json"
+stationary="$(cd "$2" && pwd)/.github/identity-stationary.json"
 write_outputs "$1" "$base" 0
 write_outputs "$2" "$head" 1
 status=0 count=0

@@ -65,7 +65,6 @@ from .simulate import (
     EstimatorSpec,
     RandomPlacement,
     ScenarioConfig,
-    Stationary,
     TdmaSchedule,
     TrialCell,
     TrialRecord,

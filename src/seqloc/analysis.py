@@ -37,6 +37,7 @@ from .model import (  # noqa: F401
 from .solvers import rank_rule
 
 ORDERING_EIG_FLOOR = -1e-10  # PD tolerance for covariance-ordering checks
+_INDEFINITE = "Fisher information is not positive-definite"
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,14 @@ def _designs_at_truth(variant: str, bs: BsConstellation,
 
 def _inverse_fims(a: np.ndarray, failures: list) -> np.ndarray:
     """``(A^T A)^-1`` of each window whose design is usable, NaN for the
-    others."""
+    others.  cond(A^T A) is cond(A)^2, so rounding can leave an inverse
+    indefinite: its window then fails as ``crlb`` does."""
     ok = np.flatnonzero([f is None for f in failures])
     inv = np.full((len(a),) + a.shape[-1:] * 2, np.nan)
     inv[ok] = np.linalg.inv(a[ok].mT @ a[ok])
+    diag = np.diagonal(inv, axis1=-2, axis2=-1)[ok]
+    for i in ok[~np.all((diag > 0) & (diag < np.inf), axis=1)].tolist():
+        inv[i], failures[i] = np.nan, RankDeficient(_INDEFINITE)
     return inv
 
 
@@ -132,7 +137,7 @@ def crlb(f: np.ndarray) -> np.ndarray:
     N entries are the per-axis position bounds."""
     eigs = np.linalg.eigvalsh(f)
     if eigs[0] <= 0 or not np.all(np.isfinite(eigs)):
-        raise RankDeficient("Fisher information is not positive-definite")
+        raise RankDeficient(_INDEFINITE)
     return np.diagonal(np.linalg.inv(f)).copy()
 
 

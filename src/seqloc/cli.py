@@ -34,7 +34,8 @@ from .experiments import (
 from .experiments import default_scenario  # noqa: F401
 from .config import load_config, scenario_from_config
 from .model import MeasurementBatch, VelocityPrior
-from .simulate import ESTIMATOR_KINDS, _integer, synthesize_batch, trial_rng
+from .simulate import (ESTIMATOR_KINDS, PRIOR_STD, _integer,
+                       synthesize_batch, trial_rng)
 from .solvers import (
     solve_drift_only,
     solve_joint_velocity,
@@ -74,14 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="known velocity 'vx,vy[,vz]' (kvd)")
     p_solve.add_argument("--prior-mean", type=str, default=None,
                          help="prior mean velocity 'vx,vy[,vz]' (pvd)")
-    p_solve.add_argument("--prior-std", type=float, default=2.0,
+    p_solve.add_argument("--prior-std", type=float, default=PRIOR_STD,
                          help="per-axis prior std in m/s (pvd)")
     p_solve.add_argument("--epoch", type=float, default=None,
                          help="localization epoch (default: first time)")
 
     p_crlb = sub.add_parser("crlb", help="theoretical error budgets only")
     common(p_crlb)
-    p_crlb.add_argument("--prior-std", type=float, default=2.0)
+    p_crlb.add_argument("--prior-std", type=float, default=PRIOR_STD)
 
     p_exp = sub.add_parser("experiment", help="run a named study")
     p_exp.add_argument("name", choices=EXPERIMENT_NAMES)
@@ -138,17 +139,11 @@ def _read_batch_csv(path: Path, epoch: float | None) -> MeasurementBatch:
             raise ConfigError(f"malformed batch row: {ln!r}") from exc
     if not rows:
         raise ConfigError("batch CSV has no measurements")
-    try:
-        bs_index = np.array([r[0] for r in rows], dtype=int)
+    try:  # zip(*rows): the bs_index, t, rho and sigma columns
+        return MeasurementBatch(*zip(*rows),
+                                t_l=rows[0][1] if epoch is None else epoch)
     except OverflowError as exc:
         raise ConfigError("batch references a BS index out of range") from exc
-    t = np.array([r[1] for r in rows])
-    return MeasurementBatch(
-        bs_index=bs_index,
-        t=t,
-        rho=np.array([r[2] for r in rows]),
-        sigma=np.array([r[3] for r in rows]),
-        t_l=float(t[0]) if epoch is None else float(epoch))
 
 
 def _cmd_simulate(args) -> int:

@@ -3,7 +3,8 @@
 One document with top-level keys ``bs``, ``trajectory``, ``clock``,
 ``schedule``, ``noise``, ``seed``, ``trials`` and ``experiment``; every
 key is optional (defaults come from the selected experiment) and unknown
-keys are rejected so sweep typos fail loudly.
+keys are rejected so sweep typos fail loudly.  A ``stationary``
+trajectory is a ``ConstantVelocity`` at zero velocity.
 
 Example::
 
@@ -38,7 +39,6 @@ from .simulate import (
     ClockModel,
     ConstantVelocity,
     RandomPlacement,
-    Stationary,
     TdmaSchedule,
     drift_from_ppm,
 )
@@ -102,7 +102,8 @@ def _trajectory_from(section: dict):
     kind = section.get("kind")
     if kind == "stationary":
         _check_keys(section, {"kind", "position"}, where)
-        return Stationary(p0=_vector(section, "position", where))
+        p0 = _vector(section, "position", where)
+        return ConstantVelocity(p0=p0, v=np.zeros(np.size(p0)))
     if kind == "constant-velocity":
         _check_keys(section, {"kind", "position", "velocity", "t_ref"}, where)
         return ConstantVelocity(p0=_vector(section, "position", where),

@@ -34,6 +34,7 @@ from .simulate import (
     Circular,
     ClockModel,
     EstimatorSpec,
+    PRIOR_STD,
     RNG_ALGORITHM,
     RandomPlacement,
     ScenarioConfig,
@@ -55,16 +56,21 @@ _SIGMA_GRID = tuple(float(s) for s in np.logspace(-2, 0, 5))
 _SPEED_GRID = (0.1, 1.0, 5.0, 10.0, 20.0)
 _DEVIATION_GRID = (0.0, 0.5, 1.0, 2.0, 5.0)
 
-# Each study's default sweep grid and estimators.
+# Each study's default sweep grid and estimators, and what the grid sweeps.
 _DEFAULTS = {
-    "stationary-noise": (_SIGMA_GRID, ("kvd", "d")),
-    "speed-sweep": (_SPEED_GRID, ("kvd", "d")),
-    "velocity-deviation": (_DEVIATION_GRID, ("kvd",)),
-    "noise-sweep-uvd-pvd": (_SIGMA_GRID, ("uvd", "pvd")),
-    "speed-compare": (_SPEED_GRID, ("kvd", "pvd", "uvd")),
-    "circular": ((10.0,), ("kvd", "pvd", "uvd", "d")),
+    "stationary-noise": (_SIGMA_GRID, ("kvd", "d"), "sigma"),
+    "speed-sweep": (_SPEED_GRID, ("kvd", "d"), "speed"),
+    "velocity-deviation": (_DEVIATION_GRID, ("kvd",), "deviation"),
+    "noise-sweep-uvd-pvd": (_SIGMA_GRID, ("uvd", "pvd"), "sigma"),
+    "speed-compare": (_SPEED_GRID, ("kvd", "pvd", "uvd"), "speed"),
+    "circular": ((10.0,), ("kvd", "pvd", "uvd", "d"), None),
 }
 EXPERIMENT_NAMES = tuple(_DEFAULTS)
+_AXIS_LABELS = {  # the SVG x axis of each swept quantity: label, log scale
+    "sigma": ("measurement noise sigma (m)", True),
+    "speed": ("UD speed (m/s)", False),
+    "deviation": ("assumed speed deviation (m/s)", False),
+}
 
 DEFAULT_SEED = 20260808
 CIRCULAR_DURATION_S = 360.0
@@ -121,7 +127,7 @@ class ExperimentSpec:
     name: str
     grid: tuple
     estimators: tuple
-    prior_std: float = 2.0
+    prior_std: float = PRIOR_STD
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
@@ -142,7 +148,7 @@ class ExperimentSpec:
 def default_spec(name: str, **overrides) -> ExperimentSpec:
     if name not in EXPERIMENT_NAMES:
         raise ConfigError(f"unknown experiment {name!r}")
-    grid, estimators = _DEFAULTS[name]
+    grid, estimators, _ = _DEFAULTS[name]
     return ExperimentSpec(**{"name": name, "grid": grid,
                              "estimators": estimators, **overrides})
 
@@ -205,9 +211,10 @@ def point_seed(seed: int, point_index: int) -> int:
 
 def _scenario_for_point(name: str, cfg: ScenarioConfig,
                         value: float) -> ScenarioConfig:
-    if name in ("stationary-noise", "noise-sweep-uvd-pvd"):
+    swept = _DEFAULTS[name][2]
+    if swept == "sigma":
         return replace(cfg, sigma=float(value))
-    if name in ("speed-sweep", "speed-compare"):
+    if swept == "speed":
         if not isinstance(cfg.trajectory, RandomPlacement):
             raise ConfigError("speed sweeps need a RandomPlacement trajectory")
         return replace(cfg, trajectory=replace(cfg.trajectory,
@@ -217,7 +224,7 @@ def _scenario_for_point(name: str, cfg: ScenarioConfig,
 
 def _estimator_spec(name: str, estimator: str, value: float,
                     prior_std: float) -> EstimatorSpec:
-    if estimator == "kvd" and name == "velocity-deviation":
+    if estimator == "kvd" and _DEFAULTS[name][2] == "deviation":
         return EstimatorSpec(kind="kvd", speed_deviation=value)
     if estimator == "pvd":
         centering = "truth" if name == "circular" else "nominal"
@@ -357,14 +364,6 @@ def _write_manifest(result: ExperimentResult, out_dir: Path) -> Path:
                         [json.dumps(manifest, sort_keys=True, indent=2)])
 
 
-def _axis_labels(name: str):
-    if name in ("stationary-noise", "noise-sweep-uvd-pvd"):
-        return "measurement noise sigma (m)", True
-    if name in ("speed-sweep", "speed-compare"):
-        return "UD speed (m/s)", False
-    return "assumed speed deviation (m/s)", False
-
-
 def _write_svg(result: ExperimentResult, out_dir: Path) -> Path:
     path = out_dir / f"{result.spec.name}.svg"
     if result.spec.name == "circular":
@@ -376,7 +375,7 @@ def _write_svg(result: ExperimentResult, out_dir: Path) -> Path:
         line_chart(series, path, title="position error CDF",
                    x_label="position error (m)", y_label="fraction")
         return path
-    x_label, log_x = _axis_labels(result.spec.name)
+    x_label, log_x = _AXIS_LABELS[_DEFAULTS[result.spec.name][2]]
     series = []
     for estimator in result.spec.estimators:
         rows = [r for r in result.rows if r.estimator == estimator]

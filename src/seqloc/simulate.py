@@ -11,9 +11,9 @@ random sampler: two position uniforms, then the heading uniform), then
 the true velocity (for a prior centred on the nominal one), then one
 standard normal per measurement.
 
-A Monte Carlo cell is columnar: ``draw_trials`` synthesizes all trials
-of a scenario as ``(T, ...)`` arrays and ``solve_trials`` solves them
-for one estimator into a ``TrialCell`` of columns, with the
+A Monte Carlo cell is columnar: ``draw_trials`` synthesizes a scenario's
+``n_trials`` trials as ``(T, ...)`` arrays and ``solve_trials`` solves
+them for one estimator into a ``TrialCell`` of columns, with the
 floating-point operations of the single-window path, so each trial is
 bit-identical to solving it alone; indexing the cell builds one
 ``TrialRecord``.  Estimator cells can share a draw, except that a
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -108,18 +108,6 @@ class ConstantVelocity:
 
     def realize(self, rng) -> "ConstantVelocity":
         return self
-
-
-@dataclass(frozen=True)
-class Stationary(ConstantVelocity):
-    """UD fixed at ``p0``: a ConstantVelocity at zero velocity."""
-
-    v: np.ndarray = field(init=False, repr=False)
-    t_ref: float = field(default=0.0, init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.zeros(np.size(self.p0)))
-        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -508,6 +496,9 @@ def synthesize_batch(cfg: ScenarioConfig, fix_index: int,
     return win.batch(0), _trusted_params(truth[0], cfg.bs.n_dim)
 
 
+PRIOR_STD = 2.0  # default per-axis pvd velocity prior std (m/s)
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Which solver to run per trial and how to feed it.
@@ -526,7 +517,7 @@ class EstimatorSpec:
 
     kind: str
     speed_deviation: float = 0.0
-    prior_std: float = 2.0
+    prior_std: float = PRIOR_STD
     prior_centering: str = "truth"
 
     def __post_init__(self):
@@ -597,15 +588,15 @@ class TrialDraws(NamedTuple):
     nominal_v: np.ndarray | None
 
 
-def draw_trials(cfg: ScenarioConfig, n_trials: int | None = None,
+def draw_trials(cfg: ScenarioConfig,
                 nominal_std: float | None = None) -> TrialDraws:
-    """Draw, synthesize and validate ``n_trials`` (default
-    ``cfg.n_trials``) trials of ``cfg`` as one stack.  With
-    ``nominal_std`` (see ``EstimatorSpec.nominal_prior_std``) each trial's
-    true velocity is drawn from a prior of that width around its nominal
-    one, which costs one more normal vector per trial.  The trial seeds
-    are hashed at once (``trial_seeds``), faster from about 5 trials on."""
-    n = cfg.n_trials if n_trials is None else _integer(n_trials, "n_trials", 1)
+    """Draw, synthesize and validate the ``cfg.n_trials`` trials of ``cfg``
+    as one stack.  With ``nominal_std`` (see
+    ``EstimatorSpec.nominal_prior_std``) each trial's true velocity is
+    drawn from a prior of that width around its nominal one, which costs
+    one more normal vector per trial.  The trial seeds are hashed at once
+    (``trial_seeds``), faster from about 5 trials on."""
+    n = cfg.n_trials
     seeds = trial_seeds(cfg.seed, n)
     traj, n_dim = cfg.trajectory, cfg.bs.n_dim
     sampler = isinstance(traj, RandomPlacement)
@@ -736,9 +727,8 @@ def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
 
 
 def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
-                    solver_cfg: SolverConfig = SolverConfig(),
-                    n_trials: int | None = None) -> TrialCell:
-    """Independent trials of one estimator over one scenario, in trial
-    order: ``draw_trials`` then ``solve_trials``."""
-    return solve_trials(
-        spec, draw_trials(cfg, n_trials, spec.nominal_prior_std), solver_cfg)
+                    solver_cfg: SolverConfig = SolverConfig()) -> TrialCell:
+    """The ``cfg.n_trials`` independent trials of one estimator over one
+    scenario, in trial order: ``draw_trials`` then ``solve_trials``."""
+    return solve_trials(spec, draw_trials(cfg, spec.nominal_prior_std),
+                        solver_cfg)

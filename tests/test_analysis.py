@@ -17,7 +17,10 @@ from seqloc import (
     RankDeficient,
     VelocityPrior,
     analysis,
+    synthesize_batch,
+    trial_rng,
 )
+from seqloc.config import scenario_from_config
 from seqloc.model import WindowStack, prior_rows
 
 from conftest import DRIFT_MPS, canonical_batch, make_batch, random_geometry
@@ -377,3 +380,43 @@ class TestOverflowedTruth:
         for k in (0, 2):
             assert stack.failures[k] is None
             assert np.array_equal(stack.variance[k], alone.variance)
+
+
+class TestIndefiniteInverse:
+    """Four BSs at one point: the rank rule passes the kvd design (its
+    condition number is about 1.45e9), but cond(A^T A) is its square, and
+    rounding leaves the inverse information with negative variances.
+    Every budget built on it fails as ``crlb`` does, with no warning."""
+
+    MESSAGE = "^Fisher information is not positive-definite$"
+
+    @pytest.fixture(scope="class")
+    def window(self):
+        cfg, _ = scenario_from_config({"bs": {"positions": [[0, 0]] * 4}})
+        traj = cfg.trajectory.realize(trial_rng(cfg.seed, 0))
+        batch, truth = synthesize_batch(cfg, 0, trajectory=traj)
+        return batch, cfg.bs, truth
+
+    def test_every_kvd_budget_fails_like_crlb(self, window):
+        batch, bs, truth = window
+        info = analysis.fim(batch, bs, truth, "kvd")  # passes the rank rule
+        calls = [
+            lambda: analysis.crlb(info),
+            lambda: analysis.theoretical_rmse("kvd", batch, bs, truth),
+            lambda: analysis.bias_drift_only(batch, bs, truth),
+            lambda: analysis.bias_deviated_velocity(batch, bs, truth,
+                                                    truth.v + 1.0),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RankDeficient, match=self.MESSAGE):
+                    call()
+
+    def test_projectors_fail_the_window(self, window):
+        batch, bs, truth = window
+        projectors = analysis.kvd_projectors(
+            WindowStack.of([batch]), bs, truth.as_vector()[None])
+        assert isinstance(projectors.failures[0], RankDeficient)
+        assert np.all(np.isnan(projectors.inverse[0]))
+        assert np.all(np.isnan(projectors.projector[0]))

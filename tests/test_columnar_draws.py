@@ -3,11 +3,10 @@ implementation with the columnar Monte Carlo draw.
 
 ``RandomPlacement.realize`` is ``place`` of one trial and must still make
 ``rng.uniform``'s numbers; ``Circular.state_at`` is ``states`` at one time
-and must still be the textbook formula; ``Stationary`` is a frozen
-ConstantVelocity at zero velocity; and the ``*_stack`` theory gives a
-draw's arrays the budgets of the stacks built from its trial records."""
+and must still be the textbook formula; and the ``*_stack`` theory gives
+a draw's arrays the budgets of the stacks built from its trial
+records."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from seqloc import (
     Circular,
     EstimatorSpec,
     RandomPlacement,
-    Stationary,
     VelocityPrior,
     analysis,
     trial_rng,
@@ -56,19 +54,6 @@ def test_circular_state_at_is_the_textbook_formula():
             [math.cos(ang), math.sin(ang)]))
         assert np.array_equal(v, traj.radius * traj.angular_rate * np.array(
             [-math.sin(ang), math.cos(ang)]))
-
-
-def test_stationary_is_a_frozen_dataclass_at_zero_velocity():
-    traj = Stationary(p0=[3.0, 4.0])
-    assert repr(traj) == "Stationary(p0=array([3., 4.]))"
-    moved = dataclasses.replace(traj, p0=[5.0, 6.0])
-    assert isinstance(moved, Stationary)
-    assert np.array_equal(moved.p0, [5.0, 6.0])
-    assert np.array_equal(moved.v, [0.0, 0.0]) and moved.t_ref == 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        traj.p0 = np.zeros(2)
-    with pytest.raises(TypeError):
-        Stationary(p0=[3.0, 4.0], v=[1.0, 0.0])
 
 
 @pytest.fixture(scope="module")

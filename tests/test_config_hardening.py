@@ -12,7 +12,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -185,6 +185,15 @@ class TestScenarioConfigRegressions:
         assert (code, out, runtime) == (1, "", [])
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
+    def test_coincident_base_stations(self, tmp_path):
+        """Four BSs at one point: the kvd theory's inverse information is
+        indefinite, and crlb warned (the square root of a negative
+        variance) before its error."""
+        cfg = {"bs": {"positions": [[0, 0]] * 4}}
+        code, out, err, runtime = _repro(tmp_path, "crlb", cfg)
+        assert (code, out, runtime) == (1, "", [])
+        assert err == "error: Fisher information is not positive-definite\n"
+
     def test_negative_seed_flag_on_solve(self, tmp_path):
         """``solve`` draws nothing but still rejects a bad ``--seed``."""
         assert _run(["simulate", "--out", str(tmp_path)])[0] == 0
@@ -346,8 +355,8 @@ class TestIntegerKeys:
     def test_draw_trials_n_trials(self, scenario, value):
         with pytest.raises(ConfigError, match="n_trials must be a positive "
                                               "integer"):
-            draw_trials(scenario, n_trials=value)
-        assert len(draw_trials(scenario, n_trials=2.0).truth) == 2
+            draw_trials(replace(scenario, n_trials=value))
+        assert len(draw_trials(replace(scenario, n_trials=2.0)).truth) == 2
 
 
 def _write(tmp_path, cfg):
@@ -361,6 +370,12 @@ def test_nominal_prior_on_a_stationary_ud(tmp_path):
     prior centred on its nominal velocity is defined: the nominal-prior
     pvd cells of noise-sweep-uvd-pvd run on it."""
     cfg = {"trajectory": {"kind": "stationary", "position": [15, 15]}}
+    traj = scenario_from_config(cfg)[0].trajectory
+    assert type(traj) is simulate.ConstantVelocity and traj.t_ref == 0.0
+    assert np.array_equal(traj.p0, [15.0, 15.0])
+    assert np.array_equal(traj.v, [0.0, 0.0])
+    with pytest.raises(FrozenInstanceError):
+        traj.p0 = np.zeros(2)
     code, out, err, runtime = _run(
         ["experiment", "noise-sweep-uvd-pvd", "--trials", "3", "--out",
          str(tmp_path / "out"), "--config", str(_write(tmp_path, cfg))])

@@ -15,6 +15,7 @@ at the iteration cap.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -382,8 +383,8 @@ def _cell_against_reference(monkeypatch, scenario, spec, solver_cfg,
 
     monkeypatch.setattr(simulate, "initial_vectors", start)
     monkeypatch.setattr(simulate, "solve_stack", solve)
-    cell = simulate.run_monte_carlo(scenario, spec, solver_cfg,
-                                    n_trials=n_trials)
+    cell = simulate.run_monte_carlo(replace(scenario, n_trials=n_trials),
+                                    spec, solver_cfg)
     assert len(seen) == 1 and len(cell) == n_trials
     return {"converged" if ok else "max_iter" if f is None
             else type(f).__name__

@@ -1,6 +1,7 @@
 """Scenario synthesis and the Monte Carlo driver."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from seqloc import (
     ScenarioConfig,
     SeqlocError,
     SolverConfig,
-    Stationary,
     TdmaSchedule,
     predict_pseudorange,
     run_monte_carlo,
@@ -31,10 +31,12 @@ from seqloc import (
 
 from conftest import DRIFT_MPS
 
+STATIONARY = ConstantVelocity(p0=[15, 15], v=[0.0, 0.0])  # a stationary UD
+
 
 class TestTrajectories:
     def test_stationary(self):
-        traj = Stationary(p0=[3.0, 4.0])
+        traj = ConstantVelocity(p0=[3.0, 4.0], v=[0.0, 0.0])
         for t in (0.0, 10.0, -2.5):
             p, v = traj.state_at(t)
             assert np.array_equal(p, [3.0, 4.0])
@@ -87,7 +89,7 @@ class TestSchedule:
 
     def test_round_robin_coverage(self, scenario):
         batch, _ = synthesize_batch(scenario, 0, trial_rng(1, 0),
-                                    trajectory=Stationary(p0=[15, 15]))
+                                    trajectory=STATIONARY)
         idx = np.asarray(batch.bs_index)
         for start in range(batch.m - 4 + 1):
             window = idx[start:start + 4]
@@ -106,7 +108,7 @@ class TestSynthesizeBatch:
                 predict_pseudorange(q, instant, 0.0), abs=1e-9)
 
     def test_slots_and_epoch(self, scenario):
-        traj = Stationary(p0=[15, 15])
+        traj = ConstantVelocity(p0=[15, 15], v=[0.0, 0.0])
         batch, truth = synthesize_batch(scenario, 3, trajectory=traj)
         assert np.allclose(np.diff(batch.t), 0.01)
         assert batch.t[0] == pytest.approx(3 * 8 * 0.01)
@@ -116,16 +118,14 @@ class TestSynthesizeBatch:
             scenario.clock.offset_at(batch.t_l), rel=1e-15)
 
     def test_epoch_slot_offset(self, scenario):
-        from dataclasses import replace
-
         shifted = replace(scenario, epoch_slot_offset=1)
         batch, truth = synthesize_batch(shifted, 0,
-                                        trajectory=Stationary(p0=[15, 15]))
+                                        trajectory=STATIONARY)
         assert batch.t_l == pytest.approx(0.01)
         assert batch.dt[0] == pytest.approx(-0.01)
 
     def test_noise_statistics(self, scenario):
-        traj = Stationary(p0=[15, 15])
+        traj = ConstantVelocity(p0=[15, 15], v=[0.0, 0.0])
         clean, _ = synthesize_batch(scenario, 0, trajectory=traj)
         n_draws = 12500  # 12500 batches x 8 entries = 1e5 samples
         samples = np.empty((n_draws, 8))
@@ -149,7 +149,7 @@ class TestSynthesizeBatch:
         assert np.max(np.abs(off_diag)) < 0.01
 
     def test_per_bs_sigma(self, bs_square, clock, schedule):
-        cfg = ScenarioConfig(bs=bs_square, trajectory=Stationary(p0=[15, 15]),
+        cfg = ScenarioConfig(bs=bs_square, trajectory=STATIONARY,
                              clock=clock, schedule=schedule,
                              sigma=[0.1, 0.2, 0.3, 0.4], seed=1, n_trials=1)
         batch, _ = synthesize_batch(cfg, 0, trial_rng(1, 0))
@@ -172,20 +172,21 @@ class TestSynthesizeBatch:
         """Fix k's last slot (k + 1) * M - 1 must fit in int64: 2**61
         used to wrap around to fix 0's window, 2**60 to negative times."""
         with pytest.raises(ConfigError, match=message):
-            synthesize_batch(scenario, fix, trajectory=Stationary(p0=[15, 15]))
+            synthesize_batch(scenario, fix, trajectory=STATIONARY)
 
     def test_last_fix_in_int64(self, scenario):
         last = 2**63 // scenario.m_per_fix - 1
         batch, _ = synthesize_batch(scenario, last,
-                                    trajectory=Stationary(p0=[15, 15]))
+                                    trajectory=STATIONARY)
         assert np.array_equal(batch.bs_index, np.arange(8) % 4)
         assert batch.t[0] == pytest.approx((2**63 - 8) * 0.01, rel=1e-15)
 
 
 class TestMonteCarlo:
     def test_deterministic_repeat(self, scenario):
-        a = run_monte_carlo(scenario, EstimatorSpec(kind="kvd"), n_trials=40)
-        b = run_monte_carlo(scenario, EstimatorSpec(kind="kvd"), n_trials=40)
+        scenario = replace(scenario, n_trials=40)
+        a = run_monte_carlo(scenario, EstimatorSpec(kind="kvd"))
+        b = run_monte_carlo(scenario, EstimatorSpec(kind="kvd"))
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.report.params.as_vector(),
                                   rb.report.params.as_vector())
@@ -193,8 +194,8 @@ class TestMonteCarlo:
                                   np.asarray(rb.batch.rho))
 
     def test_three_runs_bit_identical(self, scenario):
-        runs = [run_monte_carlo(scenario, EstimatorSpec(kind="uvd"),
-                                n_trials=40) for _ in range(3)]
+        runs = [run_monte_carlo(replace(scenario, n_trials=40),
+                                EstimatorSpec(kind="uvd")) for _ in range(3)]
         for ra, rb, rc in zip(*runs):
             assert np.array_equal(ra.report.params.as_vector(),
                                   rb.report.params.as_vector())
@@ -202,30 +203,27 @@ class TestMonteCarlo:
                                   rc.report.params.as_vector())
 
     def test_near_zero_noise_recovers_truth(self, scenario):
-        from dataclasses import replace
-
-        quiet = replace(scenario, sigma=1e-12)
-        records = run_monte_carlo(quiet, EstimatorSpec(kind="uvd"),
-                                  n_trials=25)
+        quiet = replace(scenario, sigma=1e-12, n_trials=25)
+        records = run_monte_carlo(quiet, EstimatorSpec(kind="uvd"))
         for rec in records:
             assert rec.converged
             assert np.linalg.norm(rec.position_error) < 1e-6
 
     def test_fixed_trajectory_advances_fixes(self, fixed_scenario):
-        records = run_monte_carlo(fixed_scenario, EstimatorSpec(kind="kvd"),
-                                  n_trials=3)
+        records = run_monte_carlo(replace(fixed_scenario, n_trials=3),
+                                  EstimatorSpec(kind="kvd"))
         epochs = [rec.batch.t_l for rec in records]
         assert epochs == [0.0, 0.08, 0.16]
 
     def test_sampler_restarts_at_fix_zero(self, scenario):
-        records = run_monte_carlo(scenario, EstimatorSpec(kind="kvd"),
-                                  n_trials=3)
+        records = run_monte_carlo(replace(scenario, n_trials=3),
+                                  EstimatorSpec(kind="kvd"))
         assert all(rec.batch.t_l == 0.0 for rec in records)
 
     def test_failures_recorded_not_raised(self, bs_square, clock):
         # single-slot windows leave the solver underdetermined
         schedule = TdmaSchedule(bs_order=(0, 1, 2, 3), slot_interval=0.01)
-        cfg = ScenarioConfig(bs=bs_square, trajectory=Stationary(p0=[15, 15]),
+        cfg = ScenarioConfig(bs=bs_square, trajectory=STATIONARY,
                              clock=clock, schedule=schedule, m_per_fix=2,
                              sigma=0.1, seed=3, n_trials=5)
         records = run_monte_carlo(cfg, EstimatorSpec(kind="kvd"))
@@ -237,13 +235,11 @@ class TestMonteCarlo:
                                                          kind):
         # Pseudoranges near the float64 limit overflow the initial clock
         # offset: every trial fails as its single-window solve does.
-        from dataclasses import replace
-
         huge = replace(scenario, clock=ClockModel(b0=1.7e308, d=DRIFT_MPS))
         spec = EstimatorSpec(kind=kind, prior_centering="nominal")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            records = run_monte_carlo(huge, spec, n_trials=4)
+            records = run_monte_carlo(replace(huge, n_trials=4), spec)
             for rec in records:
                 with pytest.raises(SeqlocError) as alone:
                     _solve_alone(rec, huge.bs, kind, SolverConfig())
@@ -252,10 +248,9 @@ class TestMonteCarlo:
         assert [str(w.message) for w in caught] == []
 
     def test_kvd_speed_deviation_feeds_assumed_velocity(self, fixed_scenario):
-        records = run_monte_carlo(fixed_scenario,
+        records = run_monte_carlo(replace(fixed_scenario, n_trials=2),
                                   EstimatorSpec(kind="kvd",
-                                                speed_deviation=2.0),
-                                  n_trials=2)
+                                                speed_deviation=2.0))
         for rec in records:
             direction = rec.truth.v / np.linalg.norm(rec.truth.v)
             assert np.allclose(rec.v_assumed, rec.truth.v + 2.0 * direction)
@@ -263,7 +258,7 @@ class TestMonteCarlo:
     def test_pvd_nominal_centering_draws_truth_from_prior(self, scenario):
         spec = EstimatorSpec(kind="pvd", prior_std=2.0,
                              prior_centering="nominal")
-        records = run_monte_carlo(scenario, spec, n_trials=200)
+        records = run_monte_carlo(replace(scenario, n_trials=200), spec)
         gaps = [np.linalg.norm(np.asarray(rec.truth.v) - rec.prior.mean)
                 for rec in records]
         # ||truth - mean|| is 2-sigma chi distributed: mean ~ 2*sqrt(pi/2)
@@ -272,9 +267,8 @@ class TestMonteCarlo:
                    for rec in records)
 
     def test_pvd_truth_centering(self, fixed_scenario):
-        records = run_monte_carlo(fixed_scenario,
-                                  EstimatorSpec(kind="pvd", prior_std=2.0),
-                                  n_trials=2)
+        records = run_monte_carlo(replace(fixed_scenario, n_trials=2),
+                                  EstimatorSpec(kind="pvd", prior_std=2.0))
         for rec in records:
             assert np.array_equal(rec.prior.mean, np.asarray(rec.truth.v))
 
@@ -309,7 +303,8 @@ class TestMixedOutcomeCell:
     ], ids=("mixed", "guard", "cap"))
     def test_records_match_single_window_solves(self, scenario, spec,
                                                 solver_cfg):
-        records = run_monte_carlo(scenario, spec, solver_cfg, n_trials=60)
+        records = run_monte_carlo(replace(scenario, n_trials=60), spec,
+                                  solver_cfg)
         outcomes = set()
         for rec in records:
             try:
@@ -354,7 +349,7 @@ class TestSingleWindowIdentity:
         from seqloc.experiments import default_scenario
 
         cfg = default_scenario(study, seed=20261018)
-        records = run_monte_carlo(cfg, spec, n_trials=30)
+        records = run_monte_carlo(replace(cfg, n_trials=30), spec)
         sampler = not hasattr(cfg.trajectory, "state_at")
         converged = 0
         for rec in records:
@@ -396,8 +391,6 @@ class TestShortWindows:
         """Three pseudoranges cannot fix kvd's four parameters: every
         trial of the cell fails in ``solve_stack``'s rank rule with the
         message of the single-window solve, not in the constructor."""
-        from dataclasses import replace
-
         from seqloc import simulate
         from seqloc.errors import RankDeficient
 
@@ -412,7 +405,8 @@ class TestShortWindows:
             return sol
 
         monkeypatch.setattr(simulate, "solve_stack", solve)
-        cell = run_monte_carlo(cfg, EstimatorSpec(kind="kvd"), n_trials=20)
+        cell = run_monte_carlo(replace(cfg, n_trials=20),
+                               EstimatorSpec(kind="kvd"))
         assert len(failures) == 20
         assert all(type(f) is RankDeficient and str(f) == message
                    for f in failures)

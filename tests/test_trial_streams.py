@@ -2,6 +2,8 @@
 (``simulate.trial_seeds``); the streams must stay those of
 ``trial_rng(seed, k)``, which is ``default_rng([seed, k])``."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +47,7 @@ def test_more_than_2_to_the_32_trials_is_a_config_error(scenario):
                           _seed_sequence_words(1, 2**32 - 1))
     # Rejected before any array of that length is allocated.
     with pytest.raises(ConfigError, match="2\\*\\*32"):
-        draw_trials(scenario, n_trials=2**32 + 1)
+        draw_trials(replace(scenario, n_trials=2**32 + 1))
 
 
 def _assert_draw_row(draws, k, batch, truth):
@@ -58,7 +60,7 @@ def _assert_draw_row(draws, k, batch, truth):
 
 
 def test_random_placement_rows_are_trial_rng_draws(scenario):
-    draws = draw_trials(scenario, n_trials=25)
+    draws = draw_trials(replace(scenario, n_trials=25))
     for k in range(25):
         rng = trial_rng(scenario.seed, k)
         traj = scenario.trajectory.realize(rng)
@@ -76,7 +78,7 @@ def test_fixed_trajectory_rows_are_trial_rng_draws(fixed_scenario):
 
 def test_nominal_prior_rows_are_trial_rng_draws(scenario):
     std = 0.7
-    draws = draw_trials(scenario, n_trials=25, nominal_std=std)
+    draws = draw_trials(replace(scenario, n_trials=25), nominal_std=std)
     for k in range(25):
         rng = trial_rng(scenario.seed, k)
         nominal = scenario.trajectory.realize(rng)
