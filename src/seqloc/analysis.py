@@ -301,25 +301,19 @@ class BiasLowerBound:
     checks: tuple[DeviationBoundCheck, ...]
 
 
-# The quadratic bound comes from a first-order expansion of the deviated
-# residual, so the exact bias is only required to clear it within this
-# slack.
-BOUND_SLACK = 0.05
-
-
 def bias_linear_lower_bound(batch: MeasurementBatch, bs: BsConstellation,
                             truth: FullParams,
                             deviations) -> BiasLowerBound:
-    """Tightest quadratic lower bound on the deviated-velocity bias.
+    """Lower bound on the deviated-velocity bias, with its remainder.
 
-    Builds S = S2^T S1^T S1 S2 where S1 holds the position rows of the
-    weighted projector and S2 = dt*e the first-order sensitivity of the
-    residual to a velocity deviation (the negated velocity block of the
-    joint design at the truth, ``e`` the LOS from the displaced UD);
-    alpha is the smallest eigenvalue of S, and each supplied deviation is
-    checked against ||bias||^2 >= alpha * ||dv||^2 (within BOUND_SLACK).
-    The bound is first order in dv and the slack does not cover every
-    case: README gives a 1 m/s deviation at which the check fails.
+    S1 holds the position rows of the weighted projector and S2 = dt*e the
+    first-order sensitivity of the residual to a velocity deviation (the
+    negated velocity block of the joint design at the truth, ``e`` the LOS
+    from the displaced UD at distance |x_i| from its BS); alpha is the
+    smallest eigenvalue of S2^T S1^T S1 S2.  The residual is S2 dv - R,
+    with 0 <= R_i <= h_i^2 / (2 (|x_i| - h_i)) for h_i = |dt_i| ||dv||
+    (the norm's Hessian is at most 1/|x|), so ||bias|| >= sqrt(alpha)
+    ||dv|| - ||S1||_2 ||R||; the bound is 0 where some h_i >= |x_i|.
     """
     windows, truths, _ = _one(batch, truth, bs)
     projectors = kvd_projectors(windows, bs, truths)
@@ -329,6 +323,9 @@ def bias_linear_lower_bound(batch: MeasurementBatch, bs: BsConstellation,
     s2 = -build_design_uvd(batch, bs, truth)[:, bs.n_dim + 2:]
     s = s2.T @ projector.T @ projector @ s2
     alpha = float(np.min(np.linalg.eigvalsh(s)))
+    s1_norm = float(np.linalg.norm(projector, 2))
+    dist = _row_norms(bs.positions[batch.bs_index] - truth.p
+                      - batch.dt[:, None] * truth.v)
 
     checks = []
     for dv in deviations:
@@ -336,8 +333,11 @@ def bias_linear_lower_bound(batch: MeasurementBatch, bs: BsConstellation,
         exact = bias_deviated_velocity_stack(
             windows, bs, truths, (truth.v + dv)[None], projectors).one()
         bias_sq = float(np.dot(exact.bias, exact.bias))
-        bound = alpha * float(np.dot(dv, dv))
-        holds = bias_sq >= bound * (1.0 - BOUND_SLACK)
+        size = float(np.linalg.norm(dv))
+        h = np.abs(batch.dt) * size
+        r_norm = (float(np.linalg.norm(h * h / (2.0 * (dist - h))))
+                  if np.all(h < dist) else np.inf)
+        bound = max(0.0, max(alpha, 0.0) ** 0.5 * size - s1_norm * r_norm) ** 2
         checks.append(DeviationBoundCheck(deviation=dv, bias_norm_sq=bias_sq,
-                                          bound=bound, holds=holds))
+                                          bound=bound, holds=bias_sq >= bound))
     return BiasLowerBound(alpha=alpha, checks=tuple(checks))

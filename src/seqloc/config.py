@@ -77,6 +77,9 @@ def _value(section: dict, key: str, where: str, convert, default):
             raise ConfigError(f"{where} needs {key!r}")
         return default
     try:
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                   for x in np.asarray(section[key], dtype=object).flat):
+            raise TypeError
         return convert(section[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where} {key!r} is not numeric: "
@@ -97,8 +100,9 @@ def _vector(section: dict, key: str, where: str) -> np.ndarray:
 
 def _trajectory_from(section: dict):
     where = "trajectory"
-    if not isinstance(section, dict):
-        raise ConfigError("trajectory section must be an object")
+    _check_keys(section, {"kind", "position", "velocity", "t_ref", "center",
+                          "radius", "angular_rate", "speed", "phase",
+                          "half_side"}, where)
     kind = section.get("kind")
     if kind == "stationary":
         _check_keys(section, {"kind", "position"}, where)
@@ -200,7 +204,8 @@ def scenario_from_config(raw: dict, experiment: str | None = None,
                                                  cfg.epoch_slot_offset)
     if "noise" in raw:
         _check_keys(raw["noise"], {"sigma"}, "noise")
-        changes["sigma"] = raw["noise"].get("sigma", cfg.sigma)
+        changes["sigma"] = _value(raw["noise"], "sigma", "noise",
+                                  lambda v: v, cfg.sigma)
     changes["seed"] = raw.get("seed", cfg.seed) if seed is None else seed
     changes["n_trials"] = raw.get("trials", cfg.n_trials)
     cfg = replace(cfg, **changes)
@@ -216,13 +221,15 @@ def scenario_from_config(raw: dict, experiment: str | None = None,
     spec = None
     if name is not None:
         overrides = {}
+        for key in ("grid", "estimators"):
+            if not isinstance(exp_section.get(key, []), list):
+                raise ConfigError(f"experiment {key!r} must be a list")
         if "grid" in exp_section:
             overrides["grid"] = _value(exp_section, "grid", "experiment",
                                        lambda v: tuple(float(g) for g in v),
                                        _REQUIRED)
         if "estimators" in exp_section:
-            overrides["estimators"] = _value(exp_section, "estimators",
-                                             "experiment", tuple, _REQUIRED)
+            overrides["estimators"] = exp_section["estimators"]
         if "prior_std" in exp_section:
             overrides["prior_std"] = _number(exp_section, "prior_std",
                                              "experiment")

@@ -137,9 +137,14 @@ class ExperimentSpec:
                 or any(b <= a for a, b in zip(grid, grid[1:]))):
             raise ConfigError("grid must be nonempty, finite and strictly "
                               "increasing")
+        if _DEFAULTS[self.name][2] is None and len(grid) != 1:
+            raise ConfigError(f"the {self.name} study takes one grid value")
         ests = tuple(self.estimators)
         if not ests:
             raise ConfigError("need at least one estimator")
+        # EstimatorSpec rejects an unknown kind.
+        if len(set(map(EstimatorSpec, ests))) < len(ests):
+            raise ConfigError(f"repeated estimator in {list(ests)}")
         prior_variance(self.prior_std, ConfigError)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "estimators", ests)

@@ -267,9 +267,10 @@ def test_criterion_08_covariance_ordering_random_geometries():
 
 
 def test_criterion_09_bias_lower_bound_and_slope():
-    """Quadratic bias lower bound with alpha = min eigenvalue holds (5%
-    slack) for deviations up to 1 m/s on 100 random geometries; log-log
-    bias slope over [0.01, 0.5] m/s lies in [0.9, 1.1]."""
+    """Quadratic bias lower bound with alpha = min eigenvalue, less its
+    proved second-order remainder, holds for deviations up to 1 m/s on 100
+    random geometries; log-log bias slope over [0.01, 0.5] m/s lies in
+    [0.9, 1.1]."""
     t0 = time.perf_counter()
     failures = []
     rng = np.random.default_rng(909)

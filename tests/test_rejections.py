@@ -87,8 +87,26 @@ def test_cli_epoch_must_be_finite(capsys, tmp_path, bs_square,
     ({"noise": {"sigma": [0.1, 0.1, 0.1]}},
      "sigma must be scalar or one value per BS"),
     ({"experiment": {"estimators": []}}, "need at least one estimator"),
+    ({"experiment": {"grid": "12"}}, "experiment 'grid' must be a list"),
+    ({"experiment": {"estimators": "kvd"}},
+     "experiment 'estimators' must be a list"),
+    ({"experiment": {"estimators": ["kvd", "kvd"]}},
+     "repeated estimator in ['kvd', 'kvd']"),
+    ({"trajectory": {"kind": "random-placement", "center": [15, 15],
+                     "half_side": 5.0, "speed": "5"}},
+     "trajectory 'speed' is not numeric: '5'"),
+    ({"clock": {"drift_ppm": "5"}}, "clock 'drift_ppm' is not numeric: '5'"),
+    ({"noise": {"sigma": True}}, "noise 'sigma' is not numeric: True"),
+    ({"bs": {"positions": [["0", "0"], [30, 0], [30, 30], [0, 30]]}},
+     "bs 'positions' is not numeric: [['0', '0'], [30, 0], [30, 30], "
+     "[0, 30]]"),
+    ({"experiment": {"prior_std": True}},
+     "experiment 'prior_std' is not numeric: True"),
 ], ids=("array", "bs", "trajectory", "experiment", "radius-0", "center-3d",
-        "spiral", "epoch-offset", "three-sigmas", "no-estimators"))
+        "spiral", "epoch-offset", "three-sigmas", "no-estimators",
+        "string-grid", "string-estimators", "repeated-estimator",
+        "string-speed", "string-drift", "boolean-sigma", "string-positions",
+        "boolean-prior-std"))
 def test_config_rejected_through_main(capsys, tmp_path, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -97,6 +115,21 @@ def test_config_rejected_through_main(capsys, tmp_path, config, message):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == f"error: {message}\n"
+
+
+def test_circular_study_takes_one_grid_value(capsys, tmp_path):
+    """The circular study sweeps nothing, so a second grid value only
+    reseeded the run, and its summary and CDF wrote the first point's
+    errors for both points."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": {"name": "circular",
+                                               "grid": [1, 2]}}))
+    code = main(["experiment", "circular", "--trials", "2", "--config",
+                 str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: the circular study takes one grid value\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fields", [{"max_iter": 0}, {"threshold": 0}])
