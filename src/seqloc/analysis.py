@@ -109,13 +109,27 @@ def _designs_at_truth(variant: str, bs: BsConstellation,
     return a, failures
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _information(a: np.ndarray):
+    """The information ``A^T A`` of the designs ``a`` (..., rows, P) and
+    whether each is finite: a design with entries beyond about 1e154 (a
+    noise level below about 1e-154 m) overflows it, without a warning."""
+    info = a.mT @ a
+    return info, np.isfinite(info).all(axis=(-2, -1))
+
+
 def _inverse_fims(a: np.ndarray, failures: list) -> np.ndarray:
     """``(A^T A)^-1`` of each window whose design is usable, NaN for the
     others.  cond(A^T A) is cond(A)^2, so rounding can leave an inverse
-    indefinite: its window then fails as ``crlb`` does."""
+    indefinite, and a large design can overflow its information: either
+    window then fails as ``crlb`` does."""
     ok = np.flatnonzero([f is None for f in failures])
+    info, finite = _information(a[ok])
+    for i in ok[~finite].tolist():
+        failures[i] = RankDeficient(_INDEFINITE)
+    ok = ok[finite]
     inv = np.full((len(a),) + a.shape[-1:] * 2, np.nan)
-    inv[ok] = np.linalg.inv(a[ok].mT @ a[ok])
+    inv[ok] = np.linalg.inv(info[finite])
     diag = np.diagonal(inv, axis1=-2, axis2=-1)[ok]
     for i in ok[~np.all((diag > 0) & (diag < np.inf), axis=1)].tolist():
         inv[i], failures[i] = np.nan, RankDeficient(_INDEFINITE)
@@ -129,7 +143,10 @@ def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
                                     *_one(batch, truth, bs, prior))
     if failures[0] is not None:
         raise failures[0]
-    return a[0].T @ a[0]
+    f, finite = _information(a[0])
+    if not finite:
+        raise RankDeficient(_INDEFINITE)
+    return f
 
 
 def crlb(f: np.ndarray) -> np.ndarray:

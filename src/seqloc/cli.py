@@ -181,6 +181,11 @@ def _print_report(report, n_dim: int) -> None:
 
 
 def _cmd_solve(args) -> int:
+    # A vector flag the estimator does not read would be silently ignored.
+    if args.velocity is not None and args.estimator != "kvd":
+        raise ConfigError("--velocity applies only to --estimator kvd")
+    if args.prior_mean is not None and args.estimator != "pvd":
+        raise ConfigError("--prior-mean applies only to --estimator pvd")
     if args.config is not None:
         bs = _scenario(args)[0].bs
     else:

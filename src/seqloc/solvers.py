@@ -6,7 +6,12 @@ velocity columns, the MAP solve appends the velocity-prior rows.  Each
 step solves ``A step = z`` through the SVD ``A = U S V^T`` of the whitened
 design rather than by inverting the normal matrix, which keeps the
 delta-prior limit of the MAP variant well-conditioned; the reported
-covariance is ``V S^-2 V^T`` at the final iterate.
+covariance is ``V S^-2 V^T`` at the final iterate.  Every factorization
+(each step, the final covariance and the error theory's designs, all
+through ``rank_rule``) goes through ``_svd``: numpy's LAPACK SVD gufunc
+under ``np.linalg.svd``'s own error state.  It gives the wrapper's bits
+without the wrapper's per-call dispatch, which on one 8-by-4 design costs
+about half as much again as the factorization.
 
 The loop (``solve_stack``) runs on a stack of windows with numpy's
 stacked ``svd``/``matmul``; a window that fails or converges leaves the
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import (DegenerateGeometry, DimensionMismatch, Diverged,
                      RankDeficient)
@@ -86,6 +92,26 @@ class EstimateReport:
     final_step_norm: float
 
 
+def _svd_nonconvergence(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+# np.linalg.svd's gufuncs, bound here so that a numpy without them fails
+# at import, not inside a solve.
+_SVD_USV, _SVD_S = _umath_linalg.svd_s, _umath_linalg.svd
+
+
+@np.errstate(call=_svd_nonconvergence, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _svd(a: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)`` of
+    a float64 stack: the same gufunc under the same error state, so the
+    same bits and the same LinAlgError (see the module docstring)."""
+    if compute_uv:
+        return _SVD_USV(a, signature="d->ddd")
+    return _SVD_S(a, signature="d->d")
+
+
 # A UD position or displacement so large that its distances to the BSs
 # overflow: the LOS rows of its design turn NaN.
 _OVERFLOWED_DESIGN = "measurements too large: the whitened design overflows"
@@ -113,11 +139,10 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
     rows, params = a.shape[-2:]
     broken = None
     try:
-        svd = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
-    except np.linalg.LinAlgError:
+        svd = _svd(a, compute_uv)
+    except LinAlgError:
         broken = ~np.isfinite(a).all(axis=(1, 2))
-        svd = np.linalg.svd(np.where(broken[:, None, None], 0.0, a),
-                            full_matrices=False, compute_uv=compute_uv)
+        svd = _svd(np.where(broken[:, None, None], 0.0, a), compute_uv)
     s = svd[1] if compute_uv else svd
     if rows >= params and broken is None and degenerate is None:
         if len(s) == 1:  # Python floats (see the module docstring)

@@ -440,3 +440,58 @@ class TestIndefiniteInverse:
         assert isinstance(projectors.failures[0], RankDeficient)
         assert np.all(np.isnan(projectors.inverse[0]))
         assert np.all(np.isnan(projectors.projector[0]))
+
+
+class TestOverflowedInformation:
+    """A noise level of 1e-160 m passes the batch's sigma check and the
+    rank rule (the whitened design is about 1e160, well inside float64),
+    but its information ``A^T A`` overflows.  Every budget of that window
+    fails as ``crlb`` does, with no warning, and the other windows of its
+    stack are left alone."""
+
+    MESSAGE = "^Fisher information is not positive-definite$"
+    TINY = 1e-160
+
+    def test_single_window_theory_fails_like_crlb(self, bs_square,
+                                                  moving_truth):
+        batch = canonical_batch(bs_square, moving_truth, sigma=self.TINY)
+        prior = VelocityPrior.isotropic(moving_truth.v, 2.0)
+        calls = [lambda kind=kind: analysis.fim(batch, bs_square,
+                                               moving_truth, kind,
+                                               prior=prior)
+                 for kind in ("kvd", "uvd", "pvd")]
+        calls += [lambda kind=kind: analysis.theoretical_rmse(
+            kind, batch, bs_square, moving_truth, prior=prior)
+            for kind in ("kvd", "uvd", "pvd")]
+        calls += [
+            lambda: analysis.bias_deviated_velocity(
+                batch, bs_square, moving_truth, moving_truth.v + 1.0),
+            lambda: analysis.bias_drift_only(batch, bs_square, moving_truth),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RankDeficient, match=self.MESSAGE):
+                    call()
+
+    @pytest.mark.parametrize("variant", ["kvd", "uvd", "pvd"])
+    def test_fails_only_its_window_of_a_stack(self, bs_square, moving_truth,
+                                              variant):
+        plain = canonical_batch(bs_square, moving_truth)
+        tiny = canonical_batch(bs_square, moving_truth, sigma=self.TINY)
+        prior = VelocityPrior.isotropic(moving_truth.v, 2.0)
+        truths = np.stack([moving_truth.as_vector()] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = analysis.theoretical_rmse_stack(
+                variant, WindowStack.of([plain, tiny, plain]), bs_square,
+                truths, prior_rows([prior] * 3, 2))
+        assert isinstance(stack.failures[1], RankDeficient)
+        assert str(stack.failures[1]) == self.MESSAGE[1:-1]
+        assert np.isnan(stack.rmse[1])
+        alone = analysis.theoretical_rmse(variant, plain, bs_square,
+                                          moving_truth, prior=prior)
+        for k in (0, 2):
+            assert stack.failures[k] is None
+            assert np.array_equal(stack.variance[k], alone.variance)
+            assert stack.rmse[k] == alone.rmse

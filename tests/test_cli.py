@@ -504,7 +504,21 @@ class TestVectorFlags:
         ("kvd", "--velocity=1,x", "cannot parse velocity '1,x'"),
         ("pvd", "--prior-mean=1,2,3,4",
          "prior mean must have 2 or 3 components"),
-    ], ids=["velocity", "prior-mean"])
+        ("uvd", "--velocity=1,2",
+         "--velocity applies only to --estimator kvd"),
+        ("pvd", "--velocity=1,2",
+         "--velocity applies only to --estimator kvd"),
+        ("d", "--velocity=1,x",
+         "--velocity applies only to --estimator kvd"),
+        ("kvd", "--prior-mean=3,3",
+         "--prior-mean applies only to --estimator pvd"),
+        ("uvd", "--prior-mean=3,3",
+         "--prior-mean applies only to --estimator pvd"),
+        ("d", "--prior-mean=3,3",
+         "--prior-mean applies only to --estimator pvd"),
+    ], ids=["velocity", "prior-mean", "uvd-velocity", "pvd-velocity",
+            "d-velocity", "kvd-prior-mean", "uvd-prior-mean",
+            "d-prior-mean"])
     def test_malformed_vector_is_one_error_line(self, capsys, tmp_path,
                                                 kind, flag, message):
         path = tmp_path / "batch.csv"

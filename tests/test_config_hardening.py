@@ -194,6 +194,22 @@ class TestScenarioConfigRegressions:
         assert (code, out, runtime) == (1, "", [])
         assert err == "error: Fisher information is not positive-definite\n"
 
+    def test_overflowing_information(self, tmp_path):
+        """At a noise level of 1e-160 m the solves work but the error
+        theory's information ``A^T A`` overflows: crlb warned (overflow in
+        matmul) before its error, and a study before its NaN theory,
+        which it still writes."""
+        cfg = {"noise": {"sigma": 1e-160}}
+        code, out, err, runtime = _repro(tmp_path, "crlb", cfg)
+        assert (code, out, runtime) == (1, "", [])
+        assert err == "error: Fisher information is not positive-definite\n"
+        code, _, err, runtime = _repro(tmp_path, "experiment", cfg)
+        assert (code, err, runtime) == (0, "", [])
+        csv = (tmp_path / "out" / "speed-sweep.csv").read_text()
+        for line in csv.splitlines()[1:]:  # theory and crlb, non-converged
+            fields = line.split(",")
+            assert fields[3:5] == ["nan", "nan"] and fields[6] == "0"
+
     def test_negative_seed_flag_on_solve(self, tmp_path):
         """``solve`` draws nothing but still rejects a bad ``--seed``."""
         assert _run(["simulate", "--out", str(tmp_path)])[0] == 0

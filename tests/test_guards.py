@@ -2,10 +2,10 @@
 
 A stack of one window compares Python floats; a larger stack reduces with
 ufuncs.  Both must send NaN, +0.0 and -0.0 down the same branch.  Here
-``np.linalg.svd`` is wrapped so that its first call of a solve overwrites
-the singular values (or scales ``U``) of one window, and each guard sees a
-crafted value: the rank rule's smallest singular value and condition
-number, and the loop's step norm.
+the solvers' SVD seam ``seqloc.solvers._svd`` is wrapped so that its
+first call of a solve overwrites the singular values (or scales ``U``) of
+one window, and each guard sees a crafted value: the rank rule's smallest
+singular value and condition number, and the loop's step norm.
 """
 
 import warnings
@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import seqloc.solvers
 from seqloc import SolverConfig, solve_known_velocity
 from seqloc.errors import Diverged, RankDeficient
 from seqloc.model import WhitenedSystem
@@ -67,9 +68,9 @@ STEP_EDITS = {"nan": _scale_u(np.nan), "inf": _scale_u(1e200)}
 
 
 def _patch_first_svd(monkeypatch, window, edit):
-    """Wrap ``np.linalg.svd`` so that its next call applies ``edit`` to
-    the factors of window ``window``; later calls are left alone."""
-    real = np.linalg.svd
+    """Wrap ``seqloc.solvers._svd`` so that its next call applies ``edit``
+    to the factors of window ``window``; later calls are left alone."""
+    real = seqloc.solvers._svd
     calls = [0]
 
     def svd(a, *args, **kwargs):
@@ -79,7 +80,7 @@ def _patch_first_svd(monkeypatch, window, edit):
         calls[0] += 1
         return out
 
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(seqloc.solvers, "_svd", svd)
     return calls
 
 

@@ -18,6 +18,7 @@ import seqloc
 import seqloc.cli
 import seqloc.experiments
 import seqloc.model
+import seqloc.solvers
 from seqloc import (
     ConstantVelocity,
     EstimateReport,
@@ -52,7 +53,8 @@ def _counting(monkeypatch, owner, name):
 @pytest.mark.parametrize("kind", ["kvd", "uvd", "pvd", "d"])
 def test_one_svd_per_iteration_plus_the_covariance(monkeypatch, kind):
     cfg = default_scenario("circular", seed=5)
-    svd_calls = _counting(monkeypatch, np.linalg, "svd")
+    svd_calls = _counting(monkeypatch, seqloc.solvers, "_svd")
+    wrapper_calls = _counting(monkeypatch, np.linalg, "svd")
     for k in range(0, 200, 20):
         batch, truth = synthesize_batch(cfg, k, trial_rng(cfg.seed, k))
         before = svd_calls[0]
@@ -67,6 +69,7 @@ def test_one_svd_per_iteration_plus_the_covariance(monkeypatch, kind):
             report = solve_drift_only(batch, cfg.bs)
         assert report.converged
         assert svd_calls[0] - before == report.iterations + 1
+    assert wrapper_calls[0] == 0
 
 
 def test_cli_builds_no_parser_per_call(monkeypatch, tmp_path, capsys):
