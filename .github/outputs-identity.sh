@@ -11,7 +11,10 @@
 # estimator, and the noise-sweep-uvd-pvd (--svg) and velocity-deviation
 # studies.  With the head's .github/identity-stationary.json (a stationary
 # UD) as --config for both trees: the stationary-noise study, crlb,
-# simulate --fix 2 and solve of that batch with every estimator.  The
+# simulate --fix 2 and solve of that batch with every estimator.  Usage
+# errors and help, with their exit status: no arguments, -h, an unknown
+# command, solve alone and with -h, and a solve of the fix-0 batch with an
+# extra argument, an unknown option or an unknown estimator.  The
 # base runs under PYTHONHASHSEED=0 and the head under 1,
 # each writing its files and stdout/stderr under WORK_DIR/base and
 # WORK_DIR/head.  Fails unless
@@ -45,6 +48,22 @@ write_outputs() {  # TREE OUT HASHSEED
             > "$out/solve-$estimator.out" 2> "$out/solve-$estimator.err" \
             || echo "exit status $?" >> "$out/solve-$estimator.err"
     done
+    usage() {  # NAME ARGS...: stdout, stderr and the exit status
+        local name="$1" status=0
+        shift
+        seqloc "$@" > "$out/usage-$name.out" 2> "$out/usage-$name.err" \
+            || status=$?
+        echo "exit status $status" >> "$out/usage-$name.err"
+    }
+    usage none
+    usage help -h
+    usage bogus bogus
+    usage solve solve
+    usage solve-help solve -h
+    local solve=(solve --batch batch.csv --estimator kvd)
+    usage solve-extra "${solve[@]}" extra
+    usage solve-bogus "${solve[@]}" --bogus 1
+    usage solve-estimator solve --batch batch.csv --estimator foo
     local args
     seqloc crlb --config "$config" > "$out/config-crlb.out"
     seqloc simulate --config "$config" --fix 3 > "$out/batch-config.csv"

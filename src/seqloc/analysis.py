@@ -34,10 +34,9 @@ from .model import (  # noqa: F401
     build_design_uvd,
     prior_rows,
 )
-from .solvers import rank_rule
+from .solvers import _INDEFINITE, rank_rule
 
 ORDERING_EIG_FLOOR = -1e-10  # PD tolerance for covariance-ordering checks
-_INDEFINITE = "Fisher information is not positive-definite"
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def _designs_at_truth(variant: str, bs: BsConstellation,
         bs, windows, truth[:, bs.n_dim + 2:] if variant == "kvd" else None,
         priors if variant == "pvd" else None)
     # With a known velocity ``at`` reads only the leading [p, b, d].
-    a, _, degenerate = system.at(truth)
+    a, _, degenerate = system.at(truth, residual=False)
     failures = [None] * len(a)
     rank_rule(a, failures, np.arange(len(a)), degenerate, system.m,
               compute_uv=False)

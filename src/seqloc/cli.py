@@ -10,7 +10,14 @@ Subcommands:
 Batch CSV format: header ``bs_index,t,rho,sigma``; times in seconds,
 distances in meters.  Exit status 0 when the requested work completed
 (individual Monte Carlo trial failures are counted in the outputs, not
-fatal); 1 on configuration or I/O errors.
+fatal); 1 on configuration or I/O errors; 2 on usage errors.
+
+The parser tree is built once, at import.  ``main`` parses an argv whose
+first word names a subcommand with that subcommand's own parser alone,
+and any other argv (none, ``-h``, an unknown command) with the whole
+tree: the top-level pass would only classify the subcommand's options and
+hand them on to be parsed again.  Both give the same Namespace, output
+and exit status.
 """
 
 from __future__ import annotations
@@ -46,7 +53,8 @@ from .solvers import (
 BATCH_COLUMNS = "bs_index,t,rho,sigma"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``seqloc`` parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="seqloc",
         description="sequential-pseudorange localization toolkit")
@@ -75,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="known velocity 'vx,vy[,vz]' (kvd)")
     p_solve.add_argument("--prior-mean", type=str, default=None,
                          help="prior mean velocity 'vx,vy[,vz]' (pvd)")
-    p_solve.add_argument("--prior-std", type=float, default=PRIOR_STD,
+    p_solve.add_argument("--prior-std", type=float, default=None,
                          help="per-axis prior std in m/s (pvd)")
     p_solve.add_argument("--epoch", type=float, default=None,
                          help="localization epoch (default: first time)")
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo trials per sweep point")
     p_exp.add_argument("--svg", action="store_true",
                        help="also write an SVG chart")
-    return parser
+    return parser, sub.choices
 
 
 def _scenario(args, experiment: str | None = None, trials: int | None = None):
@@ -124,7 +132,8 @@ def _batch_csv_lines(batch: MeasurementBatch):
 
 def _read_batch_csv(path: Path, epoch: float | None) -> MeasurementBatch:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read batch {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -163,21 +172,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _print_report(report, n_dim: int) -> None:
+def _print_report(estimator: str, report, n_dim: int) -> None:
     params = report.params
-    print(f"converged={str(report.converged).lower()}")
-    print(f"iterations={report.iterations}")
-    print(f"final_step_norm={report.final_step_norm:.9g}")
     axes = "xyz"[:n_dim]
-    for axis, value in zip(axes, params.p):
-        print(f"p{axis}={value:.9g}")
-    print(f"clock_offset_m={params.b:.9g}")
-    print(f"clock_drift_mps={params.d:.9g}")
+    lines = [f"estimator={estimator}",
+             f"converged={str(report.converged).lower()}",
+             f"iterations={report.iterations}",
+             f"final_step_norm={report.final_step_norm:.9g}"]
+    lines += [f"p{axis}={value:.9g}" for axis, value in zip(axes, params.p)]
+    lines += [f"clock_offset_m={params.b:.9g}",
+              f"clock_drift_mps={params.d:.9g}"]
     if hasattr(params, "v"):
-        for axis, value in zip(axes, params.v):
-            print(f"v{axis}={value:.9g}")
+        lines += [f"v{axis}={value:.9g}"
+                  for axis, value in zip(axes, params.v)]
     pos_var = float(np.trace(report.covariance[:n_dim, :n_dim]))
-    print(f"pos_std_m={np.sqrt(pos_var):.9g}")
+    lines.append(f"pos_std_m={np.sqrt(pos_var):.9g}")
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cmd_solve(args) -> int:
@@ -186,13 +196,15 @@ def _cmd_solve(args) -> int:
         raise ConfigError("--velocity applies only to --estimator kvd")
     if args.prior_mean is not None and args.estimator != "pvd":
         raise ConfigError("--prior-mean applies only to --estimator pvd")
+    if args.prior_std is not None and args.estimator != "pvd":
+        raise ConfigError("--prior-std applies only to --estimator pvd")
     if args.config is not None:
         bs = _scenario(args)[0].bs
     else:
         # Solving draws nothing, but a bad --seed is still an error.
         if args.seed is not None:
             _integer(args.seed, "seed")
-        bs = default_constellation()
+        bs = DEFAULT_BS
     batch = _read_batch_csv(args.batch, args.epoch)
     n = bs.n_dim
     if args.estimator == "kvd":
@@ -206,10 +218,10 @@ def _cmd_solve(args) -> int:
     else:
         mean = (np.zeros(n) if args.prior_mean is None
                 else _parse_vector(args.prior_mean, "prior mean"))
-        prior = VelocityPrior.isotropic(mean, args.prior_std)
+        prior = VelocityPrior.isotropic(
+            mean, PRIOR_STD if args.prior_std is None else args.prior_std)
         report = solve_prior_velocity(batch, bs, prior)
-    print(f"estimator={args.estimator}")
-    _print_report(report, n)
+    _print_report(args.estimator, report, n)
     return 0
 
 
@@ -250,12 +262,24 @@ def _cmd_experiment(args) -> int:
 
 
 # Built once per process: building it costs about ten times as much as a
-# parse, and parse_args keeps no state between calls.
-PARSER = build_parser()
+# parse, and parse_args keeps no state between calls.  The default
+# constellation is immutable too, so it is built once as well.
+PARSER, SUBPARSERS = build_parser()
+DEFAULT_BS = default_constellation()
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # PARSER.parse_args(argv), through the subcommand's own parser when
+    # argv[0] names one (see the module docstring).
+    sub = SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        args = PARSER.parse_args(argv)
+    else:
+        args, extra = sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     handlers = {
         "simulate": _cmd_simulate,
         "solve": _cmd_solve,

@@ -63,11 +63,11 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 def _require_sigma(sigma: np.ndarray, error=DimensionMismatch) -> None:
     """Raise ``error`` unless every noise level in ``sigma`` is positive
     with a finite, non-zero reciprocal (the whitening weight) and square
-    (the variance): about 1.5e-162 to 1.3e154 m."""
-    with np.errstate(over="ignore", divide="ignore"):
-        inv, var = 1.0 / sigma, sigma * sigma
-    if not ((sigma > 0) & (inv > 0) & (inv < np.inf)
-            & (var > 0) & (var < np.inf)).all():
+    (the variance): about 1.5e-162 to 1.3e154 m.  A positive ``sigma``
+    whose square is finite and non-zero has such a reciprocal."""
+    with np.errstate(over="ignore"):
+        var = sigma * sigma
+    if not ((sigma > 0) & (var > 0) & (var < np.inf)).all():
         raise error("sigma must be strictly positive, with a finite "
                     "non-zero square and reciprocal")
 
@@ -491,13 +491,14 @@ class WhitenedSystem:
                    None if v_known is None else np.asarray(v_known, float),
                    None if priors is None else prior_rows(priors, bs.n_dim))
 
-    def at(self, theta: np.ndarray, live=None):
+    def at(self, theta: np.ndarray, live=None, residual: bool = True):
         """Whitened designs ``A`` (L, rows, P), residuals ``z`` (L, rows)
-        and the mask (L,) of windows with the displaced UD within
-        DEFAULT_GEOMETRY_EPS of a BS (finite but meaningless LOS rows), or
-        None, at the raw ``[p, b, d]`` or ``[p, b, d, v]`` vectors
-        ``theta`` (L, P) of the trials ``live`` (every trial when None); a
-        known velocity reads only the leading ``[p, b, d]``."""
+        (None without ``residual``) and the mask (L,) of windows with the
+        displaced UD within DEFAULT_GEOMETRY_EPS of a BS (finite but
+        meaningless LOS rows), or None, at the raw ``[p, b, d]`` or
+        ``[p, b, d, v]`` vectors ``theta`` (L, P) of the trials ``live``
+        (every trial when None); a known velocity reads only the leading
+        ``[p, b, d]``."""
         q, dt, rho, w = self.q, self.dt, self.rho, self.w
         dt_col, neg_w = self.dt_col, self.neg_w
         a, shift = self.template, self.shift
@@ -531,6 +532,8 @@ class WhitenedSystem:
         np.multiply(los, neg_w, out=a[:, :m, :n])
         if self.v_known is None:
             np.multiply(los * dt_col, neg_w, out=a[:, :m, n + 2:])
+        if not residual:
+            return a, None, degenerate
         z = (rho - (dist + theta[:, n, None] + theta[:, n + 1, None] * dt)) * w
         if root is None:
             return a, z, degenerate

@@ -115,6 +115,9 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
 # A UD position or displacement so large that its distances to the BSs
 # overflow: the LOS rows of its design turn NaN.
 _OVERFLOWED_DESIGN = "measurements too large: the whitened design overflows"
+# An information A^T A that is not finite (a design beyond about 1e154: a
+# noise level below about 1e-154 m) or whose inverse is not positive.
+_INDEFINITE = "Fisher information is not positive-definite"
 
 
 def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
@@ -339,19 +342,28 @@ def _final_covariance(system: WhitenedSystem, theta: np.ndarray, final,
     """Covariances ``V S^-2 V^T`` (T, P, P) at the final iterates ``theta``
     of the windows ``final`` (every window when None), NaN elsewhere.  A
     window whose design is unusable at its final iterate fails here (the
-    loop has already failed every window with too few rows)."""
+    loop has already failed every window with too few rows), and so does
+    one whose ``S^2`` overflows, whose covariance would read zero (as its
+    error theory, with RankDeficient)."""
     if final is not None and not final.size:
         return np.full(theta.shape + theta.shape[1:], np.nan)
     a, _, degenerate = system.at(theta if final is None else theta[final],
-                                 final)
-    trials = range(len(theta)) if final is None else final
-    keep, (_, s, vt) = rank_rule(a, failures, trials, degenerate)
-    covariance = (vt.mT / (s**2)[..., None, :]) @ vt
-    if final is None and keep is None:
+                                 final, residual=False)
+    rows = np.arange(len(theta)) if final is None else final
+    keep, (_, s, vt) = rank_rule(a, failures, rows, degenerate)
+    if keep is not None:
+        rows = rows[keep]
+    s2 = s**2
+    if not _all_finite(s2):  # the largest singular value overflows first
+        finite = s2[:, 0] < np.inf
+        for k in rows[~finite].tolist():
+            failures[k] = RankDeficient(_INDEFINITE)
+        rows, s2, vt = rows[finite], s2[finite], vt[finite]
+    covariance = (vt.mT / s2[..., None, :]) @ vt
+    if len(rows) == len(theta):
         return covariance
-    rows = np.asarray(trials)
     stacked = np.full(theta.shape + theta.shape[1:], np.nan)
-    stacked[rows if keep is None else rows[keep]] = covariance
+    stacked[rows] = covariance
     return stacked
 
 

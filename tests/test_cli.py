@@ -516,9 +516,16 @@ class TestVectorFlags:
          "--prior-mean applies only to --estimator pvd"),
         ("d", "--prior-mean=3,3",
          "--prior-mean applies only to --estimator pvd"),
+        ("kvd", "--prior-std=3",
+         "--prior-std applies only to --estimator pvd"),
+        ("uvd", "--prior-std=3",
+         "--prior-std applies only to --estimator pvd"),
+        ("d", "--prior-std=-1",
+         "--prior-std applies only to --estimator pvd"),
     ], ids=["velocity", "prior-mean", "uvd-velocity", "pvd-velocity",
             "d-velocity", "kvd-prior-mean", "uvd-prior-mean",
-            "d-prior-mean"])
+            "d-prior-mean", "kvd-prior-std", "uvd-prior-std",
+            "d-prior-std"])
     def test_malformed_vector_is_one_error_line(self, capsys, tmp_path,
                                                 kind, flag, message):
         path = tmp_path / "batch.csv"

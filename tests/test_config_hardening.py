@@ -195,10 +195,11 @@ class TestScenarioConfigRegressions:
         assert err == "error: Fisher information is not positive-definite\n"
 
     def test_overflowing_information(self, tmp_path):
-        """At a noise level of 1e-160 m the solves work but the error
-        theory's information ``A^T A`` overflows: crlb warned (overflow in
-        matmul) before its error, and a study before its NaN theory,
-        which it still writes."""
+        """At a noise level of 1e-160 m the error theory's information
+        ``A^T A`` overflows: crlb warned (overflow in matmul) before its
+        error, and a study before its NaN theory, which it still writes.
+        The solves' final ``S^2`` overflows likewise, so every trial fails
+        at its covariance (see test_overflowing_covariance)."""
         cfg = {"noise": {"sigma": 1e-160}}
         code, out, err, runtime = _repro(tmp_path, "crlb", cfg)
         assert (code, out, runtime) == (1, "", [])
@@ -206,9 +207,23 @@ class TestScenarioConfigRegressions:
         code, _, err, runtime = _repro(tmp_path, "experiment", cfg)
         assert (code, err, runtime) == (0, "", [])
         csv = (tmp_path / "out" / "speed-sweep.csv").read_text()
-        for line in csv.splitlines()[1:]:  # theory and crlb, non-converged
+        for line in csv.splitlines()[1:]:  # theory, crlb, non-converged
             fields = line.split(",")
-            assert fields[3:5] == ["nan", "nan"] and fields[6] == "0"
+            assert fields[3:5] == ["nan", "nan"] and fields[6] == "3"
+
+    @pytest.mark.parametrize("estimator", ["kvd", "uvd", "pvd", "d"])
+    def test_overflowing_covariance(self, tmp_path, estimator):
+        """At a noise level of 1e-160 m ``solve`` converges, but the
+        squared singular values of its final design overflow: it printed
+        ``pos_std_m=0`` and exit 0; now it fails as crlb does."""
+        cfg = str(_write(tmp_path, {"noise": {"sigma": 1e-160}}))
+        assert _run(["simulate", "--config", cfg, "--seed", "3", "--out",
+                     str(tmp_path)])[0] == 0
+        code, out, err, runtime = _run([
+            "solve", "--config", cfg, "--batch", str(tmp_path / "batch.csv"),
+            "--estimator", estimator])
+        assert (code, out, runtime) == (1, "", [])
+        assert err == "error: Fisher information is not positive-definite\n"
 
     def test_negative_seed_flag_on_solve(self, tmp_path):
         """``solve`` draws nothing but still rejects a bad ``--seed``."""

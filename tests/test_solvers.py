@@ -334,6 +334,40 @@ class TestSolveStack:
         assert sol.step_norm[0] == alone.final_step_norm
         assert np.array_equal(sol.covariance[0], alone.covariance)
 
+    def test_covariance_beyond_float64_fails_only_its_window(
+            self, bs_square, moving_truth):
+        """At a noise level of 1e-160 m a window converges, but ``S^2`` of
+        its final design overflows and its covariance would read 0: it
+        fails as its error theory does, the other windows keep their
+        bits (also beside a window that failed in the loop)."""
+        from seqloc.model import WhitenedSystem
+        from seqloc.solvers import _INDEFINITE, initial_vectors, solve_stack
+
+        good = canonical_batch(bs_square, moving_truth)
+        tiny = canonical_batch(bs_square, moving_truth, sigma=1e-160)
+        flat = make_batch(np.arange(8) % 4, np.full(8, 0.03), t_l=0.03,
+                          rho=np.full(8, 20.0))
+        alone = solve_joint_velocity(good, bs_square)
+        for batches in ((good, tiny, good), (good, tiny, flat, good)):
+            system = WhitenedSystem.of(batches, bs_square)
+            bs_index = np.stack([b.bs_index for b in batches])
+            sol = solve_stack(system, initial_vectors(
+                bs_square, bs_index, system.rho, system.v_start))
+            assert isinstance(sol.failures[1], RankDeficient)
+            assert str(sol.failures[1]) == _INDEFINITE
+            assert not sol.converged[1] and np.isnan(sol.covariance[1]).all()
+            for k in (0, len(batches) - 1):
+                assert sol.failures[k] is None and sol.converged[k]
+                assert np.array_equal(sol.covariance[k], alone.covariance)
+        prior = VelocityPrior.isotropic(moving_truth.v, 2.0)
+        for solve in (lambda: solve_known_velocity(tiny, bs_square,
+                                                   moving_truth.v),
+                      lambda: solve_joint_velocity(tiny, bs_square),
+                      lambda: solve_prior_velocity(tiny, bs_square, prior),
+                      lambda: solve_drift_only(tiny, bs_square)):
+            with pytest.raises(RankDeficient, match=_INDEFINITE):
+                solve()
+
 
 class TestOverflowedWindows:
     """Windows whose whitened system overflows float64 fail with
@@ -384,13 +418,13 @@ class TestOverflowedWindows:
             target = np.array([1.0, 2.0, 3.0])
             m = 2
 
-            def at(self, theta, live=None):
+            def at(self, theta, live=None, residual=True):
                 live = np.arange(3) if live is None else live
                 a = np.ones((len(live), 2, 1))
                 a[(live == 1) & (theta[:, 0] != 0.0)] = np.nan
                 z = np.repeat((self.target[live] - theta[:, 0])[:, None], 2,
                               axis=1)
-                return a, z, None
+                return a, z if residual else None, None
 
         for max_iter in (1, 3):  # fails at the covariance, then in the loop
             sol = solve_stack(Stub(), np.zeros((3, 1)),

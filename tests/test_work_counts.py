@@ -85,6 +85,26 @@ def test_cli_builds_no_parser_per_call(monkeypatch, tmp_path, capsys):
     assert built[0] == 0
 
 
+def test_cli_solve_skips_the_top_level_parse(monkeypatch, tmp_path, capsys):
+    """A ``solve`` call is parsed by the solve subparser alone; an argv
+    that names no subcommand still goes through the whole tree."""
+    seqloc.cli.main(["simulate", "--seed", "3", "--out", str(tmp_path)])
+    batch = str(tmp_path / "batch.csv")
+    top = _counting(monkeypatch, seqloc.cli.PARSER, "parse_known_args")
+    for kind in ("kvd", "uvd", "pvd", "d"):
+        assert seqloc.cli.main(["solve", "--batch", batch,
+                                "--estimator", kind]) == 0
+    with pytest.raises(SystemExit):
+        seqloc.cli.main(["solve", "--batch", batch, "--estimator", "kvd",
+                         "extra"])
+    assert top[0] == 0
+    for argv in (["-h"], ["bogus"]):
+        with pytest.raises(SystemExit):
+            seqloc.cli.main(argv)
+    capsys.readouterr()
+    assert top[0] == 2
+
+
 def test_cli_solve_builds_no_scenario(monkeypatch, tmp_path, capsys):
     """``seqloc solve`` needs only the default constellation, not the
     whole default scenario."""
