@@ -1,8 +1,9 @@
 """Experiment harness: the six study configurations, empirical statistics,
-result tables and deterministic CSV/SVG emission.  Each (sweep value,
-estimator) cell is aggregated from the columns of its ``TrialCell``
-(``simulate``): no per-trial object is built between the draw and the
-CSV.
+result tables and deterministic CSV/SVG emission.  A study's (sweep
+value, estimator) cells are solved, and their theory computed, once per
+design family; a cell whose stack cannot be built still fails alone.
+Each cell is aggregated from its ``TrialCell`` columns (``simulate``):
+no per-trial object is built between the draw and the CSV.
 
 Experiments (one CSV per sweep, written with 9 significant digits):
 
@@ -39,9 +40,10 @@ from .simulate import (
     RandomPlacement,
     ScenarioConfig,
     TdmaSchedule,
+    _joined,
     draw_trials,
     drift_from_ppm,
-    solve_trials,
+    solve_cells,
 )
 # Unused here but stays bound in this namespace: perfbench/tracer.py
 # patches run_monte_carlo by module path.
@@ -238,70 +240,95 @@ def _estimator_spec(name: str, estimator: str, value: float,
     return EstimatorSpec(kind=estimator)
 
 
+def _theory_columns(cells: list) -> list:
+    """The (theoretical, CRLB) RMSE columns of each TrialCell of
+    ``cells``: root mean squares of the per-trial values at the truth over
+    the converged trials whose theory is defined, else NaN.  One stacked
+    call per design family: kvd's deviation bias and d's movement bias
+    from the kvd projectors of their distinct draws, computed once;
+    ``theoretical_rmse_stack`` for uvd and pvd."""
+    columns = {}
+    for family, kinds in (("kvd", ("kvd", "d")), ("uvd", ("uvd",)),
+                          ("pvd", ("pvd",))):
+        part = [cell for cell in cells
+                if cell.spec.kind in kinds and cell.converged.any()]
+        if not part:
+            continue
+        bs = part[0].draws.scenario.bs
+        win = _joined([cell.draws.win for cell in part])
+        truth = _joined([cell.draws.truth for cell in part])
+        if family == "kvd":
+            draws = list({id(c.draws): c.draws for c in part}.values())
+            first = dict(zip(map(id, draws), np.cumsum(
+                [0] + [len(d.truth) for d in draws]).tolist()))
+            rows = np.concatenate([first[id(c.draws)] + np.arange(len(c))
+                                   for c in part])
+            projector, inverse, failures = analysis.kvd_projectors(
+                _joined([d.win for d in draws]), bs,
+                _joined([d.truth for d in draws]))
+            budgets = analysis.bias_deviated_velocity_stack(
+                win, bs, truth, _joined([c.v_assumed for c in part]),
+                analysis.KvdProjectors(
+                    projector[rows], inverse[rows],
+                    [failures[r] for r in rows.tolist()]))
+        else:
+            budgets = analysis.theoretical_rmse_stack(
+                family, win, bs, truth, _joined([c.prior for c in part]))
+        # The CRLB column is the zero-bias part of the budget.
+        bound = np.sqrt(np.trace(budgets.variance, axis1=-2, axis2=-1))
+        start = 0
+        for cell in part:
+            ok = [k for k in (np.flatnonzero(cell.converged) + start).tolist()
+                  if budgets.failures[k] is None]
+            start += len(cell)
+            if ok:
+                # Python's t ** 2 can differ from numpy's square in the
+                # last bit; the CSVs are pinned to the former.
+                columns[cell] = tuple(float(np.sqrt(np.mean(
+                    [t ** 2 for t in values[ok].tolist()])))
+                    for values in (budgets.rmse, bound))
+    return [columns.get(cell, (math.nan, math.nan)) for cell in cells]
+
+
 def run_experiment(spec: ExperimentSpec,
                    cfg: ScenarioConfig) -> ExperimentResult:
     """Execute the sweep and aggregate per (sweep value, estimator).
 
-    The estimator cells of one sweep value share one ``draw_trials``
-    (a nominal-prior pvd cell draws its own), and its kvd and d cells
-    share the kvd projectors of that draw.  Each cell is aggregated from
-    the columns of its ``TrialCell``; ``records`` maps (sweep value,
-    estimator) to that cell.  Non-converged or failed trials are excluded
-    from the empirical RMSE and reported through the ``non_converged``
-    column.  Theory columns aggregate the per-trial true-parameter values
-    as root mean squares, over the converged trials whose theory is
-    defined at the truth.
+    The estimator cells of one sweep value share one ``draw_trials`` (a
+    nominal-prior pvd cell draws its own); all cells are solved in one
+    ``solve_cells`` and their theory columns are computed per design
+    family (``_theory_columns``).  ``records`` maps (sweep value,
+    estimator) to the cell's ``TrialCell``.  Non-converged or failed
+    trials are excluded from the empirical RMSE and reported through the
+    ``non_converged`` column.
     """
-    rows = []
-    records: dict = {}
+    keys, cells = [], []
     for k, value in enumerate(spec.grid):
         cfg_pt = replace(_scenario_for_point(spec.name, cfg, value),
                          seed=point_seed(cfg.seed, k))
         draws = {}  # nominal prior std (None for the plain draw) -> draws
-        projectors = None
         for estimator in spec.estimators:
             espec = _estimator_spec(spec.name, estimator, value,
                                     spec.prior_std)
             key = espec.nominal_prior_std
             if key not in draws:
                 draws[key] = draw_trials(cfg_pt, nominal_std=key)
-            cell = solve_trials(espec, draws[key])
-            records[(value, estimator)] = cell
-            good = np.flatnonzero(cell.converged)
-            emp = theo = crl = float("nan")
-            # Without a converged trial the cell may have failed as a whole.
-            if good.size:
-                emp = empirical_rmse(cell.position_errors()).rmse
-                win, truth, bs = cell.draws.win, cell.draws.truth, cfg_pt.bs
-                if estimator in ("kvd", "d"):
-                    # Both use the true-velocity design of the plain draw.
-                    if projectors is None:
-                        projectors = analysis.kvd_projectors(win, bs, truth)
-                    # Deviation bias of kvd (zero at the true velocity),
-                    # movement bias of the drift-only baseline.
-                    v = (cell.v_assumed if estimator == "kvd"
-                         else np.zeros((len(truth), bs.n_dim)))
-                    budgets = analysis.bias_deviated_velocity_stack(
-                        win, bs, truth, v, projectors)
-                else:
-                    budgets = analysis.theoretical_rmse_stack(
-                        estimator, win, bs, truth, priors=cell.prior)
-                # The CRLB column is the zero-bias part of the budget.
-                bound = np.sqrt(np.trace(budgets.variance, axis1=-2,
-                                         axis2=-1))
-                ok = [i for i in good.tolist() if budgets.failures[i] is None]
-                if ok:
-                    # Python's t ** 2 can differ from numpy's square in the
-                    # last bit; the CSVs are pinned to the former.
-                    theo, crl = (float(np.sqrt(np.mean(
-                        [t ** 2 for t in values[ok].tolist()])))
-                        for values in (budgets.rmse, bound))
-            rows.append(ResultRow(
-                sweep_value=float(value), estimator=estimator,
-                empirical_rmse=emp, theoretical_rmse=theo, crlb_rmse=crl,
-                trials=len(cell), non_converged=len(cell) - good.size))
+            keys.append((value, estimator))
+            cells.append((espec, draws[key]))
+    cells = solve_cells(cells)
+    rows = []
+    for (value, estimator), cell, (theo, crl) in zip(
+            keys, cells, _theory_columns(cells)):
+        good = np.count_nonzero(cell.converged)
+        # Without a converged trial the cell may have failed as a whole.
+        emp = (empirical_rmse(cell.position_errors()).rmse if good
+               else float("nan"))
+        rows.append(ResultRow(
+            sweep_value=float(value), estimator=estimator,
+            empirical_rmse=emp, theoretical_rmse=theo, crlb_rmse=crl,
+            trials=len(cell), non_converged=len(cell) - good))
     return ExperimentResult(spec=spec, scenario=cfg, rows=tuple(rows),
-                            records=records)
+                            records=dict(zip(keys, cells)))
 
 
 def _fmt(x: float) -> str:

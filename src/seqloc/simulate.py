@@ -12,10 +12,11 @@ the true velocity (for a prior centred on the nominal one), then one
 standard normal per measurement.
 
 A Monte Carlo cell is columnar: ``draw_trials`` synthesizes a scenario's
-``n_trials`` trials as ``(T, ...)`` arrays and ``solve_trials`` solves
-them for one estimator into a ``TrialCell`` of columns, with the
-floating-point operations of the single-window path, so each trial is
-bit-identical to solving it alone; indexing the cell builds one
+``n_trials`` trials as ``(T, ...)`` arrays and ``solve_cells`` solves
+(estimator, draw) cells into ``TrialCell`` columns, one stack per design
+family, with the floating-point operations of the single-window path, so
+each trial is bit-identical to solving it alone; a cell whose stack
+cannot be built still fails alone.  Indexing a cell builds one
 ``TrialRecord``.  Estimator cells can share a draw, except that a
 nominal-prior ``pvd`` cell needs its own."""
 
@@ -640,7 +641,7 @@ class TrialCell(Sequence):
     final parameter vectors ``theta`` (T, P), iteration counts,
     convergence flags, last step norms, covariances (T, P, P), per trial
     None or the name of the exception its single-window solve raises, the
-    kvd assumed velocities (T, N) and the pvd PriorRows, or None.
+    kvd or d assumed velocities (T, N) and the pvd PriorRows, or None.
     Indexing builds the TrialRecord of one trial."""
 
     __slots__ = ("spec", "draws", "theta", "iterations", "converged",
@@ -687,43 +688,78 @@ class TrialCell(Sequence):
                 - self.draws.truth[self.converged, :n])
 
 
+def _cell_inputs(spec: EstimatorSpec, draws: TrialDraws):
+    """The known velocities (T, N) and the PriorRows that the solve of
+    ``draws`` with ``spec`` takes, each None when it takes none."""
+    if draws.nominal_std != spec.nominal_prior_std:
+        raise ConfigError("trials were drawn for a different velocity prior")
+    n, n_dim = len(draws.truth), draws.scenario.bs.n_dim
+    truth_v = draws.truth[:, n_dim + 2:]
+    if spec.kind in ("kvd", "d"):  # the drift-only baseline assumes zero
+        return _freeze(assumed_velocities(truth_v, spec.speed_deviation)
+                       if spec.kind == "kvd" else np.zeros((n, n_dim))), None
+    if spec.kind == "uvd":
+        return None, None
+    root = information_root(spec.prior_std * spec.prior_std * np.eye(n_dim))
+    return None, PriorRows(np.broadcast_to(root, (n, n_dim, n_dim)), truth_v
+                           if draws.nominal_v is None else draws.nominal_v)
+
+
+def _joined(parts: list):
+    """The arrays, or tuples of arrays, ``parts`` joined along their trial
+    axis: the part itself when there is one, None when they are None."""
+    if len(parts) > 1 and isinstance(parts[0], tuple):
+        return type(parts[0])(*map(_joined, zip(*parts)))
+    return (parts[0] if len(parts) == 1 or parts[0] is None
+            else np.concatenate(parts))
+
+
+def solve_cells(cells: list,
+                solver_cfg: SolverConfig = SolverConfig()) -> list:
+    """One TrialCell per (EstimatorSpec, TrialDraws) of ``cells``, each
+    draw made by ``draw_trials`` with its spec's ``nominal_prior_std``.
+    The cells of one design family (known velocity: kvd and d; joint:
+    uvd; prior rows: pvd), constellation and window length run as one
+    ``solve_stack`` over their joined windows, keeping each trial's
+    floating-point operations.  A family whose WhitenedSystem cannot be
+    built is solved cell by cell, so only a cell whose own system fails
+    fails whole.  A trial the single-window solve would reject keeps that
+    exception's name in ``errors``."""
+    inputs = [_cell_inputs(spec, draws) for spec, draws in cells]
+    families: dict = {}
+    for i, ((_, draws), (v, prior)) in enumerate(zip(cells, inputs)):
+        families.setdefault((v is None, prior is None, id(draws.scenario.bs),
+                             draws.win.rho.shape[1]), []).append(i)
+    solved = [None] * len(cells)
+    for members in families.values():
+        draws = [cells[i][1] for i in members]
+        bs, win = draws[0].scenario.bs, _joined([d.win for d in draws])
+        v_known, prior = map(_joined, zip(*(inputs[i] for i in members)))
+        try:
+            system = WhitenedSystem(bs, win, v_known, prior)
+        except SeqlocError as exc:
+            if len(members) > 1:
+                for i in members:
+                    solved[i] = solve_cells([cells[i]], solver_cfg)[0]
+                continue
+            sols = [StackSolution.failed(len(win.t_l), parameter_count(
+                bs.n_dim, v_known is not None), exc)]
+        else:
+            sol = solve_stack(system, initial_vectors(
+                bs, win.bs_index, win.rho, system.v_start), solver_cfg)
+            ends = np.cumsum([len(d.truth) for d in draws]).tolist()
+            sols = [StackSolution(*(column[start:end] for column in sol))
+                    for start, end in zip([0] + ends, ends)]
+        for i, sol in zip(members, sols):
+            solved[i] = TrialCell(*cells[i], sol, *inputs[i])
+    return solved
+
+
 def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
                  solver_cfg: SolverConfig = SolverConfig()) -> TrialCell:
     """Solve every trial of ``draws`` with the estimator ``spec`` as one
-    stack (``solvers.solve_stack``) and return them as a TrialCell.
-
-    ``draws`` must come from ``draw_trials`` with ``spec``'s
-    ``nominal_prior_std``.  A trial the single-window solve would reject
-    keeps that exception's name in ``errors``; it never aborts the others.
-    """
-    if draws.nominal_std != spec.nominal_prior_std:
-        raise ConfigError("trials were drawn for a different velocity prior")
-    bs, win = draws.scenario.bs, draws.win
-    n, n_dim = len(win.t_l), bs.n_dim
-    truth_v = draws.truth[:, n_dim + 2:]
-    v_known = prior = None
-    if spec.kind == "kvd":
-        v_known = _freeze(assumed_velocities(truth_v, spec.speed_deviation))
-    elif spec.kind == "d":
-        v_known = np.zeros((n, n_dim))
-    elif spec.kind == "pvd":
-        root = information_root(spec.prior_std * spec.prior_std
-                                * np.eye(n_dim))
-        prior = PriorRows(np.broadcast_to(root, (n, n_dim, n_dim)), truth_v
-                          if draws.nominal_v is None else draws.nominal_v)
-    # The constructor rejects, for the whole cell, a BS index out of
-    # range, a velocity of the wrong shape or a whitened template that
-    # overflows; too few measurements fail per window in the rank rule.
-    try:
-        system = WhitenedSystem(bs, win, v_known, prior)
-    except SeqlocError as exc:
-        sol = StackSolution.failed(
-            n, parameter_count(n_dim, v_known is not None), exc)
-    else:
-        sol = solve_stack(system, initial_vectors(bs, win.bs_index, win.rho,
-                                                  system.v_start), solver_cfg)
-    return TrialCell(spec, draws, sol,
-                     v_known if spec.kind == "kvd" else None, prior)
+    stack: the one-cell case of ``solve_cells``."""
+    return solve_cells([(spec, draws)], solver_cfg)[0]
 
 
 def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,

@@ -15,7 +15,7 @@ about half as much again as the factorization.
 
 The loop (``solve_stack``) runs on a stack of windows with numpy's
 stacked ``svd``/``matmul``; a window that fails or converges leaves the
-stack through a mask.  The Monte Carlo harness passes a whole sweep cell,
+stack through a mask.  The Monte Carlo harness passes a design family,
 the public ``solve_*`` a stack of one.  Both run the same loop and the
 same floating-point operations; only the happy-path guards (rank rule,
 loop exit, and the BS index and UD-on-a-BS tests of ``WhitenedSystem``)

@@ -209,10 +209,51 @@ def _same_float(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def _cells_match_standalone(result, cfg):
+    """Check every cell of ``result`` against a standalone run_monte_carlo
+    of the same cell and its own per-cell theory; returns the outcomes
+    seen (True or False for converged or capped, else the error name)."""
+    spec, name = result.spec, result.spec.name
+    rows = iter(result.rows)
+    outcomes = set()
+    for k, value in enumerate(spec.grid):
+        cfg_pt = replace(
+            experiments._scenario_for_point(name, cfg, value),
+            seed=point_seed(cfg.seed, k))
+        for estimator in spec.estimators:
+            espec = experiments._estimator_spec(name, estimator, value,
+                                                spec.prior_std)
+            alone = run_monte_carlo(cfg_pt, espec)
+            shared = result.records[(value, estimator)]
+            assert len(shared) == len(alone) == cfg.n_trials
+            for a, b in zip(shared, alone):
+                assert a.error == b.error
+                assert a.converged == b.converged
+                assert np.array_equal(a.batch.rho, b.batch.rho)
+                assert np.array_equal(a.truth.as_vector(),
+                                      b.truth.as_vector())
+                if b.report is None:
+                    assert a.report is None
+                    outcomes.add(b.error)
+                    continue
+                assert np.array_equal(a.report.params.as_vector(),
+                                      b.report.params.as_vector())
+                assert a.report.iterations == b.report.iterations
+                outcomes.add(b.converged)
+            row = next(rows)
+            assert (row.sweep_value, row.estimator) == (value, estimator)
+            good = [r for r in alone if r.converged]
+            theo, crl = _per_cell_theory(estimator, good, cfg_pt.bs)
+            assert _same_float(row.theoretical_rmse, theo)
+            assert _same_float(row.crlb_rmse, crl)
+    return outcomes
+
+
 class TestSharedDraws:
-    """Every cell of run_experiment, which shares one draw and one set of
-    kvd projectors per sweep value, against a standalone run_monte_carlo
-    of the same cell and its own per-cell theory."""
+    """Every cell of run_experiment, which shares one draw per sweep value
+    and solves and evaluates the theory of all its cells once per design
+    family, against a standalone run_monte_carlo of the same cell and its
+    own per-cell theory."""
 
     @pytest.mark.parametrize("name, grid", [
         ("speed-sweep", (1.0, 10.0)),
@@ -240,41 +281,26 @@ class TestSharedDraws:
                                 lambda system, theta, cfg: real(
                                     system, theta, solver_cfg))
         spec, cfg = tiny(name, trials=30, grid=grid)
-        result = run_experiment(spec, cfg)
-        rows = iter(result.rows)
-        outcomes = set()
-        for k, value in enumerate(spec.grid):
-            cfg_pt = replace(
-                experiments._scenario_for_point(name, cfg, value),
-                seed=point_seed(cfg.seed, k))
-            for estimator in spec.estimators:
-                espec = experiments._estimator_spec(name, estimator, value,
-                                                    spec.prior_std)
-                alone = run_monte_carlo(cfg_pt, espec)
-                shared = result.records[(value, estimator)]
-                assert len(shared) == len(alone) == cfg.n_trials
-                for a, b in zip(shared, alone):
-                    assert a.error == b.error
-                    assert a.converged == b.converged
-                    assert np.array_equal(a.batch.rho, b.batch.rho)
-                    assert np.array_equal(a.truth.as_vector(),
-                                          b.truth.as_vector())
-                    if b.report is None:
-                        assert a.report is None
-                        outcomes.add(b.error)
-                        continue
-                    assert np.array_equal(a.report.params.as_vector(),
-                                          b.report.params.as_vector())
-                    assert a.report.iterations == b.report.iterations
-                    outcomes.add(b.converged)
-                row = next(rows)
-                assert (row.sweep_value, row.estimator) == (value, estimator)
-                good = [r for r in alone if r.converged]
-                theo, crl = _per_cell_theory(estimator, good, cfg_pt.bs)
-                assert _same_float(row.theoretical_rmse, theo)
-                assert _same_float(row.crlb_rmse, crl)
+        outcomes = _cells_match_standalone(run_experiment(spec, cfg), cfg)
         if mixed:
             assert outcomes >= {True, "Diverged"}
+
+    def test_cell_whose_stack_cannot_be_built_fails_alone(self):
+        """Slots 1e148 s apart: at sigma 1e-160 the whitened ``dt / sigma``
+        column overflows, so the uvd and pvd families cannot be stacked
+        and those cells fail whole with DimensionMismatch; the sigma 0.1
+        cells, solved alone, keep their per-window RankDeficient."""
+        spec, cfg = tiny("noise-sweep-uvd-pvd", trials=6, grid=(1e-160, 0.1))
+        cfg = replace(cfg, schedule=simulate.TdmaSchedule(
+            bs_order=(0, 1, 2, 3), slot_interval=1e148))
+        result = run_experiment(spec, cfg)
+        assert {value: {cell.errors for (v, _), cell
+                        in result.records.items() if v == value}
+                for value in spec.grid} == {
+            1e-160: {("DimensionMismatch",) * 6},
+            0.1: {("RankDeficient",) * 6}}
+        assert _cells_match_standalone(result, cfg) == {
+            "DimensionMismatch", "RankDeficient"}
 
 
 class TestWriteExperiment:

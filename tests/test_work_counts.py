@@ -1,7 +1,8 @@
 """Work-count guards: the single-window paths do a fixed amount of set-up
 and factorization work per call, a Monte Carlo sweep builds no object and
-seeds no generator per trial, and importing seqloc loads no numpy.random,
-counted rather than timed."""
+seeds no generator per trial and solves and evaluates its theory once per
+design family, and importing seqloc loads no numpy.random, counted rather
+than timed."""
 
 import argparse
 import os
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 
 import seqloc
+import seqloc.analysis
 import seqloc.cli
 import seqloc.experiments
 import seqloc.model
+import seqloc.simulate
 import seqloc.solvers
 from seqloc import (
     ConstantVelocity,
@@ -195,6 +198,38 @@ def test_sweep_seeds_no_generator_per_trial(monkeypatch, study):
         run_experiment(spec, cfg)
         counts.append(made[0])
     assert counts[0] == counts[1]
+
+
+# The calls one run_experiment makes, whatever its grid: solve_stack once
+# per design family (known velocity: kvd and d; joint: uvd; prior rows:
+# pvd), the kvd projectors once when a kvd or d cell is there, and
+# theoretical_rmse_stack once per uvd or pvd estimator.
+FAMILY_CALLS = {
+    "stationary-noise": (1, 1, 0),
+    "speed-sweep": (1, 1, 0),
+    "velocity-deviation": (1, 1, 0),
+    "noise-sweep-uvd-pvd": (2, 0, 2),
+    "speed-compare": (3, 1, 2),
+    "circular": (3, 1, 2),
+}
+
+
+@pytest.mark.parametrize("study", list(FAMILY_CALLS))
+def test_sweep_solves_once_per_design_family(monkeypatch, study):
+    """A study at one grid point and at its whole default grid makes the
+    same solve and theory calls."""
+    calls = [_counting(monkeypatch, module, name) for module, name in (
+        (seqloc.simulate, "solve_stack"),
+        (seqloc.analysis, "kvd_projectors"),
+        (seqloc.analysis, "theoretical_rmse_stack"))]
+    grid = default_spec(study).grid
+    cfg = replace(default_scenario(study, seed=11), n_trials=10)
+    for points in sorted({1, len(grid)}):
+        for count in calls:
+            count[0] = 0
+        result = run_experiment(default_spec(study, grid=grid[:points]), cfg)
+        assert all(row.non_converged == 0 for row in result.rows)
+        assert tuple(count[0] for count in calls) == FAMILY_CALLS[study]
 
 
 def test_import_leaves_numpy_random_unloaded():
