@@ -11,10 +11,14 @@
 # estimator, and the noise-sweep-uvd-pvd (--svg) and velocity-deviation
 # studies.  With the head's .github/identity-stationary.json (a stationary
 # UD) as --config for both trees: the stationary-noise study, crlb,
-# simulate --fix 2 and solve of that batch with every estimator.  Usage
-# errors and help, with their exit status: no arguments, -h, an unknown
-# command, solve alone and with -h, and a solve of the fix-0 batch with an
-# extra argument, an unknown option or an unknown estimator.  The
+# simulate --fix 2 and solve of that batch with every estimator.  With the
+# head's .github/identity-tiny-noise.json (a noise level of 1e-160 m, whose
+# information overflows float64) as --config for both trees, with stderr
+# and the exit status: crlb, simulate --fix 2, solve of that batch with
+# every estimator and the speed-sweep study.  Usage errors and help, with
+# their exit status: no arguments, -h, an unknown command, solve alone and
+# with -h, and a solve of the fix-0 batch with an extra argument, an
+# unknown option or an unknown estimator.  The
 # base runs under PYTHONHASHSEED=0 and the head under 1,
 # each writing its files and stdout/stderr under WORK_DIR/base and
 # WORK_DIR/head.  Fails unless
@@ -48,22 +52,21 @@ write_outputs() {  # TREE OUT HASHSEED
             > "$out/solve-$estimator.out" 2> "$out/solve-$estimator.err" \
             || echo "exit status $?" >> "$out/solve-$estimator.err"
     done
-    usage() {  # NAME ARGS...: stdout, stderr and the exit status
+    record() {  # NAME ARGS...: stdout, stderr and the exit status
         local name="$1" status=0
         shift
-        seqloc "$@" > "$out/usage-$name.out" 2> "$out/usage-$name.err" \
-            || status=$?
-        echo "exit status $status" >> "$out/usage-$name.err"
+        seqloc "$@" > "$out/$name.out" 2> "$out/$name.err" || status=$?
+        echo "exit status $status" >> "$out/$name.err"
     }
-    usage none
-    usage help -h
-    usage bogus bogus
-    usage solve solve
-    usage solve-help solve -h
+    record usage-none
+    record usage-help -h
+    record usage-bogus bogus
+    record usage-solve solve
+    record usage-solve-help solve -h
     local solve=(solve --batch batch.csv --estimator kvd)
-    usage solve-extra "${solve[@]}" extra
-    usage solve-bogus "${solve[@]}" --bogus 1
-    usage solve-estimator solve --batch batch.csv --estimator foo
+    record usage-solve-extra "${solve[@]}" extra
+    record usage-solve-bogus "${solve[@]}" --bogus 1
+    record usage-solve-estimator solve --batch batch.csv --estimator foo
     local args
     seqloc crlb --config "$config" > "$out/config-crlb.out"
     seqloc simulate --config "$config" --fix 3 > "$out/batch-config.csv"
@@ -92,11 +95,20 @@ write_outputs() {  # TREE OUT HASHSEED
             2> "$out/stationary-solve-$estimator.err" \
             || echo "exit status $?" >> "$out/stationary-solve-$estimator.err"
     done
+    record tiny-crlb crlb --config "$tiny"
+    record tiny-simulate simulate --config "$tiny" --fix 2 --out tiny
+    for estimator in kvd uvd pvd d; do
+        record "tiny-solve-$estimator" solve --config "$tiny" \
+            --batch tiny/batch.csv --estimator "$estimator"
+    done
+    record tiny-experiment experiment speed-sweep --config "$tiny" \
+        --out tiny-studies
 }
 
 base="$3/base" head="$3/head"
 config="$(cd "$2" && pwd)/.github/identity-config.json"
 stationary="$(cd "$2" && pwd)/.github/identity-stationary.json"
+tiny="$(cd "$2" && pwd)/.github/identity-tiny-noise.json"
 write_outputs "$1" "$base" 0
 write_outputs "$2" "$head" 1
 status=0 count=0

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RankDeficient
+from .errors import DimensionMismatch, RankDeficient
 # build_design_kvd/pvd are unused here but stay bound in this namespace:
 # perfbench/tracer.py patches them by module path.
 from .model import (  # noqa: F401
@@ -28,6 +28,7 @@ from .model import (  # noqa: F401
     VelocityPrior,
     WhitenedSystem,
     WindowStack,
+    _require_velocity,
     _row_norms,
     build_design_kvd,
     build_design_pvd,
@@ -108,27 +109,13 @@ def _designs_at_truth(variant: str, bs: BsConstellation,
     return a, failures
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _information(a: np.ndarray):
-    """The information ``A^T A`` of the designs ``a`` (..., rows, P) and
-    whether each is finite: a design with entries beyond about 1e154 (a
-    noise level below about 1e-154 m) overflows it, without a warning."""
-    info = a.mT @ a
-    return info, np.isfinite(info).all(axis=(-2, -1))
-
-
 def _inverse_fims(a: np.ndarray, failures: list) -> np.ndarray:
-    """``(A^T A)^-1`` of each window whose design is usable, NaN for the
-    others.  cond(A^T A) is cond(A)^2, so rounding can leave an inverse
-    indefinite, and a large design can overflow its information: either
-    window then fails as ``crlb`` does."""
+    """``(A^T A)^-1`` (finite: see ``rank_rule``) of each usable window,
+    NaN for the others.  cond(A^T A) is cond(A)^2, so rounding can leave
+    an inverse indefinite: that window then fails as ``crlb`` does."""
     ok = np.flatnonzero([f is None for f in failures])
-    info, finite = _information(a[ok])
-    for i in ok[~finite].tolist():
-        failures[i] = RankDeficient(_INDEFINITE)
-    ok = ok[finite]
     inv = np.full((len(a),) + a.shape[-1:] * 2, np.nan)
-    inv[ok] = np.linalg.inv(info[finite])
+    inv[ok] = np.linalg.inv(a[ok].mT @ a[ok])
     diag = np.diagonal(inv, axis1=-2, axis2=-1)[ok]
     for i in ok[~np.all((diag > 0) & (diag < np.inf), axis=1)].tolist():
         inv[i], failures[i] = np.nan, RankDeficient(_INDEFINITE)
@@ -142,10 +129,7 @@ def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
                                     *_one(batch, truth, bs, prior))
     if failures[0] is not None:
         raise failures[0]
-    f, finite = _information(a[0])
-    if not finite:
-        raise RankDeficient(_INDEFINITE)
-    return f
+    return a[0].mT @ a[0]
 
 
 def crlb(f: np.ndarray) -> np.ndarray:
@@ -230,9 +214,10 @@ def bias_deviated_velocity(batch: MeasurementBatch, bs: BsConstellation,
     and the assumed displaced geometric ranges; the variance is the usual
     noise-only position block.
     """
+    v = np.asarray(v_assumed, dtype=float)[None]
+    _require_velocity(v, (1, bs.n_dim))
     windows, truths, _ = _one(batch, truth, bs)
-    return bias_deviated_velocity_stack(
-        windows, bs, truths, np.asarray(v_assumed, dtype=float)[None]).one()
+    return bias_deviated_velocity_stack(windows, bs, truths, v).one()
 
 
 def bias_drift_only(batch: MeasurementBatch, bs: BsConstellation,
@@ -265,6 +250,8 @@ def check_crlb_ordering(batch: MeasurementBatch, bs: BsConstellation,
     near-delta or near-flat priors.
     """
     n = bs.n_dim
+    if prior.n_dim != n:
+        raise DimensionMismatch("prior dimension does not match BSs")
     k = n + 2
     f = fim(batch, bs, truth, "uvd")
     a00, a01, a11 = f[:k, :k], f[:k, k:], f[k:, k:]
@@ -345,7 +332,8 @@ def bias_linear_lower_bound(batch: MeasurementBatch, bs: BsConstellation,
 
     checks = []
     for dv in deviations:
-        dv = np.atleast_1d(np.asarray(dv, dtype=float))
+        dv = np.asarray(dv, dtype=float)
+        _require_velocity(dv, (bs.n_dim,))
         exact = bias_deviated_velocity_stack(
             windows, bs, truths, (truth.v + dv)[None], projectors).one()
         bias_sq = float(np.dot(exact.bias, exact.bias))

@@ -60,6 +60,12 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise DimensionMismatch(f"{what} must be finite")
 
 
+def _require_velocity(v: np.ndarray, shape: tuple) -> None:
+    if v.shape != shape:
+        raise DimensionMismatch("velocity dimension does not match BSs")
+    _require_finite(v, "velocity")
+
+
 def _require_sigma(sigma: np.ndarray, error=DimensionMismatch) -> None:
     """Raise ``error`` unless every noise level in ``sigma`` is positive
     with a finite, non-zero reciprocal (the whitening weight) and square
@@ -449,9 +455,7 @@ class WhitenedSystem:
                  or np.maximum.reduce(bs_index, axis=None) >= bs.n_bs)):
             raise DimensionMismatch("batch references a BS index out of range")
         if v_known is not None:
-            if v_known.shape != (count, n):
-                raise DimensionMismatch("velocity dimension does not match BSs")
-            _require_finite(v_known, "velocity")
+            _require_velocity(v_known, (count, n))
             if prior_root is not None:
                 raise DimensionMismatch("a known velocity takes no prior")
         if prior_root is not None and (prior_root.shape != (count, n, n)

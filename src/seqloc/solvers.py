@@ -115,8 +115,9 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
 # A UD position or displacement so large that its distances to the BSs
 # overflow: the LOS rows of its design turn NaN.
 _OVERFLOWED_DESIGN = "measurements too large: the whitened design overflows"
-# An information A^T A that is not finite (a design beyond about 1e154: a
-# noise level below about 1e-154 m) or whose inverse is not positive.
+# An information A^T A that float64 cannot hold (``rank_rule``: a design
+# whose largest singular value squares to inf, a noise level below about
+# 1e-154 m) or whose inverse rounding leaves indefinite (the error theory).
 _INDEFINITE = "Fisher information is not positive-definite"
 
 
@@ -134,7 +135,9 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
       design, so one overflowed window would fail the stacked SVD);
     * a UD on a BS, where ``degenerate`` (DegenerateGeometry);
     * a condition number beyond MAX_DESIGN_CONDITION, or a zero,
-      negative-zero or NaN smallest singular value (RankDeficient).
+      negative-zero or NaN smallest singular value (RankDeficient);
+    * a largest singular value that squares to inf, so that float64 holds
+      neither ``A^T A`` nor ``V S^-2 V^T`` (RankDeficient, _INDEFINITE).
 
     Returns the mask of the usable windows (None when every window is)
     and their SVD ``(U, S, V^T)``, or ``S`` alone without ``compute_uv``.
@@ -150,14 +153,18 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
     if rows >= params and broken is None and degenerate is None:
         if len(s) == 1:  # Python floats (see the module docstring)
             first, last = s.item(0), s.item(-1)
-            if last > 0 and first / last <= MAX_DESIGN_CONDITION:
+            if (last > 0 and first / last <= MAX_DESIGN_CONDITION
+                    and first * first < np.inf):
                 return None, svd
         elif (np.minimum.reduce(s[:, -1]) > 0 and np.maximum.reduce(
                 s[:, 0] / s[:, -1]) <= MAX_DESIGN_CONDITION):
-            return None, svd
-    last = s[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conditioned = (last > 0) & (s[:, 0] / last <= MAX_DESIGN_CONDITION)
+            first = np.maximum.reduce(s[:, 0]).item()  # a Python float
+            if first * first < np.inf:
+                return None, svd
+    first, last = s[:, 0], s[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        conditioned = (last > 0) & (first / last <= MAX_DESIGN_CONDITION)
+        held = first * first < np.inf
     m = rows if m is None else m
     keep = np.ones(len(a), dtype=bool)
     for mask, error, message in (
@@ -167,7 +174,8 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
             (degenerate, DegenerateGeometry,
              "UD coincides with a BS in this batch"),
             (~conditioned, RankDeficient,
-             "whitened design matrix is rank-deficient")):
+             "whitened design matrix is rank-deficient"),
+            (~held, RankDeficient, _INDEFINITE)):
         if mask is not None:
             for k in np.asarray(trials)[keep & mask].tolist():
                 failures[k] = error(message)
@@ -341,10 +349,8 @@ def _final_covariance(system: WhitenedSystem, theta: np.ndarray, final,
                       failures: list) -> np.ndarray:
     """Covariances ``V S^-2 V^T`` (T, P, P) at the final iterates ``theta``
     of the windows ``final`` (every window when None), NaN elsewhere.  A
-    window whose design is unusable at its final iterate fails here (the
-    loop has already failed every window with too few rows), and so does
-    one whose ``S^2`` overflows, whose covariance would read zero (as its
-    error theory, with RankDeficient)."""
+    window whose design fails the ``rank_rule`` at its final iterate fails
+    here (the loop has already failed every window with too few rows)."""
     if final is not None and not final.size:
         return np.full(theta.shape + theta.shape[1:], np.nan)
     a, _, degenerate = system.at(theta if final is None else theta[final],
@@ -353,13 +359,7 @@ def _final_covariance(system: WhitenedSystem, theta: np.ndarray, final,
     keep, (_, s, vt) = rank_rule(a, failures, rows, degenerate)
     if keep is not None:
         rows = rows[keep]
-    s2 = s**2
-    if not _all_finite(s2):  # the largest singular value overflows first
-        finite = s2[:, 0] < np.inf
-        for k in rows[~finite].tolist():
-            failures[k] = RankDeficient(_INDEFINITE)
-        rows, s2, vt = rows[finite], s2[finite], vt[finite]
-    covariance = (vt.mT / s2[..., None, :]) @ vt
+    covariance = (vt.mT / (s**2)[..., None, :]) @ vt
     if len(rows) == len(theta):
         return covariance
     stacked = np.full(theta.shape + theta.shape[1:], np.nan)

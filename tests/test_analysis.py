@@ -443,11 +443,11 @@ class TestIndefiniteInverse:
 
 
 class TestOverflowedInformation:
-    """A noise level of 1e-160 m passes the batch's sigma check and the
-    rank rule (the whitened design is about 1e160, well inside float64),
-    but its information ``A^T A`` overflows.  Every budget of that window
-    fails as ``crlb`` does, with no warning, and the other windows of its
-    stack are left alone."""
+    """A noise level of 1e-160 m passes the batch's sigma check (the
+    whitened design is about 1e160, well inside float64), but its
+    information ``A^T A`` overflows, so the rank rule fails the design.
+    Every budget of that window fails as ``crlb`` does, with no warning,
+    and the other windows of its stack are left alone."""
 
     MESSAGE = "^Fisher information is not positive-definite$"
     TINY = 1e-160

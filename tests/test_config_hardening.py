@@ -195,11 +195,11 @@ class TestScenarioConfigRegressions:
         assert err == "error: Fisher information is not positive-definite\n"
 
     def test_overflowing_information(self, tmp_path):
-        """At a noise level of 1e-160 m the error theory's information
-        ``A^T A`` overflows: crlb warned (overflow in matmul) before its
+        """At a noise level of 1e-160 m the information ``A^T A`` of every
+        design overflows: crlb warned (overflow in matmul) before its
         error, and a study before its NaN theory, which it still writes.
-        The solves' final ``S^2`` overflows likewise, so every trial fails
-        at its covariance (see test_overflowing_covariance)."""
+        The rank rule now fails every such design, in the error theory and
+        at each trial's first iteration (see test_overflowing_covariance)."""
         cfg = {"noise": {"sigma": 1e-160}}
         code, out, err, runtime = _repro(tmp_path, "crlb", cfg)
         assert (code, out, runtime) == (1, "", [])
@@ -213,9 +213,9 @@ class TestScenarioConfigRegressions:
 
     @pytest.mark.parametrize("estimator", ["kvd", "uvd", "pvd", "d"])
     def test_overflowing_covariance(self, tmp_path, estimator):
-        """At a noise level of 1e-160 m ``solve`` converges, but the
-        squared singular values of its final design overflow: it printed
-        ``pos_std_m=0`` and exit 0; now it fails as crlb does."""
+        """At a noise level of 1e-160 m the squared singular values of the
+        solve's design overflow: it printed ``pos_std_m=0`` and exit 0;
+        now the rank rule fails it at its first iteration, as crlb does."""
         cfg = str(_write(tmp_path, {"noise": {"sigma": 1e-160}}))
         assert _run(["simulate", "--config", cfg, "--seed", "3", "--out",
                      str(tmp_path)])[0] == 0

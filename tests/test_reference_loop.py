@@ -37,8 +37,9 @@ from seqloc.errors import (DegenerateGeometry, DimensionMismatch, Diverged,
 from seqloc.experiments import default_scenario
 from seqloc.model import (DEFAULT_GEOMETRY_EPS, BsConstellation,
                           WhitenedSystem, _freeze)
-from seqloc.solvers import (_OVERFLOWED_DESIGN, _OVERFLOWED_START,
-                            MAX_DESIGN_CONDITION, StackSolution)
+from seqloc.solvers import (_INDEFINITE, _OVERFLOWED_DESIGN,
+                            _OVERFLOWED_START, MAX_DESIGN_CONDITION,
+                            StackSolution)
 
 # Verbatim reference code starts here.
 
@@ -120,7 +121,9 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
       design, so one overflowed window would fail the stacked SVD);
     * a UD on a BS, where ``degenerate`` (DegenerateGeometry);
     * a condition number beyond MAX_DESIGN_CONDITION, or a zero,
-      negative-zero or NaN smallest singular value (RankDeficient).
+      negative-zero or NaN smallest singular value (RankDeficient);
+    * a largest singular value that squares to inf, so that float64 holds
+      neither ``A^T A`` nor ``V S^-2 V^T`` (RankDeficient, _INDEFINITE).
 
     Returns the mask of the usable windows (None when every window is)
     and their SVD ``(U, S, V^T)``, or ``S`` alone without ``compute_uv``.
@@ -137,10 +140,12 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
     last = s[:, -1]
     if (rows >= params and broken is None and degenerate is None
             and np.minimum.reduce(last) > 0
-            and np.maximum.reduce(s[:, 0] / last) <= MAX_DESIGN_CONDITION):
+            and np.maximum.reduce(s[:, 0] / last) <= MAX_DESIGN_CONDITION
+            and np.maximum.reduce(s[:, 0]) ** 2 < np.inf):
         return None, svd
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         conditioned = (last > 0) & (s[:, 0] / last <= MAX_DESIGN_CONDITION)
+        held = s[:, 0] * s[:, 0] < np.inf
     m = rows if m is None else m
     keep = np.ones(len(a), dtype=bool)
     for mask, error, message in (
@@ -150,7 +155,8 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
             (degenerate, DegenerateGeometry,
              "UD coincides with a BS in this batch"),
             (~conditioned, RankDeficient,
-             "whitened design matrix is rank-deficient")):
+             "whitened design matrix is rank-deficient"),
+            (~held, RankDeficient, _INDEFINITE)):
         if mask is not None:
             for k in np.asarray(trials)[keep & mask].tolist():
                 failures[k] = error(message)
@@ -402,3 +408,14 @@ def test_mixed_outcome_cells_match_the_reference_loop(monkeypatch, scenario,
                                                       spec):
     outcomes = _cell_against_reference(monkeypatch, scenario, spec, MIXED, 60)
     assert outcomes == {"converged", "Diverged", "max_iter"}
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_overflowing_information_cells_match_the_reference_loop(
+        monkeypatch, scenario, spec):
+    """At a noise level of 1e-160 m the largest singular value of every
+    whitened design squares to inf: the rank rule fails each window at its
+    first iteration, on the fast path of the loop as in its table."""
+    outcomes = _cell_against_reference(
+        monkeypatch, replace(scenario, sigma=1e-160), spec, SolverConfig(), 20)
+    assert outcomes == {"RankDeficient"}

@@ -150,8 +150,28 @@ def test_rmse_standard_error_edges():
 
 
 def test_prior_dimension_must_match_the_constellation(bs_square,
+                                                      moving_truth,
                                                       moving_batch):
+    """A prior, velocity or deviation of the wrong dimension, or a
+    velocity that is not finite, fails the error theory's single-window
+    functions with the solvers' messages, not numpy's ValueError."""
     prior = VelocityPrior.isotropic(np.zeros(3), 1.0)
     with pytest.raises(DimensionMismatch,
                        match="prior dimension does not match BSs"):
         solve_prior_velocity(moving_batch, bs_square, prior)
+    with pytest.raises(DimensionMismatch,
+                       match="prior dimension does not match BSs"):
+        analysis.check_crlb_ordering(moving_batch, bs_square, moving_truth,
+                                     prior)
+    for call, message in (
+            (lambda: analysis.bias_deviated_velocity(
+                moving_batch, bs_square, moving_truth, np.zeros(3)),
+             "velocity dimension does not match BSs"),
+            (lambda: analysis.bias_linear_lower_bound(
+                moving_batch, bs_square, moving_truth, [np.zeros(3)]),
+             "velocity dimension does not match BSs"),
+            (lambda: analysis.bias_deviated_velocity(
+                moving_batch, bs_square, moving_truth, [np.nan, 0.0]),
+             "velocity must be finite")):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            call()

@@ -336,10 +336,11 @@ class TestSolveStack:
 
     def test_covariance_beyond_float64_fails_only_its_window(
             self, bs_square, moving_truth):
-        """At a noise level of 1e-160 m a window converges, but ``S^2`` of
-        its final design overflows and its covariance would read 0: it
-        fails as its error theory does, the other windows keep their
-        bits (also beside a window that failed in the loop)."""
+        """At a noise level of 1e-160 m the largest singular value of a
+        window's design squares to inf, so its covariance would read 0:
+        the rank rule fails it at its first iteration, as its error
+        theory does, and the other windows keep their bits (also beside
+        a window that failed in the loop)."""
         from seqloc.model import WhitenedSystem
         from seqloc.solvers import _INDEFINITE, initial_vectors, solve_stack
 
