@@ -15,7 +15,12 @@
 # head's .github/identity-tiny-noise.json (a noise level of 1e-160 m, whose
 # information overflows float64) as --config for both trees, with stderr
 # and the exit status: crlb, simulate --fix 2, solve of that batch with
-# every estimator and the speed-sweep study.  Usage errors and help, with
+# every estimator and the speed-sweep study.  With the head's
+# .github/identity-overflow-uvd-pvd.json and
+# .github/identity-overflow-stationary.json (slots 1e148 s and 1e300 s
+# apart, where the whitened times of the smallest grid noise level
+# overflow), with stderr and the exit status: the noise-sweep-uvd-pvd and
+# stationary-noise studies, without --svg.  Usage errors and help, with
 # their exit status: no arguments, -h, an unknown command, solve alone and
 # with -h, and a solve of the fix-0 batch with an extra argument, an
 # unknown option or an unknown estimator.  The
@@ -103,12 +108,18 @@ write_outputs() {  # TREE OUT HASHSEED
     done
     record tiny-experiment experiment speed-sweep --config "$tiny" \
         --out tiny-studies
+    record overflow-uvd-pvd experiment noise-sweep-uvd-pvd \
+        --config "$overflow_uvd_pvd" --out overflow-studies
+    record overflow-stationary experiment stationary-noise \
+        --config "$overflow_stationary" --out overflow-studies
 }
 
 base="$3/base" head="$3/head"
 config="$(cd "$2" && pwd)/.github/identity-config.json"
 stationary="$(cd "$2" && pwd)/.github/identity-stationary.json"
 tiny="$(cd "$2" && pwd)/.github/identity-tiny-noise.json"
+overflow_uvd_pvd="$(cd "$2" && pwd)/.github/identity-overflow-uvd-pvd.json"
+overflow_stationary="$(cd "$2" && pwd)/.github/identity-overflow-stationary.json"
 write_outputs "$1" "$base" 0
 write_outputs "$2" "$head" 1
 status=0 count=0

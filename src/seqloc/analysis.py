@@ -82,6 +82,8 @@ def _one(batch: MeasurementBatch, truth: FullParams, bs: BsConstellation,
          prior: VelocityPrior | None = None):
     """One window in the form the theory runs on: a WindowStack, the true
     state ``[p, b, d, v]`` (1, 2N+2) and, with a prior, its PriorRows."""
+    if truth.n_dim != bs.n_dim:
+        raise DimensionMismatch("truth dimension does not match BSs")
     return (WindowStack.of([batch]), truth.as_vector()[None],
             None if prior is None else prior_rows([prior], bs.n_dim))
 

@@ -1,7 +1,7 @@
 """Experiment harness: the six study configurations, empirical statistics,
 result tables and deterministic CSV/SVG emission.  A study's (sweep
 value, estimator) cells are solved, and their theory computed, once per
-design family; a cell whose stack cannot be built still fails alone.
+design family; a trial whose numbers fail fails alone.
 Each cell is aggregated from its ``TrialCell`` columns (``simulate``):
 no per-trial object is built between the draw and the CSV.
 
@@ -320,7 +320,7 @@ def run_experiment(spec: ExperimentSpec,
     for (value, estimator), cell, (theo, crl) in zip(
             keys, cells, _theory_columns(cells)):
         good = np.count_nonzero(cell.converged)
-        # Without a converged trial the cell may have failed as a whole.
+        # Without a converged trial there is no empirical RMSE.
         emp = (empirical_rmse(cell.position_errors()).rmse if good
                else float("nan"))
         rows.append(ResultRow(

@@ -431,17 +431,21 @@ class WhitenedSystem:
 
     Every array has a leading trial axis: the ``windows`` (a WindowStack)
     are (T, M), ``v_known`` is (T, N), ``priors`` are PriorRows.  The
-    constructor checks the BS indices and the velocity and prior shapes;
-    whether there are enough measurements is the solvers' rank rule.
-    ``of`` builds the stack from validated batches and priors.
+    constructor raises only for a malformed call: a BS index out of
+    range, a velocity or prior of the wrong shape, or both.  A window's
+    numbers never fail the stack: whitened columns that overflow are
+    stored as NaN, and a known velocity that is not finite turns the LOS
+    rows NaN, so the solvers' rank rule (which also counts measurements)
+    fails that window alone.  ``of`` builds the stack from validated
+    batches and priors.
 
     ``v_start`` (T, N) is where a solve starts the free velocity: the
     prior means with a prior, else zero; None when the velocity is known.
     """
 
-    # A displacement or whitened time that overflows fails its window in
-    # the solver, or the whole stack below, without a warning.
-    @np.errstate(over="ignore")
+    # A velocity or whitened time that is not finite fails its window in
+    # the rank rule, without a warning (``0 * inf`` at the epoch row).
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, bs: BsConstellation, windows: WindowStack,
                  v_known=None, priors: PriorRows | None = None):
         n = bs.n_dim
@@ -454,10 +458,10 @@ class WhitenedSystem:
                 (np.minimum.reduce(bs_index, axis=None) < 0
                  or np.maximum.reduce(bs_index, axis=None) >= bs.n_bs)):
             raise DimensionMismatch("batch references a BS index out of range")
-        if v_known is not None:
-            _require_velocity(v_known, (count, n))
-            if prior_root is not None:
-                raise DimensionMismatch("a known velocity takes no prior")
+        if v_known is not None and v_known.shape != (count, n):
+            raise DimensionMismatch("velocity dimension does not match BSs")
+        if v_known is not None and prior_root is not None:
+            raise DimensionMismatch("a known velocity takes no prior")
         if prior_root is not None and (prior_root.shape != (count, n, n)
                                        or prior_mean.shape != (count, n)):
             raise DimensionMismatch("prior dimension does not match BSs")
@@ -481,11 +485,10 @@ class WhitenedSystem:
                       else self.dt_col * v_known[:, None, :])
         if prior_root is not None:
             self.template[:, m:, n + 2:] = prior_root
-        # LAPACK may never return from the SVD of a design holding inf.
+        # NaN, not inf: the SVD rejects a NaN design cleanly, but may
+        # print to stderr and return NaN on a design holding inf alone.
         if not _all_finite(self.template):
-            raise DimensionMismatch("the whitened design overflows: times "
-                                    "too far from the epoch, or too tight "
-                                    "a prior")
+            self.template[~np.isfinite(self.template)] = np.nan
 
     @classmethod
     def of(cls, batches, bs: BsConstellation, v_known=None, priors=None):
@@ -557,10 +560,10 @@ def _unwhitened(batch: MeasurementBatch, bs: BsConstellation, at,
         windows = windows._replace(rho=np.zeros((1, batch.m)))
     priors = (None if prior_mean is None
               else PriorRows(np.eye(bs.n_dim)[None], prior_mean[None]))
-    system = WhitenedSystem(
-        bs, windows,
-        None if v_known is None else np.asarray(v_known, dtype=float)[None],
-        priors)
+    if v_known is not None:
+        v_known = np.asarray(v_known, dtype=float)[None]
+        _require_velocity(v_known, (1, bs.n_dim))
+    system = WhitenedSystem(bs, windows, v_known, priors)
     theta = at.as_vector()[None]
     if theta.shape[1:] != (system.n_params,):
         raise DimensionMismatch("parameters do not match the estimator")

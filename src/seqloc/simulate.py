@@ -15,8 +15,8 @@ A Monte Carlo cell is columnar: ``draw_trials`` synthesizes a scenario's
 ``n_trials`` trials as ``(T, ...)`` arrays and ``solve_cells`` solves
 (estimator, draw) cells into ``TrialCell`` columns, one stack per design
 family, with the floating-point operations of the single-window path, so
-each trial is bit-identical to solving it alone; a cell whose stack
-cannot be built still fails alone.  Indexing a cell builds one
+each trial is bit-identical to solving it alone, and a trial whose
+numbers overflow fails alone.  Indexing a cell builds one
 ``TrialRecord``.  Estimator cells can share a draw, except that a
 nominal-prior ``pvd`` cell needs its own."""
 
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, SeqlocError
+from .errors import ConfigError, DimensionMismatch
 from .model import (
     BsConstellation,
     FullParams,
@@ -45,7 +45,6 @@ from .model import (
     _row_norms,
     _trusted_params,
     information_root,
-    parameter_count,
     prior_variance,
 )
 # The solve_* names are unused here but stay bound in this namespace:
@@ -538,9 +537,11 @@ class EstimatorSpec:
         return None
 
 
+@np.errstate(over="ignore")
 def assumed_velocities(v: np.ndarray, deviation: float) -> np.ndarray:
     """True velocities ``v`` (T, N) offset by ``deviation`` m/s along their
-    own headings (the x-axis for a stationary UD)."""
+    own headings (the x-axis for a stationary UD).  An offset velocity
+    beyond float64 is inf, which fails its trial in the solve."""
     if deviation == 0.0:
         return np.array(v)
     speed = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
@@ -548,6 +549,11 @@ def assumed_velocities(v: np.ndarray, deviation: float) -> np.ndarray:
     direction = np.zeros_like(v)
     direction[:, 0] = 1.0
     direction[moving] = v[moving] / speed[moving, None]
+    # Above about 1.3e154 m/s the square overflows: scale those rows down.
+    fast = speed == np.inf
+    if fast.any():
+        u = v[fast] / np.abs(v[fast]).max(axis=1, keepdims=True)
+        direction[fast] = u / _row_norms(u)[:, None]
     return v + deviation * direction
 
 
@@ -721,10 +727,9 @@ def solve_cells(cells: list,
     The cells of one design family (known velocity: kvd and d; joint:
     uvd; prior rows: pvd), constellation and window length run as one
     ``solve_stack`` over their joined windows, keeping each trial's
-    floating-point operations.  A family whose WhitenedSystem cannot be
-    built is solved cell by cell, so only a cell whose own system fails
-    fails whole.  A trial the single-window solve would reject keeps that
-    exception's name in ``errors``."""
+    floating-point operations.  A trial's failure is its own: a trial the
+    single-window solve would reject keeps that exception's name in
+    ``errors``, and the other trials of its family keep their outcomes."""
     inputs = [_cell_inputs(spec, draws) for spec, draws in cells]
     families: dict = {}
     for i, ((_, draws), (v, prior)) in enumerate(zip(cells, inputs)):
@@ -735,23 +740,13 @@ def solve_cells(cells: list,
         draws = [cells[i][1] for i in members]
         bs, win = draws[0].scenario.bs, _joined([d.win for d in draws])
         v_known, prior = map(_joined, zip(*(inputs[i] for i in members)))
-        try:
-            system = WhitenedSystem(bs, win, v_known, prior)
-        except SeqlocError as exc:
-            if len(members) > 1:
-                for i in members:
-                    solved[i] = solve_cells([cells[i]], solver_cfg)[0]
-                continue
-            sols = [StackSolution.failed(len(win.t_l), parameter_count(
-                bs.n_dim, v_known is not None), exc)]
-        else:
-            sol = solve_stack(system, initial_vectors(
-                bs, win.bs_index, win.rho, system.v_start), solver_cfg)
-            ends = np.cumsum([len(d.truth) for d in draws]).tolist()
-            sols = [StackSolution(*(column[start:end] for column in sol))
-                    for start, end in zip([0] + ends, ends)]
-        for i, sol in zip(members, sols):
-            solved[i] = TrialCell(*cells[i], sol, *inputs[i])
+        system = WhitenedSystem(bs, win, v_known, prior)
+        sol = solve_stack(system, initial_vectors(
+            bs, win.bs_index, win.rho, system.v_start), solver_cfg)
+        ends = np.cumsum([len(d.truth) for d in draws]).tolist()
+        for i, start, end in zip(members, [0] + ends, ends):
+            solved[i] = TrialCell(*cells[i], StackSolution(
+                *(column[start:end] for column in sol)), *inputs[i])
     return solved
 
 

@@ -47,6 +47,7 @@ from .model import (  # noqa: F401
     _all_finite,
     _freeze,
     _require_finite,
+    _require_velocity,
     _row_norms,
     _trusted,
     _trusted_params,
@@ -112,9 +113,10 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
     return _SVD_S(a, signature="d->d")
 
 
-# A UD position or displacement so large that its distances to the BSs
-# overflow: the LOS rows of its design turn NaN.
-_OVERFLOWED_DESIGN = "measurements too large: the whitened design overflows"
+# Whitened columns that overflow (times, a prior), or a UD so far out
+# that its distances to the BSs overflow: the design holds NaN.
+_OVERFLOWED_DESIGN = ("the whitened design overflows: measurements or times "
+                      "too large, or too tight a prior")
 # An information A^T A that float64 cannot hold (``rank_rule``: a design
 # whose largest singular value squares to inf, a noise level below about
 # 1e-154 m) or whose inverse rounding leaves indefinite (the error theory).
@@ -132,7 +134,8 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
     * fewer rows than parameters (RankDeficient, counted in measurements:
       ``m`` of the rows are pseudoranges, every row when None);
     * a design that is not finite (DimensionMismatch: LAPACK rejects a NaN
-      design, so one overflowed window would fail the stacked SVD);
+      design, so one overflowed window would fail the stacked SVD; the
+      ``WhitenedSystem`` of such a window holds NaN, never inf alone);
     * a UD on a BS, where ``degenerate`` (DegenerateGeometry);
     * a condition number beyond MAX_DESIGN_CONDITION, or a zero,
       negative-zero or NaN smallest singular value (RankDeficient);
@@ -258,14 +261,6 @@ class StackSolution(NamedTuple):
     step_norm: np.ndarray
     covariance: np.ndarray
     failures: list
-
-    @classmethod
-    def failed(cls, count: int, n_params: int, error) -> "StackSolution":
-        """``count`` windows of ``n_params`` parameters, all failed."""
-        return cls(np.full((count, n_params), np.nan),
-                   np.zeros(count, dtype=int), np.zeros(count, dtype=bool),
-                   np.zeros(count), np.full((count, n_params, n_params),
-                                            np.nan), [error] * count)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -406,7 +401,9 @@ def solve_known_velocity(batch: MeasurementBatch, bs: BsConstellation,
                          v_known, init: KvdParams | None = None,
                          cfg: SolverConfig = SolverConfig()) -> EstimateReport:
     """Estimate ``[p, b, d]`` with the UD velocity supplied externally."""
-    return _solve(batch, bs, init, cfg, np.asarray(v_known, float)[None])
+    v_known = np.asarray(v_known, float)[None]
+    _require_velocity(v_known, (1, bs.n_dim))
+    return _solve(batch, bs, init, cfg, v_known)
 
 
 def solve_joint_velocity(batch: MeasurementBatch, bs: BsConstellation,

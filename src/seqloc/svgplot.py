@@ -43,11 +43,12 @@ def _ticks(lo, hi, log):
 
 def line_chart(series, path, title="", x_label="", y_label="",
                log_x=False, log_y=False):
-    """Write a line chart SVG; ``series`` is [(label, xs, ys), ...]."""
-    xs_all = [x for _, xs, _ in series for x in xs]
+    """Write a line chart SVG; ``series`` is [(label, xs, ys), ...].
+    Without a finite point the chart keeps its axes and legend, over a
+    unit range, and draws no line."""
+    xs_all = [x for _, xs, _ in series for x in xs] or [1.0]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
-    if not xs_all or not ys_all:
-        raise ValueError("nothing to plot")
+    ys_all = ys_all or [1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if not log_y:
@@ -100,13 +101,12 @@ def line_chart(series, path, title="", x_label="", y_label="",
     for k, (label, xs, ys) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
         pts = [(x, y) for x, y in zip(xs, ys) if math.isfinite(y)]
-        if not pts:
-            continue
         pxs = _transform([p[0] for p in pts], x_lo, x_hi, px_lo, px_hi, log_x)
         pys = _transform([p[1] for p in pts], y_lo, y_hi, py_lo, py_hi, log_y)
-        coords = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(pxs, pys))
-        parts.append(f'<polyline points="{coords}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.8"/>')
+        if pts:
+            coords = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(pxs, pys))
+            parts.append(f'<polyline points="{coords}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.8"/>')
         for x, y in zip(pxs, pys):
             parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.6" '
                          f'fill="{color}"/>')

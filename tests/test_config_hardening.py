@@ -438,12 +438,12 @@ def test_non_finite_sweep_values_rejected(tmp_path, study, experiment,
 
 
 class TestWholeCellFallback:
-    """A cell whose ``WhitenedSystem`` cannot be built records the
-    constructor's error for every trial (``solve_trials``' whole-cell
-    fallback), the error each trial's single-window solve raises, and the
-    sweep goes on.  Slots 1e300 s apart put ``dt`` near 7e300: at sigma
-    1e-10 the whitened ``dt / sigma`` column overflows, at sigma 0.1 it
-    does not, but no design is usable."""
+    """Cells whose every window fails record, for every trial, the error
+    its single-window solve raises, and the sweep goes on.  Slots 1e300 s
+    apart put ``dt`` near 7e300: at sigma 1e-10 the whitened ``dt /
+    sigma`` column overflows, which fails each window alone in the rank
+    rule (DimensionMismatch), at sigma 0.1 it does not, but no design is
+    usable.  Both sigmas run in one stack."""
 
     CONFIG = {"schedule": {"slot_interval": 1e300}, "trials": 3,
               "experiment": {"grid": [1e-10, 0.1]}}
@@ -462,8 +462,8 @@ class TestWholeCellFallback:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run_experiment(spec, cfg)
-            # Only the sigma 0.1 cells reach the loop.
-            assert stacked == [10.0, 10.0]
+            # One stack holds the cells of both sigmas.
+            assert stacked == [1e10]
             assert len(result.records) == 4
             for (value, kind), cell in result.records.items():
                 assert cell.errors == (self.EXPECTED[value],) * 3
@@ -496,3 +496,72 @@ class TestWholeCellFallback:
         assert lines.splitlines()[1:] == [
             "1e-10,kvd,nan,nan,nan,3,3", "1e-10,d,nan,nan,nan,3,3",
             "0.1,kvd,nan,nan,nan,3,3", "0.1,d,nan,nan,nan,3,3"]
+
+
+def test_svg_without_a_finite_row(tmp_path):
+    """At a noise level of 1e-160 m every trial fails, so no row of the
+    speed-sweep is finite: ``--svg`` ended in a ValueError ("nothing to
+    plot").  The chart now keeps its axes and legend and draws no line,
+    and the sweep prints its summary and exits 0."""
+    cfg = {"noise": {"sigma": 1e-160}, "trials": 3}
+    out_dir = tmp_path / "out"
+    code, out, err, runtime = _run(
+        ["experiment", "speed-sweep", "--svg", "--out", str(out_dir),
+         "--config", str(_write(tmp_path, cfg))])
+    assert (code, err, runtime) == (0, "", [])
+    lines = out.splitlines()
+    assert len(lines) == 13 and lines[0].startswith("kvd @ 0.1: rmse nan m")
+    assert lines[-1] == f"wrote {out_dir / 'speed-sweep.svg'}"
+    svg = (out_dir / "speed-sweep.svg").read_text()
+    assert "<polyline" not in svg and "<circle" not in svg
+    for label in ("UD speed (m/s)", "position RMSE (m)", "kvd empirical",
+                  "kvd theory", "d empirical", "d theory"):
+        assert f">{label}</text>" in svg
+
+
+class TestFastUd:
+    """A UD so fast that its squared speed overflows (above about 1.3e154
+    m/s): the deviation of its assumed velocity was dropped (its heading
+    read ``v / inf = 0``) with a RuntimeWarning."""
+
+    def test_assumed_velocities_keep_the_heading(self):
+        v = np.array([[1e155, 0.0], [3.0, 4.0], [-1e300, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assumed = simulate.assumed_velocities(v, 1e140)
+        assert np.array_equal(assumed[0], v[0] + 1e140 * v[0] / 1e155)
+        # A speed whose square is finite keeps its bits.
+        assert np.array_equal(assumed[1], v[1] + 1e140 * (v[1] / 5.0))
+        assert np.array_equal(assumed[2],
+                              v[2] + 1e140 * np.array([-1, 1]) / np.sqrt(2))
+
+    def test_deviation_sweep_exits_zero(self, tmp_path):
+        cfg = {"trajectory": {"kind": "random-placement", "center": [15, 15],
+                              "half_side": 5.0, "speed": 1e155}, "trials": 3}
+        code, out, err, runtime = _run(
+            ["experiment", "velocity-deviation", "--out",
+             str(tmp_path / "out"), "--config", str(_write(tmp_path, cfg))])
+        assert (code, err, runtime) == (0, "", [])
+        assert "kvd @ 5: rmse nan m" in out
+
+    def test_assumed_velocity_beyond_float64_fails_its_trial(self, tmp_path):
+        """At 1e308 m/s a deviation of 1e308 m/s overflows the assumed
+        velocity on the trials heading near an axis: those trials fail
+        alone with DimensionMismatch (their design is NaN), the sweep
+        goes on and exits 0."""
+        cfg = {"trajectory": {"kind": "random-placement", "center": [15, 15],
+                              "half_side": 5.0, "speed": 1e308},
+               "schedule": {"slot_interval": 1e-300}, "trials": 6,
+               "experiment": {"grid": [0.0, 1e308]}}
+        config, spec = scenario_from_config(cfg, "velocity-deviation")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cell = run_experiment(spec, config).records[(1e308, "kvd")]
+        overflowed = ~np.isfinite(cell.v_assumed).all(axis=1)
+        assert 0 < overflowed.sum() < len(cell)
+        for k, error in enumerate(cell.errors):
+            assert (error == "DimensionMismatch") == overflowed[k]
+        code, _, err, runtime = _run(
+            ["experiment", "velocity-deviation", "--out",
+             str(tmp_path / "out"), "--config", str(_write(tmp_path, cfg))])
+        assert (code, err, runtime) == (0, "", [])

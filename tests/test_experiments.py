@@ -287,9 +287,9 @@ class TestSharedDraws:
 
     def test_cell_whose_stack_cannot_be_built_fails_alone(self):
         """Slots 1e148 s apart: at sigma 1e-160 the whitened ``dt / sigma``
-        column overflows, so the uvd and pvd families cannot be stacked
-        and those cells fail whole with DimensionMismatch; the sigma 0.1
-        cells, solved alone, keep their per-window RankDeficient."""
+        column overflows, so every window of those cells fails alone with
+        DimensionMismatch; the sigma 0.1 cells, in the same uvd and pvd
+        stacks, keep their per-window RankDeficient."""
         spec, cfg = tiny("noise-sweep-uvd-pvd", trials=6, grid=(1e-160, 0.1))
         cfg = replace(cfg, schedule=simulate.TdmaSchedule(
             bs_order=(0, 1, 2, 3), slot_interval=1e148))

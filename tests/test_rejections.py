@@ -175,3 +175,32 @@ def test_prior_dimension_must_match_the_constellation(bs_square,
              "velocity must be finite")):
         with pytest.raises(DimensionMismatch, match=f"^{message}$"):
             call()
+
+
+def test_truth_dimension_must_match_the_constellation(bs_square,
+                                                      moving_batch):
+    """A 3-D truth on the 2-D square is rejected as a truth of the wrong
+    dimension by every single-window theory function: numpy's ValueError
+    was raised by some, and the velocity was blamed by the others."""
+    from seqloc import FullParams
+
+    truth = FullParams(p=[15.0, 15.0, 1.0], b=30.0, d=0.0, v=[5.0, 0.0, 0.0])
+    prior = VelocityPrior.isotropic(np.zeros(2), 1.0)
+    calls = [lambda variant=variant: analysis.fim(
+                 moving_batch, bs_square, truth, variant, prior)
+             for variant in ("kvd", "uvd", "pvd")]
+    calls += [lambda variant=variant: analysis.theoretical_rmse(
+                  variant, moving_batch, bs_square, truth, prior)
+              for variant in ("kvd", "uvd", "pvd")]
+    calls += [
+        lambda: analysis.check_crlb_ordering(moving_batch, bs_square, truth,
+                                             prior),
+        lambda: analysis.bias_drift_only(moving_batch, bs_square, truth),
+        lambda: analysis.bias_deviated_velocity(moving_batch, bs_square,
+                                                truth, np.ones(2)),
+        lambda: analysis.bias_linear_lower_bound(moving_batch, bs_square,
+                                                 truth, [np.ones(2)])]
+    for call in calls:
+        with pytest.raises(DimensionMismatch,
+                           match="^truth dimension does not match BSs$"):
+            call()

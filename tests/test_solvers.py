@@ -409,6 +409,78 @@ class TestOverflowedWindows:
             make_batch([0, 1, 2, 3], [1.7e308, -1.7e308, 0.0, 1.0],
                        t_l=1.7e308)
 
+    @pytest.mark.parametrize("variant, bad", [
+        ("kvd", "times"), ("uvd", "times"), ("pvd", "times"),
+        ("kvd", "inf-velocity"), ("kvd", "nan-velocity")])
+    def test_one_bad_window_fails_alone_in_solve_and_theory(
+            self, capfd, bs_square, moving_truth, variant, bad):
+        """One window's numbers fail that window alone, in the solve and
+        in the theory: whitened times that overflow (sigma 1e-160 m, times
+        1e150 s from the epoch) or a known velocity that is not finite.
+        The other windows keep the bits of their single-window solves and
+        budgets, and nothing is warned or printed."""
+        import warnings
+
+        from seqloc.model import WhitenedSystem, WindowStack, prior_rows
+        from seqloc.solvers import initial_vectors, solve_stack
+
+        good = canonical_batch(bs_square, moving_truth)
+        batches = [good] * 3
+        v = np.array([moving_truth.v] * 3)
+        if bad == "times":
+            batches[1] = make_batch(np.arange(8) % 4, 1e150 * np.arange(8),
+                                    rho=np.full(8, 20.0), sigma=1e-160)
+        else:
+            v[1] = [np.inf if bad == "inf-velocity" else np.nan, 0.0]
+        prior = VelocityPrior.isotropic(moving_truth.v, 2.0)
+        truth = np.stack([moving_truth.as_vector()] * 3)
+        truth[:, 4:] = v
+        win = WindowStack.of(batches)
+        priors = prior_rows([prior] * 3, 2) if variant == "pvd" else None
+        alone = {"kvd": lambda: solve_known_velocity(good, bs_square,
+                                                     moving_truth.v),
+                 "uvd": lambda: solve_joint_velocity(good, bs_square),
+                 "pvd": lambda: solve_prior_velocity(good, bs_square,
+                                                     prior)}[variant]()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            system = WhitenedSystem(bs_square, win, v if variant == "kvd"
+                                    else None, priors)
+            sol = solve_stack(system, initial_vectors(
+                bs_square, win.bs_index, win.rho, system.v_start))
+            budgets = analysis.theoretical_rmse_stack(variant, win,
+                                                      bs_square, truth,
+                                                      priors)
+            projectors = analysis.kvd_projectors(win, bs_square, truth)
+        assert caught == [] and capfd.readouterr() == ("", "")
+        assert isinstance(sol.failures[1], DimensionMismatch)
+        assert str(sol.failures[1]).startswith(
+            "the whitened design overflows")
+        assert not sol.converged[1] and np.isnan(sol.covariance[1]).all()
+        for k in (0, 2):
+            assert sol.failures[k] is None and sol.converged[k]
+            assert np.array_equal(sol.theta[k], alone.params.as_vector())
+            assert sol.iterations[k] == alone.iterations
+            assert sol.step_norm[k] == alone.final_step_norm
+            assert np.array_equal(sol.covariance[k], alone.covariance)
+        theory = analysis.theoretical_rmse(
+            variant, good, bs_square, moving_truth,
+            prior if variant == "pvd" else None)
+        one = WindowStack.of([good])
+        single = analysis.kvd_projectors(one, bs_square, truth[:1])
+        for stack, fields, reference in (
+                (budgets, ("variance", "rmse"), theory),
+                (projectors, ("projector", "inverse"), None)):
+            assert isinstance(stack.failures[1], DimensionMismatch)
+            assert [stack.failures[0], stack.failures[2]] == [None, None]
+            for name in fields:
+                column = getattr(stack, name)
+                assert np.isnan(column[1]).all()
+                expected = (getattr(single, name)[0] if reference is None
+                            else getattr(reference, name))
+                for k in (0, 2):
+                    assert np.array_equal(column[k], expected)
+
     def test_design_turning_nan_fails_its_window_in_loop_and_at_the_end(self):
         from seqloc.solvers import solve_stack
 
