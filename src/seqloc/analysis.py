@@ -11,7 +11,6 @@ between the three estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +39,7 @@ from .solvers import _INDEFINITE, rank_rule
 ORDERING_EIG_FLOOR = -1e-10  # PD tolerance for covariance-ordering checks
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     """Position bias vector, N-by-N variance and scalar RMSE, tied together
     by rmse^2 = ||bias||^2 + trace(variance)."""
 
@@ -50,8 +48,7 @@ class ErrorBudget:
     rmse: float
 
 
-@dataclass(frozen=True)
-class BudgetStack:
+class BudgetStack(NamedTuple):
     """Error budgets of a stack of T windows: bias (T, N), variance
     (T, N, N) and rmse (T,), and per window None or the SeqlocError that
     leaves its theory undefined (its entries are then NaN)."""
@@ -229,8 +226,7 @@ def bias_drift_only(batch: MeasurementBatch, bs: BsConstellation,
     return bias_deviated_velocity(batch, bs, truth, np.zeros(bs.n_dim))
 
 
-@dataclass(frozen=True)
-class OrderingCheck:
+class OrderingCheck(NamedTuple):
     """Traces of the position covariance blocks for the three estimators
     plus the positive-definiteness margins of their pairwise differences."""
 
@@ -290,8 +286,7 @@ def check_crlb_ordering(batch: MeasurementBatch, bs: BsConstellation,
     )
 
 
-@dataclass(frozen=True)
-class DeviationBoundCheck:
+class DeviationBoundCheck(NamedTuple):
     """One deviation against the quadratic lower bound on the bias."""
 
     deviation: np.ndarray
@@ -300,8 +295,7 @@ class DeviationBoundCheck:
     holds: bool
 
 
-@dataclass(frozen=True)
-class BiasLowerBound:
+class BiasLowerBound(NamedTuple):
     alpha: float
     checks: tuple[DeviationBoundCheck, ...]
 

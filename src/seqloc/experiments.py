@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +79,7 @@ DEFAULT_SEED = 20260808
 CIRCULAR_DURATION_S = 360.0
 
 
-@dataclass(frozen=True)
-class RmseResult:
+class RmseResult(NamedTuple):
     rmse: float
     per_axis: tuple
 
@@ -191,8 +191,7 @@ def default_scenario(name: str | None = None, seed: int = DEFAULT_SEED,
         n_trials=trials, **common)
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     sweep_value: float
     estimator: str
     empirical_rmse: float
@@ -202,8 +201,7 @@ class ResultRow:
     non_converged: int
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     spec: ExperimentSpec
     scenario: ScenarioConfig
     rows: tuple
@@ -354,9 +352,11 @@ def _write_sweep_csv(result: ExperimentResult, out_dir: Path) -> Path:
 def _circular_errors(result: ExperimentResult, row: ResultRow):
     """The position errors (G, N) of the converged fixes of ``row`` and
     the CDF of their Euclidean norms (``np.linalg.norm`` of each row: the
-    square root of its dot product with itself)."""
+    square root of its dot product with itself), empty when G is 0."""
     cell = result.records[(result.spec.grid[0], row.estimator)]
     errors = cell.position_errors()
+    if not len(errors):
+        return errors, []
     norms = np.sqrt((errors[:, None, :] @ errors[:, :, None])[:, 0, 0])
     return errors, error_cdf(norms.tolist())
 
@@ -367,7 +367,9 @@ def _write_circular_csvs(result: ExperimentResult, out_dir: Path):
     cdf_lines = ["estimator,error_m,cum_fraction"]
     for row in result.rows:
         errors, cdf = _circular_errors(result, row)
-        stats = empirical_rmse(errors)
+        # Without a converged fix there is no empirical RMSE.
+        stats = (empirical_rmse(errors) if cdf else
+                 RmseResult(math.nan, (math.nan,) * errors.shape[1]))
         summary.append(",".join([
             row.estimator, _fmt(stats.per_axis[0]), _fmt(stats.per_axis[1]),
             _fmt(stats.rmse), _fmt(row.crlb_rmse), str(row.trials),

@@ -102,9 +102,10 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` built from fields the
-    caller made and checked itself (read-only arrays, Python scalars),
-    without running its validation again."""
+    """An instance of the validated dataclass ``cls`` (MeasurementBatch,
+    the params, VelocityPrior) built from fields the caller made and
+    checked itself (read-only arrays, Python scalars), without running
+    its ``__post_init__`` again."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -548,13 +549,15 @@ class WhitenedSystem:
         return a, np.concatenate([z, prior_z], axis=1), degenerate
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _unwhitened(batch: MeasurementBatch, bs: BsConstellation, at,
                 v_known=None, prior_mean=None, rho: bool = True):
     """``WhitenedSystem.at`` for the one window ``batch`` at the params
     ``at`` with every ``sigma`` set to 1, so that nothing is whitened: the
     design rows, the residual ``rho - h`` (``-h`` without ``rho``) and
     whether the UD sits on a BS.  ``prior_mean`` appends the prior rows
-    ``[0 | I]`` with residual ``prior_mean - v``."""
+    ``[0 | I]`` with residual ``prior_mean - v``.  A range that overflows
+    float64 is infinite, without a warning, and leaves a zero LOS row."""
     windows = WindowStack.of([batch])._replace(sigma=np.ones((1, batch.m)))
     if not rho:
         windows = windows._replace(rho=np.zeros((1, batch.m)))
@@ -597,7 +600,9 @@ def _design(batch: MeasurementBatch, bs: BsConstellation, at, variant: str,
         np.zeros(bs.n_dim) if variant == "pvd" else None)
     if degenerate:
         raise DegenerateGeometry("UD coincides with a BS in this batch")
-    _require_finite(a, "design matrix")
+    # A range that overflows leaves a zero LOS row, not a finite design.
+    if not (_all_finite(a) and np.all(_row_norms(a[:batch.m, :bs.n_dim]))):
+        raise DimensionMismatch("design matrix must be finite")
     return a
 
 

@@ -557,8 +557,7 @@ def assumed_velocities(v: np.ndarray, deviation: float) -> np.ndarray:
     return v + deviation * direction
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """Outcome of one Monte Carlo trial, with the inputs kept for the
     theory columns (the analysis is always evaluated at the truth)."""
 

@@ -49,7 +49,6 @@ from .model import (  # noqa: F401
     _require_finite,
     _require_velocity,
     _row_norms,
-    _trusted,
     _trusted_params,
     build_design_kvd,
     build_design_pvd,
@@ -80,8 +79,7 @@ class SolverConfig:
             raise ValueError("threshold and divergence_guard must be positive")
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     """Solver output: final parameters, iteration count, convergence flag,
     the covariance ``V S^-2 V^T = (G^T W G)^-1`` from the SVD of the
     whitened design at the final iterate, and the last step norm."""
@@ -366,14 +364,12 @@ def window_report(sol: StackSolution, k: int, n_dim: int) -> EstimateReport:
     """The report of window ``k`` of a solved stack (anything with the
     columns of a StackSolution), which did not fail, over read-only rows
     of its arrays.  The stack's iterates are finite (a non-finite step
-    fails its window), so neither the params nor the report are
-    validated again."""
-    return _trusted(EstimateReport,
-                    params=_trusted_params(sol.theta[k], n_dim),
-                    iterations=sol.iterations.item(k),
-                    converged=sol.converged.item(k),
-                    covariance=sol.covariance[k],
-                    final_step_norm=sol.step_norm.item(k))
+    fails its window), so the params are not validated again."""
+    return EstimateReport(params=_trusted_params(sol.theta[k], n_dim),
+                          iterations=sol.iterations.item(k),
+                          converged=sol.converged.item(k),
+                          covariance=sol.covariance[k],
+                          final_step_norm=sol.step_norm.item(k))
 
 
 def _solve(batch: MeasurementBatch, bs: BsConstellation,

@@ -552,6 +552,33 @@ class TestCircularSvg:
         assert texts[-4:] == ["kvd", "pvd", "uvd", "d"]
         assert len(root.findall(f"{ns}polyline")) == 4
 
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_estimators_without_a_converged_fix(self, capsys, tmp_path,
+                                                svg):
+        """At a noise of 1e-160 m no circular fix converges: each
+        estimator keeps its summary row with nan RMSEs and its counts,
+        and gets no CDF rows and no chart line."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"noise": {"sigma": 1e-160},
+                                    "trials": 3}))
+        code, out, err = run_cli(capsys, "experiment", "circular",
+                                 "--config", str(path), "--out",
+                                 str(tmp_path), *(["--svg"] if svg else []))
+        assert (code, err) == (0, "")
+        summary = (tmp_path / "circular_summary.csv").read_text()
+        assert summary.splitlines()[1:] == [
+            f"{kind},nan,nan,nan,nan,3,3"
+            for kind in ("kvd", "pvd", "uvd", "d")]
+        assert (tmp_path / "circular_cdf.csv").read_text() == (
+            "estimator,error_m,cum_fraction\n")
+        assert (tmp_path / "circular.svg").exists() == svg
+        if svg:
+            root = ET.parse(tmp_path / "circular.svg").getroot()
+            ns = "{http://www.w3.org/2000/svg}"
+            assert [t.text for t in root.iter(f"{ns}text")][-4:] == [
+                "kvd", "pvd", "uvd", "d"]
+            assert root.findall(f"{ns}polyline") == []
+
 
 class TestFixIndex:
     @pytest.mark.parametrize("fix, message", [

@@ -1,6 +1,7 @@
 """Forward model, LOS vectors, design matrices and residuals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,41 @@ class TestResidual:
             residual(batch, bs_square, moving_truth.kvd_part())
         with pytest.raises(DimensionMismatch):
             residual(batch, bs_square, moving_truth, v_known=[1.0, 0.0])
+
+
+class TestOverflowingRanges:
+    """A velocity of 1.7e308 m/s moves the UD beyond float64 after the
+    first slot: the ranges of the later rows overflow, without a warning.
+    Predictions and residuals are infinite there; a design, whose LOS rows
+    would be zero there, is rejected."""
+
+    V = [1.7e308, 0.0]
+    AT = FullParams(p=[15, 15], b=0, d=0, v=V)
+
+    def test_predictions_and_residuals_are_infinite(self, bs_square,
+                                                    moving_truth):
+        batch = canonical_batch(bs_square, moving_truth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = predict_batch(batch, bs_square, self.AT)
+            r_kvd = residual(batch, bs_square, self.AT.kvd_part(),
+                             v_known=self.V)
+            r_uvd = residual(batch, bs_square, self.AT)
+        assert np.isfinite(h[0]) and np.all(h[1:] == np.inf)
+        for r in (r_kvd, r_uvd):
+            assert np.isfinite(r[0]) and np.all(r[1:] == -np.inf)
+
+    @pytest.mark.parametrize("variant", ["kvd", "uvd", "pvd"])
+    def test_designs_rejected(self, bs_square, moving_truth, variant):
+        batch = canonical_batch(bs_square, moving_truth)
+        build = {"kvd": lambda: build_design_kvd(
+                     batch, bs_square, self.AT.kvd_part(), self.V),
+                 "uvd": lambda: build_design_uvd(batch, bs_square, self.AT),
+                 "pvd": lambda: build_design_pvd(batch, bs_square, self.AT)}
+        with warnings.catch_warnings(), pytest.raises(
+                DimensionMismatch, match="design matrix must be finite"):
+            warnings.simplefilter("error")
+            build[variant]()
 
 
 class TestJacobianAgainstFiniteDifferences:

@@ -146,10 +146,17 @@ PER_TRIAL_TYPES = (TrialRecord, EstimateReport, MeasurementBatch, FullParams,
 
 def _counting_objects(monkeypatch) -> Counter:
     """Count the PER_TRIAL_TYPES objects built from now on, through their
-    constructors or through ``model._trusted`` (which skips them), by
-    class name."""
+    constructors (``__new__`` for the NamedTuple records, ``__init__``
+    for the dataclasses) or through ``model._trusted`` (which skips
+    them), by class name."""
     built = Counter()
     for cls in PER_TRIAL_TYPES:
+        if issubclass(cls, tuple):
+            def counted_new(cls, *args, __new=cls.__new__, **kwargs):
+                built[cls.__name__] += 1
+                return __new(cls, *args, **kwargs)
+            monkeypatch.setattr(cls, "__new__", staticmethod(counted_new))
+            continue
         def counted_init(self, *args, __init=cls.__init__, **kwargs):
             built[type(self).__name__] += 1
             __init(self, *args, **kwargs)
@@ -165,6 +172,20 @@ def _counting_objects(monkeypatch) -> Counter:
                                                  None) is trusted:
             monkeypatch.setattr(module, "_trusted", counted_trusted)
     return built
+
+
+def test_counting_objects_sees_every_per_trial_type(monkeypatch):
+    """The counter sees each record a trial's outcome is read through:
+    the TrialRecord and its EstimateReport by their constructors, the
+    batch and the truth through ``_trusted``."""
+    cfg = replace(default_scenario("speed-sweep", seed=11), n_trials=2)
+    cell = seqloc.simulate.run_monte_carlo(
+        cfg, seqloc.simulate.EstimatorSpec(kind="kvd"))
+    built = _counting_objects(monkeypatch)
+    record = cell[0]
+    assert record.converged
+    assert built == Counter({"TrialRecord": 1, "EstimateReport": 1,
+                             "MeasurementBatch": 1, "FullParams": 1})
 
 
 @pytest.mark.parametrize("study", ["speed-compare", "circular"])
