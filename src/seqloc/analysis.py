@@ -85,7 +85,7 @@ def _one(batch: MeasurementBatch, truth: FullParams, bs: BsConstellation,
             None if prior is None else prior_rows([prior], bs.n_dim))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def _designs_at_truth(variant: str, bs: BsConstellation,
                       windows: WindowStack, truth: np.ndarray, priors=None):
     """Whitened designs of ``variant`` at the truths (T, 2N+2) of T

@@ -71,7 +71,7 @@ def _require_sigma(sigma: np.ndarray, error=DimensionMismatch) -> None:
     with a finite, non-zero reciprocal (the whitening weight) and square
     (the variance): about 1.5e-162 to 1.3e154 m.  A positive ``sigma``
     whose square is finite and non-zero has such a reciprocal."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         var = sigma * sigma
     if not ((sigma > 0) & (var > 0) & (var < np.inf)).all():
         raise error("sigma must be strictly positive, with a finite "
@@ -436,9 +436,10 @@ class WhitenedSystem:
     range, a velocity or prior of the wrong shape, or both.  A window's
     numbers never fail the stack: whitened columns that overflow are
     stored as NaN, and a known velocity that is not finite turns the LOS
-    rows NaN, so the solvers' rank rule (which also counts measurements)
-    fails that window alone.  ``of`` builds the stack from validated
-    batches and priors.
+    rows NaN, so the SVD gives that window NaN singular values and the
+    solvers' rank rule (which also counts measurements) fails it alone.
+    ``at`` runs under its caller's error state.  ``of`` builds the stack
+    from validated batches and priors.
 
     ``v_start`` (T, N) is where a solve starts the free velocity: the
     prior means with a prior, else zero; None when the velocity is known.
@@ -486,8 +487,8 @@ class WhitenedSystem:
                       else self.dt_col * v_known[:, None, :])
         if prior_root is not None:
             self.template[:, m:, n + 2:] = prior_root
-        # NaN, not inf: the SVD rejects a NaN design cleanly, but may
-        # print to stderr and return NaN on a design holding inf alone.
+        # NaN, not inf: the SVD rejects a NaN design quietly, but OpenBLAS
+        # prints a DLASCL message on a design holding inf alone.
         if not _all_finite(self.template):
             self.template[~np.isfinite(self.template)] = np.nan
 

@@ -8,10 +8,10 @@ design rather than by inverting the normal matrix, which keeps the
 delta-prior limit of the MAP variant well-conditioned; the reported
 covariance is ``V S^-2 V^T`` at the final iterate.  Every factorization
 (each step, the final covariance and the error theory's designs, all
-through ``rank_rule``) goes through ``_svd``: numpy's LAPACK SVD gufunc
-under ``np.linalg.svd``'s own error state.  It gives the wrapper's bits
-without the wrapper's per-call dispatch, which on one 8-by-4 design costs
-about half as much again as the factorization.
+through ``rank_rule``) goes through ``_svd``: numpy's LAPACK SVD gufunc,
+called bare.  It gives ``np.linalg.svd``'s bits without the wrapper's
+per-call dispatch, which on one 8-by-4 design costs about half as much
+again as the factorization, and NaN factors for a matrix LAPACK rejects.
 
 The loop (``solve_stack``) runs on a stack of windows with numpy's
 stacked ``svd``/``matmul``; a window that fails or converges leaves the
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 from .errors import (DegenerateGeometry, DimensionMismatch, Diverged,
                      RankDeficient)
@@ -91,21 +91,15 @@ class EstimateReport(NamedTuple):
     final_step_norm: float
 
 
-def _svd_nonconvergence(err, flag):
-    raise LinAlgError("SVD did not converge")
-
-
 # np.linalg.svd's gufuncs, bound here so that a numpy without them fails
 # at import, not inside a solve.
 _SVD_USV, _SVD_S = _umath_linalg.svd_s, _umath_linalg.svd
 
 
-@np.errstate(call=_svd_nonconvergence, invalid="call", over="ignore",
-             divide="ignore", under="ignore")
 def _svd(a: np.ndarray, compute_uv: bool = True):
     """``np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)`` of
-    a float64 stack: the same gufunc under the same error state, so the
-    same bits and the same LinAlgError (see the module docstring)."""
+    a float64 stack by the same gufunc, under the caller's error state; a
+    matrix LAPACK rejects gets NaN factors, and the invalid flag is set."""
     if compute_uv:
         return _SVD_USV(a, signature="d->ddd")
     return _SVD_S(a, signature="d->d")
@@ -131,9 +125,10 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
 
     * fewer rows than parameters (RankDeficient, counted in measurements:
       ``m`` of the rows are pseudoranges, every row when None);
-    * a design that is not finite (DimensionMismatch: LAPACK rejects a NaN
-      design, so one overflowed window would fail the stacked SVD; the
-      ``WhitenedSystem`` of such a window holds NaN, never inf alone);
+    * a design LAPACK rejects, whose singular values ``_svd`` gives NaN:
+      DimensionMismatch when it is not finite (an overflowed window holds
+      NaN, never inf alone, on which OpenBLAS prints a DLASCL message),
+      else RankDeficient as below;
     * a UD on a BS, where ``degenerate`` (DegenerateGeometry);
     * a condition number beyond MAX_DESIGN_CONDITION, or a zero,
       negative-zero or NaN smallest singular value (RankDeficient);
@@ -142,16 +137,12 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
 
     Returns the mask of the usable windows (None when every window is)
     and their SVD ``(U, S, V^T)``, or ``S`` alone without ``compute_uv``.
+    Runs under the caller's error state, which must ignore every flag.
     """
     rows, params = a.shape[-2:]
-    broken = None
-    try:
-        svd = _svd(a, compute_uv)
-    except LinAlgError:
-        broken = ~np.isfinite(a).all(axis=(1, 2))
-        svd = _svd(np.where(broken[:, None, None], 0.0, a), compute_uv)
+    svd = _svd(a, compute_uv)
     s = svd[1] if compute_uv else svd
-    if rows >= params and broken is None and degenerate is None:
+    if rows >= params and degenerate is None:
         if len(s) == 1:  # Python floats (see the module docstring)
             first, last = s.item(0), s.item(-1)
             if (last > 0 and first / last <= MAX_DESIGN_CONDITION
@@ -163,9 +154,9 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
             if first * first < np.inf:
                 return None, svd
     first, last = s[:, 0], s[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        conditioned = (last > 0) & (first / last <= MAX_DESIGN_CONDITION)
-        held = first * first < np.inf
+    broken = np.isnan(last) & ~np.isfinite(a).all(axis=(1, 2))
+    conditioned = (last > 0) & (first / last <= MAX_DESIGN_CONDITION)
+    held = first * first < np.inf
     m = rows if m is None else m
     keep = np.ones(len(a), dtype=bool)
     for mask, error, message in (
@@ -184,15 +175,18 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
     return keep, (tuple(x[keep] for x in svd) if compute_uv else s[keep])
 
 
+@np.errstate(all="ignore")
 def wls_step(g, w, r) -> np.ndarray:
     """One weighted-least-squares step ``(G^T W G)^-1 G^T W r`` for a
     dense weight ``W``: the design is whitened by the upper Cholesky
     factor ``B`` of ``W`` (``B^T B = W``) and solved through its SVD under
     the solvers' ``rank_rule``, whose failure is raised.  A design that is
     not finite, before or after whitening, fails with DimensionMismatch
-    (LAPACK may never return from the SVD of a matrix holding inf)."""
-    g = np.asarray(g, dtype=float)
+    (LAPACK may never return from the SVD of a matrix holding inf), and
+    so does a residual that is not finite."""
+    g, r = np.asarray(g, dtype=float), np.asarray(r, dtype=float)
     _require_finite(g, "design matrix")
+    _require_finite(r, "residual")
     root = np.linalg.cholesky(np.asarray(w, dtype=float)).T
     a = root @ g
     _require_finite(a, "whitened design matrix")
@@ -200,7 +194,7 @@ def wls_step(g, w, r) -> np.ndarray:
     _, (u, s, vt) = rank_rule(a[None], failures, [0])
     if failures[0] is not None:
         raise failures[0]
-    return vt[0].T @ ((u[0].T @ (root @ np.asarray(r, dtype=float))) / s[0])
+    return vt[0].T @ ((u[0].T @ (root @ r)) / s[0])
 
 
 # Pseudoranges so large that their mean range mismatch, the initial clock
@@ -261,7 +255,7 @@ class StackSolution(NamedTuple):
     failures: list
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def solve_stack(system: WhitenedSystem, theta: np.ndarray,
                 cfg: SolverConfig = SolverConfig()) -> StackSolution:
     """The one Gauss-Newton loop, run on a stack of windows from the

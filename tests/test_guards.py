@@ -253,9 +253,8 @@ def test_nan_distance_next_to_a_zero_distance(bs_square, moving_truth,
     crafted = _nan_window(bs_far)
     if windows == 1:
         failure = _matches_reference_alone(bs_far, *crafted)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DimensionMismatch,
-                              match="design matrix must be finite"):
+        with pytest.raises(DimensionMismatch,
+                           match="design matrix must be finite"):
             build_design_kvd(crafted[0], bs_far,
                              KvdParams.from_vector(crafted[2]), crafted[1])
     else:
@@ -339,3 +338,59 @@ def test_nan_window_leaves_a_ud_on_a_bs_degenerate(bs_square, moving_truth,
     for name, failure in zip(names, sol.failures):
         assert (type(failure), str(failure)) == (type(alone[name]),
                                                  str(alone[name]))
+
+
+def _patch_lapack_failure(monkeypatch, window):
+    """Wrap the gufunc behind ``seqloc.solvers._svd`` so that its first
+    call does what it does when LAPACK's ``dgesdd`` does not converge on
+    the finite matrix ``window``: NaN factors for that matrix alone, and
+    numpy's invalid flag raised."""
+    real = seqloc.solvers._SVD_USV
+    calls = [0]
+
+    def svd_s(a, **kwargs):
+        out = real(a, **kwargs)
+        if calls[0] == 0:
+            assert np.isfinite(a[window]).all()
+            for x in out:
+                x[window] = np.nan
+            np.subtract(np.inf, np.inf)
+        calls[0] += 1
+        return out
+
+    monkeypatch.setattr(seqloc.solvers, "_SVD_USV", svd_s)
+    return calls
+
+
+@pytest.mark.parametrize("windows", [1, 3], ids=("T=1", "T=3"))
+def test_finite_design_lapack_rejects_fails_its_window(monkeypatch, bs_square,
+                                                       moving_truth, windows):
+    """A finite design whose SVD does not converge is rank-deficient: a
+    solve of that window alone raises RankDeficient, and in a stack of
+    three only that window fails, the others keeping the bits of their
+    single solves."""
+    batch = canonical_batch(bs_square, moving_truth)
+    v = moving_truth.v
+    alone = solve_known_velocity(batch, bs_square, v)
+    middle = windows // 2
+    with monkeypatch.context() as patch:
+        calls = _patch_lapack_failure(patch, middle)
+        if windows == 1:
+            with pytest.raises(RankDeficient) as failed:
+                solve_known_velocity(batch, bs_square, v)
+        else:
+            sol = solve_stack(*_stack_of(batch, bs_square, v, windows))
+    assert calls[0] >= 1
+    if windows == 1:
+        assert str(failed.value) == "whitened design matrix is rank-deficient"
+        return
+    assert isinstance(sol.failures[middle], RankDeficient)
+    assert str(sol.failures[middle]) == (
+        "whitened design matrix is rank-deficient")
+    assert not sol.converged[middle]
+    for k in (0, 2):
+        assert sol.failures[k] is None and sol.converged[k]
+        assert sol.theta[k].tobytes() == alone.params.as_vector().tobytes()
+        assert sol.iterations[k] == alone.iterations
+        assert sol.step_norm[k] == alone.final_step_norm
+        assert sol.covariance[k].tobytes() == alone.covariance.tobytes()

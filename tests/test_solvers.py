@@ -518,3 +518,14 @@ class TestOverflowedWindows:
         # Whitening would multiply the inf by the weight root's zeros.
         with pytest.raises(DimensionMismatch, match="must be finite"):
             wls_step(g, np.eye(8), np.ones(8))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_wls_step_rejects_a_residual_that_is_not_finite(self, bad):
+        """A residual holding inf or NaN would give a NaN step, without a
+        warning under the step's error state."""
+        g = np.random.default_rng(1).standard_normal((8, 4))
+        r = np.ones(8)
+        r[2] = bad
+        with pytest.raises(DimensionMismatch,
+                           match="residual must be finite"):
+            wls_step(g, np.eye(8) + 0.1, r)

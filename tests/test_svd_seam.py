@@ -1,9 +1,11 @@
 """The solvers' SVD seam ``_svd`` against ``np.linalg.svd``.
 
 ``_svd`` calls numpy's LAPACK gufunc without the wrapper around it, so it
-must give the wrapper's results bit for bit, with and without U and V, and
-raise the wrapper's LinAlgError on a design LAPACK rejects: the rank rule
-relies on that error to find a broken window.
+must give the wrapper's results bit for bit, with and without U and V.  On
+a design LAPACK rejects, where the wrapper raises LinAlgError, it raises
+the invalid flag and fills that window's factors, and only that window's,
+with NaN: the rank rule relies on those NaN singular values to find a
+broken window.
 """
 
 import numpy as np
@@ -39,8 +41,24 @@ def test_svd_equals_numpy_bit_for_bit(count, shape):
 @pytest.mark.parametrize("count", STACKS, ids=lambda t: f"T={t}")
 def test_svd_rejects_a_nan_design_as_numpy_does(count, compute_uv):
     a = _designs(count, (8, 4))
-    a[count // 2, 2, 1] = np.nan
+    bad = count // 2
+    a[bad, 2, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+    # Without U and V, LAPACK may also raise the divide-by-zero flag.
+    with np.errstate(all="ignore", invalid="raise"), \
+            pytest.raises(FloatingPointError, match="invalid value"):
         _svd(a, compute_uv)
+    with np.errstate(all="ignore"):
+        ours = _svd(a, compute_uv)
+    ours = ours if compute_uv else (ours,)
+    assert len(ours) == (3 if compute_uv else 1)
+    for k in range(count):
+        if k == bad:
+            assert all(np.isnan(mine[k]).all() for mine in ours)
+            continue
+        theirs = np.linalg.svd(a[k], full_matrices=False,
+                               compute_uv=compute_uv)
+        for mine, ref in zip(ours, theirs if compute_uv else (theirs,)):
+            assert mine[k].dtype == ref.dtype and mine[k].shape == ref.shape
+            assert mine[k].tobytes() == ref.tobytes()

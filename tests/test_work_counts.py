@@ -36,7 +36,12 @@ from seqloc import (
     synthesize_batch,
     trial_rng,
 )
+from seqloc.errors import DimensionMismatch
 from seqloc.experiments import default_scenario, default_spec, run_experiment
+from seqloc.model import WhitenedSystem
+from seqloc.solvers import initial_vectors, solve_stack
+
+from conftest import canonical_batch, make_batch
 
 
 def _counting(monkeypatch, owner, name):
@@ -73,6 +78,27 @@ def test_one_svd_per_iteration_plus_the_covariance(monkeypatch, kind):
         assert report.converged
         assert svd_calls[0] - before == report.iterations + 1
     assert wrapper_calls[0] == 0
+
+
+def test_one_svd_per_iteration_beside_an_overflowed_window(
+        monkeypatch, bs_square, moving_truth):
+    """A stack whose middle window's whitened times overflow (sigma
+    1e-160 m, times 1e150 s apart) is factored once per iteration plus
+    once for the covariance, as a stack of healthy windows is."""
+    good = canonical_batch(bs_square, moving_truth)
+    overflowed = make_batch(np.arange(8) % 4, 1e150 * np.arange(8),
+                            rho=np.full(8, 20.0), sigma=1e-160)
+    batches = [good, overflowed, good]
+    system = WhitenedSystem.of(batches, bs_square)
+    start = initial_vectors(bs_square,
+                            np.stack([b.bs_index for b in batches]),
+                            system.rho, system.v_start)
+    svd_calls = _counting(monkeypatch, seqloc.solvers, "_svd")
+    sol = solve_stack(system, start)
+    assert isinstance(sol.failures[1], DimensionMismatch)
+    assert sol.failures[0] is None and sol.failures[2] is None
+    assert sol.iterations[0] == sol.iterations[2]
+    assert svd_calls[0] == sol.iterations[0] + 1
 
 
 def test_cli_builds_no_parser_per_call(monkeypatch, tmp_path, capsys):
