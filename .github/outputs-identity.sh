@@ -20,7 +20,12 @@
 # .github/identity-overflow-stationary.json (slots 1e148 s and 1e300 s
 # apart, where the whitened times of the smallest grid noise level
 # overflow), with stderr and the exit status: the noise-sweep-uvd-pvd and
-# stationary-noise studies, without --svg.  Usage errors and help, with
+# stationary-noise studies, without --svg.  With the head's
+# .github/identity-final-failure.json (a stationary UD at [0, 30], where
+# the trials of the 1e-12 m grid point converge and then fail the rank
+# rule at their final iterate, the check the harness makes on singular
+# values alone), with stderr and the exit status: the stationary-noise
+# study, without --svg.  Usage errors and help, with
 # their exit status: no arguments, -h, an unknown command, solve alone and
 # with -h, and a solve of the fix-0 batch with an extra argument, an
 # unknown option or an unknown estimator.  The
@@ -112,6 +117,8 @@ write_outputs() {  # TREE OUT HASHSEED
         --config "$overflow_uvd_pvd" --out overflow-studies
     record overflow-stationary experiment stationary-noise \
         --config "$overflow_stationary" --out overflow-studies
+    record final-failure experiment stationary-noise \
+        --config "$final_failure" --out final-failure-studies
 }
 
 base="$3/base" head="$3/head"
@@ -120,6 +127,7 @@ stationary="$(cd "$2" && pwd)/.github/identity-stationary.json"
 tiny="$(cd "$2" && pwd)/.github/identity-tiny-noise.json"
 overflow_uvd_pvd="$(cd "$2" && pwd)/.github/identity-overflow-uvd-pvd.json"
 overflow_stationary="$(cd "$2" && pwd)/.github/identity-overflow-stationary.json"
+final_failure="$(cd "$2" && pwd)/.github/identity-final-failure.json"
 write_outputs "$1" "$base" 0
 write_outputs "$2" "$head" 1
 status=0 count=0

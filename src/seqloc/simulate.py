@@ -53,6 +53,7 @@ from .solvers import (  # noqa: F401
     EstimateReport,
     SolverConfig,
     StackSolution,
+    covariances,
     initial_vectors,
     solve_drift_only,
     solve_joint_velocity,
@@ -644,25 +645,37 @@ def draw_trials(cfg: ScenarioConfig,
 class TrialCell(Sequence):
     """The trials of one estimator over one draw as read-only columns:
     final parameter vectors ``theta`` (T, P), iteration counts,
-    convergence flags, last step norms, covariances (T, P, P), per trial
-    None or the name of the exception its single-window solve raises, the
-    kvd or d assumed velocities (T, N) and the pvd PriorRows, or None.
-    Indexing builds the TrialRecord of one trial."""
+    convergence flags, last step norms, per trial None or the name of the
+    exception its single-window solve raises, the kvd or d assumed
+    velocities (T, N) and the pvd PriorRows, or None; and covariances
+    (T, P, P), formed when read.  Indexing builds one TrialRecord."""
 
     __slots__ = ("spec", "draws", "theta", "iterations", "converged",
-                 "step_norm", "covariance", "errors", "v_assumed", "prior")
+                 "step_norm", "errors", "v_assumed", "prior", "_covariance")
 
     def __init__(self, spec: EstimatorSpec, draws: TrialDraws,
                  sol: StackSolution, v_assumed=None,
                  prior: PriorRows | None = None):
-        for arr in sol[:5]:
+        for arr in sol[:4]:
             arr.setflags(write=False)
         self.spec, self.draws = spec, draws
-        (self.theta, self.iterations, self.converged, self.step_norm,
-         self.covariance) = sol[:5]
+        self.theta, self.iterations, self.converged, self.step_norm = sol[:4]
         self.errors = tuple(None if f is None else type(f).__name__
                             for f in sol.failures)
         self.v_assumed, self.prior = v_assumed, prior
+        self._covariance = None
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The single-window solves' covariances, bit for bit (NaN for a
+        failed trial), from one SVD of the final designs on the first read."""
+        if self._covariance is None:
+            with np.errstate(all="ignore"):
+                self._covariance = covariances(WhitenedSystem(
+                    self.draws.scenario.bs, self.draws.win, self.v_assumed,
+                    self.prior), self.theta,
+                    np.flatnonzero([e is None for e in self.errors]))
+        return self._covariance
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -728,7 +741,8 @@ def solve_cells(cells: list,
     ``solve_stack`` over their joined windows, keeping each trial's
     floating-point operations.  A trial's failure is its own: a trial the
     single-window solve would reject keeps that exception's name in
-    ``errors``, and the other trials of its family keep their outcomes."""
+    ``errors``, and the other trials of its family keep their outcomes.
+    No harness output reads a covariance, so the solve forms none."""
     inputs = [_cell_inputs(spec, draws) for spec, draws in cells]
     families: dict = {}
     for i, ((_, draws), (v, prior)) in enumerate(zip(cells, inputs)):
@@ -741,11 +755,13 @@ def solve_cells(cells: list,
         v_known, prior = map(_joined, zip(*(inputs[i] for i in members)))
         system = WhitenedSystem(bs, win, v_known, prior)
         sol = solve_stack(system, initial_vectors(
-            bs, win.bs_index, win.rho, system.v_start), solver_cfg)
+            bs, win.bs_index, win.rho, system.v_start), solver_cfg,
+            covariance=False)
         ends = np.cumsum([len(d.truth) for d in draws]).tolist()
         for i, start, end in zip(members, [0] + ends, ends):
-            solved[i] = TrialCell(*cells[i], StackSolution(
-                *(column[start:end] for column in sol)), *inputs[i])
+            solved[i] = TrialCell(*cells[i], StackSolution(*(
+                None if column is None else column[start:end]
+                for column in sol)), *inputs[i])
     return solved
 
 

@@ -7,7 +7,7 @@ step solves ``A step = z`` through the SVD ``A = U S V^T`` of the whitened
 design rather than by inverting the normal matrix, which keeps the
 delta-prior limit of the MAP variant well-conditioned; the reported
 covariance is ``V S^-2 V^T`` at the final iterate.  Every factorization
-(each step, the final covariance and the error theory's designs, all
+(each step, the final check and the error theory's designs, all
 through ``rank_rule``) goes through ``_svd``: numpy's LAPACK SVD gufunc,
 called bare.  It gives ``np.linalg.svd``'s bits without the wrapper's
 per-call dispatch, which on one 8-by-4 design costs about half as much
@@ -22,6 +22,8 @@ loop exit, and the BS index and UD-on-a-BS tests of ``WhitenedSystem``)
 depend on the size: a stack of one window compares Python numbers, which
 costs less than numpy reductions on a few values, a larger stack reduces
 with ufuncs, and NaN, +0.0 and -0.0 take the same branch either way.
+The harness's final check factors ``S`` alone (``covariance=False``),
+whose values may differ from the ``U``/``V`` path's in the last place.
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
       neither ``A^T A`` nor ``V S^-2 V^T`` (RankDeficient, _INDEFINITE).
 
     Returns the mask of the usable windows (None when every window is)
-    and their SVD ``(U, S, V^T)``, or ``S`` alone without ``compute_uv``.
-    Runs under the caller's error state, which must ignore every flag.
+    and their SVD ``(U, S, V^T)``, or ``S`` alone without ``compute_uv``
+    (the error theory, the harness's final check).  Runs under the
+    caller's error state, which must ignore every flag.
     """
     rows, params = a.shape[-2:]
     svd = _svd(a, compute_uv)
@@ -242,9 +245,9 @@ def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
 class StackSolution(NamedTuple):
     """Gauss-Newton outcome of a stack of T windows: final parameter
     vectors (T, P), iteration counts, convergence flags, last step norms,
-    covariances ``V S^-2 V^T`` (T, P, P), and per window None or the
-    SeqlocError that ended it (its other entries are then meaningless, and
-    it is not converged).
+    covariances ``V S^-2 V^T`` (T, P, P) or None, and per window None or
+    the SeqlocError that ended it (its other entries are then meaningless,
+    and it is not converged).
     ``theta`` and ``covariance`` are read-only."""
 
     theta: np.ndarray
@@ -257,7 +260,8 @@ class StackSolution(NamedTuple):
 
 @np.errstate(all="ignore")
 def solve_stack(system: WhitenedSystem, theta: np.ndarray,
-                cfg: SolverConfig = SolverConfig()) -> StackSolution:
+                cfg: SolverConfig = SolverConfig(),
+                covariance: bool = True) -> StackSolution:
     """The one Gauss-Newton loop, run on a stack of windows from the
     initial vectors ``theta`` (T, P).
 
@@ -268,7 +272,8 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     ``rank_rule``, or a step beyond the divergence guard (Diverged, also
     when it overflows to inf or NaN).  Failures are recorded per window,
     never raised.  While every window is still iterating the arrays are
-    used whole, without indexing.
+    used whole, without indexing.  Without ``covariance`` the final check
+    factors ``S`` alone and forms no covariance.
     """
     count = len(theta)
     theta = np.array(theta, dtype=float)
@@ -322,36 +327,43 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     else:
         iterations[live], step_norm[live] = cfg.max_iter, norm
 
-    final = (None if not any(failures)
+    final = (np.arange(count) if not any(failures)
              else np.flatnonzero([f is None for f in failures]))
     theta.setflags(write=False)
-    covariance = _final_covariance(system, theta, final, failures)
+    covariance = covariances(system, theta, final, failures, covariance)
     if any(failures):  # a failed window has not converged
         converged[[f is not None for f in failures]] = False
     return StackSolution(theta, iterations, converged, step_norm,
-                         _freeze(covariance), failures)
+                         covariance, failures)
 
 
-def _final_covariance(system: WhitenedSystem, theta: np.ndarray, final,
-                      failures: list) -> np.ndarray:
-    """Covariances ``V S^-2 V^T`` (T, P, P) at the final iterates ``theta``
-    of the windows ``final`` (every window when None), NaN elsewhere.  A
-    window whose design fails the ``rank_rule`` at its final iterate fails
-    here (the loop has already failed every window with too few rows)."""
-    if final is not None and not final.size:
-        return np.full(theta.shape + theta.shape[1:], np.nan)
-    a, _, degenerate = system.at(theta if final is None else theta[final],
-                                 final, residual=False)
-    rows = np.arange(len(theta)) if final is None else final
-    keep, (_, s, vt) = rank_rule(a, failures, rows, degenerate)
-    if keep is not None:
-        rows = rows[keep]
+def covariances(system: WhitenedSystem, theta: np.ndarray, rows,
+                failures: list | None = None, form: bool = True):
+    """Read-only covariances ``V S^-2 V^T`` (T, P, P) at the final iterates
+    ``theta`` (T, P) of the windows ``rows``, NaN elsewhere, from one SVD
+    of their designs; each matrix is factored alone, so its bits are the
+    same in any stack.  With ``failures``, the ``rank_rule`` checks that
+    SVD first and fails the windows it rejects (the loop has failed every
+    window with too few rows); without ``form`` it factors ``S`` alone
+    and None is returned.  Runs under the caller's error state, which must
+    ignore every flag."""
+    if not rows.size:  # every window failed in the loop
+        return (_freeze(np.full(theta.shape + theta.shape[1:], np.nan))
+                if form else None)
+    whole = len(rows) == len(theta)
+    a, _, degenerate = system.at(theta if whole else theta[rows],
+                                 None if whole else rows, residual=False)
+    keep, svd = ((None, _svd(a)) if failures is None else rank_rule(
+        a, failures, rows, degenerate, compute_uv=form))
+    if not form:
+        return None
+    _, s, vt = svd
     covariance = (vt.mT / (s**2)[..., None, :]) @ vt
-    if len(rows) == len(theta):
-        return covariance
+    if keep is None and whole:
+        return _freeze(covariance)
     stacked = np.full(theta.shape + theta.shape[1:], np.nan)
-    stacked[rows] = covariance
-    return stacked
+    stacked[rows if keep is None else rows[keep]] = covariance
+    return _freeze(stacked)
 
 
 def window_report(sol: StackSolution, k: int, n_dim: int) -> EstimateReport:

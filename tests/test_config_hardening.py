@@ -453,9 +453,9 @@ class TestWholeCellFallback:
         stacked = []
         real = simulate.solve_stack
 
-        def solve(system, theta, cfg):
+        def solve(system, theta, cfg, **kwargs):
             stacked.append(float(system.w.max()))
-            return real(system, theta, cfg)
+            return real(system, theta, cfg, **kwargs)
 
         monkeypatch.setattr(simulate, "solve_stack", solve)
         cfg, spec = scenario_from_config(self.CONFIG, "stationary-noise")

@@ -278,8 +278,8 @@ class TestSharedDraws:
                 divergence_guard=1520.0 if circular else 1499.4)
             real = simulate.solve_stack
             monkeypatch.setattr(simulate, "solve_stack",
-                                lambda system, theta, cfg: real(
-                                    system, theta, solver_cfg))
+                                lambda system, theta, cfg, **kwargs: real(
+                                    system, theta, solver_cfg, **kwargs))
         spec, cfg = tiny(name, trials=30, grid=grid)
         outcomes = _cells_match_standalone(run_experiment(spec, cfg), cfg)
         if mixed:

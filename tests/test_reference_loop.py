@@ -9,7 +9,11 @@ stacks, with the same floating-point operations, so every output column
 must be bit-equal to this reference and every failure must have the same
 type and message: for stacks of one (the public ``solve_*``), for whole
 Monte Carlo cells, and for cells whose windows diverge, converge or stop
-at the iteration cap.
+at the iteration cap.  A cell's solve forms no covariance and runs its
+final rank rule on the singular values alone, as the reference does
+without ``covariance``; the covariance column the cell forms when it is
+read must equal the reference's, which comes from a second SVD, with U
+and V, of the final designs that pass that rule.
 """
 
 from __future__ import annotations
@@ -198,7 +202,8 @@ def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore")
 def solve_stack(system: WhitenedSystem, theta: np.ndarray,
-                cfg: SolverConfig = SolverConfig()) -> StackSolution:
+                cfg: SolverConfig = SolverConfig(),
+                covariance: bool = True) -> StackSolution:
     """The one Gauss-Newton loop, run on a stack of windows from the
     initial vectors ``theta`` (T, P).
 
@@ -262,23 +267,31 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     final = (None if not any(failures)
              else np.flatnonzero([f is None for f in failures]))
     theta.setflags(write=False)
-    covariance = _final_covariance(system, theta, final, failures)
+    covariance = _final_covariance(system, theta, final, failures,
+                                   covariance)
     return StackSolution(theta, iterations, converged, step_norm,
                          _freeze(covariance), failures)
 
 
 def _final_covariance(system: WhitenedSystem, theta: np.ndarray, final,
-                      failures: list) -> np.ndarray:
+                      failures: list, compute_uv: bool = True) -> np.ndarray:
     """Covariances ``V S^-2 V^T`` (T, P, P) at the final iterates ``theta``
     of the windows ``final`` (every window when None), NaN elsewhere.  A
     window whose design is unusable at its final iterate fails here (the
-    loop has already failed every window with too few rows)."""
+    loop has already failed every window with too few rows).  Without
+    ``compute_uv`` the rank rule factors S alone, and the covariances come
+    from a second SVD of the designs that pass it."""
     if final is not None and not final.size:
         return np.full(theta.shape + theta.shape[1:], np.nan)
     a, _, degenerate = system.at(theta if final is None else theta[final],
                                  final)
     trials = np.arange(len(theta)) if final is None else final
-    keep, (_, s, vt) = rank_rule(a, failures, trials, degenerate)
+    keep, svd = rank_rule(a, failures, trials, degenerate,
+                          compute_uv=compute_uv)
+    if not compute_uv:
+        svd = np.linalg.svd(a if keep is None else a[keep],
+                            full_matrices=False)
+    _, s, vt = svd
     covariance = (vt.mT / (s**2)[..., None, :]) @ vt
     if final is None and keep is None:
         return covariance
@@ -380,11 +393,11 @@ def _cell_against_reference(monkeypatch, scenario, spec, solver_cfg,
         assert _bits(got) == _bits(initial_vectors(*args))
         return got
 
-    def solve(system, theta, cfg):
-        got = real_solve(system, theta, cfg)
-        _assert_columns_equal(got, solve_stack(ReferenceSystem(system),
-                                               theta, cfg))
-        seen.append(got)
+    def solve(system, theta, cfg, **kwargs):
+        got = real_solve(system, theta, cfg, **kwargs)
+        assert got.covariance is None
+        seen.append((got, solve_stack(ReferenceSystem(system), theta, cfg,
+                                      **kwargs)))
         return got
 
     monkeypatch.setattr(simulate, "initial_vectors", start)
@@ -392,9 +405,11 @@ def _cell_against_reference(monkeypatch, scenario, spec, solver_cfg,
     cell = simulate.run_monte_carlo(replace(scenario, n_trials=n_trials),
                                     spec, solver_cfg)
     assert len(seen) == 1 and len(cell) == n_trials
+    got, want = seen[0]
+    _assert_columns_equal(got._replace(covariance=cell.covariance), want)
     return {"converged" if ok else "max_iter" if f is None
             else type(f).__name__
-            for ok, f in zip(seen[0].converged, seen[0].failures)}
+            for ok, f in zip(got.converged, got.failures)}
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)

@@ -28,6 +28,9 @@ from seqloc import (
     trial_rng,
     truth_state,
 )
+from seqloc.config import scenario_from_config
+from seqloc.experiments import run_experiment
+from seqloc.simulate import draw_trials, solve_cells
 
 from conftest import DRIFT_MPS
 
@@ -325,6 +328,69 @@ class TestMixedOutcomeCell:
             assert outcomes == {"converged", "Diverged", "max_iter"}
 
 
+class TestCovarianceOnRead:
+    """A cell's solve forms no covariance; the cell forms its own when the
+    column is first read.  Each trial's equals, bit for bit, the
+    covariance its single-window solve reports, a failed trial reads NaN,
+    and the column is read-only."""
+
+    @staticmethod
+    def _outcomes(cell, bs, solver_cfg=SolverConfig()):
+        """Check the covariance column of ``cell`` trial by trial; returns
+        the outcomes seen (converged True or False, else the error name)."""
+        covariance = cell.covariance
+        assert not covariance.flags.writeable
+        assert covariance.shape == cell.theta.shape + cell.theta.shape[1:]
+        outcomes = set()
+        for k, rec in enumerate(cell):
+            try:
+                alone = _solve_alone(rec, bs, cell.spec.kind, solver_cfg)
+            except SeqlocError as exc:
+                assert cell.errors[k] == type(exc).__name__
+                assert np.isnan(covariance[k]).all()
+                outcomes.add(cell.errors[k])
+                continue
+            assert covariance[k].tobytes() == alone.covariance.tobytes()
+            outcomes.add(alone.converged)
+        return outcomes
+
+    def test_a_kvd_and_d_family(self, scenario):
+        draws = draw_trials(replace(scenario, n_trials=40))
+        cells = solve_cells([(EstimatorSpec(kind="kvd", speed_deviation=1.0),
+                              draws), (EstimatorSpec(kind="d"), draws)])
+        for cell in cells:
+            assert self._outcomes(cell, scenario.bs) == {True}
+
+    @pytest.mark.parametrize("spec", [
+        EstimatorSpec(kind="kvd", speed_deviation=1.0),
+        EstimatorSpec(kind="d"),
+        EstimatorSpec(kind="uvd"),
+        EstimatorSpec(kind="pvd", prior_centering="nominal"),
+    ], ids=lambda spec: spec.kind)
+    def test_the_mixed_outcome_cell(self, scenario, spec):
+        cell = run_monte_carlo(replace(scenario, n_trials=60), spec, MIXED)
+        assert self._outcomes(cell, scenario.bs, MIXED) == {
+            True, False, "Diverged"}
+
+    def test_cells_whose_trials_fail_at_the_final_iterate(self):
+        """A stationary UD at [0, 30]: at a noise level of 1e-12 m every
+        trial converges onto the BS there and then fails the final rank
+        rule (iterations counted, DegenerateGeometry); at 0.1 m the
+        trials converge or stop at the cap."""
+        cfg, spec = scenario_from_config(
+            {"trajectory": {"kind": "stationary", "position": [0, 30]},
+             "trials": 20, "experiment": {"grid": [1e-12, 0.1]}},
+            "stationary-noise")
+        result = run_experiment(spec, cfg)
+        for (value, _), cell in result.records.items():
+            outcomes = self._outcomes(cell, cfg.bs)
+            if value == 1e-12:
+                assert outcomes == {"DegenerateGeometry"}
+                assert cell.iterations.all()
+            else:
+                assert outcomes == {True, False}
+
+
 class TestSingleWindowIdentity:
     """The harness and the public single-window path are one computation:
     every converged trial of a stacked cell equals, bit for bit, the public
@@ -399,8 +465,8 @@ class TestShortWindows:
         failures = []
         real = simulate.solve_stack
 
-        def solve(*args):
-            sol = real(*args)
+        def solve(*args, **kwargs):
+            sol = real(*args, **kwargs)
             failures.extend(sol.failures)
             return sol
 

@@ -1,8 +1,9 @@
 """Work-count guards: the single-window paths do a fixed amount of set-up
 and factorization work per call, a Monte Carlo sweep builds no object and
-seeds no generator per trial and solves and evaluates its theory once per
-design family, and importing seqloc loads no numpy.random, counted rather
-than timed."""
+seeds no generator per trial, solves and evaluates its theory once per
+design family and factors no U or V at the final iterate until a
+covariance is read, and importing seqloc loads no numpy.random, counted
+rather than timed."""
 
 import argparse
 import os
@@ -37,7 +38,8 @@ from seqloc import (
     trial_rng,
 )
 from seqloc.errors import DimensionMismatch
-from seqloc.experiments import default_scenario, default_spec, run_experiment
+from seqloc.experiments import (default_scenario, default_spec,
+                                run_experiment, write_experiment)
 from seqloc.model import WhitenedSystem
 from seqloc.solvers import initial_vectors, solve_stack
 
@@ -78,6 +80,97 @@ def test_one_svd_per_iteration_plus_the_covariance(monkeypatch, kind):
         assert report.converged
         assert svd_calls[0] - before == report.iterations + 1
     assert wrapper_calls[0] == 0
+
+
+def _recording_svds(monkeypatch) -> list:
+    """Wrap ``solvers._svd`` so that each call appends whether it forms U
+    and V; returns the list."""
+    svd, calls = seqloc.solvers._svd, []
+
+    def recorded(a, compute_uv=True):
+        calls.append(compute_uv)
+        return svd(a, compute_uv)
+
+    monkeypatch.setattr(seqloc.solvers, "_svd", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["kvd", "uvd", "pvd", "d"])
+def test_public_solves_form_u_and_v_at_the_final_iterate(monkeypatch, kind):
+    """The public ``solve_*`` report a covariance: every factorization,
+    the final one included, forms U and V."""
+    cfg = default_scenario("circular", seed=5)
+    calls = _recording_svds(monkeypatch)
+    for k in range(0, 200, 40):
+        batch, truth = synthesize_batch(cfg, k, trial_rng(cfg.seed, k))
+        calls.clear()
+        report = {"kvd": lambda: solve_known_velocity(batch, cfg.bs, truth.v),
+                  "uvd": lambda: solve_joint_velocity(batch, cfg.bs),
+                  "pvd": lambda: solve_prior_velocity(
+                      batch, cfg.bs, VelocityPrior.isotropic(truth.v, 2.0)),
+                  "d": lambda: solve_drift_only(batch, cfg.bs)}[kind]()
+        assert report.converged
+        assert calls == [True] * (report.iterations + 1)
+
+
+def _kvd_and_d_family():
+    """The kvd and d cells of one speed-sweep draw of 20 trials, solved as
+    one design family."""
+    cfg = replace(default_scenario("speed-sweep", seed=11), n_trials=20)
+    draws = seqloc.simulate.draw_trials(cfg)
+    return seqloc.simulate.solve_cells(
+        [(seqloc.simulate.EstimatorSpec(kind=kind), draws)
+         for kind in ("kvd", "d")])
+
+
+def test_a_cell_family_factors_s_alone_at_the_final_iterate(monkeypatch):
+    """One factorization with U and V per loop iteration, then one of S
+    alone for the final rank rule, and no covariance."""
+    calls = _recording_svds(monkeypatch)
+    formed = _counting(monkeypatch, seqloc.simulate, "covariances")
+    cells = _kvd_and_d_family()
+    assert all(cell.converged.all() for cell in cells)
+    loops = max(cell.iterations.max().item() for cell in cells)
+    assert calls == [True] * loops + [False]
+    assert formed[0] == 0
+
+
+def test_reading_a_cell_covariance_factors_it_once(monkeypatch):
+    """The first read of a cell's covariance factors its final designs
+    once, with U and V; later reads and records reuse it."""
+    cells = _kvd_and_d_family()
+    calls = _recording_svds(monkeypatch)
+    for i, cell in enumerate(cells, 1):
+        first = cell.covariance
+        assert calls == [True] * i
+        assert cell.covariance is first
+        assert np.shares_memory(cell[3].report.covariance, first)
+        assert calls == [True] * i
+
+
+@pytest.mark.parametrize("study", ["stationary-noise", "speed-sweep",
+                                   "velocity-deviation", "noise-sweep-uvd-pvd",
+                                   "speed-compare", "circular"])
+def test_a_study_factors_no_final_design_with_u_and_v(monkeypatch, tmp_path,
+                                                      study):
+    """A study's factorizations with U and V are its loops' iterations, one
+    per design family and iteration: no final design, no covariance."""
+    calls = _recording_svds(monkeypatch)
+    formed = _counting(monkeypatch, seqloc.simulate, "covariances")
+    loops, solve = [], seqloc.simulate.solve_stack
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        loops.append(sol.iterations.max().item())
+        return sol
+
+    monkeypatch.setattr(seqloc.simulate, "solve_stack", counted)
+    cfg = replace(default_scenario(study, seed=11), n_trials=10)
+    result = run_experiment(default_spec(study), cfg)
+    write_experiment(result, tmp_path, svg=True)
+    assert all(row.non_converged == 0 for row in result.rows)
+    assert calls.count(True) == sum(loops)
+    assert formed[0] == 0
 
 
 def test_one_svd_per_iteration_beside_an_overflowed_window(
