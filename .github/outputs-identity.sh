@@ -25,7 +25,11 @@
 # the trials of the 1e-12 m grid point converge and then fail the rank
 # rule at their final iterate, the check the harness makes on singular
 # values alone), with stderr and the exit status: the stationary-noise
-# study, without --svg.  Usage errors and help, with
+# study, without --svg.  With the head's
+# .github/identity-final-failure-solve.json (a stationary UD at [0, 30]
+# with 1e-12 m noise, whose one-window solves converge and then fail at
+# their final iterate), with stderr and the exit status: simulate --fix 0
+# and solve of that batch with every estimator.  Usage errors and help, with
 # their exit status: no arguments, -h, an unknown command, solve alone and
 # with -h, and a solve of the fix-0 batch with an extra argument, an
 # unknown option or an unknown estimator.  The
@@ -119,6 +123,13 @@ write_outputs() {  # TREE OUT HASHSEED
         --config "$overflow_stationary" --out overflow-studies
     record final-failure experiment stationary-noise \
         --config "$final_failure" --out final-failure-studies
+    record final-failure-simulate simulate --config "$final_failure_solve" \
+        --fix 0 --out final-failure
+    for estimator in kvd uvd pvd d; do
+        record "final-failure-solve-$estimator" solve \
+            --config "$final_failure_solve" --batch final-failure/batch.csv \
+            --estimator "$estimator"
+    done
 }
 
 base="$3/base" head="$3/head"
@@ -128,6 +139,7 @@ tiny="$(cd "$2" && pwd)/.github/identity-tiny-noise.json"
 overflow_uvd_pvd="$(cd "$2" && pwd)/.github/identity-overflow-uvd-pvd.json"
 overflow_stationary="$(cd "$2" && pwd)/.github/identity-overflow-stationary.json"
 final_failure="$(cd "$2" && pwd)/.github/identity-final-failure.json"
+final_failure_solve="$(cd "$2" && pwd)/.github/identity-final-failure-solve.json"
 write_outputs "$1" "$base" 0
 write_outputs "$2" "$head" 1
 status=0 count=0

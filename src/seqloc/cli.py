@@ -23,6 +23,7 @@ and exit status.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -61,6 +62,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # A value such as "-1,0" or "-1e-3" is a value, not an option, as
+        # Python 3.13's argparse reads any "-" before a digit or ".digit".
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--config", type=Path, default=None,
                        help="JSON scenario/experiment config")
         p.add_argument("--seed", type=int, default=None,

@@ -543,7 +543,10 @@ class WhitenedSystem:
             np.multiply(los * dt_col, neg_w, out=a[:, :m, n + 2:])
         if not residual:
             return a, None, degenerate
-        z = (rho - (dist + theta[:, n, None] + theta[:, n + 1, None] * dt)) * w
+        # The clock terms, as Python floats for one window.
+        b, d = ((theta.item(n), theta.item(n + 1)) if len(theta) == 1
+                else (theta[:, n, None], theta[:, n + 1, None]))
+        z = (rho - (dist + b + d * dt)) * w
         if root is None:
             return a, z, degenerate
         prior_z = (root @ (mean - theta[:, n + 2:])[..., None])[..., 0]

@@ -732,6 +732,7 @@ def _joined(parts: list):
             else np.concatenate(parts))
 
 
+@np.errstate(all="ignore")
 def solve_cells(cells: list,
                 solver_cfg: SolverConfig = SolverConfig()) -> list:
     """One TrialCell per (EstimatorSpec, TrialDraws) of ``cells``, each

@@ -13,21 +13,24 @@ called bare.  It gives ``np.linalg.svd``'s bits without the wrapper's
 per-call dispatch, which on one 8-by-4 design costs about half as much
 again as the factorization, and NaN factors for a matrix LAPACK rejects.
 
-The loop (``solve_stack``) runs on a stack of windows with numpy's
-stacked ``svd``/``matmul``; a window that fails or converges leaves the
-stack through a mask.  The Monte Carlo harness passes a design family,
-the public ``solve_*`` a stack of one.  Both run the same loop and the
-same floating-point operations; only the happy-path guards (rank rule,
-loop exit, and the BS index and UD-on-a-BS tests of ``WhitenedSystem``)
-depend on the size: a stack of one window compares Python numbers, which
-costs less than numpy reductions on a few values, a larger stack reduces
-with ufuncs, and NaN, +0.0 and -0.0 take the same branch either way.
-The harness's final check factors ``S`` alone (``covariance=False``),
-whose values may differ from the ``U``/``V`` path's in the last place.
+The loop comes in two sizes with the same floating-point operations.
+``solve_stack`` runs a stack of windows with numpy's stacked
+``svd``/``matmul``, and a window that fails or converges leaves the
+stack through a mask; the Monte Carlo harness passes it a design family.
+The public ``solve_*`` hold one window and run ``_solve``, the same loop
+without masks, which raises the window's failure where it occurs.  The
+happy-path guards (rank rule, loop exit, and the BS index and
+UD-on-a-BS tests of ``WhitenedSystem``) depend on the size: one window
+compares Python numbers, which costs less than numpy reductions on a few
+values, a stack reduces with ufuncs, and NaN, +0.0 and -0.0 take the
+same branch either way.  The harness's final check factors ``S`` alone
+(``covariance=False``), whose values may differ from the ``U``/``V``
+path's in the last place.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -215,7 +218,6 @@ def _centroid(positions: np.ndarray, row: np.ndarray) -> np.ndarray:
     return np.add.reduce(positions, axis=0) / float(len(positions))
 
 
-@np.errstate(over="ignore")
 def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
                     rho: np.ndarray, v0: np.ndarray | None = None,
                     q: np.ndarray | None = None) -> np.ndarray:
@@ -225,7 +227,9 @@ def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
     range mismatch, zero drift; extended with the velocities ``v0``
     (T, N) to ``[p, b, d, v]`` when given; ``q`` are the measurements' BS
     rows when gathered.  The offset of a window whose pseudoranges
-    overflow that mean is infinite."""
+    overflow that mean is infinite.  Runs under the caller's error state,
+    which must ignore overflow (``_solve`` and ``solve_cells`` ignore
+    every flag)."""
     n = bs.n_dim
     theta = np.zeros((len(rho), parameter_count(n, v0 is None)))
     if len(bs_index) == 1 or (bs_index == bs_index[0]).all():
@@ -262,8 +266,9 @@ class StackSolution(NamedTuple):
 def solve_stack(system: WhitenedSystem, theta: np.ndarray,
                 cfg: SolverConfig = SolverConfig(),
                 covariance: bool = True) -> StackSolution:
-    """The one Gauss-Newton loop, run on a stack of windows from the
-    initial vectors ``theta`` (T, P).
+    """The Gauss-Newton loop on a stack of windows (the harness's design
+    families; ``_solve`` runs one window), from the initial vectors
+    ``theta`` (T, P).
 
     A window leaves the loop when its step norm drops below the threshold
     (converged), at the iteration cap (not converged), or when it fails:
@@ -273,7 +278,8 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     when it overflows to inf or NaN).  Failures are recorded per window,
     never raised.  While every window is still iterating the arrays are
     used whole, without indexing.  Without ``covariance`` the final check
-    factors ``S`` alone and forms no covariance.
+    factors ``S`` alone and forms no covariance.  Ignores every
+    floating-point flag, whatever the caller's error state.
     """
     count = len(theta)
     theta = np.array(theta, dtype=float)
@@ -308,21 +314,15 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
         else:
             theta[live] = th
         # Leave below the threshold, or beyond the guard (NaN included).
-        low, high = ((norm.item(),) * 2 if len(norm) == 1 else
-                     (np.minimum.reduce(norm), np.maximum.reduce(norm)))
-        if not (low >= cfg.threshold and high <= guard):
-            # A stack of one window leaves whole, without masks.
-            stay = (None if len(norm) == 1
-                    else (norm >= cfg.threshold) & (norm <= guard))
-            gone = (live, norm) if stay is None else (live[~stay], norm[~stay])
-            for k, x in zip(gone[0].tolist(), gone[1].tolist()):
+        if not (np.minimum.reduce(norm) >= cfg.threshold
+                and np.maximum.reduce(norm) <= guard):
+            stay = (norm >= cfg.threshold) & (norm <= guard)
+            for k, x in zip(live[~stay].tolist(), norm[~stay].tolist()):
                 iterations[k], step_norm[k] = iteration, x
                 if x <= guard:
                     converged[k] = True
                 else:
                     failures[k] = Diverged(f"step norm {x:.3e} exceeded guard")
-            if stay is None:
-                break
             live, th, norm = live[stay], th[stay], norm[stay]
     else:
         iterations[live], step_norm[live] = cfg.max_iter, norm
@@ -378,25 +378,52 @@ def window_report(sol: StackSolution, k: int, n_dim: int) -> EstimateReport:
                           final_step_norm=sol.step_norm.item(k))
 
 
+@np.errstate(all="ignore")
 def _solve(batch: MeasurementBatch, bs: BsConstellation,
            init: KvdParams | FullParams | None, cfg: SolverConfig,
            v_known=None, priors=None) -> EstimateReport:
-    """One window through ``solve_stack`` as a stack of one, from ``init``
-    or else from ``initial_vectors`` (with the system's ``v_start``); its
-    failure is raised."""
+    """One window's Gauss-Newton loop from ``init``, or else from
+    ``initial_vectors`` (with the system's ``v_start``): the floating-point
+    operations of ``solve_stack`` on a stack of one, without its masks
+    and per-window arrays, raising the window's failure where it occurs
+    and reporting the final check's covariance.  The start, the steps and
+    that check run under this one error state, which ignores every
+    flag."""
     system = WhitenedSystem.of([batch], bs, v_known, priors)
     if init is None:
         theta = initial_vectors(bs, batch.bs_index[None], system.rho,
                                 system.v_start, system.q)
+        if not _all_finite(theta):
+            raise DimensionMismatch(_OVERFLOWED_START)
     else:
         theta = init.as_vector()[None]
         if theta.shape[1:] != (system.n_params,):
             raise DimensionMismatch(
                 "initial guess does not match the estimator")
-    sol = solve_stack(system, theta, cfg)
-    if sol.failures[0] is not None:
-        raise sol.failures[0]
-    return window_report(sol, 0, bs.n_dim)
+    failures = [None]
+    guard = min(cfg.divergence_guard, sys.float_info.max)
+    for iteration in range(1, cfg.max_iter + 1):
+        a, z, degenerate = system.at(theta)
+        keep, (u, s, vt) = rank_rule(a, failures, (0,), degenerate, system.m)
+        if keep is not None:
+            raise failures[0]
+        step = vt.mT @ ((u.mT @ z[..., None]) / s[..., None])
+        theta = theta + step[..., 0]
+        norm = math.sqrt((step.mT @ step).item())
+        # Leave below the threshold, or beyond the guard (NaN included).
+        if not (norm >= cfg.threshold and norm <= guard):
+            if not norm <= guard:
+                raise Diverged(f"step norm {norm:.3e} exceeded guard")
+            converged = True
+            break
+    else:
+        converged = False
+    theta.setflags(write=False)
+    covariance = covariances(system, theta, np.zeros(1, dtype=int), failures)
+    if failures[0] is not None:
+        raise failures[0]
+    return EstimateReport(_trusted_params(theta[0], bs.n_dim), iteration,
+                          converged, covariance[0], norm)
 
 
 def solve_known_velocity(batch: MeasurementBatch, bs: BsConstellation,

@@ -535,6 +535,22 @@ class TestVectorFlags:
         assert (code, out, caught) == (1, "", [])
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("kvd", "--velocity", "-1,0"),
+        ("pvd", "--prior-mean", "-4.99,-0.24"),
+        ("uvd", "--epoch", "-1e-3"),
+    ], ids=["velocity", "prior-mean", "epoch"])
+    def test_negative_value_as_its_own_argument(self, capsys, tmp_path,
+                                                kind, flag, value):
+        """A value that starts with a minus sign is read as the flag's
+        value whether it follows the flag or an ``=``."""
+        path = tmp_path / "batch.csv"
+        path.write_text("\n".join(_good_batch_lines(capsys)) + "\n")
+        solve = ["solve", "--batch", str(path), "--estimator", kind]
+        joined = run_cli(capsys, *solve, f"{flag}={value}")
+        assert joined[0] == 0 and "converged=true" in joined[1]
+        assert run_cli(capsys, *solve, flag, value) == joined
+
 
 class TestCircularSvg:
     def test_writes_a_cdf_chart_that_parses(self, capsys, tmp_path):

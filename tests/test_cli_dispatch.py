@@ -27,6 +27,7 @@ CORPUS = [
     ["solve", "--batch", "a.csv", "--batch", "b.csv", "--estimator", "kvd",
      "--estimator", "d", "--seed", "1", "--seed", "2"],
     SOLVE + ["--velocity=-1,2"],
+    SOLVE + ["--velocity", "-1,2"],
     ["crlb"],
     ["crlb", "--prior-std", "0.5", "--seed", "3"],
     ["crlb", "--config=c.json", "--prior", "1"],
@@ -60,7 +61,6 @@ CORPUS = [
     SOLVE + ["--"],
     SOLVE + ["--", "x"],
     ["experiment", "--", "circular"],
-    SOLVE + ["--velocity", "-1,2"],
     SOLVE + ["--prior", "1"],
     SOLVE + ["--epoch", "x"],
     ["solve", "--batch", "b.csv", "--estimator", "foo"],

@@ -38,6 +38,7 @@ from seqloc import (
 )
 from seqloc.errors import (DegenerateGeometry, DimensionMismatch, Diverged,
                            RankDeficient, SeqlocError)
+from seqloc.config import scenario_from_config
 from seqloc.experiments import default_scenario
 from seqloc.model import (DEFAULT_GEOMETRY_EPS, BsConstellation,
                           WhitenedSystem, _freeze)
@@ -328,9 +329,9 @@ def _assert_columns_equal(got, want):
             == [_failure(f) for f in want.failures])
 
 
-def _one_window(kind, batch, truth, bs):
+def _one_window(kind, batch, truth, bs, cfg):
     """The system and start the public solve of ``kind`` builds for one
-    window, and that solve's report or failure."""
+    window, and that solve's report or failure under ``cfg``."""
     v0 = None
     if kind in ("kvd", "d"):
         v = truth.v if kind == "kvd" else np.zeros(bs.n_dim)
@@ -340,11 +341,12 @@ def _one_window(kind, batch, truth, bs):
     else:
         prior = VelocityPrior.isotropic(truth.v, PRIOR_STD)
         system, v0 = WhitenedSystem.of([batch], bs, priors=[prior]), prior.mean
-    solve = {"kvd": lambda: solve_known_velocity(batch, bs, truth.v),
-             "d": lambda: solve_drift_only(batch, bs),
-             "uvd": lambda: solve_joint_velocity(batch, bs),
+    solve = {"kvd": lambda: solve_known_velocity(batch, bs, truth.v, cfg=cfg),
+             "d": lambda: solve_drift_only(batch, bs, cfg=cfg),
+             "uvd": lambda: solve_joint_velocity(batch, bs, cfg=cfg),
              "pvd": lambda: solve_prior_velocity(
-                 batch, bs, VelocityPrior.isotropic(truth.v, PRIOR_STD))}
+                 batch, bs, VelocityPrior.isotropic(truth.v, PRIOR_STD),
+                 cfg=cfg)}
     try:
         outcome = solve[kind]()
     except SeqlocError as exc:
@@ -354,24 +356,56 @@ def _one_window(kind, batch, truth, bs):
     return system, start, outcome
 
 
+# A stationary UD on the BS at [0, 30] of the default square.
+ON_A_BS = {"trajectory": {"kind": "stationary", "position": [0, 30]},
+           "noise": {"sigma": 1e-12}}
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_stacks_of_one_match_the_reference_loop(kind):
-    cfg = default_scenario("circular", seed=20261018)
-    for k in range(200):
-        batch, truth = synthesize_batch(cfg, k, trial_rng(cfg.seed, k))
-        system, start, outcome = _one_window(kind, batch, truth, cfg.bs)
-        want = solve_stack(ReferenceSystem(system), start)
-        if isinstance(outcome, SeqlocError):
-            assert _failure(outcome) == _failure(want.failures[0])
-            continue
-        assert want.failures == [None]
-        assert _bits(outcome.params.as_vector()) == _bits(want.theta[0])
-        assert outcome.iterations == want.iterations[0]
-        assert outcome.converged == want.converged[0]
-        assert (_bits(outcome.final_step_norm)
-                == _bits(want.step_norm[0]))
-        assert _bits(outcome.covariance) == _bits(want.covariance[0])
-        assert np.array_equal(outcome.covariance, want.covariance[0])
+def test_stacks_of_one_match_the_reference_loop(scenario, kind):
+    """The public solve of one window equals the reference loop on a stack
+    of one, whichever way the window ends: converged circular fixes; the
+    MIXED cell's windows, which converge, diverge or stop at the cap; at a
+    noise of 1e-160 m, windows whose information overflows; and a UD on a
+    BS at 1e-12 m noise, whose windows all converge in the loop and then
+    fail at their final iterate."""
+    # (scenario, solver config, the fix of each trial, the ends seen)
+    cases = ((default_scenario("circular", seed=20261018), SolverConfig(),
+              range(200), {"converged"}),
+             (scenario, MIXED, [0] * 60, {"converged", "Diverged",
+                                          "max_iter"}),
+             (replace(scenario, sigma=1e-160), SolverConfig(), [0] * 10,
+              {_INDEFINITE}),
+             (scenario_from_config(ON_A_BS)[0], SolverConfig(), [0] * 10,
+              {"UD coincides with a BS in this batch"}))
+    for cfg, solver_cfg, fixes, ends in cases:
+        seen = set()
+        for k, fix in enumerate(fixes):
+            rng = trial_rng(cfg.seed, k)
+            batch, truth = synthesize_batch(
+                cfg, fix, rng, trajectory=cfg.trajectory.realize(rng))
+            system, start, outcome = _one_window(kind, batch, truth, cfg.bs,
+                                                 solver_cfg)
+            want = solve_stack(ReferenceSystem(system), start, solver_cfg)
+            if isinstance(outcome, SeqlocError):
+                assert _failure(outcome) == _failure(want.failures[0])
+                seen.add("Diverged" if isinstance(outcome, Diverged)
+                         else str(outcome))
+                # The reference keeps the flag of a window that converged
+                # in the loop and failed at its final iterate.
+                assert want.converged[0] == isinstance(outcome,
+                                                       DegenerateGeometry)
+                continue
+            assert want.failures == [None]
+            assert _bits(outcome.params.as_vector()) == _bits(want.theta[0])
+            assert outcome.iterations == want.iterations[0]
+            assert outcome.converged == want.converged[0]
+            assert (_bits(outcome.final_step_norm)
+                    == _bits(want.step_norm[0]))
+            assert _bits(outcome.covariance) == _bits(want.covariance[0])
+            assert np.array_equal(outcome.covariance, want.covariance[0])
+            seen.add("converged" if outcome.converged else "max_iter")
+        assert seen == ends
 
 
 SPECS = (EstimatorSpec(kind="kvd", speed_deviation=1.0),

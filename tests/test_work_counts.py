@@ -28,6 +28,7 @@ from seqloc import (
     EstimateReport,
     FullParams,
     MeasurementBatch,
+    SolverConfig,
     TrialRecord,
     VelocityPrior,
     solve_drift_only,
@@ -37,7 +38,7 @@ from seqloc import (
     synthesize_batch,
     trial_rng,
 )
-from seqloc.errors import DimensionMismatch
+from seqloc.errors import DimensionMismatch, Diverged
 from seqloc.experiments import (default_scenario, default_spec,
                                 run_experiment, write_experiment)
 from seqloc.model import WhitenedSystem
@@ -98,19 +99,35 @@ def _recording_svds(monkeypatch) -> list:
 @pytest.mark.parametrize("kind", ["kvd", "uvd", "pvd", "d"])
 def test_public_solves_form_u_and_v_at_the_final_iterate(monkeypatch, kind):
     """The public ``solve_*`` report a covariance: every factorization,
-    the final one included, forms U and V."""
+    the final one included, forms U and V, also for a window stopped at
+    the iteration cap.  A window that diverges makes no final one."""
     cfg = default_scenario("circular", seed=5)
     calls = _recording_svds(monkeypatch)
     for k in range(0, 200, 40):
         batch, truth = synthesize_batch(cfg, k, trial_rng(cfg.seed, k))
-        calls.clear()
-        report = {"kvd": lambda: solve_known_velocity(batch, cfg.bs, truth.v),
-                  "uvd": lambda: solve_joint_velocity(batch, cfg.bs),
-                  "pvd": lambda: solve_prior_velocity(
-                      batch, cfg.bs, VelocityPrior.isotropic(truth.v, 2.0)),
-                  "d": lambda: solve_drift_only(batch, cfg.bs)}[kind]()
+
+        def solve(solver_cfg):
+            calls.clear()
+            return {"kvd": lambda: solve_known_velocity(
+                        batch, cfg.bs, truth.v, cfg=solver_cfg),
+                    "uvd": lambda: solve_joint_velocity(
+                        batch, cfg.bs, cfg=solver_cfg),
+                    "pvd": lambda: solve_prior_velocity(
+                        batch, cfg.bs, VelocityPrior.isotropic(truth.v, 2.0),
+                        cfg=solver_cfg),
+                    "d": lambda: solve_drift_only(
+                        batch, cfg.bs, cfg=solver_cfg)}[kind]()
+
+        report = solve(SolverConfig())
         assert report.converged
         assert calls == [True] * (report.iterations + 1)
+        capped = solve(SolverConfig(max_iter=3))
+        assert not capped.converged and capped.iterations == 3
+        assert calls == [True] * 4
+        # The first step, from the centroid of the BSs, is metres long.
+        with pytest.raises(Diverged):
+            solve(SolverConfig(divergence_guard=1.0))
+        assert calls == [True]
 
 
 def _kvd_and_d_family():
