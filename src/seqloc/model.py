@@ -543,7 +543,8 @@ class WhitenedSystem:
             np.multiply(los * dt_col, neg_w, out=a[:, :m, n + 2:])
         if not residual:
             return a, None, degenerate
-        # The clock terms, as Python floats for one window.
+        # The clock terms: for one window Python floats, which broadcast
+        # at less cost than (1, 1) columns, with the same products and sums.
         b, d = ((theta.item(n), theta.item(n + 1)) if len(theta) == 1
                 else (theta[:, n, None], theta[:, n + 1, None]))
         z = (rho - (dist + b + d * dt)) * w

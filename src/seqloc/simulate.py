@@ -60,7 +60,6 @@ from .solvers import (  # noqa: F401
     solve_known_velocity,
     solve_prior_velocity,
     solve_stack,
-    window_report,
 )
 
 RNG_ALGORITHM = "numpy-pcg64/seedsequence([seed, trial])"
@@ -691,10 +690,14 @@ class TrialCell(Sequence):
         error = self.errors[k]
         prior = (None if self.prior is None else VelocityPrior.isotropic(
             self.prior.mean[k], self.spec.prior_std))
+        # A trial that did not fail has finite params: not validated again.
+        report = None if error is not None else EstimateReport(
+            _trusted_params(self.theta[k], n), self.iterations.item(k),
+            self.converged.item(k), self.covariance[k],
+            self.step_norm.item(k))
         return TrialRecord(
             trial=k, batch=self.draws.win.batch(k),
-            truth=_trusted_params(self.draws.truth[k], n),
-            report=None if error is not None else window_report(self, k, n),
+            truth=_trusted_params(self.draws.truth[k], n), report=report,
             error=error,
             v_assumed=None if self.v_assumed is None else self.v_assumed[k],
             prior=prior)

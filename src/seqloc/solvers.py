@@ -228,8 +228,7 @@ def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
     (T, N) to ``[p, b, d, v]`` when given; ``q`` are the measurements' BS
     rows when gathered.  The offset of a window whose pseudoranges
     overflow that mean is infinite.  Runs under the caller's error state,
-    which must ignore overflow (``_solve`` and ``solve_cells`` ignore
-    every flag)."""
+    which must ignore overflow."""
     n = bs.n_dim
     theta = np.zeros((len(rho), parameter_count(n, v0 is None)))
     if len(bs_index) == 1 or (bs_index == bs_index[0]).all():
@@ -266,9 +265,8 @@ class StackSolution(NamedTuple):
 def solve_stack(system: WhitenedSystem, theta: np.ndarray,
                 cfg: SolverConfig = SolverConfig(),
                 covariance: bool = True) -> StackSolution:
-    """The Gauss-Newton loop on a stack of windows (the harness's design
-    families; ``_solve`` runs one window), from the initial vectors
-    ``theta`` (T, P).
+    """The Gauss-Newton loop on a stack of windows (``_solve`` runs one),
+    from the initial vectors ``theta`` (T, P).
 
     A window leaves the loop when its step norm drops below the threshold
     (converged), at the iteration cap (not converged), or when it fails:
@@ -278,8 +276,7 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     when it overflows to inf or NaN).  Failures are recorded per window,
     never raised.  While every window is still iterating the arrays are
     used whole, without indexing.  Without ``covariance`` the final check
-    factors ``S`` alone and forms no covariance.  Ignores every
-    floating-point flag, whatever the caller's error state.
+    factors ``S`` alone and forms no covariance.
     """
     count = len(theta)
     theta = np.array(theta, dtype=float)
@@ -366,29 +363,14 @@ def covariances(system: WhitenedSystem, theta: np.ndarray, rows,
     return _freeze(stacked)
 
 
-def window_report(sol: StackSolution, k: int, n_dim: int) -> EstimateReport:
-    """The report of window ``k`` of a solved stack (anything with the
-    columns of a StackSolution), which did not fail, over read-only rows
-    of its arrays.  The stack's iterates are finite (a non-finite step
-    fails its window), so the params are not validated again."""
-    return EstimateReport(params=_trusted_params(sol.theta[k], n_dim),
-                          iterations=sol.iterations.item(k),
-                          converged=sol.converged.item(k),
-                          covariance=sol.covariance[k],
-                          final_step_norm=sol.step_norm.item(k))
-
-
 @np.errstate(all="ignore")
 def _solve(batch: MeasurementBatch, bs: BsConstellation,
            init: KvdParams | FullParams | None, cfg: SolverConfig,
            v_known=None, priors=None) -> EstimateReport:
-    """One window's Gauss-Newton loop from ``init``, or else from
-    ``initial_vectors`` (with the system's ``v_start``): the floating-point
-    operations of ``solve_stack`` on a stack of one, without its masks
-    and per-window arrays, raising the window's failure where it occurs
-    and reporting the final check's covariance.  The start, the steps and
-    that check run under this one error state, which ignores every
-    flag."""
+    """``solve_stack``'s operations on one window, without masks, from
+    ``init`` or else from ``initial_vectors`` (with the system's
+    ``v_start``), under one error state that ignores every flag; the
+    window's failure is raised where it occurs."""
     system = WhitenedSystem.of([batch], bs, v_known, priors)
     if init is None:
         theta = initial_vectors(bs, batch.bs_index[None], system.rho,
