@@ -276,7 +276,8 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     when it overflows to inf or NaN).  Failures are recorded per window,
     never raised.  While every window is still iterating the arrays are
     used whole, without indexing.  Without ``covariance`` the final check
-    factors ``S`` alone and forms no covariance.
+    factors ``S`` alone and forms no covariance.  It sets its own error
+    state, which ignores every flag.
     """
     count = len(theta)
     theta = np.array(theta, dtype=float)

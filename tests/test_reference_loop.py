@@ -3,17 +3,18 @@
 The functions below are the loop as written with ufunc reductions for every
 per-window guard, whatever the stack size: ``rank_rule``, ``solve_stack``,
 ``_final_covariance``, the starts of ``initial_vectors`` and the design of
-``WhitenedSystem.at``, kept verbatim.  The package's loop compares Python
-floats for a stack of one window and keeps the reductions for larger
-stacks, with the same floating-point operations, so every output column
-must be bit-equal to this reference and every failure must have the same
-type and message: for stacks of one (the public ``solve_*``), for whole
-Monte Carlo cells, and for cells whose windows diverge, converge or stop
-at the iteration cap.  A cell's solve forms no covariance and runs its
-final rank rule on the singular values alone, as the reference does
-without ``covariance``; the covariance column the cell forms when it is
-read must equal the reference's, which comes from a second SVD, with U
-and V, of the final designs that pass that rule.
+``WhitenedSystem.at``, kept verbatim.  The package runs one window
+through a loop without masks that compares Python floats (the public
+``solve_*``) and larger stacks through the reductions, with the same
+floating-point operations, so every output column must be bit-equal to
+this reference and every failure must have the same type and message:
+for one window, whichever way it ends, for whole Monte Carlo cells, and
+for cells whose windows diverge, converge or stop at the iteration cap.
+A cell's solve forms no covariance and runs its final rank rule on the
+singular values alone, as the reference does without ``covariance``; the
+covariance column the cell forms when it is read must equal the
+reference's, which comes from a second SVD, with U and V, of the final
+designs that pass that rule.
 """
 
 from __future__ import annotations
