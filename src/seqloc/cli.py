@@ -62,8 +62,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        # A value such as "-1,0" or "-1e-3" is a value, not an option, as
-        # Python 3.13's argparse reads any "-" before a digit or ".digit".
+        # A value such as "-1,0" or "-1e-3" is a value, not an option:
+        # CPython 3.13's argparse pattern, which reads any "-" before a
+        # digit or ".digit" so; drop this once requires-python is >=3.13.
         p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--config", type=Path, default=None,
                        help="JSON scenario/experiment config")

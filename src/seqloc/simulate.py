@@ -759,13 +759,11 @@ def solve_cells(cells: list,
         v_known, prior = map(_joined, zip(*(inputs[i] for i in members)))
         system = WhitenedSystem(bs, win, v_known, prior)
         sol = solve_stack(system, initial_vectors(
-            bs, win.bs_index, win.rho, system.v_start), solver_cfg,
-            covariance=False)
+            bs, win.bs_index, win.rho, system.v_start), solver_cfg)
         ends = np.cumsum([len(d.truth) for d in draws]).tolist()
         for i, start, end in zip(members, [0] + ends, ends):
             solved[i] = TrialCell(*cells[i], StackSolution(*(
-                None if column is None else column[start:end]
-                for column in sol)), *inputs[i])
+                column[start:end] for column in sol)), *inputs[i])
     return solved
 
 

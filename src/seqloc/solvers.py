@@ -23,9 +23,9 @@ happy-path guards (rank rule, loop exit, and the BS index and
 UD-on-a-BS tests of ``WhitenedSystem``) depend on the size: one window
 compares Python numbers, which costs less than numpy reductions on a few
 values, a stack reduces with ufuncs, and NaN, +0.0 and -0.0 take the
-same branch either way.  The harness's final check factors ``S`` alone
-(``covariance=False``), whose values may differ from the ``U``/``V``
-path's in the last place.
+same branch either way.  The stack's final check factors ``S`` alone and
+forms no covariance (the harness forms one when it is read), and those
+values may differ from the ``U``/``V`` path's in the last place.
 """
 
 from __future__ import annotations
@@ -248,23 +248,20 @@ def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
 class StackSolution(NamedTuple):
     """Gauss-Newton outcome of a stack of T windows: final parameter
     vectors (T, P), iteration counts, convergence flags, last step norms,
-    covariances ``V S^-2 V^T`` (T, P, P) or None, and per window None or
-    the SeqlocError that ended it (its other entries are then meaningless,
-    and it is not converged).
-    ``theta`` and ``covariance`` are read-only."""
+    and per window None or the SeqlocError that ended it (its other
+    entries are then meaningless, and it is not converged).
+    ``theta`` is read-only."""
 
     theta: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     step_norm: np.ndarray
-    covariance: np.ndarray
     failures: list
 
 
 @np.errstate(all="ignore")
 def solve_stack(system: WhitenedSystem, theta: np.ndarray,
-                cfg: SolverConfig = SolverConfig(),
-                covariance: bool = True) -> StackSolution:
+                cfg: SolverConfig = SolverConfig()) -> StackSolution:
     """The Gauss-Newton loop on a stack of windows (``_solve`` runs one),
     from the initial vectors ``theta`` (T, P).
 
@@ -275,9 +272,9 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     ``rank_rule``, or a step beyond the divergence guard (Diverged, also
     when it overflows to inf or NaN).  Failures are recorded per window,
     never raised.  While every window is still iterating the arrays are
-    used whole, without indexing.  Without ``covariance`` the final check
-    factors ``S`` alone and forms no covariance.  It sets its own error
-    state, which ignores every flag.
+    used whole, without indexing.  The final check factors ``S`` alone and
+    forms no covariance (``covariances`` forms them on demand).  It sets
+    its own error state, which ignores every flag.
     """
     count = len(theta)
     theta = np.array(theta, dtype=float)
@@ -328,11 +325,10 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     final = (np.arange(count) if not any(failures)
              else np.flatnonzero([f is None for f in failures]))
     theta.setflags(write=False)
-    covariance = covariances(system, theta, final, failures, covariance)
+    covariances(system, theta, final, failures, form=False)
     if any(failures):  # a failed window has not converged
         converged[[f is not None for f in failures]] = False
-    return StackSolution(theta, iterations, converged, step_norm,
-                         covariance, failures)
+    return StackSolution(theta, iterations, converged, step_norm, failures)
 
 
 def covariances(system: WhitenedSystem, theta: np.ndarray, rows,

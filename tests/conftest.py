@@ -52,6 +52,17 @@ def canonical_batch(bs, truth, m=8, sigma=0.1, slot=0.01):
     return make_batch(bs_idx, times, t_l=0.0, rho=rho, sigma=sigma)
 
 
+def stack_covariance(system, sol):
+    """The covariances (T, P, P) of ``solve_stack``'s solution ``sol`` of
+    ``system``, NaN for a failed window: formed as a Monte Carlo cell forms
+    them when read (``TrialCell.covariance``), since the stack forms none."""
+    from seqloc.solvers import covariances
+
+    with np.errstate(all="ignore"):
+        return covariances(system, sol.theta, np.flatnonzero(
+            [f is None for f in sol.failures]))
+
+
 @pytest.fixture
 def moving_truth():
     return FullParams(p=[15.0, 15.0], b=30.0, d=DRIFT_MPS, v=[5.0, 0.0])

@@ -10,17 +10,19 @@ floating-point operations, so every output column must be bit-equal to
 this reference and every failure must have the same type and message:
 for one window, whichever way it ends, for whole Monte Carlo cells, and
 for cells whose windows diverge, converge or stop at the iteration cap.
-A cell's solve forms no covariance and runs its final rank rule on the
+A stack's solve forms no covariance and runs its final rank rule on the
 singular values alone, as the reference does without ``covariance``; the
-covariance column the cell forms when it is read must equal the
+covariance column a cell forms when it is read must equal the
 reference's, which comes from a second SVD, with U and V, of the final
-designs that pass that rule.
+designs that pass that rule.  A public solve checks its final iterate
+with U and V, as the reference does with ``covariance``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -44,8 +46,7 @@ from seqloc.experiments import default_scenario
 from seqloc.model import (DEFAULT_GEOMETRY_EPS, BsConstellation,
                           WhitenedSystem, _freeze)
 from seqloc.solvers import (_INDEFINITE, _OVERFLOWED_DESIGN,
-                            _OVERFLOWED_START, MAX_DESIGN_CONDITION,
-                            StackSolution)
+                            _OVERFLOWED_START, MAX_DESIGN_CONDITION)
 
 # Verbatim reference code starts here.
 
@@ -202,10 +203,22 @@ def initial_vectors(bs: BsConstellation, bs_index: np.ndarray,
     return np.concatenate(cols, axis=1)
 
 
+class Solution(NamedTuple):
+    """The reference loop's outcome: ``StackSolution``'s columns and the
+    covariances (T, P, P) of the final check, NaN for a failed window."""
+
+    theta: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    step_norm: np.ndarray
+    covariance: np.ndarray
+    failures: list
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def solve_stack(system: WhitenedSystem, theta: np.ndarray,
                 cfg: SolverConfig = SolverConfig(),
-                covariance: bool = True) -> StackSolution:
+                covariance: bool = True) -> Solution:
     """The one Gauss-Newton loop, run on a stack of windows from the
     initial vectors ``theta`` (T, P).
 
@@ -271,8 +284,8 @@ def solve_stack(system: WhitenedSystem, theta: np.ndarray,
     theta.setflags(write=False)
     covariance = _final_covariance(system, theta, final, failures,
                                    covariance)
-    return StackSolution(theta, iterations, converged, step_norm,
-                         _freeze(covariance), failures)
+    return Solution(theta, iterations, converged, step_norm,
+                    _freeze(covariance), failures)
 
 
 def _final_covariance(system: WhitenedSystem, theta: np.ndarray, final,
@@ -317,12 +330,13 @@ def _failure(exc):
     return None if exc is None else (type(exc), str(exc))
 
 
-def _assert_columns_equal(got, want):
-    """Equal StackSolution columns, compared as arrays and as bits (which
-    also tells -0.0 from 0.0), and equal failures."""
-    for name in ("theta", "iterations", "converged", "step_norm",
-                 "covariance"):
-        a, b = getattr(got, name), getattr(want, name)
+def _assert_columns_equal(got, want, covariance):
+    """Equal columns of the StackSolution ``got``, with the ``covariance``
+    formed for it, and of the reference Solution ``want``, compared as
+    arrays and as bits (which also tells -0.0 from 0.0), and equal
+    failures."""
+    for name, a in zip(Solution._fields, (*got[:4], covariance)):
+        b = getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
         assert a.tobytes() == b.tobytes(), name
@@ -428,11 +442,10 @@ def _cell_against_reference(monkeypatch, scenario, spec, solver_cfg,
         assert _bits(got) == _bits(initial_vectors(*args))
         return got
 
-    def solve(system, theta, cfg, **kwargs):
-        got = real_solve(system, theta, cfg, **kwargs)
-        assert got.covariance is None
+    def solve(system, theta, cfg):
+        got = real_solve(system, theta, cfg)
         seen.append((got, solve_stack(ReferenceSystem(system), theta, cfg,
-                                      **kwargs)))
+                                      covariance=False)))
         return got
 
     monkeypatch.setattr(simulate, "initial_vectors", start)
@@ -441,7 +454,7 @@ def _cell_against_reference(monkeypatch, scenario, spec, solver_cfg,
                                     spec, solver_cfg)
     assert len(seen) == 1 and len(cell) == n_trials
     got, want = seen[0]
-    _assert_columns_equal(got._replace(covariance=cell.covariance), want)
+    _assert_columns_equal(got, want, cell.covariance)
     return {"converged" if ok else "max_iter" if f is None
             else type(f).__name__
             for ok, f in zip(got.converged, got.failures)}

@@ -194,7 +194,7 @@ def test_one_svd_per_iteration_beside_an_overflowed_window(
         monkeypatch, bs_square, moving_truth):
     """A stack whose middle window's whitened times overflow (sigma
     1e-160 m, times 1e150 s apart) is factored once per iteration plus
-    once for the covariance, as a stack of healthy windows is."""
+    once for the final check, as a stack of healthy windows is."""
     good = canonical_batch(bs_square, moving_truth)
     overflowed = make_batch(np.arange(8) % 4, 1e150 * np.arange(8),
                             rho=np.full(8, 20.0), sigma=1e-160)
