@@ -32,8 +32,12 @@
 # and solve of that batch with every estimator.  Usage errors and help, with
 # their exit status: no arguments, -h, an unknown command, solve alone and
 # with -h, and a solve of the fix-0 batch with an extra argument, an
-# unknown option or an unknown estimator.  The
-# base runs under PYTHONHASHSEED=0 and the head under 1,
+# unknown option or an unknown estimator.  Batch CSVs derived from the
+# fix-0 batch, each solved with uvd, with stderr and the exit status: a
+# non-UTF-8 byte, a non-numeric field, a row of five fields, the header
+# alone, an empty file, a missing file, a directory, BS index 4, -1 and
+# 2**63, sigma 0, a nan time, CRLF line ends and blank lines between
+# rows.  The base runs under PYTHONHASHSEED=0 and the head under 1,
 # each writing its files and stdout/stderr under WORK_DIR/base and
 # WORK_DIR/head.  Fails unless
 # every file the base writes is byte-identical in the head; files only the
@@ -42,6 +46,33 @@ set -euo pipefail
 
 STUDIES="stationary-noise speed-sweep velocity-deviation noise-sweep-uvd-pvd
 speed-compare circular"
+
+malformed_batches() {  # in write_outputs: derive from batch.csv, solve
+    local bad="$out/malformed" name
+    mkdir -p "$bad" "$bad/directory.csv"
+    { cat "$out/batch.csv"; printf '0,0.08,\xff,0.1\n'; } > "$bad/non-utf8.csv"
+    field() {  # NAME COLUMN VALUE: that field of the first row set
+        awk -F, -v OFS=, -v c="$2" -v v="$3" 'NR == 2 { $c = v } 1' \
+            "$out/batch.csv" > "$bad/$1.csv"
+    }
+    field non-numeric 3 abc
+    field index-4 1 4
+    field index-negative 1 -1
+    field index-2pow63 1 9223372036854775808
+    field sigma-0 4 0
+    field time-nan 2 nan
+    awk 'NR == 3 { $0 = $0 ",1" } 1' "$out/batch.csv" > "$bad/five-fields.csv"
+    head -n 1 "$out/batch.csv" > "$bad/header-only.csv"
+    : > "$bad/empty.csv"
+    sed 's/$/\r/' "$out/batch.csv" > "$bad/crlf.csv"
+    awk '{ print } NR > 1 { print "" }' "$out/batch.csv" > "$bad/blank-lines.csv"
+    for name in non-utf8 non-numeric index-4 index-negative index-2pow63 \
+            sigma-0 time-nan five-fields header-only empty crlf blank-lines \
+            missing directory; do
+        record "malformed-$name" solve --batch "malformed/$name.csv" \
+            --estimator uvd
+    done
+}
 
 write_outputs() {  # TREE OUT HASHSEED
     local src out hash_seed="$3"
@@ -81,6 +112,7 @@ write_outputs() {  # TREE OUT HASHSEED
     record usage-solve-extra "${solve[@]}" extra
     record usage-solve-bogus "${solve[@]}" --bogus 1
     record usage-solve-estimator solve --batch batch.csv --estimator foo
+    malformed_batches
     local args
     seqloc crlb --config "$config" > "$out/config-crlb.out"
     seqloc simulate --config "$config" --fix 3 > "$out/batch-config.csv"

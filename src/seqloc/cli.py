@@ -7,10 +7,11 @@ Subcommands:
 * ``crlb``        print the theoretical error budgets for a scenario
 * ``experiment``  run a named study sweep and write result CSVs
 
-Batch CSV format: header ``bs_index,t,rho,sigma``; times in seconds,
-distances in meters.  Exit status 0 when the requested work completed
-(individual Monte Carlo trial failures are counted in the outputs, not
-fatal); 1 on configuration or I/O errors; 2 on usage errors.
+Batch CSV format: UTF-8, with an optional byte order mark; the header
+``bs_index,t,rho,sigma`` is required and blank lines are skipped; times
+in seconds, distances in meters.  Exit status 0 when the requested work
+completed (individual Monte Carlo trial failures are counted in the
+outputs, not fatal); 1 on configuration or I/O errors; 2 on usage errors.
 
 The parser tree is built once, at import.  ``main`` parses an argv whose
 first word names a subcommand with that subcommand's own parser alone,
@@ -23,6 +24,7 @@ and exit status.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -137,8 +139,7 @@ def _batch_csv_lines(batch: MeasurementBatch):
 
 def _read_batch_csv(path: Path, epoch: float | None) -> MeasurementBatch:
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        text = path.read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read batch {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -184,14 +185,15 @@ def _print_report(estimator: str, report, n_dim: int) -> None:
              f"converged={str(report.converged).lower()}",
              f"iterations={report.iterations}",
              f"final_step_norm={report.final_step_norm:.9g}"]
-    lines += [f"p{axis}={value:.9g}" for axis, value in zip(axes, params.p)]
+    lines += [f"p{axis}={value:.9g}"
+              for axis, value in zip(axes, params.p.tolist())]
     lines += [f"clock_offset_m={params.b:.9g}",
               f"clock_drift_mps={params.d:.9g}"]
     if hasattr(params, "v"):
         lines += [f"v{axis}={value:.9g}"
-                  for axis, value in zip(axes, params.v)]
-    pos_var = float(np.trace(report.covariance[:n_dim, :n_dim]))
-    lines.append(f"pos_std_m={np.sqrt(pos_var):.9g}")
+                  for axis, value in zip(axes, params.v.tolist())]
+    pos_var = report.covariance[:n_dim, :n_dim].trace().item()
+    lines.append(f"pos_std_m={math.sqrt(pos_var):.9g}")
     sys.stdout.write("\n".join(lines) + "\n")
 
 

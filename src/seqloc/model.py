@@ -48,6 +48,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _diagonal(values, shape: tuple) -> np.ndarray:
+    """Matrices of ``shape`` (..., n, n) with ``values`` (a number or
+    (..., n)) on the diagonal and +0.0 elsewhere: for non-negative finite
+    values, bit for bit ``values[..., None] * np.eye(n)``."""
+    n = shape[-1]
+    out = np.zeros(shape[:-2] + (n * n,))
+    out[..., ::n + 1] = values
+    return out.reshape(shape)
+
+
 def _all_finite(arr: np.ndarray) -> bool:
     """``np.isfinite(arr).all()``, by ``np.count_nonzero``, which skips
     the Python wrapper of the ``all`` method that dominates the cost on a
@@ -67,13 +77,14 @@ def _require_velocity(v: np.ndarray, shape: tuple) -> None:
 
 
 def _require_sigma(sigma: np.ndarray, error=DimensionMismatch) -> None:
-    """Raise ``error`` unless every noise level in ``sigma`` is positive
-    with a finite, non-zero reciprocal (the whitening weight) and square
-    (the variance): about 1.5e-162 to 1.3e154 m.  A positive ``sigma``
-    whose square is finite and non-zero has such a reciprocal."""
-    with np.errstate(over="ignore", under="ignore"):
-        var = sigma * sigma
-    if not ((sigma > 0) & (var > 0) & (var < np.inf)).all():
+    """Raise ``error`` unless every noise level in the non-empty ``sigma``
+    is positive with a finite, non-zero square (the variance), hence
+    reciprocal (the whitening weight): about 1.5e-162 to 1.3e154 m.  The
+    extremes decide, as squaring is monotone (NaN if any level is NaN);
+    they are squared as Python floats, which never warn."""
+    low = float(np.minimum.reduce(sigma, axis=None))
+    high = float(np.maximum.reduce(sigma, axis=None))
+    if not (low > 0 and low * low > 0 and high * high < np.inf):
         raise error("sigma must be strictly positive, with a finite "
                     "non-zero square and reciprocal")
 
@@ -175,15 +186,14 @@ class MeasurementBatch:
         if not np.isfinite(self.t_l):
             raise DimensionMismatch("localization epoch must be finite")
         _require_sigma(sigma)
-        object.__setattr__(self, "bs_index", _freeze(idx))
-        object.__setattr__(self, "t", _freeze(t))
-        object.__setattr__(self, "rho", _freeze(rho))
-        object.__setattr__(self, "sigma", _freeze(sigma))
+        t_l = float(self.t_l)
         with np.errstate(over="ignore"):
-            dt = t - float(self.t_l)
+            dt = t - t_l
         _require_finite(dt, "times from the epoch")
-        object.__setattr__(self, "t_l", float(self.t_l))
-        object.__setattr__(self, "dt", _freeze(dt))
+        for arr in (idx, t, rho, sigma, dt):
+            arr.setflags(write=False)
+        self.__dict__.update(bs_index=idx, t=t, rho=rho, sigma=sigma,
+                             t_l=t_l, dt=dt)
 
     @property
     def m(self) -> int:
@@ -288,7 +298,7 @@ class VelocityPrior:
         mean = _freeze(np.array(mean, dtype=float, ndmin=1))
         _require_finite(mean, "prior mean")
         return _trusted(cls, mean=mean,
-                        covariance=_freeze(var * np.eye(mean.size)))
+                        covariance=_freeze(_diagonal(var, (mean.size,) * 2)))
 
 
 @dataclass(frozen=True)
@@ -351,11 +361,6 @@ def los_vector(q, p, v, dt: float) -> np.ndarray:
     return diff / dist
 
 
-def _stack(arrays) -> np.ndarray:
-    """``np.stack(arrays)``, cheaply for a single array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 class WindowStack(NamedTuple):
     """T windows of M measurements as stacked arrays: ``bs_index``, ``t``,
     ``rho``, ``sigma`` and ``dt`` (T, M), epochs ``t_l`` (T,)."""
@@ -407,7 +412,7 @@ def information_root(covariance: np.ndarray) -> np.ndarray:
     var = covariance.diagonal(axis1=-2, axis2=-1)
     # An SPD diagonal is positive: no other non-zero means diagonal.
     if np.count_nonzero(covariance) == var.size:
-        return np.sqrt(1.0 / var)[..., None] * np.eye(var.shape[-1])
+        return _diagonal(np.sqrt(1.0 / var), covariance.shape)
     return np.linalg.cholesky(np.linalg.inv(covariance)).mT
 
 
@@ -415,9 +420,12 @@ def prior_rows(priors, n_dim: int) -> PriorRows:
     """The PriorRows of one VelocityPrior per window."""
     if any(prior.n_dim != n_dim for prior in priors):
         raise DimensionMismatch("prior dimension does not match BSs")
+    if len(priors) == 1:
+        return PriorRows(information_root(priors[0].covariance)[None],
+                         priors[0].mean[None])
     return PriorRows(
-        information_root(_stack([prior.covariance for prior in priors])),
-        _stack([prior.mean for prior in priors]))
+        information_root(np.stack([prior.covariance for prior in priors])),
+        np.stack([prior.mean for prior in priors]))
 
 
 class WhitenedSystem:

@@ -378,6 +378,20 @@ class TestBatchHardening:
             assert (code, err, caught) == (0, "", [])
             assert "nan" not in out and "inf" not in out
 
+    def test_utf8_byte_order_mark_accepted(self, capsys, tmp_path):
+        """A batch CSV that starts with a UTF-8 byte order mark, as many
+        spreadsheet exporters write, solves as the same file without it:
+        the mark made the header mismatch."""
+        text = "\n".join(_good_batch_lines(capsys)) + "\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code, out, err, caught = _solve_without_warnings(
+            capsys, plain, "--estimator", "uvd")
+        assert (code, err, caught) == (0, "", [])
+        assert _solve_without_warnings(
+            capsys, marked, "--estimator", "uvd") == (code, out, err, caught)
+
 
 class TestPriorStd:
     @pytest.mark.parametrize("std", ["-2", "0", "nan", "inf", "1e-160",

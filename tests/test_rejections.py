@@ -3,12 +3,14 @@ with its own error type and message."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from seqloc import (ConfigError, DimensionMismatch, EstimatorSpec,
-                    RankDeficient, SolverConfig, VelocityPrior, analysis,
+                    MeasurementBatch, RankDeficient, SolverConfig,
+                    VelocityPrior, analysis,
                     rmse_standard_error, solve_joint_velocity,
                     solve_prior_velocity)
 from seqloc.cli import main
@@ -53,6 +55,70 @@ def test_known_velocity_takes_no_prior(bs_square, moving_batch):
                        match="a known velocity takes no prior"):
         WhitenedSystem(bs_square, WindowStack.of([moving_batch]),
                        np.zeros((1, 2)), prior)
+
+
+_LENGTH = "batch arrays must share one length"
+_EMPTY = "batch must contain at least one entry"
+_TIMES = "times must be finite"
+_RANGES = "pseudoranges must be finite"
+_EPOCH = "localization epoch must be finite"
+_SIGMA = ("sigma must be strictly positive, with a finite non-zero square "
+          "and reciprocal")
+_OFFSET = "times from the epoch must be finite"
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({"t": [0.0, 0.01, 0.02]}, _LENGTH),
+    ({"bs_index": [], "t": [], "rho": [], "sigma": []}, _EMPTY),
+    ({"t": [0.0, math.nan, 0.02, 0.03]}, _TIMES),
+    ({"rho": [20.0, 21.0, math.inf, 23.0]}, _RANGES),
+    ({"t_l": math.nan}, _EPOCH),
+    ({"sigma": [0.1, 0.0, 0.1, 0.1]}, _SIGMA),
+    ({"sigma": [0.1, 1e-320, 0.1, 0.1]}, _SIGMA),
+    ({"sigma": [0.1, 0.1, 1e308, 0.1]}, _SIGMA),
+    ({"sigma": [0.1, 0.1, 0.1, math.nan]}, _SIGMA),
+    ({"sigma": [0.1, -0.1, 0.1, 0.1]}, _SIGMA),
+    ({"t": [0.0, 0.01, 0.02, 1.7e308], "t_l": -1.7e308}, _OFFSET),
+    # Two faults: the earlier check wins.
+    ({"t": [0.0, math.nan, 0.02], "rho": [math.inf] * 4}, _LENGTH),
+    ({"bs_index": [], "t": [], "rho": [], "sigma": [], "t_l": math.nan},
+     _EMPTY),
+    ({"t": [math.nan] * 4, "rho": [math.inf] * 4}, _TIMES),
+    ({"t": [math.inf] * 4, "t_l": math.nan}, _TIMES),
+    ({"rho": [math.nan] * 4, "t_l": math.inf}, _RANGES),
+    ({"rho": [math.inf] * 4, "sigma": [0.0] * 4}, _RANGES),
+    ({"t_l": math.inf, "sigma": [math.nan] * 4}, _EPOCH),
+    ({"sigma": [1e-320] * 4, "t": [1.7e308] * 4, "t_l": -1.7e308}, _SIGMA),
+], ids=("length", "empty", "nan-time", "inf-range", "nan-epoch", "sigma-0",
+        "sigma-1e-320", "sigma-1e308", "sigma-nan", "sigma-negative",
+        "offset-overflow", "length+time", "empty+epoch", "time+range",
+        "time+epoch", "range+epoch", "range+sigma", "epoch+sigma",
+        "sigma+offset"))
+def test_batch_rejections_in_order(faults, message):
+    """MeasurementBatch checks its arrays in one order, each with its own
+    message, without a warning: the lengths, emptiness, the times, the
+    pseudoranges, the epoch, the noise levels, then the times from the
+    epoch."""
+    fields = dict(bs_index=[0, 1, 2, 3], t=[0.0, 0.01, 0.02, 0.03],
+                  rho=[20.0, 21.0, 22.0, 23.0], sigma=[0.1] * 4, t_l=0.0)
+    fields.update(faults)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DimensionMismatch) as raised:
+            MeasurementBatch(**fields)
+    assert str(raised.value) == message
+    assert caught == []
+
+
+def test_valid_batch_is_read_only():
+    t = [0.0, 0.01, 0.02, 1e300]
+    batch = MeasurementBatch([0, 1, 2, 3], t, [20.0, 21.0, 22.0, 23.0],
+                             [1e-150, 0.1, 1.0, 1e150], t_l=-1e300)
+    for arr in (batch.bs_index, batch.t, batch.rho, batch.sigma, batch.dt):
+        assert not arr.flags.writeable
+    assert batch.t_l == -1e300 and type(batch.t_l) is float
+    expected = np.array(t) - (-1e300)
+    assert batch.dt.tobytes() == expected.tobytes()
 
 
 def test_cli_epoch_must_be_finite(capsys, tmp_path, bs_square,

@@ -262,18 +262,42 @@ def test_cli_solve_builds_no_scenario(monkeypatch, tmp_path, capsys):
     assert [calls[0] for calls in scenarios] == [0, 0]
 
 
-def test_isotropic_prior_solve_factors_nothing_but_the_svds(monkeypatch):
+def test_isotropic_prior_solve_factors_nothing_but_the_svds(
+        monkeypatch, tmp_path, capsys):
     """An isotropic prior's information root is ``I / std``: the pvd
-    solve runs no eigvalsh, inv or cholesky, at set-up or in the loop."""
+    solve, through the library or ``seqloc solve``, runs no eigvalsh, inv
+    or cholesky, at set-up or in the loop, and builds no identity matrix
+    for the prior or its rows."""
     cfg = default_scenario("circular", seed=5)
     batch, truth = synthesize_batch(cfg, 7, trial_rng(cfg.seed, 7))
-    factorizations = [_counting(monkeypatch, np.linalg, name)
-                      for name in ("eigvalsh", "inv", "cholesky")]
+    seqloc.cli.main(["simulate", "--seed", "3", "--out", str(tmp_path)])
+    path = str(tmp_path / "batch.csv")
+    calls = [_counting(monkeypatch, np.linalg, name)
+             for name in ("eigvalsh", "inv", "cholesky")]
+    calls.append(_counting(monkeypatch, np, "eye"))
     for std in (0.5, 2.0, 8.0):
         report = solve_prior_velocity(
             batch, cfg.bs, VelocityPrior.isotropic(truth.v, std))
         assert report.converged
-    assert [calls[0] for calls in factorizations] == [0, 0, 0]
+        assert seqloc.cli.main(["solve", "--batch", path, "--estimator",
+                                "pvd", f"--prior-std={std}"]) == 0
+    assert "converged=true" in capsys.readouterr().out
+    assert [count[0] for count in calls] == [0, 0, 0, 0]
+
+
+def test_cli_solve_validates_its_batch_once(monkeypatch, tmp_path, capsys):
+    """``seqloc solve`` builds one MeasurementBatch through its
+    constructor, the one check of the file's numbers; the solve itself
+    validates nothing again."""
+    seqloc.cli.main(["simulate", "--seed", "3", "--out", str(tmp_path)])
+    path = str(tmp_path / "batch.csv")
+    checks = _counting(monkeypatch, MeasurementBatch, "__post_init__")
+    for kind in ("kvd", "uvd", "pvd", "d"):
+        checks[0] = 0
+        assert seqloc.cli.main(["solve", "--batch", path,
+                                "--estimator", kind]) == 0
+        assert checks[0] == 1
+    capsys.readouterr()
 
 
 PER_TRIAL_TYPES = (TrialRecord, EstimateReport, MeasurementBatch, FullParams,
