@@ -139,7 +139,7 @@ def _batch_csv_lines(batch: MeasurementBatch):
 
 def _read_batch_csv(path: Path, epoch: float | None) -> MeasurementBatch:
     try:
-        text = path.read_bytes().decode("utf-8-sig")
+        text = path.read_bytes().decode().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read batch {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]

@@ -179,6 +179,8 @@ class MeasurementBatch:
         sigma = np.array(self.sigma, dtype=float, ndmin=1)
         if not (idx.shape == t.shape == rho.shape == sigma.shape):
             raise DimensionMismatch("batch arrays must share one length")
+        if idx.ndim != 1:
+            raise DimensionMismatch("batch arrays must be one-dimensional")
         if idx.size < 1:
             raise DimensionMismatch("batch must contain at least one entry")
         for arr, what in ((t, "times"), (rho, "pseudoranges")):

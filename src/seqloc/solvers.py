@@ -12,6 +12,10 @@ through ``rank_rule``) goes through ``_svd``: numpy's LAPACK SVD gufunc,
 called bare.  It gives ``np.linalg.svd``'s bits without the wrapper's
 per-call dispatch, which on one 8-by-4 design costs about half as much
 again as the factorization, and NaN factors for a matrix LAPACK rejects.
+A stack of ``_SPLIT_MIN`` designs or more (the harness's stacks, never
+one window) is factored in chunks on the usable CPUs at once, with no
+option to set: each matrix is factored alone, so the bits do not depend
+on the CPU count.
 
 The loop comes in two sizes with the same floating-point operations.
 ``solve_stack`` runs a stack of windows with numpy's stacked
@@ -30,8 +34,12 @@ values may differ from the ``U``/``V`` path's in the last place.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
 import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,14 +108,132 @@ class EstimateReport(NamedTuple):
 # at import, not inside a solve.
 _SVD_USV, _SVD_S = _umath_linalg.svd_s, _umath_linalg.svd
 
+# The smallest stack ``_svd`` splits, and twice the smallest chunk it
+# hands to a thread.  On a 2-core x86-64 host, 8x4 and 10x6 designs with
+# U and V took 1.2-1.9 times as long split in two as in one call at 8-16
+# matrices, about as long at 24-32 and 0.6-0.75 of the time from 48 on;
+# 64 leaves a margin for a busy second core.  A one-window solve never
+# starts a thread.
+_SPLIT_MIN = 64
+# numpy's gufunc loop keeps the GIL unless its problem size exceeds 500,
+# which for the S-only gufunc is the chunk's count of singular values; a
+# chunk of fewer holds the GIL and the chunks run in series, at a loss
+# (on the host above, 250 8x4 designs took 1.3-1.5 times as long split
+# into chunks of 500 values, 192 10x6 designs 0.6 of the time into 576).
+_GIL_HELD = 500
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+class _Workers:
+    """Daemon threads that run ``_svd``'s chunks from one queue."""
+
+    def __init__(self):
+        self.tasks = queue.SimpleQueue()
+        self.size = 0
+
+    def serve(self, size: int) -> queue.SimpleQueue:
+        """The task queue, once ``size`` threads read it."""
+        while self.size < size:
+            threading.Thread(target=self._run, daemon=True,
+                             name=f"seqloc-svd-{self.size}").start()
+            self.size += 1
+        return self.tasks
+
+    def _run(self):
+        while True:
+            job, args = self.tasks.get()
+            job(*args)
+
+
+_workers, _workers_lock = None, threading.Lock()
+
+
+def _forget_workers():
+    """Run in a child of ``fork``, which inherits the pool and its lock but
+    none of the threads: a task queued for them would never be served."""
+    global _workers, _workers_lock
+    _workers, _workers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_forget_workers)
+
 
 def _svd(a: np.ndarray, compute_uv: bool = True):
     """``np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)`` of
     a float64 stack by the same gufunc, under the caller's error state; a
-    matrix LAPACK rejects gets NaN factors, and the invalid flag is set."""
+    matrix LAPACK rejects gets NaN factors, and the invalid flag is set.
+
+    A stack of ``_SPLIT_MIN`` matrices or more is factored in contiguous
+    chunks, one per usable CPU at most (``os.sched_getaffinity``), each
+    of at least ``_SPLIT_MIN // 2`` matrices and, without U and V, more
+    than ``_GIL_HELD`` singular values (see both constants for the
+    measurements behind them).  The calling thread factors the first
+    chunk and worker threads the others, at once: the gufunc releases the
+    GIL.  Each matrix is factored alone, so the bits depend neither on the
+    split nor on the CPU count.  Each chunk runs in a copy of the caller's
+    context, so under its ``np.errstate``; FP flags are per thread, so an
+    exception a chunk raises (a FloatingPointError included) is raised
+    here once every chunk has finished, the first chunk's first, and a
+    warning or call the error state asks for comes from the thread that
+    factored the chunk.  The workers start on the first split in each
+    process: a child of ``fork`` starts its own."""
+    if len(a) >= _SPLIT_MIN:
+        least = _SPLIT_MIN // 2
+        if not compute_uv:
+            least = max(least, _GIL_HELD // min(a.shape[1:]) + 1)
+        parts = min(_usable_cpus(), len(a) // least)
+        if parts > 1:
+            return _svd_split(a, compute_uv, parts)
     if compute_uv:
         return _SVD_USV(a, signature="d->ddd")
     return _SVD_S(a, signature="d->d")
+
+
+def _svd_split(a: np.ndarray, compute_uv: bool, parts: int):
+    """``_svd`` of the stack ``a`` in ``parts`` contiguous chunks, each
+    written by the gufunc into its slice of preallocated factors."""
+    global _workers
+    with _workers_lock:
+        if _workers is None:
+            _workers = _Workers()
+        tasks = _workers.serve(parts - 1)
+    count, rows, cols = a.shape
+    p = min(rows, cols)
+    s = np.empty((count, p))
+    if compute_uv:
+        gufunc, signature = _SVD_USV, "d->ddd"
+        out = (np.empty((count, rows, p)), s, np.empty((count, p, cols)))
+    else:
+        gufunc, signature, out = _SVD_S, "d->d", (s,)
+    edges = [count * j // parts for j in range(parts + 1)]
+    chunks = [(a[lo:hi], tuple(x[lo:hi] for x in out))
+              for lo, hi in zip(edges, edges[1:])]
+    errors, done = [None] * parts, queue.SimpleQueue()
+
+    def job(j, context):
+        try:
+            context.run(gufunc, chunks[j][0], signature=signature,
+                        out=chunks[j][1])
+        except BaseException as exc:  # raised below, on the caller
+            errors[j] = exc
+        done.put(j)
+
+    for j in range(1, parts):
+        tasks.put((job, (j, contextvars.copy_context())))
+    job(0, contextvars.copy_context())
+    for _ in range(parts):
+        done.get()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return out if compute_uv else s
 
 
 # Whitened columns that overflow (times, a prior), or a UD so far out

@@ -392,6 +392,21 @@ class TestBatchHardening:
         assert _solve_without_warnings(
             capsys, marked, "--estimator", "uvd") == (code, out, err, caught)
 
+    @pytest.mark.parametrize("data, position", [
+        (b"ab\xff", 2), (b"\xef\xbb\xbfab\xff", 5)], ids=("plain", "bom"))
+    def test_undecodable_byte_reported_at_its_file_offset(
+            self, capsys, tmp_path, data, position):
+        """A byte that is not UTF-8 is reported at its offset in the file,
+        counting a leading byte order mark."""
+        path = tmp_path / "batch.csv"
+        path.write_bytes(data)
+        code, out, err, caught = _solve_without_warnings(
+            capsys, path, "--estimator", "uvd")
+        assert (code, out, caught) == (1, "", [])
+        assert err == (f"error: cannot read batch {path}: 'utf-8' codec "
+                       f"can't decode byte 0xff in position {position}: "
+                       "invalid start byte\n")
+
 
 class TestPriorStd:
     @pytest.mark.parametrize("std", ["-2", "0", "nan", "inf", "1e-160",

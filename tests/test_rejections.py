@@ -58,6 +58,7 @@ def test_known_velocity_takes_no_prior(bs_square, moving_batch):
 
 
 _LENGTH = "batch arrays must share one length"
+_NDIM = "batch arrays must be one-dimensional"
 _EMPTY = "batch must contain at least one entry"
 _TIMES = "times must be finite"
 _RANGES = "pseudoranges must be finite"
@@ -69,6 +70,8 @@ _OFFSET = "times from the epoch must be finite"
 
 @pytest.mark.parametrize("faults, message", [
     ({"t": [0.0, 0.01, 0.02]}, _LENGTH),
+    ({"bs_index": [[0, 1], [2, 3]], "t": [[0.0, 0.01], [0.02, 0.03]],
+      "rho": [[20.0, 21.0], [22.0, 23.0]], "sigma": [[0.1] * 2] * 2}, _NDIM),
     ({"bs_index": [], "t": [], "rho": [], "sigma": []}, _EMPTY),
     ({"t": [0.0, math.nan, 0.02, 0.03]}, _TIMES),
     ({"rho": [20.0, 21.0, math.inf, 23.0]}, _RANGES),
@@ -89,16 +92,16 @@ _OFFSET = "times from the epoch must be finite"
     ({"rho": [math.inf] * 4, "sigma": [0.0] * 4}, _RANGES),
     ({"t_l": math.inf, "sigma": [math.nan] * 4}, _EPOCH),
     ({"sigma": [1e-320] * 4, "t": [1.7e308] * 4, "t_l": -1.7e308}, _SIGMA),
-], ids=("length", "empty", "nan-time", "inf-range", "nan-epoch", "sigma-0",
+], ids=("length", "two-dimensional", "empty", "nan-time", "inf-range", "nan-epoch", "sigma-0",
         "sigma-1e-320", "sigma-1e308", "sigma-nan", "sigma-negative",
         "offset-overflow", "length+time", "empty+epoch", "time+range",
         "time+epoch", "range+epoch", "range+sigma", "epoch+sigma",
         "sigma+offset"))
 def test_batch_rejections_in_order(faults, message):
     """MeasurementBatch checks its arrays in one order, each with its own
-    message, without a warning: the lengths, emptiness, the times, the
-    pseudoranges, the epoch, the noise levels, then the times from the
-    epoch."""
+    message, without a warning: the lengths, the dimension, emptiness,
+    the times, the pseudoranges, the epoch, the noise levels, then the
+    times from the epoch."""
     fields = dict(bs_index=[0, 1, 2, 3], t=[0.0, 0.01, 0.02, 0.03],
                   rho=[20.0, 21.0, 22.0, 23.0], sigma=[0.1] * 4, t_l=0.0)
     fields.update(faults)

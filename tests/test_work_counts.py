@@ -422,3 +422,15 @@ def test_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "False\n"
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    """The SVD's worker threads use threading and queue alone: importing
+    the CLI does not pay for concurrent.futures (and logging)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(seqloc.__file__).resolve().parents[1]))
+    code = ("import sys, seqloc.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
