@@ -3,9 +3,12 @@
 #
 # Usage: .github/outputs-identity.sh BASE_TREE HEAD_TREE WORK_DIR
 #
-# Runs, in each tree, the six studies (--trials 20 --svg), crlb --seed 3
-# (also with --prior-std 0.5), simulate --seed 3 (also with --fix 7) and
-# solve of the fix-0 batch with every estimator.  Then, with the head's
+# Runs, in each tree, the six studies (--trials 20 --svg), the
+# noise-sweep-uvd-pvd and speed-compare studies again at a second seed
+# (--seed 7 --trials 20), whose sweep points each draw their sampler and
+# nominal-prior cells in one generator pass, crlb --seed 3 (also with
+# --prior-std 0.5), simulate --seed 3 (also with --fix 7) and solve of the
+# fix-0 batch with every estimator.  Then, with the head's
 # .github/identity-config.json (a 3-D five-BS scenario) as --config for
 # both trees: crlb, simulate --fix 3, solve of that batch with every
 # estimator, and the noise-sweep-uvd-pvd (--svg) and velocity-deviation
@@ -87,6 +90,10 @@ write_outputs() {  # TREE OUT HASHSEED
     for name in $STUDIES; do
         seqloc experiment "$name" --trials 20 --svg --out studies \
             > "$out/experiment-$name.out"
+    done
+    for name in noise-sweep-uvd-pvd speed-compare; do
+        seqloc experiment "$name" --seed 7 --trials 20 --out seed7-studies \
+            > "$out/experiment-seed7-$name.out"
     done
     seqloc crlb --seed 3 > "$out/crlb.out"
     seqloc crlb --seed 3 --prior-std 0.5 > "$out/crlb-prior-std.out"

@@ -133,11 +133,16 @@ def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
 
 def crlb(f: np.ndarray) -> np.ndarray:
     """Diagonal of the inverse of the Fisher information ``f``; the first
-    N entries are the per-axis position bounds."""
-    eigs = np.linalg.eigvalsh(f)
-    if eigs[0] <= 0 or not np.all(np.isfinite(eigs)):
-        raise RankDeficient(_INDEFINITE)
-    return np.diagonal(np.linalg.inv(f)).copy()
+    N entries are the per-axis position bounds.  RankDeficient unless
+    ``f`` is positive-definite with a positive, finite inverse diagonal."""
+    with np.errstate(all="ignore"):
+        try:
+            eigs, diag = np.linalg.eigvalsh(f), np.diagonal(np.linalg.inv(f))
+        except np.linalg.LinAlgError:  # NaN entries, or singular
+            eigs = diag = np.array([np.nan])
+    if eigs[0] > 0 and np.all((eigs < np.inf) & (diag > 0) & (diag < np.inf)):
+        return diag.copy()
+    raise RankDeficient(_INDEFINITE)
 
 
 def theoretical_rmse_stack(variant: str, windows: WindowStack,
@@ -323,20 +328,24 @@ def bias_linear_lower_bound(batch: MeasurementBatch, bs: BsConstellation,
     s = s2.T @ projector.T @ projector @ s2
     alpha = float(np.min(np.linalg.eigvalsh(s)))
     s1_norm = float(np.linalg.norm(projector, 2))
-    dist = _row_norms(bs.positions[batch.bs_index] - truth.p
-                      - batch.dt[:, None] * truth.v)
+    to_bs = bs.positions[batch.bs_index] - truth.p
+    dist = _row_norms(to_bs - batch.dt[:, None] * truth.v)
 
     checks = []
     for dv in deviations:
         dv = np.asarray(dv, dtype=float)
         _require_velocity(dv, (bs.n_dim,))
-        exact = bias_deviated_velocity_stack(
-            windows, bs, truths, (truth.v + dv)[None], projectors).one()
-        bias_sq = float(np.dot(exact.bias, exact.bias))
-        size = float(np.linalg.norm(dv))
-        h = np.abs(batch.dt) * size
-        r_norm = (float(np.linalg.norm(h * h / (2.0 * (dist - h))))
-                  if np.all(h < dist) else np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(_row_norms(
+                    to_bs - batch.dt[:, None] * (truth.v + dv)))):
+                raise DimensionMismatch("the deviation's ranges overflow")
+            exact = bias_deviated_velocity_stack(
+                windows, bs, truths, (truth.v + dv)[None], projectors).one()
+            bias_sq = float(np.dot(exact.bias, exact.bias))
+            size = float(np.linalg.norm(dv))
+            h = np.abs(batch.dt) * size
+            r_norm = (float(np.linalg.norm(h * h / (2.0 * (dist - h))))
+                      if np.all(h < dist) else np.inf)
         bound = max(0.0, max(alpha, 0.0) ** 0.5 * size - s1_norm * r_norm) ** 2
         checks.append(DeviationBoundCheck(deviation=dv, bias_norm_sq=bias_sq,
                                           bound=bound, holds=bias_sq >= bound))

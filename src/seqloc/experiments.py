@@ -42,7 +42,7 @@ from .simulate import (
     ScenarioConfig,
     TdmaSchedule,
     _joined,
-    draw_trials,
+    draw_points,
     drift_from_ppm,
     solve_cells,
 )
@@ -214,17 +214,17 @@ def point_seed(seed: int, point_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _scenario_for_point(name: str, cfg: ScenarioConfig,
-                        value: float) -> ScenarioConfig:
+def _scenario_for_point(name: str, cfg: ScenarioConfig, value: float,
+                        **changes) -> ScenarioConfig:
+    """``cfg`` at sweep value ``value``, with ``changes``, in one replace."""
     swept = _DEFAULTS[name][2]
     if swept == "sigma":
-        return replace(cfg, sigma=float(value))
-    if swept == "speed":
+        changes["sigma"] = float(value)
+    elif swept == "speed":
         if not isinstance(cfg.trajectory, RandomPlacement):
             raise ConfigError("speed sweeps need a RandomPlacement trajectory")
-        return replace(cfg, trajectory=replace(cfg.trajectory,
-                                               speed=float(value)))
-    return cfg
+        changes["trajectory"] = replace(cfg.trajectory, speed=float(value))
+    return replace(cfg, **changes) if changes else cfg
 
 
 def _estimator_spec(name: str, estimator: str, value: float,
@@ -292,27 +292,26 @@ def run_experiment(spec: ExperimentSpec,
                    cfg: ScenarioConfig) -> ExperimentResult:
     """Execute the sweep and aggregate per (sweep value, estimator).
 
-    The estimator cells of one sweep value share one ``draw_trials`` (a
-    nominal-prior pvd cell draws its own); all cells are solved in one
-    ``solve_cells`` and their theory columns are computed per design
-    family (``_theory_columns``).  ``records`` maps (sweep value,
-    estimator) to the cell's ``TrialCell``.  Non-converged or failed
-    trials are excluded from the empirical RMSE and reported through the
-    ``non_converged`` column.
+    Every sweep point's trials are drawn once for all its cells
+    (``draw_points``: a nominal-prior pvd cell reads the same streams
+    further); all cells are solved in one ``solve_cells`` and their
+    theory columns are computed per design family (``_theory_columns``).
+    ``records`` maps (sweep value, estimator) to the cell's
+    ``TrialCell``.  Non-converged or failed trials are excluded from the
+    empirical RMSE and reported through the ``non_converged`` column.
     """
+    especs = [[_estimator_spec(spec.name, estimator, value, spec.prior_std)
+               for estimator in spec.estimators] for value in spec.grid]
+    points = draw_points(
+        [_scenario_for_point(spec.name, cfg, value,
+                             seed=point_seed(cfg.seed, k))
+         for k, value in enumerate(spec.grid)],
+        [[espec.nominal_prior_std for espec in row] for row in especs])
     keys, cells = [], []
-    for k, value in enumerate(spec.grid):
-        cfg_pt = replace(_scenario_for_point(spec.name, cfg, value),
-                         seed=point_seed(cfg.seed, k))
-        draws = {}  # nominal prior std (None for the plain draw) -> draws
-        for estimator in spec.estimators:
-            espec = _estimator_spec(spec.name, estimator, value,
-                                    spec.prior_std)
-            key = espec.nominal_prior_std
-            if key not in draws:
-                draws[key] = draw_trials(cfg_pt, nominal_std=key)
+    for value, row, draws in zip(spec.grid, especs, points):
+        for estimator, espec in zip(spec.estimators, row):
             keys.append((value, estimator))
-            cells.append((espec, draws[key]))
+            cells.append((espec, draws[espec.nominal_prior_std]))
     cells = solve_cells(cells)
     rows = []
     for (value, estimator), cell, (theo, crl) in zip(

@@ -4,11 +4,11 @@ sequential pseudorange batches and the Monte Carlo driver.
 Reproducibility contract: trial ``k`` of a scenario draws everything from
 ``numpy.random.default_rng([seed, k])`` (PCG64 seeded through
 SeedSequence), so its inputs do not depend on which other trials run with
-it; ``draw_trials`` hashes the seeds of all its trials at once
-(``trial_seeds``) into the same streams.  Within a trial the draw order
-is fixed: trajectory placement draws first (when the trajectory is a
-random sampler: two position uniforms, then the heading uniform), then
-the true velocity (for a prior centred on the nominal one), then one
+it; ``trial_seeds`` hashes the seeds of all a study's trials at once
+into the same streams.  Within a trial the draw order is fixed:
+trajectory placement draws first (when the trajectory is a random
+sampler: two position uniforms, then the heading uniform), then the
+true velocity (for a prior centred on the nominal one), then one
 standard normal per measurement.
 
 A Monte Carlo cell is columnar: ``draw_trials`` synthesizes a scenario's
@@ -17,8 +17,9 @@ A Monte Carlo cell is columnar: ``draw_trials`` synthesizes a scenario's
 family, with the floating-point operations of the single-window path, so
 each trial is bit-identical to solving it alone, and a trial whose
 numbers overflow fails alone.  Indexing a cell builds one
-``TrialRecord``.  Estimator cells can share a draw, except that a
-nominal-prior ``pvd`` cell needs its own."""
+``TrialRecord``.  Estimator cells can share a draw; ``draw_points``
+draws a sweep point once for all its cells, a nominal-prior ``pvd``
+cell reading the same streams further."""
 
 from __future__ import annotations
 
@@ -376,33 +377,41 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed
 
 
-def trial_seeds(seed: int, n: int, first: int = 0) -> np.ndarray:
+def trial_seeds(seed, n: int, first: int = 0) -> np.ndarray:
     """The PCG64 seed words (n, 4) uint64 of trials ``first`` to
     ``first + n - 1``: the row of trial ``k`` is
     ``SeedSequence([seed, k]).generate_state(4, np.uint64)``, the state
     ``trial_rng(seed, k)`` starts from, hashed for all trials at once.
-
-    The hash costs about 60 us per call whatever ``n`` (2-core x86-64,
-    numpy 2.4), against about 13 us per trial for ``trial_rng``, so it
-    seeds fewer than about 5 trials slower than per-trial generators
-    would; every default study and benchmark workload draws 50 or more."""
+    A list or tuple of seeds gives rows (len(seed), n, 4) in one pass for
+    the seeds of up to three 32-bit words (with the trial index they fit
+    SeedSequence's pool, whose fill pads them with zeros) and one per
+    longer width.  A study hashes once, then reads each sweep point's
+    streams in one generator pass (``draw_points``)."""
     if first + n > 2**32:
         raise ConfigError("at most 2**32 trials: a trial index is one "
                           "32-bit word of its seed")
-    seed = int(seed)
-    # The little-endian 32-bit words of the seed, at least one.
-    words = [seed >> shift & 0xFFFFFFFF
-             for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.empty((n, len(words) + 1), dtype=np.uint32)
-    entropy[:, :-1] = words
-    entropy[:, -1] = np.arange(first, first + n, dtype=np.uint32)
-    extra = max(entropy.shape[1] - _POOL, 0)
-    calls = 4 * (_POOL + extra)
+    one = isinstance(seed, (int, np.integer))
+    index = np.arange(first, first + n, dtype=np.uint32)
+    widths: dict = {}  # entropy width -> (row, little-endian seed words)
+    for row, value in enumerate(map(int, [seed] if one else seed)):
+        words = [value >> shift & 0xFFFFFFFF
+                 for shift in range(0, max(value.bit_length(), 1), 32)]
+        widths.setdefault(max(len(words) + 1, _POOL), []).append((row, words))
+    out = np.empty((1 if one else len(seed), n, 4), dtype=np.uint64)
+    for width, members in widths.items():
+        entropy = np.zeros((len(members), n, width), dtype=np.uint32)
+        for part, (_, words) in zip(entropy, members):
+            part[:, :len(words)], part[:, len(words)] = words, index
+        out[[row for row, _ in members]] = _seed_state(
+            entropy.reshape(-1, width)).reshape(len(members), n, 4)
+    return out[0] if one else out
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of the entropy rows (R, E >= 4)."""
+    calls = 4 * entropy.shape[1]
     consts = _HASH_A if calls < len(_HASH_A) else _hash_a(calls + 1)
-    # Fill: the entropy words, then zeros up to the pool size.
-    pool = np.zeros((n, _POOL), dtype=np.uint32)
-    pool[:, :min(_POOL, entropy.shape[1])] = entropy[:, :_POOL]
-    pool = _hashmix(pool, consts[:_POOL], consts[1:_POOL + 1])
+    pool = _hashmix(entropy[:, :_POOL], consts[:_POOL], consts[1:_POOL + 1])
     # Mix every word into every other, one source word at a time.
     for src in range(_POOL):
         hashed = _hashmix(pool[:, src, None], _MIX_ROUNDS[0, src],
@@ -411,8 +420,8 @@ def trial_seeds(seed: int, n: int, first: int = 0) -> np.ndarray:
         mixed[:, src] = pool[:, src]
         pool = mixed
     # Entropy beyond the pool is mixed into every word.
-    for i, src in enumerate(range(_POOL, entropy.shape[1])):
-        call = 4 * (_POOL + i)
+    for src in range(_POOL, entropy.shape[1]):
+        call = 4 * src
         pool = _mix(pool, _hashmix(entropy[:, src, None],
                                    consts[call:call + _POOL],
                                    consts[call + 1:call + _POOL + 1]))
@@ -597,48 +606,61 @@ class TrialDraws(NamedTuple):
 def draw_trials(cfg: ScenarioConfig,
                 nominal_std: float | None = None) -> TrialDraws:
     """Draw, synthesize and validate the ``cfg.n_trials`` trials of ``cfg``
-    as one stack.  With ``nominal_std`` (see
-    ``EstimatorSpec.nominal_prior_std``) each trial's true velocity is
-    drawn from a prior of that width around its nominal one, which costs
-    one more normal vector per trial.  The trial seeds are hashed at once
-    (``trial_seeds``), faster from about 5 trials on."""
-    n = cfg.n_trials
-    seeds = trial_seeds(cfg.seed, n)
-    traj, n_dim = cfg.trajectory, cfg.bs.n_dim
-    sampler = isinstance(traj, RandomPlacement)
-    if nominal_std is not None and not (
-            sampler or isinstance(traj, ConstantVelocity)):
-        raise ConfigError("nominal prior centering needs a constant-velocity "
-                          "trajectory or sampler")
-    extra = 0 if nominal_std is None else n_dim
-    uniforms = np.empty((n, 3))
-    normals = np.empty((n, extra + cfg.m_per_fix))
-    # The streams of trial_rng(seed, k), seeded for all trials at once;
-    # random(3) and one standard_normal(N + M) consume each exactly as
-    # uniform(size=2), uniform(), standard_normal(N), standard_normal(M).
+    as one stack: the one-cell case of ``draw_points``.  With
+    ``nominal_std`` (see ``EstimatorSpec.nominal_prior_std``) each trial's
+    true velocity is drawn from a prior of that width around its nominal
+    one, which costs one more normal vector per trial."""
+    return draw_points([cfg], [[nominal_std]])[0][nominal_std]
+
+
+def draw_points(cfgs: list, widths: list) -> list:
+    """Per scenario of ``cfgs`` (of one trial count), a dict from each nominal
+    prior width of its ``widths`` entry (None: the plain draw) to
+    ``draw_trials(cfg, width)``, from one ``trial_seeds`` call for all and
+    one generator pass per scenario, which places its trajectories once.
+    A trial reads ``random(3)`` for a sampler, then ``standard_normal(N +
+    M)`` when a width is set, else ``standard_normal(M)``: the plain
+    draw's noise is the first M normals, a nominal draw's velocity the
+    first N and its noise the next M, the streams each reads alone."""
+    n = cfgs[0].n_trials
+    if any(cfg.n_trials != n for cfg in cfgs):
+        raise ConfigError("the scenarios of one draw must share a trial count")
+    seeds = trial_seeds([cfg.seed for cfg in cfgs], n)
     generator, pcg64 = np.random.Generator, np.random.PCG64
     seed_words = _seed_words()
-    for k, words in enumerate(seeds):
-        rng = generator(pcg64(seed_words(words)))
-        if sampler:
-            rng.random(out=uniforms[k])
-        rng.standard_normal(out=normals[k])
-
-    nominal = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if sampler:
-            traj = traj.place(uniforms)
-        if nominal_std is not None:
-            # The sampled velocity becomes the prior mean; the truth is
-            # drawn from that prior.
-            nominal = np.broadcast_to(traj.v, (n, n_dim))
-            traj = ConstantVelocity(traj.p0, traj.v + nominal_std
-                                    * normals[:, :n_dim], traj.t_ref)
-    # Fixed trajectories advance through the TDMA schedule; per-trial
-    # samplers restart the window at fix 0.
-    win, truth = _synthesize(cfg, np.zeros(n, dtype=int) if sampler
-                             else np.arange(n), traj, normals[:, extra:])
-    return TrialDraws(cfg, win, truth, nominal_std, nominal)
+    points = []
+    for cfg, stds, rows in zip(cfgs, widths, seeds):
+        traj, n_dim, m = cfg.trajectory, cfg.bs.n_dim, cfg.m_per_fix
+        sampler = isinstance(traj, RandomPlacement)
+        stds = dict.fromkeys(stds)
+        nominal = any(std is not None for std in stds)
+        if nominal and not (sampler or isinstance(traj, ConstantVelocity)):
+            raise ConfigError("nominal prior centering needs a "
+                              "constant-velocity trajectory or sampler")
+        uniforms = np.empty((n, 3))
+        normals = np.empty((n, m + n_dim * nominal))
+        for k, words in enumerate(rows):
+            rng = generator(pcg64(seed_words(words)))
+            if sampler:
+                rng.random(out=uniforms[k])
+            rng.standard_normal(out=normals[k])
+        # Fixed trajectories advance through the TDMA schedule; per-trial
+        # samplers restart the window at fix 0.
+        fixes = np.zeros(n, dtype=int) if sampler else np.arange(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = traj.place(uniforms) if sampler else traj
+            mean = np.broadcast_to(traj.v, (n, n_dim)) if nominal else None
+            for std in stds:
+                # A nominal draw's truth is drawn from the prior around
+                # the sampled velocity, which becomes the prior mean.
+                skip = 0 if std is None else n_dim
+                truth = traj if std is None else ConstantVelocity(
+                    traj.p0, traj.v + std * normals[:, :n_dim], traj.t_ref)
+                stds[std] = TrialDraws(cfg, *_synthesize(
+                    cfg, fixes, truth, normals[:, skip:skip + m]), std,
+                    None if std is None else mean)
+        points.append(stds)
+    return points
 
 
 class TrialCell(Sequence):

@@ -12,11 +12,11 @@ from seqloc import (ConfigError, DimensionMismatch, EstimatorSpec,
                     MeasurementBatch, RankDeficient, SolverConfig,
                     VelocityPrior, analysis,
                     rmse_standard_error, solve_joint_velocity,
-                    solve_prior_velocity)
+                    solve_prior_velocity, synthesize_batch, trial_rng)
 from seqloc.cli import main
 from seqloc.experiments import default_scenario
 from seqloc.model import PriorRows, WhitenedSystem, WindowStack
-from seqloc.simulate import draw_trials, solve_trials
+from seqloc.simulate import draw_points, draw_trials, solve_trials
 
 from conftest import canonical_batch
 
@@ -47,6 +47,14 @@ def test_nominal_prior_cell_needs_its_own_draw():
     with pytest.raises(ConfigError, match="trials were drawn for a "
                                           "different velocity prior"):
         solve_trials(spec, draw_trials(cfg))
+
+
+def test_one_draw_of_scenarios_shares_a_trial_count():
+    cfg = default_scenario("speed-compare", trials=2)
+    with pytest.raises(ConfigError, match="the scenarios of one draw must "
+                                          "share a trial count"):
+        draw_points([cfg, default_scenario("speed-compare", trials=3)],
+                    [[None], [None]])
 
 
 def test_known_velocity_takes_no_prior(bs_square, moving_batch):
@@ -211,6 +219,44 @@ def test_crlb_of_an_indefinite_information():
     with pytest.raises(RankDeficient,
                        match="Fisher information is not positive-definite"):
         analysis.crlb(np.diag([1.0, 0.0, 2.0]))
+
+
+@pytest.mark.parametrize("info", [np.full((4, 4), np.nan),
+                                  np.diag([1.0, 1.0, 1.0, 1e-320])],
+                         ids=["nan", "inverse-overflows"])
+@pytest.mark.parametrize("state", ["default", "raise"])
+def test_crlb_fails_an_information_the_harness_fails(info, state):
+    """An information of NaNs (numpy's eigvalsh does not converge) and one
+    whose inverse diagonal overflows fail with the rule ``_inverse_fims``
+    applies to a window, without a warning, also under a caller's
+    strictest error state."""
+    with warnings.catch_warnings(), np.errstate(
+            all="raise" if state == "raise" else "warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficient,
+                           match="^Fisher information is not "
+                                 "positive-definite$"):
+            analysis.crlb(info)
+
+
+def test_overflowing_deviation_fails_the_bias_bound():
+    """A deviation whose displaced ranges overflow fails with
+    DimensionMismatch, as an overflowed truth does, with no warning; one
+    whose ranges stay finite gives a bound, also when its own norm
+    overflows (the bound is then 0)."""
+    cfg = default_scenario("circular")
+    batch, truth = synthesize_batch(cfg, 3, trial_rng(7, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dv in ([1e200, 0.0], [0.0, -1e160], [1.7e308, 1.7e308]):
+            with pytest.raises(DimensionMismatch,
+                               match="^the deviation's ranges overflow$"):
+                analysis.bias_linear_lower_bound(batch, cfg.bs, truth, [dv])
+        checks = analysis.bias_linear_lower_bound(
+            batch, cfg.bs, truth, [[1e154, 0.0], [1e155, 0.0]]).checks
+    assert all(check.holds and math.isfinite(check.bias_norm_sq)
+               for check in checks)
+    assert checks[1].bound == 0.0
 
 
 def test_rmse_standard_error_edges():

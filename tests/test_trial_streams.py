@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqloc import ConstantVelocity, synthesize_batch, trial_rng
 from seqloc.errors import ConfigError
@@ -25,6 +25,29 @@ def test_trial_seeds_are_the_seed_sequence_words(seed, k):
     assert words.dtype == np.uint64 and words.shape == (3, 4)
     for row in range(3):
         assert np.array_equal(words[row], _seed_sequence_words(seed, k + row))
+
+
+# Seeds of one, two and three 32-bit words, and of four or more.
+_SEED_WIDTHS = (st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                st.integers(2**64, 2**96 - 1), st.integers(2**96, 2**300))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seeds=st.tuples(*_SEED_WIDTHS, st.lists(st.one_of(*_SEED_WIDTHS),
+                                               max_size=4)).flatmap(
+           lambda widths: st.permutations([*widths[:4], *widths[4]])),
+       k=st.integers(0, 2**32 - 3))
+@example(seeds=[2**95 + 3, 0, 2**96, 2**64 - 1, 2**32, 7], k=2**32 - 3)
+def test_one_call_over_mixed_seed_widths(seeds, k):
+    """One call over seeds of every width (those of up to three words
+    share one pass, each longer width takes its own) gives each seed the
+    rows it gets alone, word for word."""
+    words = trial_seeds(seeds, 3, first=k)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 3, 4)
+    for seed, rows in zip(seeds, words):
+        for row in range(3):
+            assert np.array_equal(rows[row],
+                                  _seed_sequence_words(seed, k + row))
 
 
 @pytest.mark.parametrize("seed", [0, 20260808, 2**32 - 1, 2**64, 2**96 - 1,

@@ -381,6 +381,23 @@ def test_sweep_seeds_no_generator_per_trial(monkeypatch, study):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("study", ["noise-sweep-uvd-pvd", "speed-compare"])
+def test_sweep_point_reads_its_streams_once(monkeypatch, study):
+    """The cells of a sweep point, a nominal-prior pvd among them, read
+    one generator pass: a study makes one PCG64 per grid point and trial,
+    at 10 and at 40 trials per cell, and hashes all its trial seeds in
+    one trial_seeds call, at one grid point and over the whole grid."""
+    made = _counting(monkeypatch, np.random, "PCG64")
+    hashed = _counting(monkeypatch, seqloc.simulate, "trial_seeds")
+    grid = default_spec(study).grid
+    for trials in (10, 40):
+        cfg = replace(default_scenario(study, seed=11), n_trials=trials)
+        for points in (1, len(grid)):
+            made[0] = hashed[0] = 0
+            run_experiment(default_spec(study, grid=grid[:points]), cfg)
+            assert (made[0], hashed[0]) == (points * trials, 1)
+
+
 # The calls one run_experiment makes, whatever its grid: solve_stack once
 # per design family (known velocity: kvd and d; joint: uvd; prior rows:
 # pvd), the kvd projectors once when a kvd or d cell is there, and
