@@ -195,8 +195,8 @@ def bias_deviated_velocity_stack(windows: WindowStack, bs: BsConstellation,
                                  projectors: KvdProjectors | None = None
                                  ) -> BudgetStack:
     """``bias_deviated_velocity`` of T windows at their truths (T, 2N+2)
-    at once, ``v_assumed`` (T, N).  ``projectors`` are the windows'
-    ``kvd_projectors`` when they are already at hand."""
+    at once, ``v_assumed`` (T, N), with the windows' ``kvd_projectors``
+    when at hand; assumed-displaced ranges that overflow fail a window."""
     if projectors is None:
         projectors = kvd_projectors(windows, bs, truth)
     projector, inv_f, failures = projectors
@@ -204,7 +204,12 @@ def bias_deviated_velocity_stack(windows: WindowStack, bs: BsConstellation,
     q = bs.positions[windows.bs_index]
     dt = windows.dt[..., None]
     p, v = truth[:, None, :n], truth[:, None, n + 2:]
-    r = _row_norms(q - p - dt * v) - _row_norms(q - p - dt * v_assumed[:, None])
+    assumed = _row_norms(q - p - dt * v_assumed[:, None])
+    failures = list(failures)  # the projectors' own list stays untouched
+    for i in np.flatnonzero(~np.isfinite(assumed).all(axis=1)).tolist():
+        failures[i] = failures[i] or DimensionMismatch(
+            "the deviation's ranges overflow")
+    r = _row_norms(q - p - dt * v) - assumed
     return _budgets((projector @ r[..., None])[..., 0], inv_f[:, :n, :n],
                     failures)
 
@@ -336,9 +341,6 @@ def bias_linear_lower_bound(batch: MeasurementBatch, bs: BsConstellation,
         dv = np.asarray(dv, dtype=float)
         _require_velocity(dv, (bs.n_dim,))
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(np.isfinite(_row_norms(
-                    to_bs - batch.dt[:, None] * (truth.v + dv)))):
-                raise DimensionMismatch("the deviation's ranges overflow")
             exact = bias_deviated_velocity_stack(
                 windows, bs, truths, (truth.v + dv)[None], projectors).one()
             bias_sq = float(np.dot(exact.bias, exact.bias))

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, EmptyInput
-from .model import BsConstellation, prior_variance
+from .model import BsConstellation, WindowStack, prior_variance
 from .simulate import (
     Circular,
     ClockModel,
@@ -41,7 +41,6 @@ from .simulate import (
     RandomPlacement,
     ScenarioConfig,
     TdmaSchedule,
-    _joined,
     draw_points,
     drift_from_ppm,
     solve_cells,
@@ -242,50 +241,34 @@ def _theory_columns(cells: list) -> list:
     """The (theoretical, CRLB) RMSE columns of each TrialCell of
     ``cells``: root mean squares of the per-trial values at the truth over
     the converged trials whose theory is defined, else NaN.  One stacked
-    call per design family: kvd's deviation bias and d's movement bias
-    from the kvd projectors of their distinct draws, computed once;
+    call per CellFamily, over all its rows: kvd's deviation bias and d's
+    movement bias from the kvd projectors of its distinct draw rows, and
     ``theoretical_rmse_stack`` for uvd and pvd."""
     columns = {}
-    for family, kinds in (("kvd", ("kvd", "d")), ("uvd", ("uvd",)),
-                          ("pvd", ("pvd",))):
-        part = [cell for cell in cells
-                if cell.spec.kind in kinds and cell.converged.any()]
-        if not part:
-            continue
-        bs = part[0].draws.scenario.bs
-        win = _joined([cell.draws.win for cell in part])
-        truth = _joined([cell.draws.truth for cell in part])
-        if family == "kvd":
-            draws = list({id(c.draws): c.draws for c in part}.values())
-            first = dict(zip(map(id, draws), np.cumsum(
-                [0] + [len(d.truth) for d in draws]).tolist()))
-            rows = np.concatenate([first[id(c.draws)] + np.arange(len(c))
-                                   for c in part])
+    for family in dict.fromkeys(cell.family for cell in cells):
+        if family.kind == "kvd":
+            distinct, rows = np.unique(family.first, return_inverse=True)
             projector, inverse, failures = analysis.kvd_projectors(
-                _joined([d.win for d in draws]), bs,
-                _joined([d.truth for d in draws]))
+                WindowStack(*(column[distinct] for column in family.win)),
+                family.bs, family.truth[distinct])
             budgets = analysis.bias_deviated_velocity_stack(
-                win, bs, truth, _joined([c.v_assumed for c in part]),
-                analysis.KvdProjectors(
-                    projector[rows], inverse[rows],
-                    [failures[r] for r in rows.tolist()]))
+                family.win, family.bs, family.truth, family.v,
+                analysis.KvdProjectors(projector[rows], inverse[rows],
+                                       [failures[r] for r in rows.tolist()]))
         else:
             budgets = analysis.theoretical_rmse_stack(
-                family, win, bs, truth, _joined([c.prior for c in part]))
+                family.kind, family.win, family.bs, family.truth, family.prior)
         # The CRLB column is the zero-bias part of the budget.
         bound = np.sqrt(np.trace(budgets.variance, axis1=-2, axis2=-1))
-        start = 0
-        for cell in part:
-            ok = [k for k in (np.flatnonzero(cell.converged) + start).tolist()
-                  if budgets.failures[k] is None]
-            start += len(cell)
-            if ok:
-                # Python's t ** 2 can differ from numpy's square in the
-                # last bit; the CSVs are pinned to the former.
-                columns[cell] = tuple(float(np.sqrt(np.mean(
-                    [t ** 2 for t in values[ok].tolist()])))
-                    for values in (budgets.rmse, bound))
-    return [columns.get(cell, (math.nan, math.nan)) for cell in cells]
+        for cell in [cell for cell in cells if cell.family is family]:
+            good = cell.start + np.flatnonzero(cell.converged)
+            ok = [k for k in good.tolist() if budgets.failures[k] is None]
+            # Python's t ** 2 can differ from numpy's square in the last
+            # bit; the CSVs are pinned to the former.
+            columns[cell] = (math.nan, math.nan) if not ok else tuple(
+                float(np.sqrt(np.mean([t ** 2 for t in values[ok].tolist()])))
+                for values in (budgets.rmse, bound))
+    return [columns[cell] for cell in cells]
 
 
 def run_experiment(spec: ExperimentSpec,

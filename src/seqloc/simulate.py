@@ -13,13 +13,13 @@ standard normal per measurement.
 
 A Monte Carlo cell is columnar: ``draw_trials`` synthesizes a scenario's
 ``n_trials`` trials as ``(T, ...)`` arrays and ``solve_cells`` solves
-(estimator, draw) cells into ``TrialCell`` columns, one stack per design
-family, with the floating-point operations of the single-window path, so
-each trial is bit-identical to solving it alone, and a trial whose
-numbers overflow fails alone.  Indexing a cell builds one
-``TrialRecord``.  Estimator cells can share a draw; ``draw_points``
-draws a sweep point once for all its cells, a nominal-prior ``pvd``
-cell reading the same streams further."""
+(estimator, draw) cells into ``TrialCell`` columns, one stack and one
+``CellFamily`` record per design family (``FAMILY``), with the
+floating-point operations of the single-window path, so each trial is
+bit-identical to solving it alone, and a trial whose numbers overflow
+fails alone.  Indexing a cell builds one ``TrialRecord``.  Cells can
+share a draw; ``draw_points`` draws a sweep point once for all its
+cells, a nominal-prior ``pvd`` cell reading the same streams further."""
 
 from __future__ import annotations
 
@@ -65,7 +65,9 @@ from .solvers import (  # noqa: F401
 
 RNG_ALGORITHM = "numpy-pcg64/seedsequence([seed, trial])"
 
-ESTIMATOR_KINDS = ("kvd", "uvd", "pvd", "d")
+# Each estimator's design family, whose estimators share one stacked solve.
+FAMILY = {"kvd": "kvd", "uvd": "uvd", "pvd": "pvd", "d": "kvd"}
+ESTIMATOR_KINDS = tuple(FAMILY)
 
 
 def _integer(value, what: str, low: int = 0) -> int:
@@ -663,23 +665,40 @@ def draw_points(cfgs: list, widths: list) -> list:
     return points
 
 
-class TrialCell(Sequence):
-    """The trials of one estimator over one draw as read-only columns:
-    final parameter vectors ``theta`` (T, P), iteration counts,
-    convergence flags, last step norms, per trial None or the name of the
-    exception its single-window solve raises, the kvd or d assumed
-    velocities (T, N) and the pvd PriorRows, or None; and covariances
-    (T, P, P), formed when read.  Indexing builds one TrialRecord."""
+class CellFamily:
+    """One stack of ``solve_cells``: the family ``kind`` (of FAMILY), ``bs``,
+    the joined WindowStack ``win``, truths, known velocities ``v`` and
+    PriorRows ``prior`` (or None) of its cells, and per row the first row
+    of the same draw's trial (``first``).  Its cells point to it, not it
+    to them; a plain object, so that it can key a dict."""
 
-    __slots__ = ("spec", "draws", "theta", "iterations", "converged",
-                 "step_norm", "errors", "v_assumed", "prior", "_covariance")
+    __slots__ = ("kind", "bs", "win", "truth", "v", "prior", "first")
+
+    def __init__(self, kind, bs, win, truth, v, prior, first):
+        self.kind, self.bs, self.win, self.truth = kind, bs, win, truth
+        self.v, self.prior, self.first = v, prior, first
+
+
+class TrialCell(Sequence):
+    """The trials of one estimator over one draw, rows ``start`` on of its
+    CellFamily ``family``, as read-only columns: final parameter vectors
+    ``theta`` (T, P), iteration counts, convergence flags, last step norms,
+    per trial None or the name of the exception its single-window solve
+    raises, the kvd or d assumed velocities (T, N) and the pvd PriorRows,
+    or None; and covariances (T, P, P), formed when read.  Indexing builds
+    one TrialRecord."""
+
+    __slots__ = ("spec", "draws", "family", "start", "theta", "iterations",
+                 "converged", "step_norm", "errors", "v_assumed", "prior",
+                 "_covariance")
 
     def __init__(self, spec: EstimatorSpec, draws: TrialDraws,
-                 sol: StackSolution, v_assumed=None,
-                 prior: PriorRows | None = None):
+                 sol: StackSolution, family: CellFamily, start: int,
+                 v_assumed=None, prior: PriorRows | None = None):
         for arr in sol[:4]:
             arr.setflags(write=False)
-        self.spec, self.draws = spec, draws
+        self.spec, self.draws, self.family, self.start = (
+            spec, draws, family, start)
         self.theta, self.iterations, self.converged, self.step_norm = sol[:4]
         self.errors = tuple(None if f is None else type(f).__name__
                             for f in sol.failures)
@@ -738,7 +757,7 @@ def _cell_inputs(spec: EstimatorSpec, draws: TrialDraws):
         raise ConfigError("trials were drawn for a different velocity prior")
     n, n_dim = len(draws.truth), draws.scenario.bs.n_dim
     truth_v = draws.truth[:, n_dim + 2:]
-    if spec.kind in ("kvd", "d"):  # the drift-only baseline assumes zero
+    if FAMILY[spec.kind] == "kvd":  # the drift-only baseline assumes zero
         return _freeze(assumed_velocities(truth_v, spec.speed_deviation)
                        if spec.kind == "kvd" else np.zeros((n, n_dim))), None
     if spec.kind == "uvd":
@@ -762,43 +781,42 @@ def solve_cells(cells: list,
                 solver_cfg: SolverConfig = SolverConfig()) -> list:
     """One TrialCell per (EstimatorSpec, TrialDraws) of ``cells``, each
     draw made by ``draw_trials`` with its spec's ``nominal_prior_std``.
-    The cells of one design family (known velocity: kvd and d; joint:
-    uvd; prior rows: pvd), constellation and window length run as one
-    ``solve_stack`` over their joined windows, keeping each trial's
-    floating-point operations.  A trial's failure is its own: a trial the
-    single-window solve would reject keeps that exception's name in
-    ``errors``, and the other trials of its family keep their outcomes.
-    No harness output reads a covariance, so the solve forms none."""
+    The cells of one design family (FAMILY), constellation and window
+    length run as one ``solve_stack`` over their joined windows, keeping
+    each trial's floating-point operations, and share one CellFamily.  A
+    trial's failure is its own: a trial the single-window solve would
+    reject keeps that exception's name in ``errors``, and the other
+    trials of its family keep their outcomes.  No harness output reads a
+    covariance, so the solve forms none."""
     inputs = [_cell_inputs(spec, draws) for spec, draws in cells]
-    families: dict = {}
-    for i, ((_, draws), (v, prior)) in enumerate(zip(cells, inputs)):
-        families.setdefault((v is None, prior is None, id(draws.scenario.bs),
-                             draws.win.rho.shape[1]), []).append(i)
+    groups: dict = {}
+    for i, (spec, draws) in enumerate(cells):
+        groups.setdefault((FAMILY[spec.kind], id(draws.scenario.bs),
+                           draws.win.rho.shape[1]), []).append(i)
     solved = [None] * len(cells)
-    for members in families.values():
+    for (kind, _, _), members in groups.items():
         draws = [cells[i][1] for i in members]
         bs, win = draws[0].scenario.bs, _joined([d.win for d in draws])
         v_known, prior = map(_joined, zip(*(inputs[i] for i in members)))
         system = WhitenedSystem(bs, win, v_known, prior)
         sol = solve_stack(system, initial_vectors(
             bs, win.bs_index, win.rho, system.v_start), solver_cfg)
-        ends = np.cumsum([len(d.truth) for d in draws]).tolist()
-        for i, start, end in zip(members, [0] + ends, ends):
+        starts = np.cumsum([0] + [len(d.truth) for d in draws]).tolist()
+        ids = [id(d) for d in draws]  # kvd and d cells can share a draw
+        first = np.concatenate([np.arange(starts[j], starts[j + 1])
+                                for j in map(ids.index, ids)])
+        family = CellFamily(kind, bs, win, _joined([d.truth for d in draws]),
+                            v_known, prior, first)
+        for i, start, end in zip(members, starts, starts[1:]):
             solved[i] = TrialCell(*cells[i], StackSolution(*(
-                column[start:end] for column in sol)), *inputs[i])
+                column[start:end] for column in sol)), family, start,
+                *inputs[i])
     return solved
-
-
-def solve_trials(spec: EstimatorSpec, draws: TrialDraws,
-                 solver_cfg: SolverConfig = SolverConfig()) -> TrialCell:
-    """Solve every trial of ``draws`` with the estimator ``spec`` as one
-    stack: the one-cell case of ``solve_cells``."""
-    return solve_cells([(spec, draws)], solver_cfg)[0]
 
 
 def run_monte_carlo(cfg: ScenarioConfig, spec: EstimatorSpec,
                     solver_cfg: SolverConfig = SolverConfig()) -> TrialCell:
     """The ``cfg.n_trials`` independent trials of one estimator over one
-    scenario, in trial order: ``draw_trials`` then ``solve_trials``."""
-    return solve_trials(spec, draw_trials(cfg, spec.nominal_prior_std),
-                        solver_cfg)
+    scenario, in trial order: ``solve_cells`` of one ``draw_trials``."""
+    return solve_cells([(spec, draw_trials(cfg, spec.nominal_prior_std))],
+                       solver_cfg)[0]

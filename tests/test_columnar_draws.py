@@ -22,7 +22,7 @@ from seqloc import (
 )
 from seqloc.experiments import default_scenario
 from seqloc.model import WindowStack, prior_rows
-from seqloc.simulate import draw_trials, solve_trials
+from seqloc.simulate import draw_trials, solve_cells
 
 
 @pytest.mark.parametrize("seed", [0, 7, 20260808])
@@ -60,7 +60,7 @@ def test_circular_state_at_is_the_textbook_formula():
 def pvd_cell():
     cfg = default_scenario("speed-compare", seed=11, trials=2)
     spec = EstimatorSpec("pvd", prior_std=0.7, prior_centering="nominal")
-    return cfg, solve_trials(spec, draw_trials(cfg, nominal_std=0.7))
+    return cfg, solve_cells([(spec, draw_trials(cfg, nominal_std=0.7))])[0]
 
 
 def _budgets_equal(a, b):

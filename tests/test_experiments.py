@@ -22,6 +22,7 @@ from seqloc import (
     ExperimentSpec,
 )
 from seqloc import experiments, simulate
+from seqloc.config import scenario_from_config
 from seqloc.experiments import point_seed
 from seqloc.model import WindowStack, prior_rows
 
@@ -301,6 +302,18 @@ class TestSharedDraws:
             0.1: {("RankDeficient",) * 6}}
         assert _cells_match_standalone(result, cfg) == {
             "DimensionMismatch", "RankDeficient"}
+
+    def test_family_holding_a_cell_without_a_converged_trial(self):
+        """A stationary UD at [0, 30]: every 1e-12 m trial fails at its
+        final iterate, so those kvd and d cells have no converged trial,
+        while the 0.1 m cells of the same family converge or stop at the
+        cap.  The theory of the whole family keeps each cell's own bits."""
+        cfg, spec = scenario_from_config(
+            {"trajectory": {"kind": "stationary", "position": [0, 30]},
+             "trials": 20, "experiment": {"grid": [1e-12, 0.1]}},
+            "stationary-noise")
+        assert _cells_match_standalone(run_experiment(spec, cfg), cfg) == {
+            "DegenerateGeometry", True, False}
 
 
 class TestWriteExperiment:

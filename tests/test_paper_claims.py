@@ -19,7 +19,7 @@ import pytest
 
 from seqloc import EstimatorSpec, analysis, default_scenario, default_spec
 from seqloc.experiments import empirical_rmse, point_seed, rmse_standard_error
-from seqloc.simulate import PRIOR_STD, draw_trials, solve_trials
+from seqloc.simulate import PRIOR_STD, draw_trials, solve_cells
 
 STUDY = "velocity-deviation"
 SEPARATION_SE = 4.0  # empirical order is checked beyond this many SEs
@@ -49,20 +49,20 @@ def study():
 
     cells, theory = {}, {}
     for deviation in default_spec(STUDY).grid:
-        cell = solve_trials(EstimatorSpec("kvd", speed_deviation=deviation),
-                            draws)
+        cell = solve_cells(
+            [(EstimatorSpec("kvd", speed_deviation=deviation), draws)])[0]
         assert np.allclose(cell.v_assumed, true_v + deviation * heading)
         cells["kvd", deviation] = cell
         theory["kvd", deviation] = _theory_rmse(
             analysis.bias_deviated_velocity_stack(
                 win, bs, truth, cell.v_assumed, projectors), cell)
-    uvd = cells["uvd"] = solve_trials(EstimatorSpec("uvd"), draws)
+    uvd = cells["uvd"] = solve_cells([(EstimatorSpec("uvd"), draws)])[0]
     theory["uvd"] = _theory_rmse(
         analysis.theoretical_rmse_stack("uvd", win, bs, truth), uvd)
     pvd_spec = EstimatorSpec("pvd", prior_std=PRIOR_STD,
                              prior_centering="nominal")
     pvd_draws = draw_trials(cfg, nominal_std=pvd_spec.nominal_prior_std)
-    pvd = cells["pvd"] = solve_trials(pvd_spec, pvd_draws)
+    pvd = cells["pvd"] = solve_cells([(pvd_spec, pvd_draws)])[0]
     theory["pvd"] = _theory_rmse(analysis.theoretical_rmse_stack(
         "pvd", pvd_draws.win, bs, pvd_draws.truth, priors=pvd.prior), pvd)
 

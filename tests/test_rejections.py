@@ -16,7 +16,7 @@ from seqloc import (ConfigError, DimensionMismatch, EstimatorSpec,
 from seqloc.cli import main
 from seqloc.experiments import default_scenario
 from seqloc.model import PriorRows, WhitenedSystem, WindowStack
-from seqloc.simulate import draw_points, draw_trials, solve_trials
+from seqloc.simulate import draw_points, draw_trials, solve_cells
 
 from conftest import canonical_batch
 
@@ -46,7 +46,7 @@ def test_nominal_prior_cell_needs_its_own_draw():
     spec = EstimatorSpec("pvd", prior_centering="nominal")
     with pytest.raises(ConfigError, match="trials were drawn for a "
                                           "different velocity prior"):
-        solve_trials(spec, draw_trials(cfg))
+        solve_cells([(spec, draw_trials(cfg))])[0]
 
 
 def test_one_draw_of_scenarios_shares_a_trial_count():
@@ -257,6 +257,29 @@ def test_overflowing_deviation_fails_the_bias_bound():
     assert all(check.holds and math.isfinite(check.bias_norm_sq)
                for check in checks)
     assert checks[1].bound == 0.0
+
+
+def test_overflowing_deviation_fails_the_deviated_bias():
+    """The deviated-velocity bias fails as the bias bound does, with no
+    warning, for an assumed velocity whose displaced ranges overflow; in
+    a stack only that window fails, and the projectors handed in keep
+    their own failures."""
+    cfg = default_scenario("circular")
+    batch, truth = synthesize_batch(cfg, 3, trial_rng(7, 3))
+    far = truth.v + [1e200, 0.0]
+    windows = WindowStack.of([batch, batch])
+    truths = np.stack([truth.as_vector()] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch,
+                           match="^the deviation's ranges overflow$"):
+            analysis.bias_deviated_velocity(batch, cfg.bs, truth, far)
+        projectors = analysis.kvd_projectors(windows, cfg.bs, truths)
+        budgets = analysis.bias_deviated_velocity_stack(
+            windows, cfg.bs, truths, np.stack([truth.v, far]), projectors)
+    assert budgets.failures[0] is None and math.isfinite(budgets.rmse[0])
+    assert isinstance(budgets.failures[1], DimensionMismatch)
+    assert projectors.failures == [None, None]
 
 
 def test_rmse_standard_error_edges():
