@@ -2,9 +2,11 @@
 ``.github/outputs-identity.sh`` (the six studies at ``--trials 20 --svg``,
 noise-sweep-uvd-pvd and speed-compare at ``--seed 7 --trials 20``,
 ``crlb --seed 3``, ``simulate --seed 3`` and ``solve`` of that batch with
-each estimator), run in process through ``cli.main`` in a temporary
-directory, against the SHA-256 digests of ``tests/golden_digests.json``:
-one per file written and one per command's stdout plus exit status.
+each estimator) and of its seven ``--config`` studies (the configs of
+``.github/``, among them the runs whose theory fails by overflow or by
+rank), run in process through ``cli.main`` in a temporary directory,
+against the SHA-256 digests of ``tests/golden_digests.json``: one per
+file written and one per command's stdout plus exit status.
 
 Byte identity holds per numpy build, OpenBLAS core and libc (README), so
 the file records the build it was made on and the test skips, naming the
@@ -28,6 +30,7 @@ import pytest
 from seqloc import cli
 
 GOLDEN = Path(__file__).resolve().with_name("golden_digests.json")
+CONFIGS = Path(__file__).resolve().parents[1] / ".github"
 
 STUDIES = ("stationary-noise", "speed-sweep", "velocity-deviation",
            "noise-sweep-uvd-pvd", "speed-compare", "circular")
@@ -43,7 +46,24 @@ COMMANDS = (
     + [("crlb", ["crlb", "--seed", "3"]),
        ("batch", ["simulate", "--seed", "3"])]
     + [(f"solve-{kind}", ["solve", "--batch", "batch.csv", "--estimator",
-                          kind]) for kind in ("kvd", "uvd", "pvd", "d")])
+                          kind]) for kind in ("kvd", "uvd", "pvd", "d")]
+    + [(name, ["experiment", study, "--config",
+               str(CONFIGS / f"identity-{config}.json"), *svg, "--out", out])
+       for name, study, config, svg, out in (
+           ("config-experiment-noise-sweep-uvd-pvd", "noise-sweep-uvd-pvd",
+            "config", ["--svg"], "config-studies"),
+           ("config-experiment-velocity-deviation", "velocity-deviation",
+            "config", [], "config-studies"),
+           ("stationary-experiment", "stationary-noise", "stationary", [],
+            "stationary-studies"),
+           ("tiny-experiment", "speed-sweep", "tiny-noise", [],
+            "tiny-studies"),
+           ("overflow-uvd-pvd", "noise-sweep-uvd-pvd", "overflow-uvd-pvd",
+            [], "overflow-studies"),
+           ("overflow-stationary", "stationary-noise",
+            "overflow-stationary", [], "overflow-studies"),
+           ("final-failure", "stationary-noise", "final-failure", [],
+            "final-failure-studies"))])
 
 
 def _sha256(data: bytes) -> str:
