@@ -1,9 +1,9 @@
 """Experiment harness: the six study configurations, empirical statistics,
 result tables and deterministic CSV/SVG emission.  A study's (sweep
-value, estimator) cells are solved, and their theory computed, once per
-design family; a trial whose numbers fail fails alone.
-Each cell is aggregated from its ``TrialCell`` columns (``simulate``):
-no per-trial object is built between the draw and the CSV.
+value, estimator) cells are solved once per design family, each carrying
+its trials' theory; a trial whose numbers fail fails alone.  Each cell
+is aggregated from its ``TrialCell`` columns (``simulate``): no
+per-trial object is built between the draw and the CSV.
 
 Experiments (one CSV per sweep, written with 9 significant digits):
 
@@ -29,9 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis
 from .errors import ConfigError, EmptyInput
-from .model import BsConstellation, WindowStack, prior_variance
+from .model import BsConstellation, prior_variance
 from .simulate import (
     Circular,
     ClockModel,
@@ -237,38 +236,20 @@ def _estimator_spec(name: str, estimator: str, value: float,
     return EstimatorSpec(kind=estimator)
 
 
-def _theory_columns(cells: list) -> list:
-    """The (theoretical, CRLB) RMSE columns of each TrialCell of
-    ``cells``: root mean squares of the per-trial values at the truth over
-    the converged trials whose theory is defined, else NaN.  One stacked
-    call per CellFamily, over all its rows: kvd's deviation bias and d's
-    movement bias from the kvd projectors of its distinct draw rows, and
-    ``theoretical_rmse_stack`` for uvd and pvd."""
-    columns = {}
-    for family in dict.fromkeys(cell.family for cell in cells):
-        if family.kind == "kvd":
-            distinct, rows = np.unique(family.first, return_inverse=True)
-            projector, inverse, failures = analysis.kvd_projectors(
-                WindowStack(*(column[distinct] for column in family.win)),
-                family.bs, family.truth[distinct])
-            budgets = analysis.bias_deviated_velocity_stack(
-                family.win, family.bs, family.truth, family.v,
-                analysis.KvdProjectors(projector[rows], inverse[rows],
-                                       [failures[r] for r in rows.tolist()]))
-        else:
-            budgets = analysis.theoretical_rmse_stack(
-                family.kind, family.win, family.bs, family.truth, family.prior)
-        # The CRLB column is the zero-bias part of the budget.
-        bound = np.sqrt(np.trace(budgets.variance, axis1=-2, axis2=-1))
-        for cell in [cell for cell in cells if cell.family is family]:
-            good = cell.start + np.flatnonzero(cell.converged)
-            ok = [k for k in good.tolist() if budgets.failures[k] is None]
-            # Python's t ** 2 can differ from numpy's square in the last
-            # bit; the CSVs are pinned to the former.
-            columns[cell] = (math.nan, math.nan) if not ok else tuple(
-                float(np.sqrt(np.mean([t ** 2 for t in values[ok].tolist()])))
-                for values in (budgets.rmse, bound))
-    return [columns[cell] for cell in cells]
+def _theory_columns(cell) -> tuple:
+    """The (theoretical, CRLB) RMSE columns of a TrialCell: root mean
+    squares of its ``theory`` (the CRLB: its zero-bias part) over the
+    converged trials whose theory is defined, else NaN."""
+    theory = cell.theory
+    ok = [k for k in np.flatnonzero(cell.converged).tolist()
+          if theory.failures[k] is None]
+    if not ok:
+        return math.nan, math.nan
+    bound = np.sqrt(np.trace(theory.variance, axis1=-2, axis2=-1))
+    # Python's t ** 2 can differ from numpy's square in the last bit; the
+    # CSVs are pinned to the former.
+    return tuple(float(np.sqrt(np.mean([t ** 2 for t in values[ok].tolist()])))
+                 for values in (theory.rmse, bound))
 
 
 def run_experiment(spec: ExperimentSpec,
@@ -277,8 +258,8 @@ def run_experiment(spec: ExperimentSpec,
 
     Every sweep point's trials are drawn once for all its cells
     (``draw_points``: a nominal-prior pvd cell reads the same streams
-    further); all cells are solved in one ``solve_cells`` and their
-    theory columns are computed per design family (``_theory_columns``).
+    further); all cells are solved, and their theory evaluated, in one
+    ``solve_cells``.
     ``records`` maps (sweep value, estimator) to the cell's
     ``TrialCell``.  Non-converged or failed trials are excluded from the
     empirical RMSE and reported through the ``non_converged`` column.
@@ -297,8 +278,8 @@ def run_experiment(spec: ExperimentSpec,
             cells.append((espec, draws[espec.nominal_prior_std]))
     cells = solve_cells(cells)
     rows = []
-    for (value, estimator), cell, (theo, crl) in zip(
-            keys, cells, _theory_columns(cells)):
+    for (value, estimator), cell in zip(keys, cells):
+        theo, crl = _theory_columns(cell)
         good = np.count_nonzero(cell.converged)
         # Without a converged trial there is no empirical RMSE.
         emp = (empirical_rmse(cell.position_errors()).rmse if good

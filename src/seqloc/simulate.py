@@ -14,12 +14,13 @@ standard normal per measurement.
 A Monte Carlo cell is columnar: ``draw_trials`` synthesizes a scenario's
 ``n_trials`` trials as ``(T, ...)`` arrays and ``solve_cells`` solves
 (estimator, draw) cells into ``TrialCell`` columns, one stack and one
-``CellFamily`` record per design family (``FAMILY``), with the
-floating-point operations of the single-window path, so each trial is
-bit-identical to solving it alone, and a trial whose numbers overflow
-fails alone.  Indexing a cell builds one ``TrialRecord``.  Cells can
-share a draw; ``draw_points`` draws a sweep point once for all its
-cells, a nominal-prior ``pvd`` cell reading the same streams further."""
+theory evaluation at the truths per design family (``FAMILY``), with the
+floating-point operations of the single-window path, so each trial and
+its theory are bit-identical to solving and evaluating it alone, and a
+trial whose numbers overflow fails alone.  Indexing a cell builds one
+``TrialRecord``.  Cells can share a draw; ``draw_points`` draws a sweep
+point once for all its cells, a nominal-prior ``pvd`` cell reading the
+same streams further."""
 
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import analysis
 from .errors import ConfigError, DimensionMismatch
 from .model import (
     BsConstellation,
@@ -665,40 +667,26 @@ def draw_points(cfgs: list, widths: list) -> list:
     return points
 
 
-class CellFamily:
-    """One stack of ``solve_cells``: the family ``kind`` (of FAMILY), ``bs``,
-    the joined WindowStack ``win``, truths, known velocities ``v`` and
-    PriorRows ``prior`` (or None) of its cells, and per row the first row
-    of the same draw's trial (``first``).  Its cells point to it, not it
-    to them; a plain object, so that it can key a dict."""
-
-    __slots__ = ("kind", "bs", "win", "truth", "v", "prior", "first")
-
-    def __init__(self, kind, bs, win, truth, v, prior, first):
-        self.kind, self.bs, self.win, self.truth = kind, bs, win, truth
-        self.v, self.prior, self.first = v, prior, first
-
-
 class TrialCell(Sequence):
-    """The trials of one estimator over one draw, rows ``start`` on of its
-    CellFamily ``family``, as read-only columns: final parameter vectors
-    ``theta`` (T, P), iteration counts, convergence flags, last step norms,
-    per trial None or the name of the exception its single-window solve
-    raises, the kvd or d assumed velocities (T, N) and the pvd PriorRows,
-    or None; and covariances (T, P, P), formed when read.  Indexing builds
-    one TrialRecord."""
+    """The trials of one estimator over one draw as read-only columns:
+    final parameter vectors ``theta`` (T, P), iteration counts,
+    convergence flags, last step norms, per trial None or the name of the
+    exception its single-window solve raises, the ``theory`` at the truths
+    (a BudgetStack: each trial's one-window budget or failure), the kvd or
+    d assumed velocities (T, N) and the pvd PriorRows, or None; and
+    covariances (T, P, P), formed when read.  Indexing builds one
+    TrialRecord."""
 
-    __slots__ = ("spec", "draws", "family", "start", "theta", "iterations",
-                 "converged", "step_norm", "errors", "v_assumed", "prior",
+    __slots__ = ("spec", "draws", "theta", "iterations", "converged",
+                 "step_norm", "errors", "theory", "v_assumed", "prior",
                  "_covariance")
 
     def __init__(self, spec: EstimatorSpec, draws: TrialDraws,
-                 sol: StackSolution, family: CellFamily, start: int,
+                 sol: StackSolution, theory: analysis.BudgetStack,
                  v_assumed=None, prior: PriorRows | None = None):
-        for arr in sol[:4]:
+        for arr in (*sol[:4], *theory[:3]):
             arr.setflags(write=False)
-        self.spec, self.draws, self.family, self.start = (
-            spec, draws, family, start)
+        self.spec, self.draws, self.theory = spec, draws, theory
         self.theta, self.iterations, self.converged, self.step_norm = sol[:4]
         self.errors = tuple(None if f is None else type(f).__name__
                             for f in sol.failures)
@@ -782,12 +770,13 @@ def solve_cells(cells: list,
     """One TrialCell per (EstimatorSpec, TrialDraws) of ``cells``, each
     draw made by ``draw_trials`` with its spec's ``nominal_prior_std``.
     The cells of one design family (FAMILY), constellation and window
-    length run as one ``solve_stack`` over their joined windows, keeping
-    each trial's floating-point operations, and share one CellFamily.  A
-    trial's failure is its own: a trial the single-window solve would
-    reject keeps that exception's name in ``errors``, and the other
-    trials of its family keep their outcomes.  No harness output reads a
-    covariance, so the solve forms none."""
+    length run as one ``solve_stack`` over their joined windows and one
+    theory evaluation at their truths (kvd and d from the kvd projectors
+    of their distinct draws), keeping each trial's floating-point
+    operations.  A trial's failure is its own: a trial the single-window
+    solve would reject keeps that exception's name in ``errors``, and the
+    other trials of its family keep their outcomes.  No harness output
+    reads a covariance, so the solve forms none."""
     inputs = [_cell_inputs(spec, draws) for spec, draws in cells]
     groups: dict = {}
     for i, (spec, draws) in enumerate(cells):
@@ -802,15 +791,26 @@ def solve_cells(cells: list,
         sol = solve_stack(system, initial_vectors(
             bs, win.bs_index, win.rho, system.v_start), solver_cfg)
         starts = np.cumsum([0] + [len(d.truth) for d in draws]).tolist()
-        ids = [id(d) for d in draws]  # kvd and d cells can share a draw
-        first = np.concatenate([np.arange(starts[j], starts[j + 1])
-                                for j in map(ids.index, ids)])
-        family = CellFamily(kind, bs, win, _joined([d.truth for d in draws]),
-                            v_known, prior, first)
+        truth = _joined([d.truth for d in draws])
+        if kind == "kvd":
+            ids = [id(d) for d in draws]  # kvd and d can share a draw
+            distinct, rows = np.unique(np.concatenate(
+                [np.arange(starts[j], starts[j + 1])
+                 for j in map(ids.index, ids)]), return_inverse=True)
+            projector, inverse, failures = analysis.kvd_projectors(
+                WindowStack(*(column[distinct] for column in win)), bs,
+                truth[distinct])
+            theory = analysis.bias_deviated_velocity_stack(
+                win, bs, truth, v_known, analysis.KvdProjectors(
+                    projector[rows], inverse[rows],
+                    [failures[r] for r in rows.tolist()]))
+        else:
+            theory = analysis.theoretical_rmse_stack(kind, win, bs, truth,
+                                                     prior)
         for i, start, end in zip(members, starts, starts[1:]):
-            solved[i] = TrialCell(*cells[i], StackSolution(*(
-                column[start:end] for column in sol)), family, start,
-                *inputs[i])
+            solved[i] = TrialCell(*cells[i], *(type(part)(*(
+                column[start:end] for column in part))
+                for part in (sol, theory)), *inputs[i])
     return solved
 
 

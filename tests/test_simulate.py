@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from seqloc import analysis
 from seqloc import (
     Circular,
     ClockModel,
@@ -389,6 +390,80 @@ class TestCovarianceOnRead:
                 assert cell.iterations.all()
             else:
                 assert outcomes == {True, False}
+
+
+def _theory_alone(rec, bs, kind):
+    """The one-window error budget at the truth of one Monte Carlo
+    record's own batch."""
+    if kind == "kvd":
+        return analysis.bias_deviated_velocity(rec.batch, bs, rec.truth,
+                                               rec.v_assumed)
+    if kind == "d":
+        return analysis.bias_drift_only(rec.batch, bs, rec.truth)
+    return analysis.theoretical_rmse(kind, rec.batch, bs, rec.truth,
+                                     rec.prior)
+
+
+CELL_SPECS = [
+    EstimatorSpec(kind="kvd", speed_deviation=1.0),
+    EstimatorSpec(kind="d"),
+    EstimatorSpec(kind="uvd"),
+    EstimatorSpec(kind="pvd", prior_centering="nominal"),
+]
+
+
+class TestPerTrialTheory:
+    """A cell carries its trials' theory at the truth: row k of
+    ``cell.theory`` equals, bit for bit, the one-window
+    ``bias_deviated_velocity``, ``bias_drift_only`` or ``theoretical_rmse``
+    of trial k's record, or carries the type of the failure that call
+    raises, whatever the trial's solve did."""
+
+    @staticmethod
+    def _failures(cell, bs):
+        """Check ``cell.theory`` row by row; returns the names of the
+        failures seen."""
+        theory, failed = cell.theory, set()
+        assert len(theory.rmse) == len(theory.failures) == len(cell)
+        assert not any(arr.flags.writeable for arr in theory[:3])
+        for k, rec in enumerate(cell):
+            try:
+                alone = _theory_alone(rec, bs, cell.spec.kind)
+            except SeqlocError as exc:
+                assert type(theory.failures[k]) is type(exc)
+                failed.add(type(exc).__name__)
+                continue
+            assert theory.failures[k] is None
+            for got, want in zip(theory[:3], alone):  # bias, variance, rmse
+                assert (np.asarray(got[k]).tobytes()
+                        == np.asarray(want).tobytes())
+        return failed
+
+    @pytest.mark.parametrize("spec", CELL_SPECS, ids=lambda spec: spec.kind)
+    def test_rows_equal_one_window_budgets(self, scenario, spec):
+        cell = run_monte_carlo(replace(scenario, n_trials=30), spec)
+        assert self._failures(cell, scenario.bs) == set()
+
+    def test_the_mixed_outcome_cell(self, scenario):
+        """Diverged and capped trials keep the theory of their truths."""
+        cell = run_monte_carlo(replace(scenario, n_trials=60),
+                               CELL_SPECS[3], MIXED)
+        capped = ~cell.converged & [e is None for e in cell.errors]
+        assert "Diverged" in cell.errors and capped.any()
+        assert self._failures(cell, scenario.bs) == set()
+
+    @pytest.mark.parametrize("config, failed", [
+        # A stationary UD on the BS at [0, 30]: no line of sight from it.
+        ({"trajectory": {"kind": "stationary", "position": [0, 30]},
+          "trials": 4}, {"DegenerateGeometry"}),
+        # A noise level whose information overflows float64.
+        ({"noise": {"sigma": 1e-160}, "trials": 4}, {"RankDeficient"}),
+    ], ids=("on-a-bs", "tiny-noise"))
+    @pytest.mark.parametrize("spec", CELL_SPECS[:3],
+                             ids=lambda spec: spec.kind)
+    def test_rows_whose_one_window_theory_raises(self, config, failed, spec):
+        cfg, _ = scenario_from_config(config, "speed-sweep")
+        assert self._failures(run_monte_carlo(cfg, spec), cfg.bs) == failed
 
 
 class TestSingleWindowIdentity:

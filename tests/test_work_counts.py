@@ -142,13 +142,14 @@ def _kvd_and_d_family():
 
 def test_a_cell_family_factors_s_alone_at_the_final_iterate(monkeypatch):
     """One factorization with U and V per loop iteration, then one of S
-    alone for the final rank rule, and no covariance."""
+    alone for the final rank rule and one for the theory's rank rule at
+    the truths, and no covariance."""
     calls = _recording_svds(monkeypatch)
     formed = _counting(monkeypatch, seqloc.simulate, "covariances")
     cells = _kvd_and_d_family()
     assert all(cell.converged.all() for cell in cells)
     loops = max(cell.iterations.max().item() for cell in cells)
-    assert calls == [True] * loops + [False]
+    assert calls == [True] * loops + [False, False]
     assert formed[0] == 0
 
 
