@@ -162,7 +162,8 @@ class MeasurementBatch:
     Parallel arrays of length M: ``bs_index`` (into a BsConstellation),
     reception times ``t`` (s), pseudoranges ``rho`` (m) and per-measurement
     noise standard deviations ``sigma`` (m).  ``dt = t - t_L`` is computed
-    once at construction.
+    once at construction.  A solve of the batch keeps its window set-up
+    on it, outside the fields (``solvers._window_set_up``).
     """
 
     bs_index: np.ndarray
@@ -430,6 +431,44 @@ def prior_rows(priors, n_dim: int) -> PriorRows:
         np.stack([prior.mean for prior in priors]))
 
 
+class _WindowPart(NamedTuple):
+    """What a ``WhitenedSystem`` holds whatever its estimator, from its
+    windows and constellation alone: the dimension and window length, the
+    transmitting BS rows ``q`` (T, M, N), ``dt``, ``rho`` and the weights
+    ``w = 1 / sigma`` (T, M), the per-row factors ``dt_col`` and ``neg_w``
+    (T, M, 1) and the whitened clock columns ``[w, dt*w]`` (T, M, 2)."""
+
+    n_dim: int
+    m: int
+    q: np.ndarray
+    dt: np.ndarray
+    rho: np.ndarray
+    w: np.ndarray
+    dt_col: np.ndarray
+    neg_w: np.ndarray
+    clock: np.ndarray
+
+
+def _window_part(bs: BsConstellation, windows: WindowStack) -> _WindowPart:
+    """The window part of the WhitenedSystem of ``windows`` against ``bs``;
+    raises DimensionMismatch for a BS index out of range.  Runs under the
+    caller's error state, which must ignore overflow and invalid."""
+    bs_index, dt = windows.bs_index, windows.dt
+    count, m = bs_index.shape
+    index = bs_index.tolist()[0] if count == 1 else None
+    if ((min(index) < 0 or max(index) >= bs.n_bs) if count == 1 else
+            (np.minimum.reduce(bs_index, axis=None) < 0
+             or np.maximum.reduce(bs_index, axis=None) >= bs.n_bs)):
+        raise DimensionMismatch("batch references a BS index out of range")
+    w = 1.0 / windows.sigma
+    clock = np.empty((count, m, 2))
+    clock[..., 0] = w
+    np.multiply(dt, w, out=clock[..., 1])
+    # Per-row factors of the design, (T, M, 1): (-e) * w == e * (-w).
+    return _WindowPart(bs.n_dim, m, bs.positions.take(bs_index, axis=0), dt,
+                       windows.rho, w, dt[..., None], -w[..., None], clock)
+
+
 class WhitenedSystem:
     """The weighted least-squares system of all four estimators and their
     error theory, for a stack of T windows of M measurements each: design
@@ -451,6 +490,11 @@ class WhitenedSystem:
     ``at`` runs under its caller's error state.  ``of`` builds the stack
     from validated batches and priors.
 
+    The constructor runs two parts: ``_window_part``, which depends on
+    the windows and the constellation alone, then ``_estimator_part``.
+    ``_on`` runs the second alone on a window part the caller kept (the
+    one-window solves share one across estimators).
+
     ``v_start`` (T, N) is where a solve starts the free velocity: the
     prior means with a prior, else zero; None when the velocity is known.
     """
@@ -460,16 +504,24 @@ class WhitenedSystem:
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, bs: BsConstellation, windows: WindowStack,
                  v_known=None, priors: PriorRows | None = None):
-        n = bs.n_dim
-        bs_index, dt, rho = windows.bs_index, windows.dt, windows.rho
+        self._estimator_part(_window_part(bs, windows), v_known, priors)
+
+    @classmethod
+    def _on(cls, window: _WindowPart, v_known=None,
+            priors: PriorRows | None = None) -> "WhitenedSystem":
+        """The system of the window part ``window``, built under the
+        caller's error state, which must ignore overflow and invalid."""
+        system = object.__new__(cls)
+        system._estimator_part(window, v_known, priors)
+        return system
+
+    def _estimator_part(self, window: _WindowPart, v_known,
+                        priors: PriorRows | None):
+        (n, m, self.q, self.dt, self.rho, self.w, self.dt_col, self.neg_w,
+         clock) = window
+        count = len(clock)
         prior_root, prior_mean = (None, None) if priors is None else priors
-        count, m = bs_index.shape
         self.n_params = parameter_count(n, v_known is not None)
-        index = bs_index.tolist()[0] if count == 1 else None
-        if ((min(index) < 0 or max(index) >= bs.n_bs) if count == 1 else
-                (np.minimum.reduce(bs_index, axis=None) < 0
-                 or np.maximum.reduce(bs_index, axis=None) >= bs.n_bs)):
-            raise DimensionMismatch("batch references a BS index out of range")
         if v_known is not None and v_known.shape != (count, n):
             raise DimensionMismatch("velocity dimension does not match BSs")
         if v_known is not None and prior_root is not None:
@@ -478,10 +530,6 @@ class WhitenedSystem:
                                        or prior_mean.shape != (count, n)):
             raise DimensionMismatch("prior dimension does not match BSs")
         self.n_dim, self.m = n, m
-        self.q = bs.positions.take(bs_index, axis=0)
-        self.dt, self.rho, self.w = dt, rho, 1.0 / windows.sigma
-        # Per-row factors of the design, (T, M, 1): (-e) * w == e * (-w).
-        self.dt_col, self.neg_w = dt[..., None], -self.w[..., None]
         self.v_known = v_known
         self.prior_root, self.prior_mean = prior_root, prior_mean
         self.v_start = (None if v_known is not None
@@ -491,8 +539,7 @@ class WhitenedSystem:
         # prior rows and, with a known velocity, the displacements v*dt.
         rows = m + (0 if prior_root is None else n)
         self.template = np.zeros((count, rows, self.n_params))
-        self.template[:, :m, n] = self.w
-        np.multiply(dt, self.w, out=self.template[:, :m, n + 1])
+        self.template[:, :m, n:n + 2] = clock
         self.shift = (None if v_known is None
                       else self.dt_col * v_known[:, None, :])
         if prior_root is not None:

@@ -23,6 +23,10 @@ The loop comes in two sizes with the same floating-point operations.
 stack through a mask; the Monte Carlo harness passes it a design family.
 The public ``solve_*`` hold one window and run ``_solve``, the same loop
 without masks, which raises the window's failure where it occurs.  The
+solves of one batch share its window set-up (the part of its
+``WhitenedSystem`` that no estimator changes, and the start's ``[p, b]``),
+which the first keeps on the batch, with no option to set: the reports
+are bit-identical either way.  The
 happy-path guards (rank rule, loop exit, and the BS index and
 UD-on-a-BS tests of ``WhitenedSystem``) depend on the size: one window
 compares Python numbers, which costs less than numpy reductions on a few
@@ -57,16 +61,19 @@ from .model import (  # noqa: F401
     MeasurementBatch,
     VelocityPrior,
     WhitenedSystem,
+    WindowStack,
     _all_finite,
     _freeze,
     _require_finite,
     _require_velocity,
     _row_norms,
     _trusted_params,
+    _window_part,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
     parameter_count,
+    prior_rows,
     residual,
 )
 
@@ -147,8 +154,11 @@ class _Workers:
 
     def _run(self):
         while True:
-            job, args = self.tasks.get()
+            job, args, done = self.tasks.get()
             job(*args)
+            # An idle worker keeps no split stack alive.
+            del job, args
+            done.put(None)
 
 
 _workers, _workers_lock = None, threading.Lock()
@@ -223,12 +233,11 @@ def _svd_split(a: np.ndarray, compute_uv: bool, parts: int):
                         out=chunks[j][1])
         except BaseException as exc:  # raised below, on the caller
             errors[j] = exc
-        done.put(j)
 
     for j in range(1, parts):
-        tasks.put((job, (j, contextvars.copy_context())))
+        tasks.put((job, (j, contextvars.copy_context()), done))
     job(0, contextvars.copy_context())
-    for _ in range(parts):
+    for _ in range(1, parts):
         done.get()
     for exc in errors:
         if exc is not None:
@@ -486,6 +495,25 @@ def covariances(system: WhitenedSystem, theta: np.ndarray, rows,
     return _freeze(stacked)
 
 
+def _window_set_up(batch: MeasurementBatch, bs: BsConstellation):
+    """The window part of ``batch``'s WhitenedSystem against ``bs`` and
+    its known-velocity start ``[p, b, 0]`` (1, N+2) from
+    ``initial_vectors``, read-only.  They are kept in one slot on the
+    immutable batch with the constellation they were made against, which
+    is matched by identity: a batch solved against another constellation
+    makes them again and replaces the slot.  A BS index out of range
+    raises before anything is kept.  Runs under the caller's error state,
+    which must ignore every flag."""
+    slot = batch.__dict__.get("_set_up")
+    if slot is None or slot[0] is not bs:
+        window = _window_part(bs, WindowStack.of([batch]))
+        start = initial_vectors(bs, batch.bs_index[None], window.rho,
+                                q=window.q)
+        start.setflags(write=False)
+        slot = batch.__dict__["_set_up"] = bs, window, start
+    return slot[1], slot[2]
+
+
 @np.errstate(all="ignore")
 def _solve(batch: MeasurementBatch, bs: BsConstellation,
            init: KvdParams | FullParams | None, cfg: SolverConfig,
@@ -493,11 +521,16 @@ def _solve(batch: MeasurementBatch, bs: BsConstellation,
     """``solve_stack``'s operations on one window, without masks, from
     ``init`` or else from ``initial_vectors`` (with the system's
     ``v_start``), under one error state that ignores every flag; the
-    window's failure is raised where it occurs."""
-    system = WhitenedSystem.of([batch], bs, v_known, priors)
+    window's failure is raised where it occurs.  The window part of the
+    system and the start's ``[p, b]`` come from ``_window_set_up``, so the
+    solves of one batch share them."""
+    window, start = _window_set_up(batch, bs)
+    priors = None if priors is None else prior_rows(priors, bs.n_dim)
+    system = WhitenedSystem._on(window, v_known, priors)
     if init is None:
-        theta = initial_vectors(bs, batch.bs_index[None], system.rho,
-                                system.v_start, system.q)
+        # initial_vectors(..., system.v_start), bit for bit
+        theta = (start if system.v_start is None
+                 else np.concatenate([start, system.v_start], axis=1))
         if not _all_finite(theta):
             raise DimensionMismatch(_OVERFLOWED_START)
     else:

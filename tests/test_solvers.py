@@ -1,5 +1,7 @@
 """Gauss-Newton solvers: WLS step kernel, recovery, delegation, limits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,12 @@ from seqloc import (
     solve_joint_velocity,
     solve_known_velocity,
     solve_prior_velocity,
+    synthesize_batch,
+    trial_rng,
     wls_step,
 )
+from seqloc.experiments import default_scenario
+from seqloc.solvers import _OVERFLOWED_START
 
 from conftest import (DRIFT_MPS, canonical_batch, make_batch, random_geometry,
                       stack_covariance)
@@ -299,6 +305,95 @@ class TestCorrelatedPrior:
             expected = np.linalg.inv(normal)
             assert (np.linalg.norm(report.covariance - expected)
                     < 1e-10 * np.linalg.norm(expected))
+
+
+def _report_bits(report):
+    """The bits of every field of an EstimateReport."""
+    return (report.params.as_vector().tobytes(), report.iterations,
+            report.converged, report.covariance.tobytes(),
+            float(report.final_step_norm).hex())
+
+
+def _fresh(batch):
+    """A copy of ``batch`` that no solve has seen."""
+    return dataclasses.replace(batch)
+
+
+def _four_solves(bs, truth, init=False):
+    """The four public solves of a batch against ``bs``, by estimator, from
+    the default start or from a start off the truth."""
+    kvd_init = full_init = None
+    if init:
+        kvd_init = KvdParams(p=truth.p + 1.0, b=truth.b - 2.0, d=0.0)
+        full_init = FullParams(p=kvd_init.p, b=kvd_init.b, d=0.0,
+                               v=truth.v + 0.5)
+    prior = VelocityPrior.isotropic(truth.v, 2.0)
+    return {
+        "kvd": lambda b: solve_known_velocity(b, bs, truth.v, kvd_init),
+        "pvd": lambda b: solve_prior_velocity(b, bs, prior, full_init),
+        "uvd": lambda b: solve_joint_velocity(b, bs, full_init),
+        "d": lambda b: solve_drift_only(b, bs, kvd_init),
+    }
+
+
+class TestSharedWindowSetUp:
+    """The solves of one batch share its window set-up: a solve that finds
+    it kept on the batch gives the bits of one that makes it."""
+
+    @pytest.mark.parametrize("init", [False, True], ids=["start", "init"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("name", ["circular", "speed-sweep"])
+    def test_hit_and_miss_give_the_same_bits(self, name, order, init):
+        cfg = default_scenario(name, seed=5)
+        for k in range(0, 40, 8):
+            rng = trial_rng(cfg.seed, k)
+            if name == "circular":
+                batch, truth = synthesize_batch(cfg, k, rng)
+            else:  # a random placement, drawn per trial
+                batch, truth = synthesize_batch(
+                    cfg, 0, rng, trajectory=cfg.trajectory.realize(rng))
+            solves = _four_solves(cfg.bs, truth, init)
+            for kind in list(solves)[::order]:
+                report = solves[kind](batch)
+                assert report.converged
+                assert (_report_bits(report)
+                        == _report_bits(solves[kind](_fresh(batch)))), kind
+
+    def test_a_second_constellation(self):
+        """Equal positions in another constellation, or moved ones: each
+        switch makes the set-up again, to the bits of a fresh batch."""
+        cfg = default_scenario("circular", seed=5)
+        equal = BsConstellation(cfg.bs.positions.copy())
+        moved = BsConstellation(cfg.bs.positions + 1.0)
+        batch, truth = synthesize_batch(cfg, 3, trial_rng(cfg.seed, 3))
+        for bs in (cfg.bs, equal, cfg.bs, moved, equal):
+            solves = _four_solves(bs, truth)
+            expected = {kind: _report_bits(solve(_fresh(batch)))
+                        for kind, solve in solves.items()}
+            for kind, solve in solves.items():
+                assert _report_bits(solve(batch)) == expected[kind], kind
+
+    def test_bs_index_out_of_range_keeps_nothing(self, bs_square,
+                                                 moving_truth):
+        good = canonical_batch(bs_square, moving_truth)
+        bad = make_batch(np.where(np.arange(good.m) == 2, 7, good.bs_index),
+                         good.t, rho=np.asarray(good.rho))
+        fields = set(bad.__dict__)
+        for _ in range(2):
+            for solve in _four_solves(bs_square, moving_truth).values():
+                with pytest.raises(DimensionMismatch, match="out of range"):
+                    solve(bad)
+        assert set(bad.__dict__) == fields
+
+    def test_overflowing_start_fails_every_call(self, bs_square,
+                                                moving_truth):
+        batch = make_batch(np.arange(8) % 4, 0.01 * np.arange(8),
+                           rho=np.full(8, 1e308))
+        for _ in range(2):
+            for kind, solve in _four_solves(bs_square, moving_truth).items():
+                with pytest.raises(DimensionMismatch) as caught:
+                    solve(batch)
+                assert str(caught.value) == _OVERFLOWED_START, kind
 
 
 class TestSolveStack:

@@ -12,6 +12,7 @@ bits must not depend on the split, a child of ``fork`` must start its own
 threads, and a one-window solve must start none.
 """
 
+import gc
 import hashlib
 import multiprocessing
 import os
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +146,18 @@ def test_concurrent_callers_share_the_workers(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [[digest] * 10 for digest in expected]
+
+
+def test_idle_workers_keep_no_stack_alive(monkeypatch):
+    """Once a split returns, nothing of it is left on an idle worker: the
+    stack and its factors are freed when the caller drops them."""
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+    a = _designs(2 * _SPLIT_MIN, (8, 4))
+    u, s, vt = _svd(a)
+    inputs, values = weakref.ref(a), weakref.ref(s)
+    del a, u, s, vt
+    gc.collect()
+    assert inputs() is None and values() is None
 
 
 def _factor_in_child(a, conn, inherited):

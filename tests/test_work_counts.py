@@ -24,6 +24,7 @@ import seqloc.model
 import seqloc.simulate
 import seqloc.solvers
 from seqloc import (
+    BsConstellation,
     ConstantVelocity,
     EstimateReport,
     FullParams,
@@ -210,6 +211,33 @@ def test_one_svd_per_iteration_beside_an_overflowed_window(
     assert sol.failures[0] is None and sol.failures[2] is None
     assert sol.iterations[0] == sol.iterations[2]
     assert svd_calls[0] == sol.iterations[0] + 1
+
+
+def test_the_solves_of_one_batch_share_its_window_part(monkeypatch, tmp_path,
+                                                      capsys):
+    """The four public solves of one batch against one constellation build
+    its window part once, and again against a second constellation with
+    equal positions; two ``seqloc solve`` calls on one CSV read two
+    batches and build it once each."""
+    built = _counting(monkeypatch, seqloc.solvers, "_window_part")
+    cfg = default_scenario("circular", seed=5)
+    batch, truth = synthesize_batch(cfg, 3, trial_rng(cfg.seed, 3))
+    prior = VelocityPrior.isotropic(truth.v, 2.0)
+    other = BsConstellation(cfg.bs.positions.copy())
+    for bs, count in ((cfg.bs, 1), (cfg.bs, 1), (other, 2)):
+        solve_known_velocity(batch, bs, truth.v)
+        solve_prior_velocity(batch, bs, prior)
+        solve_joint_velocity(batch, bs)
+        solve_drift_only(batch, bs)
+        assert built[0] == count
+    seqloc.cli.main(["simulate", "--seed", "3", "--out", str(tmp_path)])
+    path = str(tmp_path / "batch.csv")
+    built[0] = 0
+    for kind in ("kvd", "uvd"):
+        assert seqloc.cli.main(["solve", "--batch", path,
+                                "--estimator", kind]) == 0
+    capsys.readouterr()
+    assert built[0] == 2
 
 
 def test_cli_builds_no_parser_per_call(monkeypatch, tmp_path, capsys):
