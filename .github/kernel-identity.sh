@@ -12,7 +12,8 @@
 # every other file is byte-identical between the two runs, so a change
 # that lets another output depend on the kernel fails on any runner.
 # OPENBLAS_CORETYPE acts only on an OpenBLAS built with DYNAMIC_ARCH, as
-# numpy's x86-64 wheels are; elsewhere the script says so and exits 0.
+# numpy's x86-64 wheels are; elsewhere the script says so and exits 0
+# (.github/selects-kernel.py).
 set -euo pipefail
 
 STUDIES="stationary-noise speed-sweep velocity-deviation noise-sweep-uvd-pvd
@@ -24,25 +25,7 @@ src="$(cd "$1" && pwd)/src"
 mkdir -p "$2"
 work="$(cd "$2" && pwd)"
 
-if ! python - <<'EOF'
-import sys
-
-import numpy as np
-
-try:
-    config = np.__config__.CONFIG
-    blas = config["Build Dependencies"]["blas"]
-    cpu = config["Machine Information"]["host"]["cpu"]
-except (AttributeError, KeyError):
-    sys.exit(1)
-sys.exit(not ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
-              and cpu == "x86_64"))
-EOF
-then
-    echo "skipped: numpy's BLAS is not an x86-64 DYNAMIC_ARCH OpenBLAS," \
-         "so OPENBLAS_CORETYPE cannot select its kernel"
-    exit 0
-fi
+python "$(dirname "$0")/selects-kernel.py" || exit 0
 
 run_studies() {  # NAME [VAR=VALUE...]: the studies under WORK_DIR/NAME
     local out="$work/$1"

@@ -49,13 +49,10 @@ from .model import (
     KvdParams,
     MeasurementBatch,
     VelocityPrior,
-    WeightModel,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
-    los_vector,
     predict_batch,
-    predict_pseudorange,
     residual,
 )
 from .simulate import (

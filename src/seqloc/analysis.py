@@ -34,7 +34,7 @@ from .model import (  # noqa: F401
     build_design_uvd,
     prior_rows,
 )
-from .solvers import _INDEFINITE, rank_rule
+from .solvers import _CHOLESKY, _INDEFINITE, rank_rule
 
 ORDERING_EIG_FLOOR = -1e-10  # PD tolerance for covariance-ordering checks
 
@@ -108,16 +108,34 @@ def _designs_at_truth(variant: str, bs: BsConstellation,
     return a, failures
 
 
+@np.errstate(all="ignore")
+def _invert(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of T informations ``f`` (T, P, P) and which of them
+    are positive-definite: those whose Cholesky factorization succeeds
+    and whose inverse has a positive, finite diagonal.  cond(A^T A) is
+    cond(A)^2, so rounding can leave an information or its inverse
+    indefinite; a window that fails has a NaN inverse."""
+    # The bare gufunc fills the factor of a matrix that is not
+    # positive-definite with NaN, where np.linalg.cholesky raises.
+    pivots = np.diagonal(_CHOLESKY(f, signature="d->d"), axis1=-2, axis2=-1)
+    good = np.all(pivots > 0, axis=1)
+    inv = np.full(f.shape, np.nan)
+    inv[good] = np.linalg.inv(f[good])
+    diag = np.diagonal(inv, axis1=-2, axis2=-1)
+    good &= np.all((diag > 0) & (diag < np.inf), axis=1)
+    inv[~good] = np.nan
+    return inv, good
+
+
 def _inverse_fims(a: np.ndarray, failures: list) -> np.ndarray:
-    """``(A^T A)^-1`` (finite: see ``rank_rule``) of each usable window,
-    NaN for the others.  cond(A^T A) is cond(A)^2, so rounding can leave
-    an inverse indefinite: that window then fails as ``crlb`` does."""
+    """``(A^T A)^-1`` of each usable window (see ``rank_rule``), NaN for
+    the others; a window whose information ``_invert`` rejects fails as
+    ``crlb`` does."""
     ok = np.flatnonzero([f is None for f in failures])
     inv = np.full((len(a),) + a.shape[-1:] * 2, np.nan)
-    inv[ok] = np.linalg.inv(a[ok].mT @ a[ok])
-    diag = np.diagonal(inv, axis1=-2, axis2=-1)[ok]
-    for i in ok[~np.all((diag > 0) & (diag < np.inf), axis=1)].tolist():
-        inv[i], failures[i] = np.nan, RankDeficient(_INDEFINITE)
+    inv[ok], good = _invert(a[ok].mT @ a[ok])
+    for i in ok[~good].tolist():
+        failures[i] = RankDeficient(_INDEFINITE)
     return inv
 
 
@@ -134,15 +152,13 @@ def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
 def crlb(f: np.ndarray) -> np.ndarray:
     """Diagonal of the inverse of the Fisher information ``f``; the first
     N entries are the per-axis position bounds.  RankDeficient unless
-    ``f`` is positive-definite with a positive, finite inverse diagonal."""
-    with np.errstate(all="ignore"):
-        try:
-            eigs, diag = np.linalg.eigvalsh(f), np.diagonal(np.linalg.inv(f))
-        except np.linalg.LinAlgError:  # NaN entries, or singular
-            eigs = diag = np.array([np.nan])
-    if eigs[0] > 0 and np.all((eigs < np.inf) & (diag > 0) & (diag < np.inf)):
-        return diag.copy()
-    raise RankDeficient(_INDEFINITE)
+    ``f`` passes the rule every budget applies (``_invert``): its
+    Cholesky factorization succeeds and its inverse diagonal is positive
+    and finite."""
+    inv, good = _invert(np.asarray(f, dtype=float)[None])
+    if not good[0]:
+        raise RankDeficient(_INDEFINITE)
+    return np.diagonal(inv[0]).copy()
 
 
 def theoretical_rmse_stack(variant: str, windows: WindowStack,

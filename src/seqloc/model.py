@@ -14,9 +14,7 @@ where ``q`` is the transmitting BS position.  This module holds the
 immutable domain types and ``WhitenedSystem``, the one forward model and
 Jacobian, which the solvers and the error analysis share; the designs,
 residuals and predictions of one batch (``build_design_*``, ``residual``,
-``predict_batch``) are that system with unit noise levels.  Only the
-oracles ``predict_pseudorange``, ``los_vector`` and ``WeightModel`` are
-written out apart from it.
+``predict_batch``) are that system with unit noise levels.
 
 Three estimator families share this model and are referred to throughout
 the package by short ids:
@@ -302,66 +300,6 @@ class VelocityPrior:
         _require_finite(mean, "prior mean")
         return _trusted(cls, mean=mean,
                         covariance=_freeze(_diagonal(var, (mean.size,) * 2)))
-
-
-@dataclass(frozen=True)
-class WeightModel:
-    """Diagonal pseudorange weights 1/sigma_i^2, optionally extended with
-    the velocity-prior information block for the prior-velocity variant."""
-
-    rho_diag: np.ndarray
-
-    def __post_init__(self):
-        diag = np.atleast_1d(np.array(self.rho_diag, dtype=float))
-        if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-            raise DimensionMismatch("weights must be strictly positive")
-        object.__setattr__(self, "rho_diag", _freeze(diag))
-
-    @classmethod
-    def from_batch(cls, batch: MeasurementBatch) -> "WeightModel":
-        return cls(rho_diag=1.0 / batch.sigma**2)
-
-    @property
-    def w_rho(self) -> np.ndarray:
-        """Dense M-by-M diagonal weighting matrix."""
-        return np.diag(self.rho_diag)
-
-    def w_full(self, prior: VelocityPrior) -> np.ndarray:
-        """Block-diagonal (M+N)-by-(M+N) weight: pseudorange block then
-        velocity-prior information block."""
-        m = self.rho_diag.size
-        n = prior.n_dim
-        full = np.zeros((m + n, m + n))
-        full[:m, :m] = self.w_rho
-        full[m:, m:] = prior.weight()
-        return full
-
-
-def predict_pseudorange(q, params: FullParams, dt: float) -> float:
-    """Noise-free pseudorange from BS at ``q`` for a UD displaced by
-    ``v*dt`` from its epoch position: ``||q - (p + v*dt)|| + b + d*dt``."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape != params.p.shape:
-        raise DimensionMismatch("BS and UD dimensions differ")
-    geometric = float(np.linalg.norm(q - params.p - params.v * dt))
-    return geometric + params.b + params.d * dt
-
-
-def los_vector(q, p, v, dt: float) -> np.ndarray:
-    """Unit line-of-sight vector from the displaced UD toward the BS.
-
-    Raises DegenerateGeometry when the displaced UD sits on the BS
-    (distance below DEFAULT_GEOMETRY_EPS).
-    """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    diff = q - p - v * dt
-    dist = np.linalg.norm(diff)
-    if dist < DEFAULT_GEOMETRY_EPS:
-        raise DegenerateGeometry(
-            f"UD within {DEFAULT_GEOMETRY_EPS} m of BS at {q}")
-    return diff / dist
 
 
 class WindowStack(NamedTuple):

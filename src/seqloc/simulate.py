@@ -571,8 +571,8 @@ def assumed_velocities(v: np.ndarray, deviation: float) -> np.ndarray:
 
 
 class TrialRecord(NamedTuple):
-    """Outcome of one Monte Carlo trial, with the inputs kept for the
-    theory columns (the analysis is always evaluated at the truth)."""
+    """Outcome of one Monte Carlo trial, with the inputs its solve took:
+    the batch, the truth, and the assumed velocity or the prior."""
 
     trial: int
     batch: MeasurementBatch

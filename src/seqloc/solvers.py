@@ -111,9 +111,11 @@ class EstimateReport(NamedTuple):
     final_step_norm: float
 
 
-# np.linalg.svd's gufuncs, bound here so that a numpy without them fails
-# at import, not inside a solve.
+# np.linalg.svd's gufuncs, and np.linalg.cholesky's for the error theory,
+# bound here so that a numpy without them fails at import, not inside a
+# solve.
 _SVD_USV, _SVD_S = _umath_linalg.svd_s, _umath_linalg.svd
+_CHOLESKY = _umath_linalg.cholesky_lo
 
 # The smallest stack ``_svd`` splits, and twice the smallest chunk it
 # hands to a thread.  On a 2-core x86-64 host, 8x4 and 10x6 designs with

@@ -263,11 +263,11 @@ class TestCovarianceOrdering:
 
     def test_schur_identity_against_full_inverse(self, bs_square,
                                                  moving_truth):
-        from seqloc.model import WeightModel, build_design_uvd
+        from seqloc.model import build_design_uvd
 
         batch = canonical_batch(bs_square, moving_truth)
         g = build_design_uvd(batch, bs_square, moving_truth)
-        w = WeightModel.from_batch(batch).w_rho
+        w = np.diag(batch.sigma ** -2.0)
         full_inverse = np.linalg.inv(g.T @ w @ g)[:4, :4]
         g0, g1 = g[:, :4], g[:, 4:]
         schur = np.linalg.inv(
@@ -405,17 +405,23 @@ class TestOverflowedTruth:
 class TestIndefiniteInverse:
     """Four BSs at one point: the rank rule passes the kvd design (its
     condition number is about 1.45e9), but cond(A^T A) is its square, and
-    rounding leaves the inverse information with negative variances.
-    Every budget built on it fails as ``crlb`` does, with no warning."""
+    rounding can leave the information or its inverse indefinite.  Every
+    budget built on it fails as ``crlb`` does, with no warning."""
 
     MESSAGE = "^Fisher information is not positive-definite$"
 
-    @pytest.fixture(scope="class")
-    def window(self):
-        cfg, _ = scenario_from_config({"bs": {"positions": [[0, 0]] * 4}})
+    @staticmethod
+    def _window(**raw):
+        """Trial 0's noiseless fix 0 of the four-coincident-BS scenario."""
+        cfg, _ = scenario_from_config({"bs": {"positions": [[0, 0]] * 4},
+                                       **raw})
         traj = cfg.trajectory.realize(trial_rng(cfg.seed, 0))
         batch, truth = synthesize_batch(cfg, 0, trajectory=traj)
         return batch, cfg.bs, truth
+
+    @pytest.fixture(scope="class")
+    def window(self):
+        return self._window()
 
     def test_every_kvd_budget_fails_like_crlb(self, window):
         batch, bs, truth = window
@@ -440,6 +446,39 @@ class TestIndefiniteInverse:
         assert isinstance(projectors.failures[0], RankDeficient)
         assert np.all(np.isnan(projectors.inverse[0]))
         assert np.all(np.isnan(projectors.projector[0]))
+
+    def test_crlb_and_every_kvd_budget_share_one_rule(self):
+        """Over 60 seeds of the scenario the rounding of the information
+        decides whether a window is positive-definite; ``crlb`` and the
+        kvd budgets must decide alike, with the same error."""
+
+        def outcome(call):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    call()
+                except RankDeficient as exc:
+                    return type(exc), str(exc)
+            return None
+
+        failed = 0
+        for seed in range(60):
+            batch, bs, truth = self._window(seed=seed)
+            stack = WindowStack.of([batch]), bs, truth.as_vector()[None]
+            expected = outcome(lambda: analysis.crlb(
+                analysis.fim(batch, bs, truth, "kvd")))
+            failure = analysis.kvd_projectors(*stack).failures[0]
+            assert (None if failure is None
+                    else (type(failure), str(failure))) == expected, seed
+            for call in [
+                lambda: analysis.theoretical_rmse("kvd", batch, bs, truth),
+                lambda: analysis.bias_drift_only(batch, bs, truth),
+                lambda: analysis.bias_deviated_velocity(batch, bs, truth,
+                                                        truth.v + 1.0),
+            ]:
+                assert outcome(call) == expected, seed
+            failed += expected is not None
+        assert failed > 0
 
 
 class TestOverflowedInformation:

@@ -14,13 +14,10 @@ from seqloc import (
     KvdParams,
     MeasurementBatch,
     VelocityPrior,
-    WeightModel,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
-    los_vector,
     predict_batch,
-    predict_pseudorange,
     residual,
 )
 
@@ -70,16 +67,23 @@ class TestTypes:
         with pytest.raises(DimensionMismatch):
             VelocityPrior(mean=[0, 0], covariance=[[1, 0.5], [0.2, 1]])
 
-    def test_weight_model_blocks(self):
-        batch = make_batch([0, 1, 2], [0, 0.01, 0.02], sigma=0.5)
-        weights = WeightModel.from_batch(batch)
-        assert np.allclose(np.diag(weights.w_rho), 4.0)
+    def test_whitening_matches_dense_weights(self, bs_square):
+        """For a correlated prior the whitened system gives the normal
+        equations of the dense block-diagonal weight ``W``: pseudorange
+        weights 1/sigma^2, then the prior information."""
+        batch = make_batch([0, 1, 2], [0, 0.01, 0.02],
+                           rho=[20.0, 21.0, 22.0], sigma=0.5)
         prior = VelocityPrior(mean=[0, 0], covariance=[[4.0, 1.0], [1.0, 2.0]])
-        full = weights.w_full(prior)
-        assert full.shape == (5, 5)
-        assert np.allclose(full[:3, :3], weights.w_rho)
-        assert np.allclose(full[3:, 3:], np.linalg.inv(prior.covariance))
-        assert np.all(full[:3, 3:] == 0) and np.all(full[3:, :3] == 0)
+        at = FullParams(p=[12.0, 9.0], b=1.0, d=3.0, v=[1.5, -0.5])
+        w = np.zeros((5, 5))
+        w[:3, :3] = np.diag(batch.sigma ** -2.0)
+        w[3:, 3:] = np.linalg.inv(prior.covariance)
+        g = build_design_pvd(batch, bs_square, at)
+        r = residual(batch, bs_square, at, prior=prior)
+        a, z, _ = WhitenedSystem.of([batch], bs_square,
+                                    priors=[prior]).at(at.as_vector()[None])
+        assert np.allclose(a[0].T @ a[0], g.T @ w @ g, rtol=1e-12)
+        assert np.allclose(a[0].T @ z[0], g.T @ w @ r, rtol=1e-12)
 
 
 def _dense_root(covariance):
@@ -130,21 +134,37 @@ class TestInformationRoot:
         assert not prior.covariance.flags.writeable
 
 
+def _predict(q, params, dt):
+    """``predict_batch`` of one measurement from the BS at ``q``, taken
+    ``dt`` seconds from the epoch."""
+    batch = make_batch([0], [dt])
+    return predict_batch(batch, BsConstellation([q]), params)[0]
+
+
+def _los(q, p, v, dt):
+    """The unit LOS vector ``e`` of the kvd design row ``[-e, 1, dt]`` of
+    one measurement from the BS at ``q``."""
+    batch = make_batch([0], [dt])
+    design = build_design_kvd(batch, BsConstellation([q]),
+                              KvdParams(p, 0.0, 0.0), v)
+    return -design[0, :len(q)]
+
+
 class TestPredict:
     def test_three_four_five(self):
         params = FullParams(p=[0, 0], b=0.0, d=0.0, v=[0, 0])
-        assert predict_pseudorange([3, 4], params, 0.0) == pytest.approx(5.0)
+        assert _predict([3, 4], params, 0.0) == pytest.approx(5.0)
 
     def test_zero_distance_pure_clock(self):
         params = FullParams(p=[1, 1], b=7.0, d=0.0, v=[0, 0])
-        assert predict_pseudorange([1, 1], params, 0.0) == pytest.approx(7.0)
+        assert _predict([1, 1], params, 0.0) == pytest.approx(7.0)
 
     def test_moving_with_drift(self):
         # independent evaluation: ||(3,4)-(1,0)|| + 2 + 0.5
         params = FullParams(p=[0, 0], b=2.0, d=0.5, v=[1, 0])
         expected = math.hypot(2.0, 4.0) + 2.5
         assert expected == pytest.approx(6.972135955, abs=1e-9)
-        assert predict_pseudorange([3, 4], params, 1.0) == pytest.approx(expected)
+        assert _predict([3, 4], params, 1.0) == pytest.approx(expected)
 
     def test_geometric_part_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -153,20 +173,20 @@ class TestPredict:
                                 d=rng.normal(0, 1000), v=rng.normal(0, 10, 2))
             dt = rng.uniform(-0.1, 0.1)
             q = rng.normal(0, 20, 2)
-            value = predict_pseudorange(q, params, dt)
+            value = _predict(q, params, dt)
             assert value - params.b - params.d * dt >= 0.0
 
 
 class TestLosVector:
     def test_normalized_three_four_five(self):
-        assert np.allclose(los_vector([3, 4], [0, 0], [0, 0], 0.0), [0.6, 0.8])
+        assert np.allclose(_los([3, 4], [0, 0], [0, 0], 0.0), [0.6, 0.8])
 
     def test_collinear_displacement(self):
-        assert np.allclose(los_vector([10, 0], [0, 0], [5, 0], 1.0), [1, 0])
+        assert np.allclose(_los([10, 0], [0, 0], [5, 0], 1.0), [1, 0])
 
     def test_zero_distance_raises(self):
         with pytest.raises(DegenerateGeometry):
-            los_vector([0, 0], [0, 0], [0, 0], 0.0)
+            _los([0, 0], [0, 0], [0, 0], 0.0)
 
     def test_unit_norm_random(self):
         rng = np.random.default_rng(11)
@@ -176,7 +196,7 @@ class TestLosVector:
             dt = rng.uniform(-0.2, 0.2)
             if np.linalg.norm(q - p - v * dt) < 1e-6:
                 continue
-            e = los_vector(q, p, v, dt)
+            e = _los(q, p, v, dt)
             assert abs(np.linalg.norm(e) - 1.0) < 1e-12
 
 

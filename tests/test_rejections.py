@@ -226,8 +226,8 @@ def test_crlb_of_an_indefinite_information():
                          ids=["nan", "inverse-overflows"])
 @pytest.mark.parametrize("state", ["default", "raise"])
 def test_crlb_fails_an_information_the_harness_fails(info, state):
-    """An information of NaNs (numpy's eigvalsh does not converge) and one
-    whose inverse diagonal overflows fail with the rule ``_inverse_fims``
+    """An information of NaNs (its Cholesky factorization fails) and one
+    whose inverse diagonal overflows fail with the rule every budget
     applies to a window, without a warning, also under a caller's
     strictest error state."""
     with warnings.catch_warnings(), np.errstate(

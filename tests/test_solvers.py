@@ -14,7 +14,6 @@ from seqloc import (
     RankDeficient,
     SolverConfig,
     VelocityPrior,
-    WeightModel,
     analysis,
     build_design_pvd,
     residual,
@@ -280,8 +279,9 @@ class TestReports:
 class TestCorrelatedPrior:
     def test_map_stationary_and_covariance_match_dense_weights(self):
         # A non-diagonal prior covariance exercises the Cholesky whitening
-        # of the prior rows; the dense W_full of WeightModel is the
-        # reference for the MAP gradient and the covariance.
+        # of the prior rows; the dense block-diagonal weight W (pseudorange
+        # weights 1/sigma^2, then the prior information) is the reference
+        # for the MAP gradient and the covariance.
         rng = np.random.default_rng(43)
         for _ in range(25):
             bs, truth = random_geometry(rng, min_range=3.0)
@@ -297,7 +297,9 @@ class TestCorrelatedPrior:
             assert report.converged
 
             g = build_design_pvd(noisy, bs, report.params)
-            w = WeightModel.from_batch(noisy).w_full(prior)
+            w = np.zeros((noisy.m + 2, noisy.m + 2))
+            w[:noisy.m, :noisy.m] = np.diag(noisy.sigma ** -2.0)
+            w[noisy.m:, noisy.m:] = np.linalg.inv(prior.covariance)
             r = residual(noisy, bs, report.params, prior=prior)
             normal = g.T @ w @ g
             grad = g.T @ w @ r

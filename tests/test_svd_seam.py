@@ -7,6 +7,11 @@ the invalid flag and fills that window's factors, and only that window's,
 with NaN: the rank rule relies on those NaN singular values to find a
 broken window.
 
+The error theory's positive-definiteness rule calls numpy's Cholesky
+gufunc bare in the same way (``_CHOLESKY``): it must give
+``np.linalg.cholesky``'s bits, and a NaN factor, without an exception or
+a warning, for a matrix that is not positive-definite.
+
 A stack of ``_SPLIT_MIN`` or more is split across the usable CPUs: the
 bits must not depend on the split, a child of ``fork`` must start its own
 threads, and a one-window solve must start none.
@@ -88,6 +93,38 @@ def test_svd_rejects_a_nan_design_as_numpy_does(count, compute_uv):
         for mine, ref in zip(ours, theirs if compute_uv else (theirs,)):
             assert mine[k].dtype == ref.dtype and mine[k].shape == ref.shape
             assert mine[k].tobytes() == ref.tobytes()
+
+
+def _informations(count, n, seed=23):
+    """``count`` SPD matrices (n, n), each ``G^T G`` of a random G."""
+    g = np.random.default_rng(seed).standard_normal((count, n + 4, n))
+    return g.mT @ g
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("count", STACKS, ids=lambda t: f"T={t}")
+def test_cholesky_equals_numpy_bit_for_bit(count, n):
+    f = _informations(count, n)
+    ours = solvers._CHOLESKY(f, signature="d->d")
+    ref = np.linalg.cholesky(f)
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("count", STACKS, ids=lambda t: f"T={t}")
+def test_cholesky_fills_nan_where_numpy_raises(count):
+    f = _informations(count, 4)
+    bad = count // 2
+    f[bad] = np.diag([1.0, -1.0, 2.0, 3.0])
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        np.linalg.cholesky(f)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        ours = solvers._CHOLESKY(f, signature="d->d")
+    assert np.isnan(ours[bad]).all()
+    others = np.delete(np.arange(count), bad)
+    assert (ours[others].tobytes()
+            == np.linalg.cholesky(f[others]).tobytes())
 
 
 def _digest(factors) -> str:
