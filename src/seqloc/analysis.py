@@ -29,6 +29,7 @@ from .model import (  # noqa: F401
     WindowStack,
     _require_velocity,
     _row_norms,
+    _window_part,
     build_design_kvd,
     build_design_pvd,
     build_design_uvd,
@@ -98,7 +99,8 @@ def _designs_at_truth(variant: str, bs: BsConstellation,
     if variant == "pvd" and priors is None:
         raise RankDeficient("prior-velocity FIM needs a velocity prior")
     system = WhitenedSystem(
-        bs, windows, truth[:, bs.n_dim + 2:] if variant == "kvd" else None,
+        _window_part(bs, windows),
+        truth[:, bs.n_dim + 2:] if variant == "kvd" else None,
         priors if variant == "pvd" else None)
     # With a known velocity ``at`` reads only the leading [p, b, d].
     a, _, degenerate = system.at(truth, residual=False)
@@ -151,11 +153,15 @@ def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
 
 def crlb(f: np.ndarray) -> np.ndarray:
     """Diagonal of the inverse of the Fisher information ``f``; the first
-    N entries are the per-axis position bounds.  RankDeficient unless
-    ``f`` passes the rule every budget applies (``_invert``): its
-    Cholesky factorization succeeds and its inverse diagonal is positive
-    and finite."""
-    inv, good = _invert(np.asarray(f, dtype=float)[None])
+    N entries are the per-axis position bounds.  DimensionMismatch unless
+    ``f`` is a square matrix of at least one row; RankDeficient unless it
+    passes the rule every budget applies (``_invert``): its Cholesky
+    factorization succeeds and its inverse diagonal is positive and
+    finite."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 2 or f.shape[0] != f.shape[1] or not len(f):
+        raise DimensionMismatch("information must be a square matrix")
+    inv, good = _invert(f[None])
     if not good[0]:
         raise RankDeficient(_INDEFINITE)
     return np.diagonal(inv[0]).copy()

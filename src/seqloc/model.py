@@ -417,44 +417,24 @@ class WhitenedSystem:
     information.  Then ``A^T A = G^T W G`` and ``A^T z = G^T W r`` per
     window.
 
-    Every array has a leading trial axis: the ``windows`` (a WindowStack)
-    are (T, M), ``v_known`` is (T, N), ``priors`` are PriorRows.  The
-    constructor raises only for a malformed call: a BS index out of
-    range, a velocity or prior of the wrong shape, or both.  A window's
-    numbers never fail the stack: whitened columns that overflow are
-    stored as NaN, and a known velocity that is not finite turns the LOS
-    rows NaN, so the SVD gives that window NaN singular values and the
-    solvers' rank rule (which also counts measurements) fails it alone.
-    ``at`` runs under its caller's error state.  ``of`` builds the stack
-    from validated batches and priors.
-
-    The constructor runs two parts: ``_window_part``, which depends on
-    the windows and the constellation alone, then ``_estimator_part``.
-    ``_on`` runs the second alone on a window part the caller kept (the
-    one-window solves share one across estimators).
+    Every array has a leading trial axis: ``window`` is the
+    ``_window_part`` of T windows of M rows, ``v_known`` is (T, N) and
+    ``priors`` are PriorRows; ``of`` builds all three from batches.  The
+    constructor raises only for a malformed call: a velocity or prior of
+    the wrong shape, or both.  A window's numbers never fail the stack:
+    whitened columns that overflow are stored as NaN, and a known velocity
+    that is not finite turns the LOS rows NaN, so the SVD gives that
+    window NaN singular values and the solvers' rank rule (which also
+    counts measurements) fails it alone.  The constructor and ``at`` run
+    under their caller's error state, which must ignore overflow and
+    invalid (``0 * inf`` at the epoch row); ``of`` sets its own.
 
     ``v_start`` (T, N) is where a solve starts the free velocity: the
     prior means with a prior, else zero; None when the velocity is known.
     """
 
-    # A velocity or whitened time that is not finite fails its window in
-    # the rank rule, without a warning (``0 * inf`` at the epoch row).
-    @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, bs: BsConstellation, windows: WindowStack,
-                 v_known=None, priors: PriorRows | None = None):
-        self._estimator_part(_window_part(bs, windows), v_known, priors)
-
-    @classmethod
-    def _on(cls, window: _WindowPart, v_known=None,
-            priors: PriorRows | None = None) -> "WhitenedSystem":
-        """The system of the window part ``window``, built under the
-        caller's error state, which must ignore overflow and invalid."""
-        system = object.__new__(cls)
-        system._estimator_part(window, v_known, priors)
-        return system
-
-    def _estimator_part(self, window: _WindowPart, v_known,
-                        priors: PriorRows | None):
+    def __init__(self, window: _WindowPart, v_known=None,
+                 priors: PriorRows | None = None):
         (n, m, self.q, self.dt, self.rho, self.w, self.dt_col, self.neg_w,
          clock) = window
         count = len(clock)
@@ -488,10 +468,11 @@ class WhitenedSystem:
             self.template[~np.isfinite(self.template)] = np.nan
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")
     def of(cls, batches, bs: BsConstellation, v_known=None, priors=None):
         """The stack of ``batches`` (one length M), with known velocities
         (T, N) or one VelocityPrior per window, or neither."""
-        return cls(bs, WindowStack.of(batches),
+        return cls(_window_part(bs, WindowStack.of(batches)),
                    None if v_known is None else np.asarray(v_known, float),
                    None if priors is None else prior_rows(priors, bs.n_dim))
 
@@ -566,7 +547,7 @@ def _unwhitened(batch: MeasurementBatch, bs: BsConstellation, at,
     if v_known is not None:
         v_known = np.asarray(v_known, dtype=float)[None]
         _require_velocity(v_known, (1, bs.n_dim))
-    system = WhitenedSystem(bs, windows, v_known, priors)
+    system = WhitenedSystem(_window_part(bs, windows), v_known, priors)
     theta = at.as_vector()[None]
     if theta.shape[1:] != (system.n_params,):
         raise DimensionMismatch("parameters do not match the estimator")

@@ -47,6 +47,7 @@ from .model import (
     _require_sigma,
     _row_norms,
     _trusted_params,
+    _window_part,
     information_root,
     prior_variance,
 )
@@ -699,8 +700,8 @@ class TrialCell(Sequence):
         failed trial), from one SVD of the final designs on the first read."""
         if self._covariance is None:
             with np.errstate(all="ignore"):
-                self._covariance = covariances(WhitenedSystem(
-                    self.draws.scenario.bs, self.draws.win, self.v_assumed,
+                self._covariance = covariances(WhitenedSystem(_window_part(
+                    self.draws.scenario.bs, self.draws.win), self.v_assumed,
                     self.prior), self.theta,
                     np.flatnonzero([e is None for e in self.errors]))
         return self._covariance
@@ -787,7 +788,7 @@ def solve_cells(cells: list,
         draws = [cells[i][1] for i in members]
         bs, win = draws[0].scenario.bs, _joined([d.win for d in draws])
         v_known, prior = map(_joined, zip(*(inputs[i] for i in members)))
-        system = WhitenedSystem(bs, win, v_known, prior)
+        system = WhitenedSystem(_window_part(bs, win), v_known, prior)
         sol = solve_stack(system, initial_vectors(
             bs, win.bs_index, win.rho, system.v_start), solver_cfg)
         starts = np.cumsum([0] + [len(d.truth) for d in draws]).tolist()

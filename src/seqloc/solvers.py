@@ -26,12 +26,12 @@ without masks, which raises the window's failure where it occurs.  The
 solves of one batch share its window set-up (the part of its
 ``WhitenedSystem`` that no estimator changes, and the start's ``[p, b]``),
 which the first keeps on the batch, with no option to set: the reports
-are bit-identical either way.  The
-happy-path guards (rank rule, loop exit, and the BS index and
-UD-on-a-BS tests of ``WhitenedSystem``) depend on the size: one window
-compares Python numbers, which costs less than numpy reductions on a few
-values, a stack reduces with ufuncs, and NaN, +0.0 and -0.0 take the
-same branch either way.  The stack's final check factors ``S`` alone and
+are bit-identical either way.  The happy-path guards (rank rule, loop
+exit, ``_window_part``'s BS index test and ``WhitenedSystem.at``'s
+UD-on-a-BS test) depend on the size: one window compares Python
+numbers, which costs less than numpy reductions on a few values, a
+stack reduces with ufuncs, and NaN, +0.0 and -0.0 take the same branch
+either way.  The stack's final check factors ``S`` alone and
 forms no covariance (the harness forms one when it is read), and those
 values may differ from the ``U``/``V`` path's in the last place.
 """
@@ -523,12 +523,12 @@ def _solve(batch: MeasurementBatch, bs: BsConstellation,
     """``solve_stack``'s operations on one window, without masks, from
     ``init`` or else from ``initial_vectors`` (with the system's
     ``v_start``), under one error state that ignores every flag; the
-    window's failure is raised where it occurs.  The window part of the
-    system and the start's ``[p, b]`` come from ``_window_set_up``, so the
-    solves of one batch share them."""
+    window's failure is raised where it occurs.  The system is built on
+    the window part that ``_window_set_up`` keeps with the start's
+    ``[p, b]``, so the solves of one batch share both."""
     window, start = _window_set_up(batch, bs)
     priors = None if priors is None else prior_rows(priors, bs.n_dim)
-    system = WhitenedSystem._on(window, v_known, priors)
+    system = WhitenedSystem(window, v_known, priors)
     if init is None:
         # initial_vectors(..., system.v_start), bit for bit
         theta = (start if system.v_start is None

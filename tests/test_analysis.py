@@ -89,6 +89,14 @@ class TestCrlb:
         f = np.diag([4.0, 25.0])
         assert np.allclose(analysis.crlb(f), [0.25, 0.04])
 
+    @pytest.mark.parametrize("f", [np.ones((3, 4)), np.ones(3),
+                                   np.ones((2, 2, 2)), np.zeros((0, 0))],
+                             ids=["oblong", "vector", "stack", "empty"])
+    def test_malformed_information_rejected(self, f):
+        with pytest.raises(DimensionMismatch,
+                           match="information must be a square matrix"):
+            analysis.crlb(f)
+
     def test_scales_linearly_with_sigma(self, bs_square, stationary_truth):
         values = []
         for sigma in (0.01, 0.1, 1.0):

@@ -14,14 +14,17 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from seqloc import (VelocityPrior, bias_drift_only, solve_drift_only,
                     solve_joint_velocity, solve_known_velocity,
                     solve_prior_velocity, theoretical_rmse, wls_step)
 from seqloc.config import load_config, scenario_from_config
-from seqloc.errors import SeqlocError
+from seqloc.errors import DimensionMismatch, SeqlocError
 from seqloc.experiments import run_experiment
-from seqloc.model import build_design_kvd, residual
+from seqloc.model import (WhitenedSystem, WindowStack, _window_part,
+                          build_design_kvd, residual)
+from seqloc.solvers import initial_vectors, solve_stack
 
 from conftest import canonical_batch, make_batch
 
@@ -130,3 +133,23 @@ def test_every_path_ignores_its_own_flags(bs_square, moving_truth):
     assert default["theory-pvd-tiny"][0] == "RankDeficient"
     assert default["wls-step-singular"] == (
         "RankDeficient", "whitened design matrix is rank-deficient")
+
+
+def test_the_constructor_runs_under_its_callers_error_state(bs_square,
+                                                            moving_truth):
+    """A known velocity holding inf sets the invalid flag at the epoch row
+    (``0 * inf``).  The bare constructor leaves the flag to its caller's
+    error state; ``WhitenedSystem.of`` sets its own, so the window builds
+    without a warning and fails later, in the rank rule."""
+    batch = canonical_batch(bs_square, moving_truth)
+    v = np.array([[np.inf, 0.0]])
+    window = _window_part(bs_square, WindowStack.of([batch]))
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        WhitenedSystem(window, v)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = WhitenedSystem.of([batch], bs_square, v_known=v)
+        sol = solve_stack(system, initial_vectors(
+            bs_square, batch.bs_index[None], system.rho, system.v_start))
+    assert isinstance(sol.failures[0], DimensionMismatch)
+    assert str(sol.failures[0]).startswith("the whitened design overflows")

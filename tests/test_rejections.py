@@ -15,7 +15,8 @@ from seqloc import (ConfigError, DimensionMismatch, EstimatorSpec,
                     solve_prior_velocity, synthesize_batch, trial_rng)
 from seqloc.cli import main
 from seqloc.experiments import default_scenario
-from seqloc.model import PriorRows, WhitenedSystem, WindowStack
+from seqloc.model import (PriorRows, WhitenedSystem, WindowStack,
+                          _window_part)
 from seqloc.simulate import draw_points, draw_trials, solve_cells
 
 from conftest import canonical_batch
@@ -61,7 +62,7 @@ def test_known_velocity_takes_no_prior(bs_square, moving_batch):
     prior = PriorRows(np.eye(2)[None], np.zeros((1, 2)))
     with pytest.raises(DimensionMismatch,
                        match="a known velocity takes no prior"):
-        WhitenedSystem(bs_square, WindowStack.of([moving_batch]),
+        WhitenedSystem(_window_part(bs_square, WindowStack.of([moving_batch])),
                        np.zeros((1, 2)), prior)
 
 

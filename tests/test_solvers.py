@@ -545,8 +545,9 @@ class TestOverflowedWindows:
                                                      prior)}[variant]()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            system = WhitenedSystem(bs_square, win, v if variant == "kvd"
-                                    else None, priors)
+            system = WhitenedSystem.of(
+                batches, bs_square, v if variant == "kvd" else None,
+                [prior] * 3 if variant == "pvd" else None)
             sol = solve_stack(system, initial_vectors(
                 bs_square, win.bs_index, win.rho, system.v_start))
             budgets = analysis.theoretical_rmse_stack(variant, win,
