@@ -1,12 +1,15 @@
 """Golden digests: the outputs of the first commands of
 ``.github/outputs-identity.sh`` (the six studies at ``--trials 20 --svg``,
 noise-sweep-uvd-pvd and speed-compare at ``--seed 7 --trials 20``,
-``crlb --seed 3``, ``simulate --seed 3`` and ``solve`` of that batch with
-each estimator) and of its seven ``--config`` studies (the configs of
-``.github/``, among them the runs whose theory fails by overflow or by
-rank), run in process through ``cli.main`` in a temporary directory,
-against the SHA-256 digests of ``tests/golden_digests.json``: one per
-file written and one per command's stdout plus exit status.
+``crlb --seed 3`` (also with ``--prior-std 0.5``), ``simulate --seed 3``
+and ``solve`` of that batch with each estimator), of its seven
+``--config`` studies (the configs of ``.github/``, among them the runs
+whose theory fails by overflow or by rank) and of its ``crlb --config``
+runs with the 3-D, stationary and tiny-noise configs (the last fails:
+its information overflows), run in process through ``cli.main`` in a
+temporary directory, against the SHA-256 digests of
+``tests/golden_digests.json``: one per file written, one per command's
+stdout plus exit status and one per command's stderr.
 
 Byte identity holds per numpy build, OpenBLAS core and libc (README), so
 the file records the build it was made on and the test skips, naming the
@@ -44,6 +47,7 @@ COMMANDS = (
                                      "seed7-studies"])
        for name in ("noise-sweep-uvd-pvd", "speed-compare")]
     + [("crlb", ["crlb", "--seed", "3"]),
+       ("crlb-prior-std", ["crlb", "--seed", "3", "--prior-std", "0.5"]),
        ("batch", ["simulate", "--seed", "3"])]
     + [(f"solve-{kind}", ["solve", "--batch", "batch.csv", "--estimator",
                           kind]) for kind in ("kvd", "uvd", "pvd", "d")]
@@ -63,7 +67,12 @@ COMMANDS = (
            ("overflow-stationary", "stationary-noise",
             "overflow-stationary", [], "overflow-studies"),
            ("final-failure", "stationary-noise", "final-failure", [],
-            "final-failure-studies"))])
+            "final-failure-studies"))]
+    + [(f"{name}-crlb", ["crlb", "--config",
+                         str(CONFIGS / f"identity-{config}.json")])
+       for name, config in (("config", "config"),
+                            ("stationary", "stationary"),
+                            ("tiny", "tiny-noise"))])
 
 
 def _sha256(data: bytes) -> str:
@@ -91,16 +100,19 @@ def build() -> dict:
 def digests(directory: Path) -> dict:
     """Run COMMANDS inside ``directory`` (the current directory) and return
     the digest of each command's stdout plus exit status, by command name,
-    and of each file written, by its path relative to ``directory``."""
+    of its stderr, by the name with ``.err`` appended, and of each file
+    written, by its path relative to ``directory``."""
     out = {}
     for name, argv in COMMANDS:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
             status = cli.main(argv)
         text = stdout.getvalue()
         if name == "batch":
             (directory / "batch.csv").write_text(text, encoding="utf-8")
         out[name] = _sha256(f"{text}exit status {status}\n".encode())
+        out[f"{name}.err"] = _sha256(stderr.getvalue().encode())
     for path in sorted(directory.rglob("*")):
         if path.is_file():
             out[path.relative_to(directory).as_posix()] = _sha256(
