@@ -35,7 +35,8 @@ from .model import (  # noqa: F401
     build_design_uvd,
     prior_rows,
 )
-from .solvers import _CHOLESKY, _INDEFINITE, rank_rule
+from .solvers import (_CHOLESKY, _INDEFINITE, _INV, MAX_DESIGN_CONDITION,
+                      _cheap_rule)
 
 ORDERING_EIG_FLOOR = -1e-10  # PD tolerance for covariance-ordering checks
 
@@ -87,13 +88,34 @@ def _one(batch: MeasurementBatch, truth: FullParams, bs: BsConstellation,
 
 
 @np.errstate(all="ignore")
+def _invert(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of T informations ``f`` (T, P, P), NaN where the
+    theory cannot use them, and the mask of those it can: finite, with a
+    Cholesky factor, and a positive inverse diagonal whose variance
+    inflations ``f[i, i] * inv[i, i]`` are within MAX_DESIGN_CONDITION, in
+    place of ``rank_rule``'s SVD clauses.  Rounding can leave a singular
+    information positive-definite with a finite inverse; the cap fails it,
+    and unlike cond(A) ignores column scale (the largest inflation bounds
+    the condition of ``f`` scaled to a unit diagonal from below)."""
+    pivots = np.diagonal(_CHOLESKY(f, signature="d->d"), axis1=-2, axis2=-1)
+    good = np.isfinite(f).all(axis=(1, 2)) & np.all(pivots > 0, axis=1)
+    inv = np.full(f.shape, np.nan)
+    inv[good] = _INV(f[good], signature="d->d")
+    diag = np.diagonal(inv, axis1=-2, axis2=-1)
+    good &= np.all((diag > 0) & (np.diagonal(f, axis1=-2, axis2=-1) * diag
+                                 <= MAX_DESIGN_CONDITION), axis=1)
+    inv[~good] = np.nan
+    return inv, good
+
+
+@np.errstate(all="ignore")
 def _designs_at_truth(variant: str, bs: BsConstellation,
                       windows: WindowStack, truth: np.ndarray, priors=None):
-    """Whitened designs of ``variant`` at the truths (T, 2N+2) of T
-    windows (with PriorRows for pvd), and per window None or the error
-    that leaves its design unable to determine the parameters (the
-    solvers' ``rank_rule``; a truth so far out that its design overflows
-    fails with DimensionMismatch, without a warning)."""
+    """Whitened designs ``A`` of ``variant`` at the truths (T, 2N+2) of T
+    windows (with PriorRows for pvd), ``(A^T A)^-1`` and per window None
+    or the error that leaves its theory undefined (and its inverse NaN):
+    the solvers' ``_cheap_rule`` (an overflowed design fails without a
+    warning), else ``crlb``'s where ``_invert`` rejects the information."""
     if variant not in VARIANTS:
         raise RankDeficient(f"unknown estimator variant {variant!r}")
     if variant == "pvd" and priors is None:
@@ -105,47 +127,20 @@ def _designs_at_truth(variant: str, bs: BsConstellation,
     # With a known velocity ``at`` reads only the leading [p, b, d].
     a, _, degenerate = system.at(truth, residual=False)
     failures = [None] * len(a)
-    rank_rule(a, failures, np.arange(len(a)), degenerate, system.m,
-              compute_uv=False)
-    return a, failures
-
-
-@np.errstate(all="ignore")
-def _invert(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The inverses of T informations ``f`` (T, P, P) and which of them
-    are positive-definite: those whose Cholesky factorization succeeds
-    and whose inverse has a positive, finite diagonal.  cond(A^T A) is
-    cond(A)^2, so rounding can leave an information or its inverse
-    indefinite; a window that fails has a NaN inverse."""
-    # The bare gufunc fills the factor of a matrix that is not
-    # positive-definite with NaN, where np.linalg.cholesky raises.
-    pivots = np.diagonal(_CHOLESKY(f, signature="d->d"), axis1=-2, axis2=-1)
-    good = np.all(pivots > 0, axis=1)
-    inv = np.full(f.shape, np.nan)
-    inv[good] = np.linalg.inv(f[good])
-    diag = np.diagonal(inv, axis1=-2, axis2=-1)
-    good &= np.all((diag > 0) & (diag < np.inf), axis=1)
-    inv[~good] = np.nan
-    return inv, good
-
-
-def _inverse_fims(a: np.ndarray, failures: list) -> np.ndarray:
-    """``(A^T A)^-1`` of each usable window (see ``rank_rule``), NaN for
-    the others; a window whose information ``_invert`` rejects fails as
-    ``crlb`` does."""
-    ok = np.flatnonzero([f is None for f in failures])
-    inv = np.full((len(a),) + a.shape[-1:] * 2, np.nan)
-    inv[ok], good = _invert(a[ok].mT @ a[ok])
-    for i in ok[~good].tolist():
+    keep = _cheap_rule(a, failures, np.arange(len(a)), degenerate, system.m)
+    inv, good = _invert(a.mT @ a)
+    for i in np.flatnonzero(keep & ~good).tolist():
         failures[i] = RankDeficient(_INDEFINITE)
-    return inv
+    inv[~keep] = np.nan
+    return a, inv, failures
 
 
 def fim(batch: MeasurementBatch, bs: BsConstellation, truth: FullParams,
         variant: str, prior: VelocityPrior | None = None) -> np.ndarray:
-    """Fisher information A^T A (= G^T W G) at the true parameters."""
-    a, failures = _designs_at_truth(variant, bs,
-                                    *_one(batch, truth, bs, prior))
+    """Fisher information A^T A (= G^T W G) at the true parameters; raises
+    the failure ``_designs_at_truth`` gives it (where ``crlb`` would)."""
+    a, _, failures = _designs_at_truth(variant, bs,
+                                       *_one(batch, truth, bs, prior))
     if failures[0] is not None:
         raise failures[0]
     return a[0].mT @ a[0]
@@ -155,9 +150,7 @@ def crlb(f: np.ndarray) -> np.ndarray:
     """Diagonal of the inverse of the Fisher information ``f``; the first
     N entries are the per-axis position bounds.  DimensionMismatch unless
     ``f`` is a square matrix of at least one row; RankDeficient unless it
-    passes the rule every budget applies (``_invert``): its Cholesky
-    factorization succeeds and its inverse diagonal is positive and
-    finite."""
+    passes the rule every budget applies (``_invert``)."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1] or not len(f):
         raise DimensionMismatch("information must be a square matrix")
@@ -172,10 +165,9 @@ def theoretical_rmse_stack(variant: str, windows: WindowStack,
                            priors: PriorRows | None = None) -> BudgetStack:
     """``theoretical_rmse`` of T windows at their truths (T, 2N+2) at once,
     with one prior row block per window for ``pvd``."""
-    a, failures = _designs_at_truth(variant, bs, windows, truth, priors)
+    _, inv, failures = _designs_at_truth(variant, bs, windows, truth, priors)
     n = bs.n_dim
-    variance = _inverse_fims(a, failures)[:, :n, :n]
-    return _budgets(np.zeros((len(a), n)), variance, failures)
+    return _budgets(np.zeros((len(inv), n)), inv[:, :n, :n], failures)
 
 
 def theoretical_rmse(variant: str, batch: MeasurementBatch,
@@ -204,8 +196,7 @@ def kvd_projectors(windows: WindowStack, bs: BsConstellation,
     depend on the true velocity, not on an assumed one, so every
     known-velocity budget of the same windows (kvd at any deviation,
     drift-only) shares them."""
-    a, failures = _designs_at_truth("kvd", bs, windows, truth)
-    inv_f = _inverse_fims(a, failures)
+    a, inv_f, failures = _designs_at_truth("kvd", bs, windows, truth)
     return KvdProjectors(
         (inv_f @ a.mT)[:, :bs.n_dim, :] / windows.sigma[:, None, :],
         inv_f, failures)

@@ -7,11 +7,11 @@ step solves ``A step = z`` through the SVD ``A = U S V^T`` of the whitened
 design rather than by inverting the normal matrix, which keeps the
 delta-prior limit of the MAP variant well-conditioned; the reported
 covariance is ``V S^-2 V^T`` at the final iterate.  Every factorization
-(each step, the final check and the error theory's designs, all
-through ``rank_rule``) goes through ``_svd``: numpy's LAPACK SVD gufunc,
-called bare.  It gives ``np.linalg.svd``'s bits without the wrapper's
-per-call dispatch, which on one 8-by-4 design costs about half as much
-again as the factorization, and NaN factors for a matrix LAPACK rejects.
+(each step and the final check, both through ``rank_rule``) goes through
+``_svd``: numpy's LAPACK SVD gufunc, called bare.  It gives
+``np.linalg.svd``'s bits without the wrapper's per-call dispatch, which
+on one 8-by-4 design costs about half as much again as the
+factorization, and NaN factors for a matrix LAPACK rejects.
 A stack of ``_SPLIT_MIN`` designs or more (the harness's stacks, never
 one window) is factored in chunks on the usable CPUs at once, with no
 option to set: each matrix is factored alone, so the bits do not depend
@@ -111,11 +111,11 @@ class EstimateReport(NamedTuple):
     final_step_norm: float
 
 
-# np.linalg.svd's gufuncs, and np.linalg.cholesky's for the error theory,
-# bound here so that a numpy without them fails at import, not inside a
-# solve.
+# np.linalg.svd's gufuncs, and np.linalg.cholesky's and np.linalg.inv's
+# for the error theory, which give NaN where those functions raise, bound
+# here so that a numpy without them fails at import, not inside a solve.
 _SVD_USV, _SVD_S = _umath_linalg.svd_s, _umath_linalg.svd
-_CHOLESKY = _umath_linalg.cholesky_lo
+_CHOLESKY, _INV = _umath_linalg.cholesky_lo, _umath_linalg.inv
 
 # The smallest stack ``_svd`` splits, and twice the smallest chunk it
 # hands to a thread.  On a 2-core x86-64 host, 8x4 and 10x6 designs with
@@ -251,27 +251,47 @@ def _svd_split(a: np.ndarray, compute_uv: bool, parts: int):
 # that its distances to the BSs overflow: the design holds NaN.
 _OVERFLOWED_DESIGN = ("the whitened design overflows: measurements or times "
                       "too large, or too tight a prior")
-# An information A^T A that float64 cannot hold (``rank_rule``: a design
-# whose largest singular value squares to inf, a noise level below about
-# 1e-154 m) or whose inverse rounding leaves indefinite (the error theory).
+# An information A^T A that float64 cannot hold (sigma below about
+# 1e-154 m), or that ``analysis._invert`` finds indefinite or beyond its cap.
 _INDEFINITE = "Fisher information is not positive-definite"
+
+
+def _cheap_rule(a: np.ndarray, failures: list, trials, degenerate=None,
+                m: int | None = None, *factored) -> np.ndarray:
+    """``rank_rule``'s clauses that need no factorization, then its SVD
+    clauses ``factored`` (mask, error, message), setting ``failures[k]``
+    for each window ``k`` of ``trials`` to the first that holds; returns
+    the mask of the others.  The cheap ones: too few rows (``m`` of them
+    pseudoranges, every row when None), a design that is not finite (NaN,
+    never inf alone, on which OpenBLAS prints a DLASCL message), a UD on
+    a BS."""
+    rows, params = a.shape[-2:]
+    m = rows if m is None else m
+    keep = np.ones(len(a), dtype=bool)
+    for mask, error, message in (
+            (np.full(len(a), rows < params), RankDeficient,
+             f"need at least {m + params - rows} measurements, got {m}"),
+            (~np.isfinite(a).all(axis=(1, 2)), DimensionMismatch,
+             _OVERFLOWED_DESIGN),
+            (degenerate, DegenerateGeometry,
+             "UD coincides with a BS in this batch"), *factored):
+        if mask is not None:
+            for k in np.asarray(trials)[keep & mask].tolist():
+                failures[k] = error(message)
+            keep &= ~mask
+    return keep
 
 
 def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
               m: int | None = None, compute_uv: bool = True):
-    """The one rule a whitened design must pass before it is used.
+    """The one rule a whitened design must pass before a solve uses it.
 
     Factors the designs ``a`` (L, rows, P) of the windows ``trials`` and
     sets ``failures[k]`` once for each window ``k`` that cannot determine
     its parameters, to the first of:
 
-    * fewer rows than parameters (RankDeficient, counted in measurements:
-      ``m`` of the rows are pseudoranges, every row when None);
-    * a design LAPACK rejects, whose singular values ``_svd`` gives NaN:
-      DimensionMismatch when it is not finite (an overflowed window holds
-      NaN, never inf alone, on which OpenBLAS prints a DLASCL message),
-      else RankDeficient as below;
-    * a UD on a BS, where ``degenerate`` (DegenerateGeometry);
+    * ``_cheap_rule``'s: too few rows, a design that is not finite (whose
+      singular values ``_svd`` gives NaN), a UD on a BS;
     * a condition number beyond MAX_DESIGN_CONDITION, or a zero,
       negative-zero or NaN smallest singular value (RankDeficient);
     * a largest singular value that squares to inf, so that float64 holds
@@ -279,8 +299,10 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
 
     Returns the mask of the usable windows (None when every window is)
     and their SVD ``(U, S, V^T)``, or ``S`` alone without ``compute_uv``
-    (the error theory, the harness's final check).  Runs under the
-    caller's error state, which must ignore every flag.
+    (the harness's final check).  The error theory factors none: past the
+    cheap clauses ``analysis._invert`` decides, with a condition cap of
+    its own, since rounding can pass a singular information.  Runs under
+    the caller's error state, which must ignore every flag.
     """
     rows, params = a.shape[-2:]
     svd = _svd(a, compute_uv)
@@ -297,24 +319,11 @@ def rank_rule(a: np.ndarray, failures: list, trials, degenerate=None,
             if first * first < np.inf:
                 return None, svd
     first, last = s[:, 0], s[:, -1]
-    broken = np.isnan(last) & ~np.isfinite(a).all(axis=(1, 2))
-    conditioned = (last > 0) & (first / last <= MAX_DESIGN_CONDITION)
-    held = first * first < np.inf
-    m = rows if m is None else m
-    keep = np.ones(len(a), dtype=bool)
-    for mask, error, message in (
-            (np.full(len(a), rows < params), RankDeficient,
-             f"need at least {m + params - rows} measurements, got {m}"),
-            (broken, DimensionMismatch, _OVERFLOWED_DESIGN),
-            (degenerate, DegenerateGeometry,
-             "UD coincides with a BS in this batch"),
-            (~conditioned, RankDeficient,
-             "whitened design matrix is rank-deficient"),
-            (~held, RankDeficient, _INDEFINITE)):
-        if mask is not None:
-            for k in np.asarray(trials)[keep & mask].tolist():
-                failures[k] = error(message)
-            keep &= ~mask
+    keep = _cheap_rule(
+        a, failures, trials, degenerate, m,
+        (~((last > 0) & (first / last <= MAX_DESIGN_CONDITION)),
+         RankDeficient, "whitened design matrix is rank-deficient"),
+        (~(first * first < np.inf), RankDeficient, _INDEFINITE))
     return keep, (tuple(x[keep] for x in svd) if compute_uv else s[keep])
 
 

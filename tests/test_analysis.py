@@ -12,6 +12,7 @@ import pytest
 
 from seqloc import (
     BsConstellation,
+    DegenerateGeometry,
     DimensionMismatch,
     FullParams,
     RankDeficient,
@@ -411,10 +412,12 @@ class TestOverflowedTruth:
 
 
 class TestIndefiniteInverse:
-    """Four BSs at one point: the rank rule passes the kvd design (its
-    condition number is about 1.45e9), but cond(A^T A) is its square, and
-    rounding can leave the information or its inverse indefinite.  Every
-    budget built on it fails as ``crlb`` does, with no warning."""
+    """Four BSs at one point: the solvers' rank rule passes the kvd design
+    (its condition number is about 1.45e9), but cond(A^T A) is its
+    square: rounding can leave the information or its inverse indefinite,
+    and where it does not, a variance inflation is beyond
+    MAX_DESIGN_CONDITION.  ``fim`` and every budget built on it fail as
+    ``crlb`` does, with no warning."""
 
     MESSAGE = "^Fisher information is not positive-definite$"
 
@@ -433,9 +436,13 @@ class TestIndefiniteInverse:
 
     def test_every_kvd_budget_fails_like_crlb(self, window):
         batch, bs, truth = window
-        info = analysis.fim(batch, bs, truth, "kvd")  # passes the rank rule
+        # The information fim forms, before it applies crlb's rule.
+        a, _, _ = analysis._designs_at_truth("kvd", bs,
+                                             *analysis._one(batch, truth, bs))
+        info = a[0].mT @ a[0]
         calls = [
             lambda: analysis.crlb(info),
+            lambda: analysis.fim(batch, bs, truth, "kvd"),
             lambda: analysis.theoretical_rmse("kvd", batch, bs, truth),
             lambda: analysis.bias_drift_only(batch, bs, truth),
             lambda: analysis.bias_deviated_velocity(batch, bs, truth,
@@ -456,9 +463,10 @@ class TestIndefiniteInverse:
         assert np.all(np.isnan(projectors.projector[0]))
 
     def test_crlb_and_every_kvd_budget_share_one_rule(self):
-        """Over 60 seeds of the scenario the rounding of the information
-        decides whether a window is positive-definite; ``crlb`` and the
-        kvd budgets must decide alike, with the same error."""
+        """Over 60 seeds of the scenario, whose rounding decides whether
+        the information is positive-definite, ``crlb`` and the kvd budgets
+        must decide alike, with the same error; the condition clause fails
+        every seed, whatever the rounding."""
 
         def outcome(call):
             with warnings.catch_warnings():
@@ -486,7 +494,7 @@ class TestIndefiniteInverse:
             ]:
                 assert outcome(call) == expected, seed
             failed += expected is not None
-        assert failed > 0
+        assert failed == 60
 
 
 class TestOverflowedInformation:
@@ -542,3 +550,111 @@ class TestOverflowedInformation:
             assert stack.failures[k] is None
             assert np.array_equal(stack.variance[k], alone.variance)
             assert stack.rmse[k] == alone.rmse
+
+
+class TestMixedStack:
+    """One stack of a good window and one window for each way the theory
+    at the truths fails, each decided alone: a design that overflows, a
+    UD on a BS, an information that overflows (noise 1e-160 m) and a
+    singular one (every ``dt`` equal, so the drift column is a multiple
+    of the clock column).  A window with too few rows fails its whole
+    stack, since a WindowStack holds windows of one length, so it is
+    checked on the same windows cut to three measurements."""
+
+    FAR = FullParams(p=[-1.7e308, 0.0], b=30.0, d=0.0, v=[-1.7e308, 0.0])
+    OVERFLOWS = (DimensionMismatch, "the whitened design overflows: "
+                 "measurements or times too large, or too tight a prior")
+    ON_A_BS = (DegenerateGeometry, "UD coincides with a BS in this batch")
+    INDEFINITE = (RankDeficient, "Fisher information is not positive-definite")
+
+    def stack(self, bs, truth, m=8):
+        """The windows (good, far truth, UD on BS 0, tiny noise, every dt
+        equal), their truths and their priors."""
+        on_bs = FullParams(p=bs.positions[0], b=30.0, d=DRIFT_MPS,
+                           v=[0.0, 0.0])
+        good = canonical_batch(bs, truth, m=m)
+        batches = [good, good, good,
+                   canonical_batch(bs, truth, m=m, sigma=1e-160),
+                   make_batch(np.arange(m) % 4, np.full(m, 0.05),
+                              rho=good.rho)]
+        truths = [truth, self.FAR, on_bs, truth, truth]
+        return (WindowStack.of(batches),
+                np.stack([t.as_vector() for t in truths]),
+                prior_rows([VelocityPrior.isotropic(truth.v, 2.0)] * 5, 2))
+
+    @staticmethod
+    def outcomes(failures):
+        return [None if f is None else (type(f), str(f)) for f in failures]
+
+    @staticmethod
+    def budgets(variant, windows, bs, truths, priors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if variant == "kvd":
+                projectors = analysis.kvd_projectors(windows, bs, truths)
+                return projectors, projectors.inverse, projectors.failures
+            stack = analysis.theoretical_rmse_stack(variant, windows, bs,
+                                                    truths, priors)
+            return stack, stack.variance, stack.failures
+
+    @pytest.mark.parametrize("variant", ["kvd", "uvd", "pvd"])
+    def test_each_window_fails_alone(self, bs_square, moving_truth,
+                                     variant):
+        windows, truths, priors = self.stack(bs_square, moving_truth)
+        stack, variance, failures = self.budgets(variant, windows, bs_square,
+                                                 truths, priors)
+        assert self.outcomes(failures) == [
+            None, self.OVERFLOWS, self.ON_A_BS, self.INDEFINITE,
+            self.INDEFINITE]
+        undefined = np.isnan(variance).any(axis=(1, 2))
+        assert list(undefined) == [f is not None for f in failures]
+        assert np.isfinite(variance[0]).all()
+        if variant == "kvd":
+            alone = analysis.kvd_projectors(
+                WindowStack.of([windows.batch(0)]), bs_square, truths[:1])
+            assert np.array_equal(stack.projector[0], alone.projector[0])
+            assert np.array_equal(stack.inverse[0], alone.inverse[0])
+            return
+        assert list(np.isnan(stack.rmse)) == list(undefined)
+        alone = analysis.theoretical_rmse(
+            variant, windows.batch(0), bs_square, moving_truth,
+            prior=VelocityPrior.isotropic(moving_truth.v, 2.0))
+        assert np.array_equal(stack.variance[0], alone.variance)
+        assert np.array_equal(stack.bias[0], alone.bias)
+        assert stack.rmse[0] == alone.rmse
+
+    def test_a_singular_information_fails_whatever_its_rounding(
+            self, bs_square, moving_truth, monkeypatch):
+        """Forty windows whose every ``dt`` is equal, from 0.01 s to 2 s:
+        each information is singular, and each fails.  Rounding leaves
+        some of the kvd and pvd ones positive-definite with a positive,
+        finite inverse diagonal, and only the condition clause fails
+        those: without the cap they would get a budget."""
+        count = 40
+        windows = WindowStack.of([
+            make_batch(np.arange(8) % 4, np.full(8, dt), rho=np.full(8, 20.0))
+            for dt in np.linspace(0.01, 2.0, count)])
+        truths = np.stack([moving_truth.as_vector()] * count)
+        priors = prior_rows([VelocityPrior.isotropic(moving_truth.v, 2.0)]
+                            * count, 2)
+        for variant in ("kvd", "uvd", "pvd"):
+            _, _, failures = self.budgets(variant, windows, bs_square,
+                                          truths, priors)
+            assert self.outcomes(failures) == [self.INDEFINITE] * count
+        monkeypatch.setattr(analysis, "MAX_DESIGN_CONDITION", np.inf)
+        for variant in ("kvd", "pvd"):
+            _, _, failures = self.budgets(variant, windows, bs_square,
+                                          truths, priors)
+            assert None in failures, variant
+
+    @pytest.mark.parametrize("variant, need", [("kvd", 4), ("uvd", 6),
+                                               ("pvd", 4)])
+    def test_too_few_rows_fail_every_window_first(self, bs_square,
+                                                  moving_truth, variant,
+                                                  need):
+        windows, truths, priors = self.stack(bs_square, moving_truth, m=3)
+        _, variance, failures = self.budgets(variant, windows, bs_square,
+                                             truths, priors)
+        assert self.outcomes(failures) == [
+            (RankDeficient, f"need at least {need} measurements, got 3")] * 5
+        assert np.isnan(variance).all()

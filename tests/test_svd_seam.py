@@ -7,10 +7,11 @@ the invalid flag and fills that window's factors, and only that window's,
 with NaN: the rank rule relies on those NaN singular values to find a
 broken window.
 
-The error theory's positive-definiteness rule calls numpy's Cholesky
-gufunc bare in the same way (``_CHOLESKY``): it must give
-``np.linalg.cholesky``'s bits, and a NaN factor, without an exception or
-a warning, for a matrix that is not positive-definite.
+The error theory's positive-definiteness rule calls numpy's Cholesky and
+inverse gufuncs bare in the same way (``_CHOLESKY`` and ``_INV``): they
+must give ``np.linalg.cholesky``'s and ``np.linalg.inv``'s bits, and a
+NaN factor or inverse, without an exception or a warning, for a matrix
+that is not positive-definite or that is singular.
 
 A stack of ``_SPLIT_MIN`` or more is split across the usable CPUs: the
 bits must not depend on the split, a child of ``fork`` must start its own
@@ -125,6 +126,31 @@ def test_cholesky_fills_nan_where_numpy_raises(count):
     others = np.delete(np.arange(count), bad)
     assert (ours[others].tobytes()
             == np.linalg.cholesky(f[others]).tobytes())
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("count", STACKS, ids=lambda t: f"T={t}")
+def test_inv_equals_numpy_bit_for_bit(count, n):
+    f = _informations(count, n)
+    ours = solvers._INV(f, signature="d->d")
+    ref = np.linalg.inv(f)
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("count", STACKS, ids=lambda t: f"T={t}")
+def test_inv_fills_nan_where_numpy_raises(count):
+    f = _informations(count, 4)
+    bad = count // 2
+    f[bad] = np.diag([1.0, 0.0, 2.0, 3.0])
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        np.linalg.inv(f)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        ours = solvers._INV(f, signature="d->d")
+    assert np.isnan(ours[bad]).all()
+    others = np.delete(np.arange(count), bad)
+    assert ours[others].tobytes() == np.linalg.inv(f[others]).tobytes()
 
 
 def _digest(factors) -> str:

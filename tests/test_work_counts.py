@@ -42,7 +42,7 @@ from seqloc import (
 from seqloc.errors import DimensionMismatch, Diverged
 from seqloc.experiments import (default_scenario, default_spec,
                                 run_experiment, write_experiment)
-from seqloc.model import WhitenedSystem
+from seqloc.model import WhitenedSystem, WindowStack, prior_rows
 from seqloc.solvers import initial_vectors, solve_stack
 
 from conftest import canonical_batch, make_batch
@@ -143,15 +143,46 @@ def _kvd_and_d_family():
 
 def test_a_cell_family_factors_s_alone_at_the_final_iterate(monkeypatch):
     """One factorization with U and V per loop iteration, then one of S
-    alone for the final rank rule and one for the theory's rank rule at
-    the truths, and no covariance."""
+    alone for the final rank rule, none for the theory at the truths, and
+    no covariance."""
     calls = _recording_svds(monkeypatch)
     formed = _counting(monkeypatch, seqloc.simulate, "covariances")
     cells = _kvd_and_d_family()
     assert all(cell.converged.all() for cell in cells)
     loops = max(cell.iterations.max().item() for cell in cells)
-    assert calls == [True] * loops + [False, False]
+    assert calls == [True] * loops + [False]
     assert formed[0] == 0
+
+
+def test_the_error_theory_factors_no_svd(monkeypatch, capsys, bs_square,
+                                         moving_truth):
+    """The theory at the truths, one window or a stack, decides with the
+    rank rule's cheap clauses and ``analysis._invert`` alone: no budget,
+    projector, information or CRLB, and no ``seqloc crlb``, factors an
+    SVD, where a solve factors one per iteration."""
+    svd_calls = _counting(monkeypatch, seqloc.solvers, "_svd")
+    wrapper_calls = _counting(monkeypatch, np.linalg, "svd")
+    batch = canonical_batch(bs_square, moving_truth)
+    prior = VelocityPrior.isotropic(moving_truth.v, 2.0)
+    windows = WindowStack.of([batch] * 3)
+    truths = np.stack([moving_truth.as_vector()] * 3)
+    theory = seqloc.analysis
+    for kind in ("kvd", "uvd", "pvd"):
+        theory.theoretical_rmse(kind, batch, bs_square, moving_truth,
+                                prior=prior)
+        theory.theoretical_rmse_stack(kind, windows, bs_square, truths,
+                                      prior_rows([prior] * 3, 2))
+        theory.crlb(theory.fim(batch, bs_square, moving_truth, kind,
+                               prior=prior))
+    projectors = theory.kvd_projectors(windows, bs_square, truths)
+    for given in (projectors, None):
+        theory.bias_deviated_velocity_stack(windows, bs_square, truths,
+                                            truths[:, 4:] + 1.0, given)
+    assert seqloc.cli.main(["crlb"]) == 0
+    capsys.readouterr()
+    assert [svd_calls[0], wrapper_calls[0]] == [0, 0]
+    report = solve_joint_velocity(batch, bs_square)
+    assert svd_calls[0] == report.iterations + 1
 
 
 def test_reading_a_cell_covariance_factors_it_once(monkeypatch):
